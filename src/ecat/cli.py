@@ -7,9 +7,7 @@ parse/resolve diagnostics, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import random
 import sys
 
 from . import construct as construct_mod
@@ -40,24 +38,18 @@ from .rezk import (
 from .vbase import check_category, check_closed, check_monoidal, check_symmetric
 
 
-def _load(paths: list[str]) -> tuple[dsl.Document | None, list[str]]:
-    """Parse one or more files into a single namespace; later files may
-    reference earlier declarations. ``.json`` files are lowered from the
-    machine format to DSL text first."""
-    text = ""
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-        if path.endswith(".json"):
-            doc, diags = dsl.from_json(content)
-            if doc is None:
-                return None, [f"{path}: {d.describe()}" for d in diags]
-            content = dsl.serialize(doc)
-        text += content + "\n"
-    doc, diags = dsl.parse(text)
+def _load(paths: list[str]) -> dsl.Document:
+    """Read one or more files into a single namespace; later files may
+    reference earlier declarations. Raises ParseFailure on diagnostics."""
+    doc, diags = dsl.load(paths)
     if doc is None:
-        return None, [d.describe() for d in diags]
-    return doc, []
+        raise dsl.ParseFailure(diags)
+    return doc
+
+
+def _print_diagnostics(diags: list[dsl.Diagnostic]) -> None:
+    for d in diags:
+        print(d.describe())
 
 
 def _item_reports(doc: dsl.Document, item: dsl.Item) -> dict[str, CheckReport]:
@@ -131,6 +123,17 @@ def _emit_document(items: list[dsl.Item], out: str | None, as_json: bool) -> Non
         print(text, end="")
 
 
+def _emit_result(args, items: list[dsl.Item], verdict: dict) -> None:
+    """The verdict as JSON, or the constructed document then one
+    ``# key: value`` line per verdict entry."""
+    if args.format == "json":
+        print(json.dumps(verdict, indent=2, sort_keys=True))
+    else:
+        _emit_document(items, args.out, False)
+        for k, v in sorted(verdict.items()):
+            print(f"# {k}: {v}")
+
+
 def _base_item_for(doc: dsl.Document, base) -> dsl.Item:
     for item in doc.of_kind("base"):
         if item.value is base:
@@ -139,55 +142,32 @@ def _base_item_for(doc: dsl.Document, base) -> dsl.Item:
 
 
 def _cmd_check(args) -> int:
-    def one(path):
-        doc, errs = _load([path])
-        if doc is None:
-            return path, None, errs
-        reports = []
-        for item in doc.items:
-            reports.append((f"{path}:{item.name}", _item_reports(doc, item)))
-        return path, reports, []
-
-    results = []
-    if args.jobs > 1 and len(args.files) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, args.files))
-    else:
-        results = [one(path) for path in args.files]
+    """Each file is checked on its own, in its own namespace."""
     code = 0
-    flat = []
-    for path, reports, errs in results:
-        if reports is None:
-            for e in errs:
-                print(f"{path}:{e}")
+    reports = []
+    for path in args.files:
+        doc, diags = dsl.load([path])
+        _print_diagnostics(diags)
+        if doc is None:
             code = 1
             continue
-        flat.extend(reports)
-    sub = _emit_reports(flat, args.format)
-    return max(code, sub)
+        reports.extend((f"{path}:{item.name}", _item_reports(doc, item)) for item in doc.items)
+    return max(code, _emit_reports(reports, args.format))
 
 
 def _cmd_construct(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     op = args.operation
     if op == "self":
         base_item = _single(doc, "base", args.base, "construct self")
         enr = construct_mod.self_enrichment(base_item.value)
-        out_item = dsl.Item("enrichment", args.name, enr, {"over": base_item.name}, base_item.span)
-        _emit_document([base_item, out_item], args.out, args.format == "json")
-        return 0
-    if op == "opposite":
+        items = [base_item, dsl.Item("enrichment", args.name, enr, {"over": base_item.name}, base_item.span)]
+    elif op == "opposite":
         enr_item = _single(doc, "enrichment", args.enrichment, "construct opposite")
         enr = construct_mod.opposite_enrichment(enr_item.value)
         out_item = dsl.Item("enrichment", args.name, enr, dict(enr_item.refs), enr_item.span)
-        base_item = _base_item_for(doc, enr_item.value.base)
-        _emit_document([base_item, out_item], args.out, args.format == "json")
-        return 0
-    if op == "full-sub":
+        items = [_base_item_for(doc, enr_item.value.base), out_item]
+    elif op == "full-sub":
         enr_item = _single(doc, "enrichment", args.enrichment, "construct full-sub")
         keep = {int(s) for s in args.keep.split(",") if s != ""}
         sub, inc = construct_mod.full_sub_enrichment(enr_item.value, lambda x: x in keep)
@@ -197,26 +177,19 @@ def _cmd_construct(args) -> int:
             "functor", f"{args.name}_inclusion", inc,
             {"dom": args.name, "cod": enr_item.name}, enr_item.span,
         )
-        _emit_document([base_item, enr_item, sub_item, inc_item], args.out, args.format == "json")
-        return 0
-    if op == "functor-category":
+        items = [base_item, enr_item, sub_item, inc_item]
+    else:  # functor-category
         e1 = _single(doc, "enrichment", args.enrichment, "construct functor-category (dom)")
         e2 = _single(doc, "enrichment", args.cod, "construct functor-category (cod)") if args.cod else e1
         fc = construct_mod.functor_category_enrichment(e1.value, e2.value, cap=args.cap)
         base_item = _base_item_for(doc, e1.value.base)
-        out_item = dsl.Item("enrichment", args.name, fc.enrichment, {"over": base_item.name}, e1.span)
-        _emit_document([base_item, out_item], args.out, args.format == "json")
-        return 0
-    print(f"unknown construction {op!r}", file=sys.stderr)
-    return 2
+        items = [base_item, dsl.Item("enrichment", args.name, fc.enrichment, {"over": base_item.name}, e1.span)]
+    _emit_document(items, args.out, args.format == "json")
+    return 0
 
 
 def _cmd_factorize(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "factorize")
     fact = image_factorization(fun_item.value)
     eso = is_essentially_surjective(fact.eso_part)
@@ -231,21 +204,12 @@ def _cmd_factorize(args) -> int:
     base_item = _base_item_for(doc, fun_item.value.dom.base)
     img_item = dsl.Item("enrichment", f"{fun_item.name}_image", fact.image,
                         {"over": base_item.name}, fun_item.span)
-    if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-    else:
-        _emit_document([base_item, img_item], args.out, False)
-        for k, v in sorted(verdict.items()):
-            print(f"# {k}: {v}")
+    _emit_result(args, [base_item, img_item], verdict)
     return 0 if eso.ok and ff.ok and cmp_rep.ok else 1
 
 
 def _cmd_equivalence(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "equivalence")
     try:
         adj = weak_equivalence_to_adjoint_equivalence(fun_item.value)
@@ -260,11 +224,7 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_rezk(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     enr_item = _single(doc, "enrichment", args.enrichment, "rezk")
     res = rezk_completion(enr_item.value)
     rep = univalence_report(res.completion)
@@ -278,32 +238,19 @@ def _cmd_rezk(args) -> int:
     base_item = _base_item_for(doc, enr_item.value.base)
     out_item = dsl.Item("enrichment", f"{enr_item.name}_rezk", res.completion,
                         {"over": base_item.name}, enr_item.span)
-    if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-    else:
-        _emit_document([base_item, out_item], args.out, False)
-        for k, v in sorted(verdict.items()):
-            print(f"# {k}: {v}")
+    _emit_result(args, [base_item, out_item], verdict)
     return 0 if rep.skeletal and res.cert_ff.ok and res.cert_eso.ok else 1
 
 
 def _cmd_yoneda_check(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     enr_item = _single(doc, "enrichment", args.enrichment, "yoneda-check")
     rep = check_yoneda_ff(enr_item.value, cap=args.cap)
     return _emit_reports([(enr_item.name, {"yoneda-ff": rep})], args.format)
 
 
 def _cmd_precomp_check(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "precomp-check")
     enr_item = _single(doc, "enrichment", args.target, "precomp-check target") if args.target else None
     if enr_item is None:
@@ -318,11 +265,7 @@ def _cmd_precomp_check(args) -> int:
 
 
 def _cmd_kleisli(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     monad_item = _single(doc, "monad", args.monad, "kleisli")
     T = monad_item.value
     base_item = _base_item_for(doc, T.carrier.base)
@@ -345,21 +288,12 @@ def _cmd_kleisli(args) -> int:
             "comparison_fully_faithful": is_fully_faithful(kappa).ok,
             "comparison_essentially_surjective": is_essentially_surjective(kappa).ok,
         }
-    if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-    else:
-        _emit_document([base_item, out_item], args.out, False)
-        for k, v in sorted(verdict.items()):
-            print(f"# {k}: {v}")
+    _emit_result(args, [base_item, out_item], verdict)
     return 0 if all(v is not False for v in verdict.values()) else 1
 
 
 def _cmd_kleisli_ump(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     monad_item = _single(doc, "monad", args.monad, "kleisli-ump")
     cocone_item = _single(doc, "cocone", args.cocone, "kleisli-ump")
     T = monad_item.value
@@ -377,11 +311,7 @@ def _cmd_kleisli_ump(args) -> int:
 
 
 def _cmd_enum_functors(args) -> int:
-    doc, errs = _load(args.files)
-    if doc is None:
-        for e in errs:
-            print(e)
-        return 1
+    doc = _load(args.files)
     doms = doc.get(args.dom) if args.dom else None
     cods = doc.get(args.cod) if args.cod else None
     if doms is None or cods is None:
@@ -413,10 +343,7 @@ def _cmd_enum_functors(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecat", description="finite enriched category workbench")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--cap", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized corpus generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run every applicable law checker")
@@ -489,14 +416,12 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
-    except EcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except dsl.ParseFailure as exc:
+        _print_diagnostics(exc.diagnostics)
         return 1
-    except OSError as exc:
+    except (EcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -459,6 +459,14 @@ class FunctorCategoryResult:
         return _find_component_index(self.transformations[(a, b)], component)
 
 
+def _ecomp(E: Enrichment, x: int, y: int, z: int) -> MorRef:
+    """E's composition at (x, y, z), which the construction cannot do without."""
+    try:
+        return E.e_comp_t[(x, y, z)]
+    except KeyError:
+        raise StructuralError(f"missing ecomp entry at ({x},{y},{z})") from None
+
+
 def functor_category_enrichment(
     E1: Enrichment, E2: Enrichment, cap: int = 10_000
 ) -> FunctorCategoryResult:
@@ -511,7 +519,7 @@ def functor_category_enrichment(
             src_f = E2.hom(F.ob(y), G.ob(y))
             chain_f = V.compose(
                 V.tensor_mor(V.id_of(src_f), F.e_fun(x, y)),
-                E2.ecomp(F.ob(x), F.ob(y), G.ob(y)),
+                _ecomp(E2, F.ob(x), F.ob(y), G.ob(y)),
             )
             phi = V.lam(src_f, e1, tgt, chain_f)
             legs_f.append(V.compose(P.projections[objs1.index(y)], phi))
@@ -520,7 +528,7 @@ def functor_category_enrichment(
             chain_g = V.compose_all(
                 V.tensor_mor(V.id_of(src_g), G.e_fun(x, y)),
                 V.symmetry(src_g, E2.hom(G.ob(x), G.ob(y))),
-                E2.ecomp(F.ob(x), G.ob(x), G.ob(y)),
+                _ecomp(E2, F.ob(x), G.ob(x), G.ob(y)),
             )
             psi = V.lam(src_g, e1, tgt, chain_g)
             legs_g.append(V.compose(P.projections[objs1.index(x)], psi))

@@ -1,11 +1,16 @@
-"""Text format for bases, enrichments, functors, transformations, monads and
-cocones, with source-located diagnostics and a canonical serializer.
+"""Text and JSON formats for bases, enrichments, functors, transformations,
+monads and cocones, with source-located diagnostics and canonical writers.
 
-The format is line-oriented; ``#`` starts a comment. Morphisms are written as
-``(src,dst,k)`` triples everywhere, objects as bare indices. Declarations are
-named and may reference earlier declarations only. ``to_arr`` tables are never
-written: they are derived from ``fromarr`` by inversion at parse time, and a
-non-bijective ``fromarr`` is a resolve-time diagnostic.
+The text format is line-oriented; ``#`` starts a comment. Morphisms are
+written as ``(src,dst,k)`` triples everywhere, objects as bare indices.
+Declarations are named and may reference earlier declarations only. ``to_arr``
+tables are never written: they are derived from ``fromarr`` by inversion at
+parse time, and a non-bijective ``fromarr`` is a resolve-time diagnostic.
+
+The JSON format carries the same tables as ``[key, value]`` rows. One schema
+(``_SCHEMA``) lists each kind's entries; the text line patterns, the text
+serializer and both JSON directions are generated from it, and both readers
+hand the same tables to one resolver.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import Enrichment, EnrichedFunctor, EnrichedTransformation, compose_functors, id_functor
 from .monad import EnrichedMonad, KleisliCocone
@@ -25,9 +31,18 @@ BUILTIN_NAMES = ("bool", "cost", "finset", "finposet_struct", "finpointedposet_s
 
 @dataclass(frozen=True)
 class Span:
-    line: int
-    col: int
-    end_col: int
+    """A line and column range in a text file, or a JSON path such as
+    ``items[1].tables.eid[0]`` in a machine file; ``path`` names the file."""
+
+    line: int = 0
+    col: int = 0
+    end_col: int = 0
+    path: str | None = None
+    pointer: str | None = None
+
+    def __str__(self) -> str:
+        where = self.pointer if self.pointer is not None else f"{self.line}:{self.col}"
+        return f"{self.path}:{where}" if self.path else where
 
 
 @dataclass(frozen=True)
@@ -38,7 +53,7 @@ class Diagnostic:
     suggestion: str | None = None
 
     def describe(self) -> str:
-        text = f"{self.span.line}:{self.span.col}: {self.severity}: {self.message}"
+        text = f"{self.span}: {self.severity}: {self.message}"
         if self.suggestion:
             text += f" (hint: {self.suggestion})"
         return text
@@ -53,27 +68,12 @@ class Item:
     span: Span
 
     def structurally_equal(self, other: "Item") -> bool:
+        """Same kind, name and references, and equal schema entries."""
         if (self.kind, self.name, self.refs) != (other.kind, other.name, other.refs):
             return False
-        a, b = self.value, other.value
-        if self.kind == "base":
-            if "builtin" in self.refs:
-                return True  # identity is the builtin name plus parameters
-            return a == b
-        if self.kind == "enrichment":
-            return a.data_equal(b)
-        if self.kind == "functor":
-            return a.data_equal(b)
-        if self.kind == "transformation":
-            return a.data_equal(b)
-        if self.kind == "monad":
-            return (
-                a.unit.component == b.unit.component
-                and a.mult.component == b.mult.component
-            )
-        if self.kind == "cocone":
-            return a.cell.component == b.cell.component
-        return False
+        if "builtin" in self.refs:
+            return True  # identity is the builtin name plus parameters
+        return all(e.get(self.value) == e.get(other.value) for e in _SCHEMA[self.kind].entries if e.get)
 
 
 @dataclass
@@ -101,68 +101,205 @@ class ParseFailure(EcatError):
         self.diagnostics = diagnostics
 
 
-_TRIPLE = r"\((\d+),(\d+),(\d+)\)"
-_PAIR = r"\((\d+),(\d+)\)"
+# ---------------------------------------------------------------------------
+# the table schema
+# ---------------------------------------------------------------------------
 
-_LINE_PATTERNS = {
-    "objects": re.compile(r"^objects\s+(\d+)$"),
-    "unit": re.compile(r"^unit\s+(\d+)$"),
-    "hom": re.compile(rf"^hom\s+{_PAIR}\s*=\s*(\d+)$"),
-    "id": re.compile(rf"^id\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "then": re.compile(rf"^then\s+{_TRIPLE}{_TRIPLE}\s*=\s*{_TRIPLE}$"),
-    "tensorobj": re.compile(rf"^tensorobj\s+{_PAIR}\s*=\s*(\d+)$"),
-    "tensormor": re.compile(rf"^tensormor\s+{_TRIPLE}{_TRIPLE}\s*=\s*{_TRIPLE}$"),
-    "lunitor": re.compile(rf"^lunitor\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "lunitorinv": re.compile(rf"^lunitorinv\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "runitor": re.compile(rf"^runitor\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "runitorinv": re.compile(rf"^runitorinv\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "assoc": re.compile(rf"^assoc\s+\((\d+),(\d+),(\d+)\)\s*=\s*{_TRIPLE}$"),
-    "associnv": re.compile(rf"^associnv\s+\((\d+),(\d+),(\d+)\)\s*=\s*{_TRIPLE}$"),
-    "sym": re.compile(rf"^sym\s+{_PAIR}\s*=\s*{_TRIPLE}$"),
-    "homobj": re.compile(rf"^homobj\s+{_PAIR}\s*=\s*(\d+)$"),
-    "eval": re.compile(rf"^eval\s+{_PAIR}\s*=\s*{_TRIPLE}$"),
-    "lam": re.compile(rf"^lam\s+\((\d+),(\d+),(\d+)\)\s*{_TRIPLE}\s*=\s*{_TRIPLE}$"),
-    "eid": re.compile(rf"^eid\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "ecomp": re.compile(rf"^ecomp\s+\((\d+),(\d+),(\d+)\)\s*=\s*{_TRIPLE}$"),
-    "fromarr": re.compile(rf"^fromarr\s+{_TRIPLE}\s*=\s*{_TRIPLE}$"),
-    "ob": re.compile(r"^ob\s+(\d+)\s*=\s*(\d+)$"),
-    "mor": re.compile(rf"^mor\s+{_TRIPLE}\s*=\s*{_TRIPLE}$"),
-    "efun": re.compile(rf"^efun\s+{_PAIR}\s*=\s*{_TRIPLE}$"),
-    "at": re.compile(rf"^at\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "endo": re.compile(r"^endo\s+(\w+)$"),
-    "unitat": re.compile(rf"^unit\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "multat": re.compile(rf"^mult\s+(\d+)\s*=\s*{_TRIPLE}$"),
-    "apex": re.compile(r"^apex\s+(\w+)$"),
-    "leg": re.compile(r"^leg\s+(\w+)$"),
-    "cellat": re.compile(rf"^cell\s+(\d+)\s*=\s*{_TRIPLE}$"),
+def _encode(x):
+    """JSON form of a table key or value: morphisms and tuples become lists."""
+    if isinstance(x, MorRef):
+        return [x.src, x.dst, x.k]
+    if isinstance(x, tuple):
+        return [_encode(e) for e in x]
+    return x
+
+
+def _unnest(nesting, v, out: list) -> None:
+    """Collect the integers of ``v`` into ``out`` if it is nested like
+    ``nesting``; raise ValueError otherwise."""
+    if type(nesting) is list:
+        if type(v) is not list or len(v) != len(nesting):
+            raise ValueError(v)
+        for n, x in zip(nesting, v):
+            if type(n) is list:
+                _unnest(n, x, out)
+            elif type(x) is int and x >= 0:
+                out.append(x)
+            else:
+                raise ValueError(x)
+    elif type(v) is int and v >= 0:
+        out.append(v)
+    else:
+        raise ValueError(v)
+
+
+def _paths(nesting, prefix: str = "") -> list[str]:
+    """Index paths of the integers in a nesting, in order: ``[3][0]`` etc."""
+    if type(nesting) is list:
+        return [p for i, n in enumerate(nesting) for p in _paths(n, f"{prefix}[{i}]")]
+    return [prefix]
+
+
+class _Shape:
+    """How a table key or value is written: a text pattern with one group per
+    integer, a text template with one ``{}`` per integer, and ``build`` from
+    those integers to the Python value. The JSON form is the value's
+    ``_encode`` nesting."""
+
+    def __init__(self, regex: str, template: str, build: Callable):
+        self.regex = regex
+        self.template = template
+        self.build = build
+        self.size = re.compile(regex).groups
+        self.nesting = _encode(build(list(range(self.size))))
+
+    def fields(self, arg: int) -> str:
+        """The template as ``str.format`` fields reading the value passed as
+        argument ``arg``, e.g. ``({1[0]},{1[1]},{1[2]})`` for a morphism."""
+        return self.template.format(*(f"{{{arg}{p}}}" for p in _paths(self.nesting)))
+
+    def from_json(self, v):
+        ints = []
+        _unnest(self.nesting, v, ints)
+        return self.build(ints)
+
+
+_N = r"(\d+)"
+_T = r"\((\d+),(\d+),(\d+)\)"
+INT = _Shape(_N, "{}", lambda a: a[0])
+NAME = _Shape(r"(\w+)", "{}", lambda a: a[0])
+PAIR = _Shape(rf"\({_N},{_N}\)", "({},{})", tuple)
+TRIPLE = _Shape(_T, "({},{},{})", tuple)
+MOR = _Shape(_T, "({},{},{})", lambda a: MorRef(*a))
+MOR_PAIR = _Shape(_T + _T, "({},{},{})({},{},{})", lambda a: (MorRef(*a[:3]), MorRef(*a[3:])))
+LAM = _Shape(_T + r"\s*" + _T, "({},{},{}) ({},{},{})", lambda a: (*a[:3], MorRef(*a[3:])))
+
+
+class _Entry:
+    """One body entry of a kind. Without a key shape it is a single value
+    (``objects 3``; a NAME value is a reference such as ``endo T``);
+    otherwise it is a table of ``keyword key = value`` rows. ``get`` reads the
+    entry off a resolved value; ``pattern`` and ``row`` are its text forms."""
+
+    def __init__(self, keyword: str, key: _Shape | None, value: _Shape, get: Callable | None = None):
+        self.keyword, self.key, self.value, self.get = keyword, key, value, get
+        if key is None:
+            self.pattern = re.compile(rf"^{keyword}\s+{value.regex}$")
+            self.row = f"  {keyword} {value.fields(0)}"
+        else:
+            self.pattern = re.compile(rf"^{keyword}\s+{key.regex}\s*=\s*{value.regex}$")
+            self.row = f"  {keyword} {key.fields(0)} = {value.fields(1)}"
+
+
+class _Kind:
+    """A declaration kind: its header, with ``{name}`` and the header
+    references as placeholders, and its body entries in canonical order."""
+
+    def __init__(self, header: str, entries: list[_Entry]):
+        self.header = header
+        self.entries = entries
+        self.tables = [e for e in entries if e.key is not None]
+        self.by_keyword = {e.keyword: e for e in entries}
+        self.header_refs = re.findall(r"\{(\w+)\}", header)[1:]
+        self.refs = self.header_refs + [e.keyword for e in entries if e.value is NAME]
+        # whitespace is required between adjacent words and optional elsewhere
+        regex, prev = "", None
+        for token in header.split() + ["{"]:
+            placeholder = token != "{" and token.startswith("{")
+            word = placeholder or token[0].isalpha()
+            if prev is not None:
+                regex += r"\s+" if word and prev else r"\s*"
+            regex += r"(\w+)" if placeholder else re.escape(token)
+            prev = word
+        self.header_re = re.compile(f"^{regex}$")
+
+
+def _closed(attr: str) -> Callable:
+    return lambda V: getattr(V.closed_data, attr) if V.closed_data else None
+
+
+_SCHEMA = {
+    "base": _Kind("base {name}", [
+        _Entry("objects", None, INT, lambda V: V.cat.n_objects),
+        _Entry("unit", None, INT, lambda V: V.unit),
+        _Entry("hom", PAIR, INT, lambda V: V.cat.hom_size_t),
+        _Entry("id", INT, MOR, lambda V: V.cat.identity_t),
+        _Entry("then", MOR_PAIR, MOR, lambda V: V.cat.then_t),
+        _Entry("tensorobj", PAIR, INT, lambda V: V.tensor_obj_t),
+        _Entry("tensormor", MOR_PAIR, MOR, lambda V: V.tensor_mor_t),
+        _Entry("lunitor", INT, MOR, lambda V: V.lunitor_t),
+        _Entry("lunitorinv", INT, MOR, lambda V: V.lunitor_inv_t),
+        _Entry("runitor", INT, MOR, lambda V: V.runitor_t),
+        _Entry("runitorinv", INT, MOR, lambda V: V.runitor_inv_t),
+        _Entry("assoc", TRIPLE, MOR, lambda V: V.associator_t),
+        _Entry("associnv", TRIPLE, MOR, lambda V: V.associator_inv_t),
+        _Entry("sym", PAIR, MOR, lambda V: V.symmetry_t),
+        _Entry("homobj", PAIR, INT, _closed("hom_obj_t")),
+        _Entry("eval", PAIR, MOR, _closed("eval_t")),
+        _Entry("lam", LAM, MOR, _closed("lam_t")),
+    ]),
+    "enrichment": _Kind("enrichment {name} over {over}", [
+        _Entry("objects", None, INT, lambda E: E.under.n_objects),
+        _Entry("hom", PAIR, INT, lambda E: E.under.hom_size_t),
+        _Entry("id", INT, MOR, lambda E: E.under.identity_t),
+        _Entry("then", MOR_PAIR, MOR, lambda E: E.under.then_t),
+        _Entry("homobj", PAIR, INT, lambda E: E.hom_obj_t),
+        _Entry("eid", INT, MOR, lambda E: E.e_id_t),
+        _Entry("ecomp", TRIPLE, MOR, lambda E: E.e_comp_t),
+        _Entry("fromarr", MOR, MOR, lambda E: E.from_arr_t),
+    ]),
+    "functor": _Kind("functor {name} : {dom} -> {cod}", [
+        _Entry("ob", INT, INT, lambda F: F.ob_map),
+        _Entry("mor", MOR, MOR, lambda F: F.mor_map),
+        _Entry("efun", PAIR, MOR, lambda F: F.e_fun_t),
+    ]),
+    "transformation": _Kind("transformation {name} : {src} => {dst}", [
+        _Entry("at", INT, MOR, lambda t: t.component),
+    ]),
+    "monad": _Kind("monad {name} on {on}", [
+        _Entry("endo", None, NAME),
+        _Entry("unit", INT, MOR, lambda T: T.unit.component),
+        _Entry("mult", INT, MOR, lambda T: T.mult.component),
+    ]),
+    "cocone": _Kind("cocone {name} for {for}", [
+        _Entry("apex", None, NAME),
+        _Entry("leg", None, NAME),
+        _Entry("cell", INT, MOR, lambda q: q.cell.component),
+    ]),
 }
 
-_HEADERS = {
-    "base_builtin": re.compile(r"^base\s+(\w+)\s*=\s*builtin\(\s*(\w+)\s*((?:,\s*\w+\s*=\s*\d+\s*)*)\)$"),
-    "base_block": re.compile(r"^base\s+(\w+)\s*\{$"),
-    "enrichment": re.compile(r"^enrichment\s+(\w+)\s+over\s+(\w+)\s*\{$"),
-    "functor": re.compile(r"^functor\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s*\{$"),
-    "transformation": re.compile(r"^transformation\s+(\w+)\s*:\s*(\w+)\s*=>\s*(\w+)\s*\{$"),
-    "monad": re.compile(r"^monad\s+(\w+)\s+on\s+(\w+)\s*\{$"),
-    "cocone": re.compile(r"^cocone\s+(\w+)\s+for\s+(\w+)\s*\{$"),
-}
+# the kind of declaration each reference names
+_REF_KINDS = {"over": "base", "dom": "enrichment", "cod": "enrichment", "src": "functor", "dst": "functor",
+              "on": "enrichment", "endo": "functor", "for": "monad", "apex": "enrichment", "leg": "functor"}
+_BUILTIN_HEADER = re.compile(r"^base\s+(\w+)\s*=\s*builtin\(\s*(\w+)\s*((?:,\s*\w+\s*=\s*\d+\s*)*)\)$")
+_NAME_RE = re.compile(r"\w+")
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+# ---------------------------------------------------------------------------
+# resolution: one path for both formats
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Decl:
+    """A declaration as read from either format, before resolution: its
+    references, its single values and tables by keyword, and the span of
+    each table row."""
+
+    kind: str
+    name: str
+    span: Span
+    refs: dict
+    values: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
+
+    def table(self, keyword: str) -> dict:
+        return self.values.get(keyword) or {}
 
 
-def _span(line_no: int, raw: str) -> Span:
-    stripped = raw.rstrip()
-    lead = len(raw) - len(raw.lstrip())
-    return Span(line_no, lead + 1, max(len(stripped), lead + 1) + 1)
+class _Resolver:
+    """Validates declarations and builds their values in one namespace."""
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
+    def __init__(self):
         self.diags: list[Diagnostic] = []
         self.items: list[Item] = []
         self.named: dict = {}
@@ -170,77 +307,10 @@ class _Parser:
     def error(self, span: Span, message: str, suggestion: str | None = None):
         self.diags.append(Diagnostic("error", message, span, suggestion))
 
-    def parse(self) -> Document:
-        i = 0
-        while i < len(self.lines):
-            raw = self.lines[i]
-            line = _strip(raw)
-            if not line:
-                i += 1
-                continue
-            span = _span(i + 1, raw)
-            m = _HEADERS["base_builtin"].match(line)
-            if m:
-                self._builtin_base(m, span)
-                i += 1
-                continue
-            matched = None
-            for kind in ("base_block", "enrichment", "functor", "transformation", "monad", "cocone"):
-                m = _HEADERS[kind].match(line)
-                if m:
-                    matched = kind
-                    break
-            if not matched:
-                self.error(span, f"unrecognized declaration: {line!r}",
-                           "expected base/enrichment/functor/transformation/monad/cocone")
-                i += 1
-                continue
-            body, i = self._collect_block(i + 1, span)
-            if body is None:
-                continue
-            handler = getattr(self, f"_parse_{matched}")
-            handler(m, body, span)
-        return Document(self.items)
-
-    def _collect_block(self, start: int, header_span: Span):
-        body = []
-        i = start
-        while i < len(self.lines):
-            raw = self.lines[i]
-            line = _strip(raw)
-            if line == "}":
-                return body, i + 1
-            if line:
-                body.append((i + 1, raw, line))
-            i += 1
-        self.error(header_span, "unterminated block (missing '}')")
-        return None, i
-
-    def _body_tables(self, body, allowed: set[str]):
-        """Match each body line against the allowed table patterns."""
-        alias = {}
-        if "unitat" in allowed:
-            alias["unit"] = "unitat"
-        if "multat" in allowed:
-            alias["mult"] = "multat"
-        if "cellat" in allowed:
-            alias["cell"] = "cellat"
-        rows = []
-        for line_no, raw, line in body:
-            span = _span(line_no, raw)
-            key = line.split()[0]
-            pat_name = alias.get(key, key)
-            if pat_name not in allowed:
-                self.error(span, f"unexpected entry {key!r} in this block")
-                continue
-            m = _LINE_PATTERNS[pat_name].match(line)
-            if not m:
-                self.error(span, f"malformed {key!r} entry: {line!r}")
-                continue
-            rows.append((pat_name, tuple(int(g) if g.isdigit() else g for g in m.groups()), span))
-        return rows
-
-    # -- declaration handlers -------------------------------------------------
+    def result(self) -> tuple[Document | None, list[Diagnostic]]:
+        if self.diags:
+            return None, self.diags
+        return Document(self.items), []
 
     def _register(self, kind, name, value, refs, span):
         if name in self.named:
@@ -260,188 +330,93 @@ class _Parser:
             return None
         return item
 
-    def _builtin_base(self, m, span):
-        name, builtin_name, params_raw = m.group(1), m.group(2), m.group(3)
+    def builtin(self, name: str, builtin_name: str, params: dict, span: Span):
         if builtin_name not in BUILTIN_NAMES:
             self.error(span, f"unknown builtin base {builtin_name!r}",
                        f"one of {', '.join(BUILTIN_NAMES)}")
             return
-        params = {}
-        for piece in re.findall(r"(\w+)\s*=\s*(\d+)", params_raw or ""):
-            params[piece[0]] = int(piece[1])
         try:
             base = builtin_base(builtin_name, **params)
-        except (ValueError, EcatError) as exc:
+        except (ValueError, TypeError, EcatError) as exc:
             self.error(span, f"cannot construct builtin base: {exc}")
             return
         self._register("base", name, base, {"builtin": builtin_name, "params": tuple(sorted(params.items()))}, span)
 
-    def _parse_base_block(self, m, body, span):
-        name = m.group(1)
-        rows = self._body_tables(body, {
-            "objects", "unit", "hom", "id", "then", "tensorobj", "tensormor",
-            "lunitor", "lunitorinv", "runitor", "runitorinv", "assoc", "associnv",
-            "sym", "homobj", "eval", "lam",
-        })
-        tables: dict = {k: {} for k in (
-            "hom", "id", "then", "tensorobj", "tensormor", "lunitor", "lunitorinv",
-            "runitor", "runitorinv", "assoc", "associnv", "sym", "homobj", "eval", "lam",
-        )}
-        n_objects = None
-        unit = None
-        for pat, groups, rspan in rows:
-            if pat == "objects":
-                n_objects = groups[0]
-            elif pat == "unit":
-                unit = groups[0]
-            elif pat in ("hom", "tensorobj", "homobj"):
-                tables[pat][(groups[0], groups[1])] = groups[2]
-            elif pat in ("id", "lunitor", "lunitorinv", "runitor", "runitorinv"):
-                tables[pat][groups[0]] = MorRef(*groups[1:4])
-            elif pat in ("then", "tensormor"):
-                tables[pat][(MorRef(*groups[0:3]), MorRef(*groups[3:6]))] = MorRef(*groups[6:9])
-            elif pat in ("assoc", "associnv"):
-                tables[pat][(groups[0], groups[1], groups[2])] = MorRef(*groups[3:6])
-            elif pat in ("sym", "eval"):
-                tables[pat][(groups[0], groups[1])] = MorRef(*groups[2:5])
-            elif pat == "lam":
-                tables[pat][(groups[0], groups[1], groups[2], MorRef(*groups[3:6]))] = MorRef(*groups[6:9])
-        if n_objects is None:
-            self.error(span, f"base {name!r} is missing an 'objects' entry")
+    def resolve(self, d: _Decl):
+        """Look up the references, then validate and build the value."""
+        refs = {}
+        for ref in _SCHEMA[d.kind].refs:
+            if ref not in d.refs:
+                self.error(d.span, f"{d.kind} {d.name!r} is missing its {ref!r} entry")
+            else:
+                refs[ref] = self._lookup(d.refs[ref], _REF_KINDS[ref], d.span)
+        if len(refs) < len(_SCHEMA[d.kind].refs) or None in refs.values():
             return
-        if unit is None:
-            self.error(span, f"base {name!r} is missing a 'unit' entry")
-            return
-        ok = self._range_check_base(name, n_objects, unit, tables, span)
-        if not ok:
-            return
-        cat = FinCat(n_objects, tables["hom"], tables["id"], tables["then"])
-        closed = None
-        if tables["homobj"] or tables["eval"] or tables["lam"]:
-            closed = ClosedData(tables["homobj"], tables["eval"], tables["lam"])
-        base = FinMonCat(
-            cat, unit, tables["tensorobj"], tables["tensormor"],
-            tables["lunitor"], tables["lunitorinv"], tables["runitor"], tables["runitorinv"],
-            tables["assoc"], tables["associnv"],
-            tables["sym"] if tables["sym"] else None,
-            closed, name=name,
-        )
-        self._register("base", name, base, {}, span)
+        value = getattr(self, f"_resolve_{d.kind}")(d, *(item.value for item in refs.values()))
+        if value is not None:
+            self._register(d.kind, d.name, value, d.refs, d.span)
 
-    def _range_check_base(self, name, n, unit, tables, span) -> bool:
-        ok = True
+    def _check_rows(self, d: _Decl, keyword: str, ok: Callable, message: str) -> bool:
+        """Report each row of a table whose value fails ``ok`` at the row;
+        ``message`` is formatted with the key and the value. Callers combine
+        checks with ``all([...])`` so that every table is reported."""
+        bad = [(k, v) for k, v in d.table(keyword).items() if not ok(v)]
+        for k, v in bad:
+            self.error(d.rows[keyword, k], message.format(k, v))
+        return not bad
 
-        def obj_ok(x):
-            return 0 <= x < n
-
-        def mor_ok(m):
-            return obj_ok(m.src) and obj_ok(m.dst) and 0 <= m.k < tables["hom"].get((m.src, m.dst), 0)
-
-        if not obj_ok(unit):
-            self.error(span, f"unit object {unit} out of range in base {name!r}")
-            ok = False
-        for (x, y) in tables["hom"]:
-            if not (obj_ok(x) and obj_ok(y)):
-                self.error(span, f"hom index ({x},{y}) out of range in base {name!r}")
-                ok = False
-        for table in ("id", "lunitor", "lunitorinv", "runitor", "runitorinv"):
-            for k, v in tables[table].items():
-                if not mor_ok(v):
-                    self.error(span, f"{table} entry at {k} references out-of-range morphism {v}")
-                    ok = False
-        for table in ("then", "tensormor"):
-            for (f, g), v in tables[table].items():
-                for m in (f, g, v):
-                    if not mor_ok(m):
-                        self.error(span, f"{table} entry references out-of-range morphism {m}")
-                        ok = False
-                        break
-        for key, v in tables["assoc"].items():
-            if not mor_ok(v):
-                self.error(span, f"assoc entry at {key} references out-of-range morphism {v}")
-                ok = False
-        for key, v in tables["associnv"].items():
-            if not mor_ok(v):
-                self.error(span, f"associnv entry at {key} references out-of-range morphism {v}")
-                ok = False
-        for key, v in itertools.chain(tables["sym"].items(), tables["eval"].items()):
-            if not mor_ok(v):
-                self.error(span, f"symmetry/eval entry at {key} references out-of-range morphism {v}")
-                ok = False
-        for (x, y), v in tables["tensorobj"].items():
-            if not (obj_ok(x) and obj_ok(y) and obj_ok(v)):
-                self.error(span, f"tensorobj entry ({x},{y})={v} out of range")
-                ok = False
-        for (y, z), v in tables["homobj"].items():
-            if not (obj_ok(y) and obj_ok(z) and obj_ok(v)):
-                self.error(span, f"homobj entry ({y},{z})={v} out of range")
-                ok = False
-        for (x, y, z, f), v in tables["lam"].items():
-            if not (mor_ok(f) and mor_ok(v)):
-                self.error(span, f"lam entry at ({x},{y},{z},{f}) out of range")
-                ok = False
-        return ok
-
-    def _base_obj_ok(self, base, x) -> bool:
-        if hasattr(base, "contains_obj"):
-            return base.contains_obj(x)
-        return isinstance(x, int) and x >= 0
-
-    def _base_mor_ok(self, base, m: MorRef) -> bool:
-        if not (self._base_obj_ok(base, m.src) and self._base_obj_ok(base, m.dst)):
-            return False
-        try:
-            return 0 <= m.k < base.hom_size(m.src, m.dst)
-        except EcatError:
-            return False
-
-    def _parse_enrichment(self, m, body, span):
-        name, base_name = m.group(1), m.group(2)
-        base_item = self._lookup(base_name, "base", span)
-        if base_item is None:
-            return
-        base = base_item.value
-        rows = self._body_tables(body, {"objects", "hom", "id", "then", "homobj", "eid", "ecomp", "fromarr"})
-        n = None
-        hom, ident, then = {}, {}, {}
-        hom_obj, e_id, e_comp, from_arr = {}, {}, {}, {}
-        row_spans = {}
-        for pat, groups, rspan in rows:
-            if pat == "objects":
-                n = groups[0]
-            elif pat == "hom":
-                hom[(groups[0], groups[1])] = groups[2]
-            elif pat == "id":
-                ident[groups[0]] = MorRef(*groups[1:4])
-            elif pat == "then":
-                then[(MorRef(*groups[0:3]), MorRef(*groups[3:6]))] = MorRef(*groups[6:9])
-            elif pat == "homobj":
-                hom_obj[(groups[0], groups[1])] = groups[2]
-                row_spans[("homobj", (groups[0], groups[1]))] = rspan
-            elif pat == "eid":
-                e_id[groups[0]] = MorRef(*groups[1:4])
-                row_spans[("eid", groups[0])] = rspan
-            elif pat == "ecomp":
-                e_comp[(groups[0], groups[1], groups[2])] = MorRef(*groups[3:6])
-                row_spans[("ecomp", (groups[0], groups[1], groups[2]))] = rspan
-            elif pat == "fromarr":
-                key = MorRef(*groups[0:3])
-                from_arr[key] = MorRef(*groups[3:6])
-                row_spans[("fromarr", key)] = rspan
+    def _resolve_base(self, d: _Decl):
+        n, unit = d.values.get("objects"), d.values.get("unit")
         if n is None:
-            self.error(span, f"enrichment {name!r} is missing an 'objects' entry")
-            return
-        under = FinCat(n, hom, ident, then)
-        bad = False
-        for key, v in hom_obj.items():
-            if not self._base_obj_ok(base, v):
-                self.error(row_spans[("homobj", key)], f"hom object {v} is not a base object")
-                bad = True
-        for table, entries in (("eid", e_id), ("ecomp", e_comp), ("fromarr", from_arr)):
-            for key, v in entries.items():
-                if not self._base_mor_ok(base, v):
-                    self.error(row_spans[(table, key)], f"{table} entry {v} is out of base range")
-                    bad = True
+            self.error(d.span, f"base {d.name!r} is missing an 'objects' entry")
+            return None
+        if unit is None:
+            self.error(d.span, f"base {d.name!r} is missing a 'unit' entry")
+            return None
+        hom = d.table("hom")
+
+        def in_range(v) -> bool:
+            if isinstance(v, MorRef):
+                return v.src < n and v.dst < n and v.k < hom.get((v.src, v.dst), 0)
+            if isinstance(v, tuple):
+                return all(in_range(x) for x in v)
+            return v < n
+
+        ok = unit < n
+        if not ok:
+            self.error(d.span, f"unit object {unit} out of range in base {d.name!r}")
+        # every object in a row is below n and every morphism indexes into
+        # its hom; hom values are sizes, not objects
+        for e in _SCHEMA["base"].tables:
+            for k, v in d.table(e.keyword).items():
+                if not in_range(k if e.keyword == "hom" else (k, v)):
+                    self.error(d.rows[e.keyword, k],
+                               f"{e.keyword} entry at {k} references an out-of-range object or morphism")
+                    ok = False
+        if not ok:
+            return None
+        t = d.table
+        closed = None
+        if t("homobj") or t("eval") or t("lam"):
+            closed = ClosedData(t("homobj"), t("eval"), t("lam"))
+        return FinMonCat(
+            FinCat(n, t("hom"), t("id"), t("then")), unit, t("tensorobj"), t("tensormor"),
+            t("lunitor"), t("lunitorinv"), t("runitor"), t("runitorinv"),
+            t("assoc"), t("associnv"), t("sym") or None, closed, name=d.name,
+        )
+
+    def _resolve_enrichment(self, d: _Decl, base):
+        n = d.values.get("objects")
+        if n is None:
+            self.error(d.span, f"enrichment {d.name!r} is missing an 'objects' entry")
+            return None
+        hom_obj, from_arr = d.table("homobj"), d.table("fromarr")
+        under = FinCat(n, d.table("hom"), d.table("id"), d.table("then"))
+        ok = all([
+            self._check_rows(d, "homobj", base.contains_obj, "hom object {1} is not a base object"),
+            *(self._check_rows(d, table, lambda v: _base_mor_ok(base, v), table + " entry {1} is out of base range")
+              for table in ("eid", "ecomp", "fromarr")),
+        ])
         # from_arr must be bijective per hom pair onto base(I, E(x,y))
         for x in range(n):
             for y in range(n):
@@ -449,13 +424,12 @@ class _Parser:
                 for f in under.hom(x, y):
                     v = from_arr.get(f)
                     if v is None:
-                        self.error(span, f"fromarr missing for morphism {f} in {name!r}")
-                        bad = True
+                        self.error(d.span, f"fromarr missing for morphism {f} in {d.name!r}")
+                        ok = False
                         continue
                     if v in pts:
-                        self.error(row_spans[("fromarr", f)],
-                                   f"fromarr is not injective at ({x},{y})")
-                        bad = True
+                        self.error(d.rows["fromarr", f], f"fromarr is not injective at ({x},{y})")
+                        ok = False
                     pts[v] = f
                 expected = None
                 if (x, y) in hom_obj:
@@ -464,429 +438,268 @@ class _Parser:
                     except EcatError:
                         expected = None
                 if expected is not None and len(pts) != expected:
-                    self.error(span, f"fromarr at ({x},{y}) is not a bijection "
-                                     f"({len(pts)} of {expected} unit points hit)")
-                    bad = True
-        if bad:
-            return
-        enr = Enrichment(base, under, hom_obj, e_id, e_comp, from_arr, name=name)
-        self._register("enrichment", name, enr, {"over": base_name}, span)
+                    self.error(d.span, f"fromarr at ({x},{y}) is not a bijection "
+                                       f"({len(pts)} of {expected} unit points hit)")
+                    ok = False
+        if not ok:
+            return None
+        return Enrichment(base, under, hom_obj, d.table("eid"), d.table("ecomp"), from_arr, name=d.name)
 
-    def _parse_functor(self, m, body, span):
-        name, dom_name, cod_name = m.group(1), m.group(2), m.group(3)
-        dom_item = self._lookup(dom_name, "enrichment", span)
-        cod_item = self._lookup(cod_name, "enrichment", span)
-        if dom_item is None or cod_item is None:
-            return
-        dom, cod = dom_item.value, cod_item.value
-        rows = self._body_tables(body, {"ob", "mor", "efun"})
-        ob_map, mor_map, e_fun = {}, {}, {}
-        bad = False
-        for pat, groups, rspan in rows:
-            if pat == "ob":
-                if not (0 <= groups[1] < cod.n_objects):
-                    self.error(rspan, f"object image {groups[1]} out of range")
-                    bad = True
-                ob_map[groups[0]] = groups[1]
-            elif pat == "mor":
-                key, val = MorRef(*groups[0:3]), MorRef(*groups[3:6])
-                if not (0 <= val.k < cod.under.hom_size(val.src, val.dst)):
-                    self.error(rspan, f"morphism image {val} out of range")
-                    bad = True
-                mor_map[key] = val
-            elif pat == "efun":
-                val = MorRef(*groups[2:5])
-                if not self._base_mor_ok(dom.base, val):
-                    self.error(rspan, f"enrichment component {val} is out of base range")
-                    bad = True
-                e_fun[(groups[0], groups[1])] = val
-        if bad:
-            return
-        fun = EnrichedFunctor(dom, cod, ob_map, mor_map, e_fun, name=name)
-        self._register("functor", name, fun, {"dom": dom_name, "cod": cod_name}, span)
+    def _resolve_functor(self, d: _Decl, dom, cod):
+        if not all([
+            self._check_rows(d, "ob", lambda y: y < cod.n_objects, "object image {1} out of range"),
+            self._check_rows(d, "mor", lambda m: _fincat_mor_ok(cod.under, m), "morphism image {1} out of range"),
+            self._check_rows(d, "efun", lambda m: _base_mor_ok(dom.base, m),
+                             "enrichment component {1} is out of base range"),
+        ]):
+            return None
+        return EnrichedFunctor(dom, cod, d.table("ob"), d.table("mor"), d.table("efun"), name=d.name)
 
-    def _parse_transformation(self, m, body, span):
-        name, src_name, dst_name = m.group(1), m.group(2), m.group(3)
-        src_item = self._lookup(src_name, "functor", span)
-        dst_item = self._lookup(dst_name, "functor", span)
-        if src_item is None or dst_item is None:
-            return
-        rows = self._body_tables(body, {"at"})
-        comp = {}
-        bad = False
-        for pat, groups, rspan in rows:
-            val = MorRef(*groups[1:4])
-            cod = src_item.value.cod.under
-            if not (0 <= val.k < cod.hom_size(val.src, val.dst)):
-                self.error(rspan, f"component {val} out of range")
-                bad = True
-            comp[groups[0]] = val
-        if bad:
-            return
-        tr = EnrichedTransformation(src_item.value, dst_item.value, comp, name=name)
-        self._register("transformation", name, tr, {"src": src_name, "dst": dst_name}, span)
+    def _resolve_transformation(self, d: _Decl, src, dst):
+        if not self._check_rows(d, "at", lambda m: _fincat_mor_ok(src.cod.under, m), "component {1} out of range"):
+            return None
+        return EnrichedTransformation(src, dst, d.table("at"), name=d.name)
 
-    def _parse_monad(self, m, body, span):
-        name, carrier_name = m.group(1), m.group(2)
-        carrier_item = self._lookup(carrier_name, "enrichment", span)
-        if carrier_item is None:
-            return
-        carrier = carrier_item.value
-        rows = self._body_tables(body, {"endo", "unitat", "multat"})
-        endo_name = None
-        unit_comp, mult_comp = {}, {}
-        bad = False
-        for pat, groups, rspan in rows:
-            if pat == "endo":
-                endo_name = groups[0]
-            elif pat == "unitat":
-                unit_comp[groups[0]] = MorRef(*groups[1:4])
-            elif pat == "multat":
-                mult_comp[groups[0]] = MorRef(*groups[1:4])
-        if endo_name is None:
-            self.error(span, f"monad {name!r} is missing an 'endo' entry")
-            return
-        endo_item = self._lookup(endo_name, "functor", span)
-        if endo_item is None:
-            return
-        endo = endo_item.value
-        for comp in (unit_comp, mult_comp):
-            for x, v in comp.items():
-                if not (0 <= v.k < carrier.under.hom_size(v.src, v.dst)):
-                    self.error(span, f"monad component {v} out of range")
-                    bad = True
-        if bad:
-            return
-        unit = EnrichedTransformation(id_functor(carrier), endo, unit_comp, name=f"{name}-unit")
-        mult = EnrichedTransformation(
-            compose_functors(endo, endo), endo, mult_comp, name=f"{name}-mult"
-        )
-        monad = EnrichedMonad(carrier, endo, unit, mult, name=name)
-        self._register("monad", name, monad, {"on": carrier_name, "endo": endo_name}, span)
+    def _resolve_monad(self, d: _Decl, carrier, endo):
+        if not all([self._check_rows(d, table, lambda m: _fincat_mor_ok(carrier.under, m),
+                                     "monad component {1} out of range") for table in ("unit", "mult")]):
+            return None
+        unit = EnrichedTransformation(id_functor(carrier), endo, d.table("unit"), name=f"{d.name}-unit")
+        mult = EnrichedTransformation(compose_functors(endo, endo), endo, d.table("mult"), name=f"{d.name}-mult")
+        return EnrichedMonad(carrier, endo, unit, mult, name=d.name)
 
-    def _parse_cocone(self, m, body, span):
-        name, monad_name = m.group(1), m.group(2)
-        monad_item = self._lookup(monad_name, "monad", span)
-        if monad_item is None:
-            return
-        rows = self._body_tables(body, {"apex", "leg", "cellat"})
-        apex_name = leg_name = None
-        cell_comp = {}
-        for pat, groups, rspan in rows:
-            if pat == "apex":
-                apex_name = groups[0]
-            elif pat == "leg":
-                leg_name = groups[0]
-            elif pat == "cellat":
-                cell_comp[groups[0]] = MorRef(*groups[1:4])
-        if apex_name is None or leg_name is None:
-            self.error(span, f"cocone {name!r} needs both 'apex' and 'leg'")
-            return
-        apex_item = self._lookup(apex_name, "enrichment", span)
-        leg_item = self._lookup(leg_name, "functor", span)
-        if apex_item is None or leg_item is None:
-            return
-        T = monad_item.value
-        leg = leg_item.value
-        cell = EnrichedTransformation(
-            compose_functors(T.endo, leg), leg, cell_comp, name=f"{name}-cell"
-        )
-        cocone = KleisliCocone(apex_item.value, leg, cell, name=name)
-        self._register(
-            "cocone", name, cocone,
-            {"for": monad_name, "apex": apex_name, "leg": leg_name}, span,
-        )
+    def _resolve_cocone(self, d: _Decl, monad, apex, leg):
+        cell = EnrichedTransformation(compose_functors(monad.endo, leg), leg, d.table("cell"), name=f"{d.name}-cell")
+        return KleisliCocone(apex, leg, cell, name=d.name)
+
+
+def _base_mor_ok(base, m: MorRef) -> bool:
+    if not (base.contains_obj(m.src) and base.contains_obj(m.dst)):
+        return False
+    try:
+        return 0 <= m.k < base.hom_size(m.src, m.dst)
+    except EcatError:
+        return False
+
+
+def _fincat_mor_ok(cat: FinCat, m: MorRef) -> bool:
+    return m.k < cat.hom_size(m.src, m.dst)
+
+
+# ---------------------------------------------------------------------------
+# readers
+# ---------------------------------------------------------------------------
+
+def _strip(line: str) -> str:
+    if "#" in line:
+        line = line[: line.index("#")]
+    return line.strip()
+
+
+def _span(line_no: int, raw: str, path: str | None) -> Span:
+    stripped = raw.rstrip()
+    lead = len(raw) - len(raw.lstrip())
+    return Span(line_no, lead + 1, max(len(stripped), lead + 1) + 1, path)
+
+
+def _read_text(text: str, path: str | None, res: _Resolver) -> None:
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        raw = lines[i]
+        line = _strip(raw)
+        i += 1
+        if not line:
+            continue
+        span = _span(i, raw, path)
+        m = _BUILTIN_HEADER.match(line)
+        if m:
+            params = {k: int(v) for k, v in re.findall(r"(\w+)\s*=\s*(\d+)", m.group(3) or "")}
+            res.builtin(m.group(1), m.group(2), params, span)
+            continue
+        for kind, schema in _SCHEMA.items():
+            m = schema.header_re.match(line)
+            if m:
+                break
+        else:
+            res.error(span, f"unrecognized declaration: {line!r}",
+                      "expected base/enrichment/functor/transformation/monad/cocone")
+            continue
+        body = []
+        while i < len(lines):
+            line = _strip(lines[i])
+            i += 1
+            if line == "}":
+                break
+            if line:
+                body.append((_span(i, lines[i - 1], path), line))
+        else:
+            res.error(span, "unterminated block (missing '}')")
+            continue
+        d = _Decl(kind, m.group(1), span, dict(zip(schema.header_refs, m.groups()[1:])))
+        for row_span, line in body:
+            _read_text_row(schema.by_keyword, d, res, row_span, line)
+        res.resolve(d)
+
+
+def _read_text_row(entries: dict, d: _Decl, res: _Resolver, span: Span, line: str) -> None:
+    keyword = line.split()[0]
+    entry = entries.get(keyword)
+    if entry is None:
+        res.error(span, f"unexpected entry {keyword!r} in this block")
+        return
+    m = entry.pattern.match(line)
+    if not m:
+        res.error(span, f"malformed {keyword!r} entry: {line!r}")
+        return
+    if entry.value is NAME:
+        d.refs[keyword] = m.group(1)
+        return
+    ints = [int(g) for g in m.groups()]
+    if entry.key is None:
+        d.values[keyword] = ints[0]
+        return
+    key = entry.key.build(ints[: entry.key.size])
+    d.values.setdefault(keyword, {})[key] = entry.value.build(ints[entry.key.size:])
+    d.rows[keyword, key] = span
+
+
+def _is_name(v) -> bool:
+    return isinstance(v, str) and _NAME_RE.fullmatch(v) is not None
+
+
+def _read_json(text: str, path: str | None, res: _Resolver) -> None:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        col = max(exc.colno, 1)
+        res.error(Span(exc.lineno, col, col + 1, path), f"invalid JSON: {exc}")
+        return
+    items = payload.get("items") if isinstance(payload, dict) else None
+    if not isinstance(items, list):
+        res.error(Span(path=path, pointer="items"), "machine format needs an items list")
+        return
+    for i, entry in enumerate(items):
+        d = _json_decl(entry, f"items[{i}]", path, res)
+        if d is not None:
+            res.resolve(d)
+
+
+def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None:
+    """The declaration of one JSON item, or None after reporting why not."""
+    def fail(where: str, message: str) -> None:
+        res.error(Span(path=path, pointer=where), message)
+
+    if not isinstance(entry, dict):
+        return fail(at, "an item must be a JSON object")
+    kind, name = entry.get("kind"), entry.get("name")
+    if kind not in _SCHEMA:
+        return fail(f"{at}.kind", f"unknown item kind {kind!r}")
+    if not _is_name(name):
+        return fail(f"{at}.name", f"invalid name {name!r}")
+    span = Span(path=path, pointer=at)
+    if kind == "base" and "builtin" in entry:
+        params = entry.get("params", [])
+        if not (_is_name(entry["builtin"]) and isinstance(params, list)
+                and all(isinstance(p, list) and len(p) == 2 and _is_name(p[0])
+                        and type(p[1]) is int and p[1] >= 0 for p in params)):
+            return fail(at, "a builtin base needs a builtin name and [name, integer] params")
+        res.builtin(name, entry["builtin"], dict(params), span)
+        return None
+    schema = _SCHEMA[kind]
+    refs = {}
+    for ref in schema.refs:
+        if not _is_name(entry.get(ref)):
+            return fail(f"{at}.{ref}", f"a {kind} needs a {ref!r} reference")
+        refs[ref] = entry[ref]
+    tables = entry.get("tables")
+    if not isinstance(tables, dict):
+        return fail(f"{at}.tables", f"a {kind} needs a tables object")
+    d = _Decl(kind, name, span, refs)
+    for keyword, rows in tables.items():
+        where = f"{at}.tables.{keyword}"
+        entry_schema = schema.by_keyword.get(keyword)
+        if entry_schema is None or entry_schema.value is NAME:
+            fail(where, f"unexpected entry {keyword!r} in this block")
+        elif rows is None:
+            continue
+        elif entry_schema.key is None:
+            if type(rows) is int and rows >= 0:
+                d.values[keyword] = rows
+            else:
+                fail(where, f"malformed {keyword!r} entry: {json.dumps(rows)}")
+        elif not isinstance(rows, list):
+            fail(where, f"malformed {keyword!r} table: expected a list of [key, value] rows")
+        else:
+            table = d.values[keyword] = {}
+            for j, row in enumerate(rows):
+                row_span = Span(path=path, pointer=f"{where}[{j}]")
+                try:
+                    k, v = row
+                    key = entry_schema.key.from_json(k)
+                    table[key] = entry_schema.value.from_json(v)
+                except (TypeError, ValueError):
+                    res.error(row_span, f"malformed {keyword!r} entry: {json.dumps(row)}")
+                    continue
+                d.rows[keyword, key] = row_span
+    return d
 
 
 def parse(text: str) -> tuple[Document | None, list[Diagnostic]]:
-    """Parse a document; returns (Document, []) or (None, diagnostics)."""
-    p = _Parser(text)
-    doc = p.parse()
-    if p.diags:
-        return None, p.diags
-    return doc, []
+    """Parse a text document; returns (Document, []) or (None, diagnostics)."""
+    res = _Resolver()
+    _read_text(text, None, res)
+    return res.result()
 
 
-def parse_or_raise(text: str) -> Document:
-    doc, diags = parse(text)
-    if doc is None:
-        raise ParseFailure(diags)
-    return doc
+def from_json(text: str) -> tuple[Document | None, list[Diagnostic]]:
+    """Parse the machine format; returns (Document, []) or (None, diagnostics)."""
+    res = _Resolver()
+    _read_json(text, None, res)
+    return res.result()
+
+
+def load(paths: list[str]) -> tuple[Document | None, list[Diagnostic]]:
+    """Read text files and ``.json`` machine files, in order, into one
+    namespace: a later file may reference an earlier file's declarations."""
+    res = _Resolver()
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        (_read_json if path.endswith(".json") else _read_text)(text, path, res)
+    return res.result()
 
 
 # ---------------------------------------------------------------------------
-# serializer
+# writers
 # ---------------------------------------------------------------------------
 
-def _mor(m: MorRef) -> str:
-    return f"({m.src},{m.dst},{m.k})"
-
-
-def _serialize_base(item: Item) -> str:
-    if "builtin" in item.refs:
-        params = ", ".join(f"{k}={v}" for k, v in item.refs["params"])
-        inner = item.refs["builtin"] + (f", {params}" if params else "")
-        return f"base {item.name} = builtin({inner})\n"
-    V: FinMonCat = item.value
-    out = [f"base {item.name} {{"]
-    out.append(f"  objects {V.cat.n_objects}")
-    out.append(f"  unit {V.unit}")
-    for (x, y), n in sorted(V.cat.hom_size_t.items()):
-        out.append(f"  hom ({x},{y}) = {n}")
-    for x, m in sorted(V.cat.identity_t.items()):
-        out.append(f"  id {x} = {_mor(m)}")
-    for (f, g), h in sorted(V.cat.then_t.items()):
-        out.append(f"  then {_mor(f)}{_mor(g)} = {_mor(h)}")
-    for (x, y), v in sorted(V.tensor_obj_t.items()):
-        out.append(f"  tensorobj ({x},{y}) = {v}")
-    for (f, g), h in sorted(V.tensor_mor_t.items()):
-        out.append(f"  tensormor {_mor(f)}{_mor(g)} = {_mor(h)}")
-    for label, table in (
-        ("lunitor", V.lunitor_t), ("lunitorinv", V.lunitor_inv_t),
-        ("runitor", V.runitor_t), ("runitorinv", V.runitor_inv_t),
-    ):
-        for x, m in sorted(table.items()):
-            out.append(f"  {label} {x} = {_mor(m)}")
-    for (x, y, z), m in sorted(V.associator_t.items()):
-        out.append(f"  assoc ({x},{y},{z}) = {_mor(m)}")
-    for (x, y, z), m in sorted(V.associator_inv_t.items()):
-        out.append(f"  associnv ({x},{y},{z}) = {_mor(m)}")
-    if V.symmetry_t is not None:
-        for (x, y), m in sorted(V.symmetry_t.items()):
-            out.append(f"  sym ({x},{y}) = {_mor(m)}")
-    if V.closed_data is not None:
-        for (y, z), v in sorted(V.closed_data.hom_obj_t.items()):
-            out.append(f"  homobj ({y},{z}) = {v}")
-        for (y, z), m in sorted(V.closed_data.eval_t.items()):
-            out.append(f"  eval ({y},{z}) = {_mor(m)}")
-        for (x, y, z, f), m in sorted(V.closed_data.lam_t.items()):
-            out.append(f"  lam ({x},{y},{z}) {_mor(f)} = {_mor(m)}")
+def _serialize_item(item: Item) -> str:
+    refs = item.refs
+    if "builtin" in refs:
+        params = "".join(f", {k}={v}" for k, v in refs["params"])
+        return f"base {item.name} = builtin({refs['builtin']}{params})\n"
+    out = [_SCHEMA[item.kind].header.format(name=item.name, **refs) + " {"]
+    for entry in _SCHEMA[item.kind].entries:
+        row = entry.row
+        if entry.value is NAME:
+            out.append(row.format(refs[entry.keyword]))
+        elif entry.key is None:
+            out.append(row.format(entry.get(item.value)))
+        else:
+            out.extend(itertools.starmap(row.format, sorted((entry.get(item.value) or {}).items())))
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _serialize_enrichment(item: Item) -> str:
-    E: Enrichment = item.value
-    out = [f"enrichment {item.name} over {item.refs['over']} {{"]
-    out.append(f"  objects {E.under.n_objects}")
-    for (x, y), n in sorted(E.under.hom_size_t.items()):
-        out.append(f"  hom ({x},{y}) = {n}")
-    for x, m in sorted(E.under.identity_t.items()):
-        out.append(f"  id {x} = {_mor(m)}")
-    for (f, g), h in sorted(E.under.then_t.items()):
-        out.append(f"  then {_mor(f)}{_mor(g)} = {_mor(h)}")
-    for (x, y), v in sorted(E.hom_obj_t.items()):
-        out.append(f"  homobj ({x},{y}) = {v}")
-    for x, m in sorted(E.e_id_t.items()):
-        out.append(f"  eid {x} = {_mor(m)}")
-    for (x, y, z), m in sorted(E.e_comp_t.items()):
-        out.append(f"  ecomp ({x},{y},{z}) = {_mor(m)}")
-    for f, m in sorted(E.from_arr_t.items()):
-        out.append(f"  fromarr {_mor(f)} = {_mor(m)}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _serialize_functor(item: Item) -> str:
-    F: EnrichedFunctor = item.value
-    out = [f"functor {item.name} : {item.refs['dom']} -> {item.refs['cod']} {{"]
-    for x, y in sorted(F.ob_map.items()):
-        out.append(f"  ob {x} = {y}")
-    for f, g in sorted(F.mor_map.items()):
-        out.append(f"  mor {_mor(f)} = {_mor(g)}")
-    for (x, y), m in sorted(F.e_fun_t.items()):
-        out.append(f"  efun ({x},{y}) = {_mor(m)}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _serialize_transformation(item: Item) -> str:
-    t: EnrichedTransformation = item.value
-    out = [f"transformation {item.name} : {item.refs['src']} => {item.refs['dst']} {{"]
-    for x, m in sorted(t.component.items()):
-        out.append(f"  at {x} = {_mor(m)}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _serialize_monad(item: Item) -> str:
-    T: EnrichedMonad = item.value
-    out = [f"monad {item.name} on {item.refs['on']} {{"]
-    out.append(f"  endo {item.refs['endo']}")
-    for x, m in sorted(T.unit.component.items()):
-        out.append(f"  unit {x} = {_mor(m)}")
-    for x, m in sorted(T.mult.component.items()):
-        out.append(f"  mult {x} = {_mor(m)}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _serialize_cocone(item: Item) -> str:
-    q: KleisliCocone = item.value
-    out = [f"cocone {item.name} for {item.refs['for']} {{"]
-    out.append(f"  apex {item.refs['apex']}")
-    out.append(f"  leg {item.refs['leg']}")
-    for x, m in sorted(q.cell.component.items()):
-        out.append(f"  cell {x} = {_mor(m)}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-_SERIALIZERS = {
-    "base": _serialize_base,
-    "enrichment": _serialize_enrichment,
-    "functor": _serialize_functor,
-    "transformation": _serialize_transformation,
-    "monad": _serialize_monad,
-    "cocone": _serialize_cocone,
-}
 
 
 def serialize(doc: Document) -> str:
     """Canonical text: declaration order preserved, tables sorted, fixed
     indentation; parse(serialize(doc)) structurally equals doc."""
-    return "\n".join(_SERIALIZERS[item.kind](item) for item in doc.items)
-
-
-# ---------------------------------------------------------------------------
-# machine export
-# ---------------------------------------------------------------------------
-
-def _json_mor(m: MorRef):
-    return [m.src, m.dst, m.k]
+    return "\n".join(_serialize_item(item) for item in doc.items)
 
 
 def _json_table(table: dict):
-    out = []
-    for k, v in sorted(table.items(), key=lambda kv: repr(kv[0])):
-        def enc(x):
-            if isinstance(x, MorRef):
-                return _json_mor(x)
-            if isinstance(x, tuple):
-                return [enc(e) for e in x]
-            return x
-        out.append([enc(k), enc(v)])
-    return out
-
-
-def from_json(text: str) -> tuple[Document | None, list[Diagnostic]]:
-    """Parse the machine format by lowering it to canonical DSL text, so both
-    formats share one resolution and validation path."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, [Diagnostic("error", f"invalid JSON: {exc}", Span(exc.lineno, max(exc.colno, 1), max(exc.colno, 1) + 1))]
-    if not isinstance(payload, dict) or not isinstance(payload.get("items"), list):
-        return None, [Diagnostic("error", "machine format needs an items list", Span(1, 1, 2))]
-
-    def mor(v):
-        return f"({v[0]},{v[1]},{v[2]})"
-
-    def okey(v):
-        return f"({','.join(str(x) for x in v)})"
-
-    chunks = []
-    try:
-        for entry in payload["items"]:
-            kind = entry["kind"]
-            name = entry["name"]
-            if kind == "base":
-                if "builtin" in entry:
-                    params = ", ".join(f"{k}={v}" for k, v in entry.get("params", []))
-                    inner = entry["builtin"] + (f", {params}" if params else "")
-                    chunks.append(f"base {name} = builtin({inner})\n")
-                    continue
-                t = entry["tables"]
-                out = [f"base {name} {{", f"  objects {t['objects']}", f"  unit {t['unit']}"]
-                for k, v in t["hom"]:
-                    out.append(f"  hom {okey(k)} = {v}")
-                for k, v in t["id"]:
-                    out.append(f"  id {k} = {mor(v)}")
-                for k, v in t["then"]:
-                    out.append(f"  then {mor(k[0])}{mor(k[1])} = {mor(v)}")
-                for k, v in t["tensorobj"]:
-                    out.append(f"  tensorobj {okey(k)} = {v}")
-                for k, v in t["tensormor"]:
-                    out.append(f"  tensormor {mor(k[0])}{mor(k[1])} = {mor(v)}")
-                for label in ("lunitor", "lunitorinv", "runitor", "runitorinv"):
-                    for k, v in t[label]:
-                        out.append(f"  {label} {k} = {mor(v)}")
-                for k, v in t["assoc"]:
-                    out.append(f"  assoc {okey(k)} = {mor(v)}")
-                for k, v in t["associnv"]:
-                    out.append(f"  associnv {okey(k)} = {mor(v)}")
-                if t.get("sym") is not None:
-                    for k, v in t["sym"]:
-                        out.append(f"  sym {okey(k)} = {mor(v)}")
-                if t.get("homobj") is not None:
-                    for k, v in t["homobj"]:
-                        out.append(f"  homobj {okey(k)} = {v}")
-                    for k, v in t["eval"]:
-                        out.append(f"  eval {okey(k)} = {mor(v)}")
-                    for k, v in t["lam"]:
-                        out.append(f"  lam ({k[0]},{k[1]},{k[2]}) {mor(k[3])} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            elif kind == "enrichment":
-                t = entry["tables"]
-                out = [f"enrichment {name} over {entry['over']} {{", f"  objects {t['objects']}"]
-                for k, v in t["hom"]:
-                    out.append(f"  hom {okey(k)} = {v}")
-                for k, v in t["id"]:
-                    out.append(f"  id {k} = {mor(v)}")
-                for k, v in t["then"]:
-                    out.append(f"  then {mor(k[0])}{mor(k[1])} = {mor(v)}")
-                for k, v in t["homobj"]:
-                    out.append(f"  homobj {okey(k)} = {v}")
-                for k, v in t["eid"]:
-                    out.append(f"  eid {k} = {mor(v)}")
-                for k, v in t["ecomp"]:
-                    out.append(f"  ecomp {okey(k)} = {mor(v)}")
-                for k, v in t["fromarr"]:
-                    out.append(f"  fromarr {mor(k)} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            elif kind == "functor":
-                t = entry["tables"]
-                out = [f"functor {name} : {entry['dom']} -> {entry['cod']} {{"]
-                for k, v in t["ob"]:
-                    out.append(f"  ob {k} = {v}")
-                for k, v in t["mor"]:
-                    out.append(f"  mor {mor(k)} = {mor(v)}")
-                for k, v in t["efun"]:
-                    out.append(f"  efun {okey(k)} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            elif kind == "transformation":
-                out = [f"transformation {name} : {entry['src']} => {entry['dst']} {{"]
-                for k, v in entry["tables"]["at"]:
-                    out.append(f"  at {k} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            elif kind == "monad":
-                t = entry["tables"]
-                out = [f"monad {name} on {entry['on']} {{", f"  endo {entry['endo']}"]
-                for k, v in t["unit"]:
-                    out.append(f"  unit {k} = {mor(v)}")
-                for k, v in t["mult"]:
-                    out.append(f"  mult {k} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            elif kind == "cocone":
-                out = [
-                    f"cocone {name} for {entry['for']} {{",
-                    f"  apex {entry['apex']}",
-                    f"  leg {entry['leg']}",
-                ]
-                for k, v in entry["tables"]["cell"]:
-                    out.append(f"  cell {k} = {mor(v)}")
-                out.append("}")
-                chunks.append("\n".join(out) + "\n")
-            else:
-                return None, [Diagnostic("error", f"unknown item kind {kind!r}", Span(1, 1, 2))]
-    except (KeyError, IndexError, TypeError) as exc:
-        return None, [Diagnostic("error", f"malformed machine document: {exc!r}", Span(1, 1, 2))]
-    return parse("\n".join(chunks))
+    return [[_encode(k), _encode(v)] for k, v in sorted(table.items(), key=lambda kv: repr(kv[0]))]
 
 
 def to_json(doc: Document) -> str:
@@ -895,52 +708,11 @@ def to_json(doc: Document) -> str:
     for item in doc.items:
         entry: dict = {"kind": item.kind, "name": item.name}
         entry.update({k: list(v) if isinstance(v, tuple) else v for k, v in item.refs.items()})
-        v = item.value
-        if item.kind == "base" and "builtin" not in item.refs:
-            entry["tables"] = {
-                "objects": v.cat.n_objects,
-                "unit": v.unit,
-                "hom": _json_table(v.cat.hom_size_t),
-                "id": _json_table(v.cat.identity_t),
-                "then": _json_table(v.cat.then_t),
-                "tensorobj": _json_table(v.tensor_obj_t),
-                "tensormor": _json_table(v.tensor_mor_t),
-                "lunitor": _json_table(v.lunitor_t),
-                "lunitorinv": _json_table(v.lunitor_inv_t),
-                "runitor": _json_table(v.runitor_t),
-                "runitorinv": _json_table(v.runitor_inv_t),
-                "assoc": _json_table(v.associator_t),
-                "associnv": _json_table(v.associator_inv_t),
-                "sym": _json_table(v.symmetry_t) if v.symmetry_t is not None else None,
-                "homobj": _json_table(v.closed_data.hom_obj_t) if v.closed_data else None,
-                "eval": _json_table(v.closed_data.eval_t) if v.closed_data else None,
-                "lam": _json_table(v.closed_data.lam_t) if v.closed_data else None,
-            }
-        elif item.kind == "enrichment":
-            entry["tables"] = {
-                "objects": v.under.n_objects,
-                "hom": _json_table(v.under.hom_size_t),
-                "id": _json_table(v.under.identity_t),
-                "then": _json_table(v.under.then_t),
-                "homobj": _json_table(v.hom_obj_t),
-                "eid": _json_table(v.e_id_t),
-                "ecomp": _json_table(v.e_comp_t),
-                "fromarr": _json_table(v.from_arr_t),
-            }
-        elif item.kind == "functor":
-            entry["tables"] = {
-                "ob": _json_table(v.ob_map),
-                "mor": _json_table(v.mor_map),
-                "efun": _json_table(v.e_fun_t),
-            }
-        elif item.kind == "transformation":
-            entry["tables"] = {"at": _json_table(v.component)}
-        elif item.kind == "monad":
-            entry["tables"] = {
-                "unit": _json_table(v.unit.component),
-                "mult": _json_table(v.mult.component),
-            }
-        elif item.kind == "cocone":
-            entry["tables"] = {"cell": _json_table(v.cell.component)}
+        if "builtin" not in item.refs:
+            tables = entry["tables"] = {}
+            for e in _SCHEMA[item.kind].entries:
+                if e.value is not NAME:
+                    v = e.get(item.value)
+                    tables[e.keyword] = v if e.key is None or v is None else _json_table(v)
         items.append(entry)
     return json.dumps({"items": items}, indent=2, sort_keys=True) + "\n"

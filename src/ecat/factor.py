@@ -119,10 +119,6 @@ def is_essentially_surjective(F: EnrichedFunctor) -> EsoWitness:
     return EsoWitness(not missed, preimage, missed)
 
 
-def is_weak_equivalence(F: EnrichedFunctor) -> bool:
-    return is_fully_faithful(F).ok and is_essentially_surjective(F).ok
-
-
 def underlying_hom_inverse(
     F: EnrichedFunctor, ff: FullyFaithfulWitness, g: MorRef, x: int, y: int
 ) -> MorRef:

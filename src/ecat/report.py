@@ -94,9 +94,6 @@ class CheckReport:
         ordered = sorted(failures, key=Failure.sort_key)
         return cls(ok=not ordered, failures=ordered)
 
-    def merged(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport.from_failures(self.failures + other.failures)
-
     def describe(self) -> str:
         if self.ok:
             return "ok"

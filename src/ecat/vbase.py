@@ -951,131 +951,6 @@ def check_closed(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HO
 
 
 # ---------------------------------------------------------------------------
-# mutation wrapper
-# ---------------------------------------------------------------------------
-
-_TABLE_METHODS = {
-    "hom_size": 2,
-    "id_of": 1,
-    "compose": 2,
-    "tensor_obj": 2,
-    "tensor_mor": 2,
-    "lunitor": 1,
-    "lunitor_inv": 1,
-    "runitor": 1,
-    "runitor_inv": 1,
-    "associator": 3,
-    "associator_inv": 3,
-    "symmetry": 2,
-    "hom_obj": 2,
-    "ev": 2,
-}
-
-
-class Mutated:
-    """View of a base with a single table entry replaced.
-
-    Used by the mutation-testing suites; works uniformly for table-backed and
-    computed bases. Deliberately not a MonBase subclass: delegation must reach
-    the wrapped base for every attribute that is not intercepted.
-    """
-
-    def __init__(self, base: MonBase, table: str, key: tuple, value):
-        if table not in _TABLE_METHODS and table != "lam":
-            raise ValueError(f"unknown table {table!r}")
-        self._base = base
-        self._table = table
-        self._key = key
-        self._value = value
-
-    def __getattr__(self, name):
-        return getattr(self._base, name)
-
-    def compose_all(self, *ms):
-        out = ms[0]
-        for m in ms[1:]:
-            out = self.compose(out, m)
-        return out
-
-    def mors(self):
-        for x in self.objects():
-            for y in self.objects():
-                yield from self.hom(x, y)
-
-    def unlam(self, x, y, z, g):
-        require_mor_shape(self, g, x, self.hom_obj(y, z))
-        return self.compose(self.tensor_mor(g, self.id_of(y)), self.ev(y, z))
-
-    def _hit(self, table, args):
-        return self._table == table and tuple(args) == self._key
-
-    def objects(self):
-        return self._base.objects()
-
-    def hom_size(self, x, y):
-        return self._value if self._hit("hom_size", (x, y)) else self._base.hom_size(x, y)
-
-    def hom(self, x, y):
-        return [MorRef(x, y, k) for k in range(self.hom_size(x, y))]
-
-    def id_of(self, x):
-        return self._value if self._hit("id_of", (x,)) else self._base.id_of(x)
-
-    def compose(self, f, g):
-        if self._hit("compose", (f, g)):
-            return self._value
-        if f.dst != g.src:
-            raise StructuralError(f"non-composable pair {f} {g}")
-        return self._base.compose(f, g)
-
-    def tensor_obj(self, x, y):
-        return self._value if self._hit("tensor_obj", (x, y)) else self._base.tensor_obj(x, y)
-
-    def tensor_mor(self, f, g):
-        return self._value if self._hit("tensor_mor", (f, g)) else self._base.tensor_mor(f, g)
-
-    def lunitor(self, x):
-        return self._value if self._hit("lunitor", (x,)) else self._base.lunitor(x)
-
-    def lunitor_inv(self, x):
-        return self._value if self._hit("lunitor_inv", (x,)) else self._base.lunitor_inv(x)
-
-    def runitor(self, x):
-        return self._value if self._hit("runitor", (x,)) else self._base.runitor(x)
-
-    def runitor_inv(self, x):
-        return self._value if self._hit("runitor_inv", (x,)) else self._base.runitor_inv(x)
-
-    def associator(self, x, y, z):
-        return self._value if self._hit("associator", (x, y, z)) else self._base.associator(x, y, z)
-
-    def associator_inv(self, x, y, z):
-        return self._value if self._hit("associator_inv", (x, y, z)) else self._base.associator_inv(x, y, z)
-
-    @property
-    def symmetric(self):
-        return self._base.symmetric
-
-    def symmetry(self, x, y):
-        return self._value if self._hit("symmetry", (x, y)) else self._base.symmetry(x, y)
-
-    @property
-    def closed(self):
-        return self._base.closed
-
-    def hom_obj(self, y, z):
-        return self._value if self._hit("hom_obj", (y, z)) else self._base.hom_obj(y, z)
-
-    def ev(self, y, z):
-        return self._value if self._hit("ev", (y, z)) else self._base.ev(y, z)
-
-    def lam(self, x, y, z, f):
-        if self._table == "lam" and (x, y, z, f) == self._key:
-            return self._value
-        return self._base.lam(x, y, z, f)
-
-
-# ---------------------------------------------------------------------------
 # builtin bases
 # ---------------------------------------------------------------------------
 

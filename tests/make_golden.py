@@ -1,6 +1,8 @@
 """Regenerate the golden DSL corpus. Run from the repository root:
 
-    python tests/make_golden.py
+    python tests/make_golden.py [OUT_DIR]
+
+OUT_DIR defaults to ``tests/golden``.
 
 Deterministic: every file is the canonical serialization of a document built
 from fixed seeds, so regeneration is a no-op unless the format changes.
@@ -45,12 +47,11 @@ def builtin_item(name, builtin, **params):
     return Item("base", name, base, {"builtin": builtin, "params": tuple(sorted(params.items()))}, _span), base
 
 
-def write(path, doc):
-    (OUT / path).write_text(serialize(doc), encoding="utf-8")
+def main(out: Path = OUT):
+    def write(path, doc):
+        (out / path).write_text(serialize(doc), encoding="utf-8")
 
-
-def main():
-    OUT.mkdir(exist_ok=True)
+    out.mkdir(exist_ok=True)
     rng = random.Random(2024)
     count = 0
 
@@ -192,7 +193,7 @@ def main():
     count += 1
 
     # negative fixtures for the CLI and diagnostics tests
-    (OUT / "bad_triangle.ecat").write_text(
+    (out / "bad_triangle.ecat").write_text(
         "base V = builtin(cost, n=5)\n"
         "\n"
         "enrichment E over V {\n"
@@ -213,7 +214,7 @@ def main():
         "}\n",
         encoding="utf-8",
     )
-    (OUT / "bad_out_of_range.ecat").write_text(
+    (out / "bad_out_of_range.ecat").write_text(
         "base V = builtin(bool)\n"
         "\n"
         "enrichment E over V {\n"
@@ -228,8 +229,8 @@ def main():
         encoding="utf-8",
     )
 
-    print(f"wrote {count} golden documents to {OUT}")
+    print(f"wrote {count} golden documents to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)

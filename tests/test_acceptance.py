@@ -75,7 +75,6 @@ from ecat.rezk import (
 )
 from ecat.structures import PosetStructure
 from ecat.vbase import (
-    Mutated,
     MorRef,
     bool_base,
     builtin_base,
@@ -88,6 +87,7 @@ from ecat.vbase import (
 )
 
 from helpers import (
+    Mutated,
     bool_functor_candidates,
     em_oracle,
     kleisli_oracle,

@@ -5,7 +5,7 @@ import pytest
 
 from ecat.cli import run_cli
 from ecat.core import check_enrichment
-from ecat.dsl import Diagnostic, parse, serialize, to_json
+from ecat.dsl import Diagnostic, Document, from_json, load, parse, serialize, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 POSITIVE = sorted(p for p in GOLDEN.glob("*.ecat") if not p.name.startswith("bad_"))
@@ -194,17 +194,6 @@ def test_cli_enum_functors(capsys):
     assert "3 enriched functor(s)" in out
 
 
-def test_cli_jobs_flag(capsys):
-    paths = [str(GOLDEN / "bool_chain2.ecat"), str(GOLDEN / "bool_chain3.ecat")]
-    assert run_cli(["--jobs", "2", "check"] + paths) == 0
-    capsys.readouterr()
-
-
-def test_cli_seed_flag(capsys):
-    assert run_cli(["--seed", "7", "check", str(GOLDEN / "bool_chain2.ecat")]) == 0
-    capsys.readouterr()
-
-
 def test_cli_construct_ops(tmp_path, capsys):
     src = str(GOLDEN / "bool_chain2.ecat")
     out = tmp_path / "out.ecat"
@@ -245,8 +234,6 @@ def test_cli_kleisli_json(capsys):
 
 @pytest.mark.parametrize("path", POSITIVE, ids=lambda p: p.name)
 def test_machine_format_round_trip(path):
-    from ecat.dsl import from_json
-
     text = path.read_text(encoding="utf-8")
     doc, _ = parse(text)
     payload = to_json(doc)
@@ -257,8 +244,6 @@ def test_machine_format_round_trip(path):
 
 
 def test_machine_format_negatives():
-    from ecat.dsl import from_json
-
     doc, diags = from_json("{not json")
     assert doc is None and diags and diags[0].span.line >= 1
     doc, diags = from_json('{"items": [{"kind": "alien", "name": "x"}]}')
@@ -274,3 +259,119 @@ def test_cli_accepts_machine_files(tmp_path, capsys):
     machine.write_text(to_json(doc), encoding="utf-8")
     assert run_cli(["check", str(machine)]) == 0
     capsys.readouterr()
+
+
+JSON_PINS = sorted((GOLDEN / "json").glob("*.json"))
+
+
+def test_json_pins_present():
+    assert [p.stem for p in JSON_PINS] == ["base_cost2_tables", "cocone_toppoint", "monad_toppoint"]
+
+
+@pytest.mark.parametrize("path", JSON_PINS, ids=lambda p: p.name)
+def test_json_export_bytes_pinned(path):
+    doc, _ = parse((GOLDEN / f"{path.stem}.ecat").read_text(encoding="utf-8"))
+    assert to_json(doc) == path.read_text(encoding="utf-8")
+
+
+def test_make_golden_reproduces_corpus(tmp_path, capsys):
+    import make_golden
+
+    make_golden.main(tmp_path)
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.glob("*.ecat"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# machine files through the CLI: diagnostics at JSON paths
+# ---------------------------------------------------------------------------
+
+def _machine_file(tmp_path, mutate):
+    """bool_chain2 as a machine file (items[0] the base, items[1] the
+    enrichment), edited by ``mutate``."""
+    doc, _ = parse((GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8"))
+    payload = json.loads(to_json(doc))
+    mutate(payload["items"][1])
+    path = tmp_path / "bad.ecat.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_json_short_row_is_a_diagnostic(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e["tables"]["eid"].__setitem__(0, [0]))
+    assert run_cli(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"{path}:items[1].tables.eid[0]: error: malformed 'eid' entry: [0]"]
+
+
+def test_json_name_with_newline_is_one_diagnostic(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e.__setitem__("name", "E\nenrichment X over V {"))
+    assert run_cli(["check", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{path}:items[1].name: error: invalid name")
+
+
+def test_json_out_of_range_reported_once_at_json_path(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e["tables"]["eid"][0].__setitem__(1, [1, 1, 7]))
+    assert run_cli(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"{path}:items[1].tables.eid[0]: error: eid entry (1,1,7) is out of base range"]
+
+
+def test_json_unknown_table_and_missing_reference(tmp_path):
+    path = _machine_file(tmp_path, lambda e: (e["tables"].__setitem__("homs", []), e.pop("over")))
+    doc, diags = load([path])
+    assert doc is None
+    assert [str(d.span) for d in diags] == [f"{path}:items[1].over"]
+    path = _machine_file(tmp_path, lambda e: e["tables"].__setitem__("homs", []))
+    doc, diags = load([path])
+    assert [(str(d.span), d.message) for d in diags] == [
+        (f"{path}:items[1].tables.homs", "unexpected entry 'homs' in this block")
+    ]
+
+
+# ---------------------------------------------------------------------------
+# several files, one namespace
+# ---------------------------------------------------------------------------
+
+def test_load_later_file_references_earlier(tmp_path, capsys):
+    text = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8")
+    head, rest = text.split("\n\n", 1)  # the base block, then the enrichment
+    base = tmp_path / "base.ecat"
+    base.write_text(head + "\n", encoding="utf-8")
+    enr = tmp_path / "enr.ecat"
+    enr.write_text(rest, encoding="utf-8")
+    doc, diags = load([str(base), str(enr)])
+    assert doc is not None, [d.describe() for d in diags]
+    assert [i.name for i in doc.items] == ["V", "E"]
+    assert doc.get("E").span.path == str(enr)
+    assert check_enrichment(doc.get("E").value).ok
+
+    # a machine file may reference a text file's declarations too
+    machine = tmp_path / "enr.ecat.json"
+    machine.write_text(to_json(Document([doc.get("E")])), encoding="utf-8")
+    doc2, diags = load([str(base), str(machine)])
+    assert doc2 is not None, [d.describe() for d in diags]
+    assert doc.structurally_equal(doc2)
+    assert run_cli(["rezk", str(base), str(machine)]) == 0
+    capsys.readouterr()
+
+
+def test_load_duplicate_name_across_files(capsys):
+    first, second = str(GOLDEN / "bool_chain2.ecat"), str(GOLDEN / "bool_chain3.ecat")
+    doc, diags = load([first, second])
+    assert doc is None
+    assert diags[0].describe() == f"{second}:1:1: error: duplicate name 'V'"
+    assert run_cli(["construct", "self", first, second]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{second}:1:1: error: duplicate name 'V'"
+
+
+def test_cli_functor_category_missing_ecomp(capsys):
+    code = run_cli(["construct", "functor-category", str(GOLDEN / "bad_triangle.ecat")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: missing ecomp entry")

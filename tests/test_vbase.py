@@ -6,7 +6,6 @@ import pytest
 from ecat.report import CapabilityError, StructuralError
 from ecat.vbase import (
     FinCat,
-    Mutated,
     MorRef,
     bool_base,
     builtin_base,
@@ -21,7 +20,7 @@ from ecat.vbase import (
     window_fincat,
 )
 
-from helpers import assoc_oracle, identity_oracle
+from helpers import Mutated, assoc_oracle, identity_oracle
 
 
 def terminal_category():
