@@ -35,7 +35,7 @@ from .rezk import (
     rezk_completion,
     univalence_report,
 )
-from .vbase import check_category, check_closed, check_monoidal, check_symmetric
+from .vbase import base_law_checks
 
 
 def _load(paths: list[str]) -> dsl.Document:
@@ -56,12 +56,7 @@ def _item_reports(doc: dsl.Document, item: dsl.Item) -> dict[str, CheckReport]:
     reports = {}
     v = item.value
     if item.kind == "base":
-        reports["category"] = check_category(v)
-        reports["monoidal"] = check_monoidal(v)
-        if v.symmetric:
-            reports["symmetric"] = check_symmetric(v)
-        if v.closed:
-            reports["closed"] = check_closed(v)
+        reports = {family: check(v) for family, check in base_law_checks(v)}
     elif item.kind == "enrichment":
         reports["enrichment"] = check_enrichment(v)
     elif item.kind == "functor":

@@ -14,10 +14,12 @@ from .core import (
     enumerate_enriched_transformations,
     postcompose_mor,
     precompose_mor,
+    required_ecomp,
+    required_farr,
 )
 from .report import CapabilityError, CheckReport, Collector, StructuralError
 from .structures import CartesianStructure, StructCat
-from .vbase import FinCat, MonBase, MorRef, require_mor_shape, window_fincat
+from .vbase import FinCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +258,13 @@ def full_sub_enrichment(E: Enrichment, keep) -> tuple[Enrichment, EnrichedFuncto
     Returns the enrichment and the fully faithful inclusion."""
     kept = [x for x in E.objects() if keep(x)]
     old_of = dict(enumerate(kept))
-    new_of = {x: i for i, x in enumerate(kept)}
     n = len(kept)
-    hom_size = {}
-    identity = {}
-    then = {}
-    for a, b in itertools.product(range(n), repeat=2):
-        hom_size[(a, b)] = E.under.hom_size(old_of[a], old_of[b])
-    for a in range(n):
-        identity[a] = MorRef(a, a, E.under.id_of(old_of[a]).k)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for f in E.under.hom(old_of[a], old_of[b]):
-            for g in E.under.hom(old_of[b], old_of[c]):
-                h = E.under.compose(f, g)
-                then[(MorRef(a, b, f.k), MorRef(b, c, g.k))] = MorRef(a, c, h.k)
-    under = FinCat(n, hom_size, identity, then)
+    under = FinCat.tabulate(
+        n,
+        {(a, b): E.under.hom(old_of[a], old_of[b]) for a, b in itertools.product(range(n), repeat=2)},
+        lambda a: E.under.id_of(old_of[a]),
+        lambda a, b, c, f, g: E.under.compose(f, g),
+    )
     hom_obj = {
         (a, b): E.hom(old_of[a], old_of[b]) for a, b in itertools.product(range(n), repeat=2)
     }
@@ -297,13 +291,13 @@ def full_sub_enrichment(E: Enrichment, keep) -> tuple[Enrichment, EnrichedFuncto
 
 
 def opposite_category(C: FinCat) -> FinCat:
-    hom_size = {(x, y): C.hom_size(y, x) for x in C.objects() for y in C.objects()}
-    identity = {x: MorRef(x, x, C.id_of(x).k) for x in C.objects()}
-    then = {}
-    for (f, g), h in C.then_t.items():
-        # f: a->b, g: b->c in C become op-morphisms g°: c->b, f°: b->a
-        then[(MorRef(g.dst, g.src, g.k), MorRef(f.dst, f.src, f.k))] = MorRef(g.dst, f.src, h.k)
-    return FinCat(C.n_objects, hom_size, identity, then)
+    """Morphisms x -> y are C's morphisms y -> x, in C's order."""
+    return FinCat.tabulate(
+        C.n_objects,
+        {(x, y): C.hom(y, x) for x in C.objects() for y in C.objects()},
+        C.id_of,
+        lambda a, b, c, f, g: C.compose(g, f),
+    )
 
 
 def opposite_enrichment(E: Enrichment) -> Enrichment:
@@ -354,8 +348,15 @@ class DialgebraResult:
     mors: dict
     equalizers: dict
 
+    def __post_init__(self):
+        self._refs = label_refs(self.mors)
+
     def __iter__(self):
         return iter((self.enrichment, self.projection))
+
+    def mor_over(self, a: int, b: int, h: MorRef) -> MorRef:
+        """The dialgebra morphism a -> b whose underlying morphism is h."""
+        return label_ref(self._refs, a, b, h)
 
 
 def dialgebra_enrichment(F1: EnrichedFunctor, F2: EnrichedFunctor) -> DialgebraResult:
@@ -377,18 +378,9 @@ def dialgebra_enrichment(F1: EnrichedFunctor, F2: EnrichedFunctor) -> DialgebraR
     for a, b in itertools.product(range(n), repeat=2):
         (x, _), (y, _) = objs[a], objs[b]
         mors[(a, b)] = [h for h in E1.under.hom(x, y) if square_ok(a, b, h)]
-    hom_size = {(a, b): len(ms) for (a, b), ms in mors.items()}
-    identity = {}
-    for a in range(n):
-        x, f = objs[a]
-        identity[a] = MorRef(a, a, mors[(a, a)].index(E1.under.id_of(x)))
-    then = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for i, h1 in enumerate(mors[(a, b)]):
-            for j, h2 in enumerate(mors[(b, c)]):
-                h = E1.under.compose(h1, h2)
-                then[(MorRef(a, b, i), MorRef(b, c, j))] = MorRef(a, c, mors[(a, c)].index(h))
-    under = FinCat(n, hom_size, identity, then)
+    under = FinCat.tabulate(
+        n, mors, lambda a: E1.under.id_of(objs[a][0]), lambda a, b, c, h1, h2: E1.under.compose(h1, h2)
+    )
 
     eqs = {}
     hom_obj = {}
@@ -448,23 +440,24 @@ class FunctorCategoryResult:
     products: dict
     equalizers: dict
 
+    def __post_init__(self):
+        self._functor_index = {F.table_key(): i for i, F in enumerate(self.functors)}
+        trans = self.transformations
+        self._refs = label_refs({ab: [_component_key(t.component) for t in ts] for ab, ts in trans.items()})
+
     def functor_index(self, F: EnrichedFunctor) -> int:
-        key = F.table_key()
-        for i, G in enumerate(self.functors):
-            if G.table_key() == key:
-                return i
-        raise StructuralError("functor is not an object of the functor category")
+        try:
+            return self._functor_index[F.table_key()]
+        except KeyError:
+            raise StructuralError("functor is not an object of the functor category") from None
 
     def transformation_index(self, a: int, b: int, component: dict) -> int:
-        return _find_component_index(self.transformations[(a, b)], component)
+        return label_ref(self._refs, a, b, _component_key(component)).k
 
 
-def _ecomp(E: Enrichment, x: int, y: int, z: int) -> MorRef:
-    """E's composition at (x, y, z), which the construction cannot do without."""
-    try:
-        return E.e_comp_t[(x, y, z)]
-    except KeyError:
-        raise StructuralError(f"missing ecomp entry at ({x},{y},{z})") from None
+def _component_key(component: dict) -> tuple:
+    """A transformation's component table as a hashable label."""
+    return tuple(sorted(component.items()))
 
 
 def functor_category_enrichment(
@@ -484,23 +477,12 @@ def functor_category_enrichment(
     trans = {}
     for a, b in itertools.product(range(n), repeat=2):
         trans[(a, b)] = enumerate_enriched_transformations(functors[a], functors[b], cap=cap)
-    hom_size = {(a, b): len(ts) for (a, b), ts in trans.items()}
-    identity = {}
-    for a in range(n):
-        F = functors[a]
-        comp_id = {x: E2.under.id_of(F.ob(x)) for x in objs1}
-        identity[a] = MorRef(a, a, _find_component_index(trans[(a, a)], comp_id))
-    then = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for i, t1 in enumerate(trans[(a, b)]):
-            for j, t2 in enumerate(trans[(b, c)]):
-                comp = {
-                    x: E2.under.compose(t1.at(x), t2.at(x)) for x in objs1
-                }
-                then[(MorRef(a, b, i), MorRef(b, c, j))] = MorRef(
-                    a, c, _find_component_index(trans[(a, c)], comp)
-                )
-    under = FinCat(n, hom_size, identity, then)
+    under = FinCat.tabulate(
+        n,
+        {ab: [_component_key(t.component) for t in ts] for ab, ts in trans.items()},
+        lambda a: tuple((x, E2.under.id_of(functors[a].ob(x))) for x in objs1),
+        lambda a, b, c, s, t: tuple((x, E2.under.compose(f, g)) for (x, f), (_, g) in zip(s, t)),
+    )
 
     # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)]
     pair_keys = list(itertools.product(objs1, repeat=2))
@@ -519,7 +501,7 @@ def functor_category_enrichment(
             src_f = E2.hom(F.ob(y), G.ob(y))
             chain_f = V.compose(
                 V.tensor_mor(V.id_of(src_f), F.e_fun(x, y)),
-                _ecomp(E2, F.ob(x), F.ob(y), G.ob(y)),
+                required_ecomp(E2, F.ob(x), F.ob(y), G.ob(y)),
             )
             phi = V.lam(src_f, e1, tgt, chain_f)
             legs_f.append(V.compose(P.projections[objs1.index(y)], phi))
@@ -528,7 +510,7 @@ def functor_category_enrichment(
             chain_g = V.compose_all(
                 V.tensor_mor(V.id_of(src_g), G.e_fun(x, y)),
                 V.symmetry(src_g, E2.hom(G.ob(x), G.ob(y))),
-                _ecomp(E2, F.ob(x), G.ob(x), G.ob(y)),
+                required_ecomp(E2, F.ob(x), G.ob(x), G.ob(y)),
             )
             psi = V.lam(src_g, e1, tgt, chain_g)
             legs_g.append(V.compose(P.projections[objs1.index(x)], psi))
@@ -586,13 +568,6 @@ def functor_category_enrichment(
     return FunctorCategoryResult(enr, functors, trans, prods, eqs)
 
 
-def _find_component_index(transformations, component: dict) -> int:
-    for i, t in enumerate(transformations):
-        if t.component == component:
-            return i
-    raise StructuralError("component table does not name an enriched transformation")
-
-
 # ---------------------------------------------------------------------------
 # set-enrichment canonicity
 # ---------------------------------------------------------------------------
@@ -639,10 +614,7 @@ def set_enrichment_unique(E1: Enrichment, E2: Enrichment) -> EnrichedFunctor:
             raise StructuralError(f"hom object at ({x},{y}) is not the hom-set size")
         graph = [0] * n
         for f in C.hom(x, y):
-            u1, u2 = E1.farr(f), E2.farr(f)
-            if u1 is None or u2 is None:
-                raise StructuralError(f"from_arr missing at {f}")
-            graph[u1.k] = u2.k
+            graph[required_farr(E1, f).k] = required_farr(E2, f).k
         e_fun[(x, y)] = V.mor(n, n, tuple(graph))
     return EnrichedFunctor(
         E1, E2,
@@ -679,11 +651,7 @@ def struct_enrichment_to_data(E: Enrichment) -> dict:
         # relabel so element i carries the morphism with index i
         perm = [0] * n
         for f in C.hom(x, y):
-            u = E.farr(f)
-            if u is None:
-                raise StructuralError(f"from_arr missing at {f}")
-            elt = V.graph(u)[0]
-            perm[elt] = f.k
+            perm[V.graph(required_farr(E, f))[0]] = f.k
         out[(x, y)] = S.relabel(n, value, tuple(perm))
     return out
 

@@ -9,6 +9,10 @@ Entries of ``e_id``/``e_comp``/``from_arr`` may be absent; over thin bases a
 non-preorder or triangle-violating candidate has no morphism to store, and
 check_enrichment reports the absence as a failure of the corresponding
 diagram rather than refusing the data.
+
+The underlying category of an enrichment and the Kelly round trip are one
+construction: ``underlying_category(E)`` is ``from_kelly(to_kelly(E)).under``,
+and ``underlying_iso_functor`` is ``kelly_round_trip_iso`` under another name.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .report import CheckReport, Collector, StructuralError
-from .vbase import FinCat, MonBase, MorRef, require_mor_shape
+from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
 
 
 @dataclass(eq=False)
@@ -168,13 +172,26 @@ class KellyEnrichedCat:
 # derived base-level composites
 # ---------------------------------------------------------------------------
 
-def underlying_comp(E: Enrichment, u: MorRef, v: MorRef, x: int, y: int, z: int) -> MorRef:
+def required_ecomp(E: Enrichment | KellyEnrichedCat, x: int, y: int, z: int) -> MorRef:
+    """The enriched composition at (x, y, z), for callers that cannot do without it."""
+    try:
+        return E.e_comp_t[x, y, z]
+    except KeyError:
+        raise StructuralError(f"missing ecomp entry at ({x},{y},{z})") from None
+
+
+def required_farr(E: Enrichment, f: MorRef) -> MorRef:
+    """from_arr at f, for callers that cannot do without it."""
+    try:
+        return E.from_arr_t[f]
+    except KeyError:
+        raise StructuralError(f"missing fromarr entry at {f}") from None
+
+
+def underlying_comp(E: Enrichment | KellyEnrichedCat, u: MorRef, v: MorRef, x: int, y: int, z: int) -> MorRef:
     """Composite of u: I -> E(x,y) and v: I -> E(y,z) as I -> E(x,z)."""
     V = E.base
-    ec = E.ecomp(x, y, z)
-    if ec is None:
-        raise StructuralError(f"enriched composition missing at ({x},{y},{z})")
-    return V.compose_all(V.lunitor_inv(V.unit), V.tensor_mor(v, u), ec)
+    return V.compose_all(V.lunitor_inv(V.unit), V.tensor_mor(v, u), required_ecomp(E, x, y, z))
 
 
 def precompose_mor(E: Enrichment, w: int, f: MorRef) -> MorRef:
@@ -185,38 +202,18 @@ def precompose_mor(E: Enrichment, w: int, f: MorRef) -> MorRef:
     lunitor_inv, from_arr(f) tensor id, enriched composition.
     """
     V = E.base
-    x, y = f.src, f.dst
-    fa = E.farr(f)
-    if fa is None:
-        raise StructuralError(f"from_arr missing at {f}")
-    ec = E.ecomp(w, x, y)
-    if ec is None:
-        raise StructuralError(f"enriched composition missing at ({w},{x},{y})")
-    e_wx = E.hom(w, x)
-    return V.compose_all(
-        V.lunitor_inv(e_wx),
-        V.tensor_mor(fa, V.id_of(e_wx)),
-        ec,
-    )
+    fa, ec = required_farr(E, f), required_ecomp(E, w, f.src, f.dst)
+    e_wx = E.hom(w, f.src)
+    return V.compose_all(V.lunitor_inv(e_wx), V.tensor_mor(fa, V.id_of(e_wx)), ec)
 
 
 def postcompose_mor(E: Enrichment, z: int, f: MorRef) -> MorRef:
     """The composite E(y,z) -> E(x,z) for f: x -> y: runitor_inv, id tensor
     from_arr(f), enriched composition. Changes the first hom slot."""
     V = E.base
-    x, y = f.src, f.dst
-    fa = E.farr(f)
-    if fa is None:
-        raise StructuralError(f"from_arr missing at {f}")
-    ec = E.ecomp(x, y, z)
-    if ec is None:
-        raise StructuralError(f"enriched composition missing at ({x},{y},{z})")
-    e_yz = E.hom(y, z)
-    return V.compose_all(
-        V.runitor_inv(e_yz),
-        V.tensor_mor(V.id_of(e_yz), fa),
-        ec,
-    )
+    fa, ec = required_farr(E, f), required_ecomp(E, f.src, f.dst, z)
+    e_yz = E.hom(f.dst, z)
+    return V.compose_all(V.runitor_inv(e_yz), V.tensor_mor(V.id_of(e_yz), fa), ec)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def _shape_enrichment(E: Enrichment) -> None:
     for x in E.objects():
         for y in E.objects():
             h = E.hom(x, y)
-            if hasattr(V, "contains_obj") and not V.contains_obj(h):
+            if not V.contains_obj(h):
                 raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
     for x, m in E.e_id_t.items():
         require_mor_shape(V, m, I, E.hom(x, x))
@@ -238,6 +235,60 @@ def _shape_enrichment(E: Enrichment) -> None:
         require_mor_shape(V, m, V.tensor_obj(E.hom(y, z), E.hom(x, y)), E.hom(x, z))
     for f, m in E.from_arr_t.items():
         require_mor_shape(V, m, I, E.hom(f.src, f.dst))
+
+
+def _scan_data_present(K, objs, col: Collector) -> None:
+    """Report each absent enriched identity and composition of an enrichment
+    or a Kelly presentation."""
+    for x in objs:
+        if K.eid(x) is None:
+            col.add("identity", (x,))
+    for x, y, z in itertools.product(objs, repeat=3):
+        if K.ecomp(x, y, z) is None:
+            col.add("composition", (x, y, z))
+
+
+def _scan_unit_assoc(K, objs, col: Collector) -> None:
+    """The left and right unit and the associativity diagrams of an
+    enrichment or a Kelly presentation, at every instance whose data is
+    present; stops once ``col`` is full."""
+    V = K.base
+    for x, y in itertools.product(objs, repeat=2):
+        e_xy = K.hom(x, y)
+        ei_y, ei_x = K.eid(y), K.eid(x)
+        ec_l = K.ecomp(x, y, y)
+        ec_r = K.ecomp(x, x, y)
+        if ei_y is not None and ec_l is not None:
+            lhs = V.compose(V.tensor_mor(ei_y, V.id_of(e_xy)), ec_l)
+            rhs = V.lunitor(e_xy)
+            if lhs != rhs:
+                col.add("left-unit", (x, y), lhs, rhs)
+        if ei_x is not None and ec_r is not None:
+            lhs = V.compose(V.tensor_mor(V.id_of(e_xy), ei_x), ec_r)
+            rhs = V.runitor(e_xy)
+            if lhs != rhs:
+                col.add("right-unit", (x, y), lhs, rhs)
+        if col.full():
+            return
+
+    for w, x, y, z in itertools.product(objs, repeat=4):
+        c_wxy = K.ecomp(w, x, y)
+        c_wyz = K.ecomp(w, y, z)
+        c_xyz = K.ecomp(x, y, z)
+        c_wxz = K.ecomp(w, x, z)
+        if None in (c_wxy, c_wyz, c_xyz, c_wxz):
+            continue
+        e_yz, e_xy, e_wx = K.hom(y, z), K.hom(x, y), K.hom(w, x)
+        lhs = V.compose_all(
+            V.associator(e_yz, e_xy, e_wx),
+            V.tensor_mor(V.id_of(e_yz), c_wxy),
+            c_wyz,
+        )
+        rhs = V.compose(V.tensor_mor(c_xyz, V.id_of(e_wx)), c_wxz)
+        if lhs != rhs:
+            col.add("associativity", (w, x, y, z), lhs, rhs)
+        if col.full():
+            return
 
 
 def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
@@ -254,12 +305,7 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
     col = Collector(limit)
     objs = list(E.objects())
 
-    for x in objs:
-        if E.eid(x) is None:
-            col.add("identity", (x,))
-    for x, y, z in itertools.product(objs, repeat=3):
-        if E.ecomp(x, y, z) is None:
-            col.add("composition", (x, y, z))
+    _scan_data_present(E, objs, col)
     for f in E.under.mors():
         if E.farr(f) is None:
             col.add("from-arr-total", (f,))
@@ -291,44 +337,9 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
         if ei is not None and fa is not None and ei != fa:
             col.add("identity-from-arr", (x,), ei, fa)
 
-    # left and right unit diagrams
-    for x, y in itertools.product(objs, repeat=2):
-        e_xy = E.hom(x, y)
-        ei_y, ei_x = E.eid(y), E.eid(x)
-        ec_l = E.ecomp(x, y, y)
-        ec_r = E.ecomp(x, x, y)
-        if ei_y is not None and ec_l is not None:
-            lhs = V.compose(V.tensor_mor(ei_y, V.id_of(e_xy)), ec_l)
-            rhs = V.lunitor(e_xy)
-            if lhs != rhs:
-                col.add("left-unit", (x, y), lhs, rhs)
-        if ei_x is not None and ec_r is not None:
-            lhs = V.compose(V.tensor_mor(V.id_of(e_xy), ei_x), ec_r)
-            rhs = V.runitor(e_xy)
-            if lhs != rhs:
-                col.add("right-unit", (x, y), lhs, rhs)
-        if col.full():
-            return col.report()
-
-    # associativity diagram
-    for w, x, y, z in itertools.product(objs, repeat=4):
-        c_wxy = E.ecomp(w, x, y)
-        c_wyz = E.ecomp(w, y, z)
-        c_xyz = E.ecomp(x, y, z)
-        c_wxz = E.ecomp(w, x, z)
-        if None in (c_wxy, c_wyz, c_xyz, c_wxz):
-            continue
-        e_yz, e_xy, e_wx = E.hom(y, z), E.hom(x, y), E.hom(w, x)
-        lhs = V.compose_all(
-            V.associator(e_yz, e_xy, e_wx),
-            V.tensor_mor(V.id_of(e_yz), c_wxy),
-            c_wyz,
-        )
-        rhs = V.compose(V.tensor_mor(c_xyz, V.id_of(e_wx)), c_wxz)
-        if lhs != rhs:
-            col.add("associativity", (w, x, y, z), lhs, rhs)
-        if col.full():
-            return col.report()
+    _scan_unit_assoc(E, objs, col)
+    if col.full():
+        return col.report()
 
     # from_arr functoriality: composition in `under` maps to the enriched
     # composite of the unit-shaped arrows
@@ -350,109 +361,16 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
     return col.report()
 
 
-def underlying_category(E: Enrichment) -> FinCat:
-    """The category with the same objects and hom(x,y) = base(I, E(x,y)).
-
-    Requires a checkable enrichment (all data present); morphism k-indices
-    are the base indices of I -> E(x,y).
-    """
-    V = E.base
-    I = V.unit
-    n = E.n_objects
-    hom_size = {}
-    identity = {}
-    then = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        hom_size[(x, y)] = V.hom_size(I, E.hom(x, y))
-    for x in range(n):
-        ei = E.eid(x)
-        if ei is None:
-            raise StructuralError(f"enriched identity missing at {x}")
-        identity[x] = MorRef(x, x, ei.k)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        exy, eyz = E.hom(x, y), E.hom(y, z)
-        for ku in range(hom_size[(x, y)]):
-            u = MorRef(I, exy, ku)
-            for kv in range(hom_size[(y, z)]):
-                v = MorRef(I, eyz, kv)
-                w = underlying_comp(E, u, v, x, y, z)
-                then[(MorRef(x, y, ku), MorRef(y, z, kv))] = MorRef(x, z, w.k)
-    return FinCat(n, hom_size, identity, then)
-
-
-def underlying_iso_functor(E: Enrichment) -> EnrichedFunctor:
-    """The identity-on-objects comparison from E.under onto underlying_category,
-    with from_arr as the hom-wise bijection. Packaged as an enriched functor
-    between E and the same enrichment re-glued onto the underlying category."""
-    under2 = underlying_category(E)
-    E2 = Enrichment(
-        base=E.base,
-        under=under2,
-        hom_obj_t=dict(E.hom_obj_t),
-        e_id_t=dict(E.e_id_t),
-        e_comp_t=dict(E.e_comp_t),
-        from_arr_t={
-            MorRef(x, y, k): MorRef(E.base.unit, E.hom(x, y), k)
-            for x, y in itertools.product(range(E.n_objects), repeat=2)
-            for k in range(under2.hom_size(x, y))
-        },
-        name=f"underlying({E.name})",
-    )
-    ob_map = {x: x for x in E.objects()}
-    mor_map = {}
-    for f in E.under.mors():
-        fa = E.farr(f)
-        if fa is None:
-            raise StructuralError(f"from_arr missing at {f}")
-        mor_map[f] = MorRef(f.src, f.dst, fa.k)
-    e_fun_t = {
-        (x, y): E.base.id_of(E.hom(x, y))
-        for x, y in itertools.product(range(E.n_objects), repeat=2)
-    }
-    return EnrichedFunctor(E, E2, ob_map, mor_map, e_fun_t, name="underlying-iso")
-
-
 # ---------------------------------------------------------------------------
 # Kelly presentation round trip
 # ---------------------------------------------------------------------------
 
 def check_kelly(K: KellyEnrichedCat, limit: int | None = None) -> CheckReport:
     """Unit and associativity diagrams of the Kelly-style presentation."""
-    V = K.base
     col = Collector(limit)
     objs = range(K.n_objects)
-    for x in objs:
-        if K.eid(x) is None:
-            col.add("identity", (x,))
-    for x, y, z in itertools.product(objs, repeat=3):
-        if K.ecomp(x, y, z) is None:
-            col.add("composition", (x, y, z))
-    for x, y in itertools.product(objs, repeat=2):
-        e_xy = K.hom(x, y)
-        ei_y, ei_x = K.eid(y), K.eid(x)
-        if ei_y is not None and K.ecomp(x, y, y) is not None:
-            lhs = V.compose(V.tensor_mor(ei_y, V.id_of(e_xy)), K.ecomp(x, y, y))
-            if lhs != V.lunitor(e_xy):
-                col.add("left-unit", (x, y), lhs, V.lunitor(e_xy))
-        if ei_x is not None and K.ecomp(x, x, y) is not None:
-            lhs = V.compose(V.tensor_mor(V.id_of(e_xy), ei_x), K.ecomp(x, x, y))
-            if lhs != V.runitor(e_xy):
-                col.add("right-unit", (x, y), lhs, V.runitor(e_xy))
-    for w, x, y, z in itertools.product(objs, repeat=4):
-        cs = (K.ecomp(w, x, y), K.ecomp(w, y, z), K.ecomp(x, y, z), K.ecomp(w, x, z))
-        if None in cs:
-            continue
-        e_yz, e_xy, e_wx = K.hom(y, z), K.hom(x, y), K.hom(w, x)
-        lhs = V.compose_all(
-            V.associator(e_yz, e_xy, e_wx),
-            V.tensor_mor(V.id_of(e_yz), cs[0]),
-            cs[1],
-        )
-        rhs = V.compose(V.tensor_mor(cs[2], V.id_of(e_wx)), cs[3])
-        if lhs != rhs:
-            col.add("associativity", (w, x, y, z), lhs, rhs)
-        if col.full():
-            return col.report()
+    _scan_data_present(K, objs, col)
+    _scan_unit_assoc(K, objs, col)
     return col.report()
 
 
@@ -469,56 +387,53 @@ def to_kelly(E: Enrichment) -> KellyEnrichedCat:
 def from_kelly(K: KellyEnrichedCat) -> Enrichment:
     """Rebuild an enrichment whose underlying category is generated from K.
 
-    Morphisms x -> y are the base morphisms I -> K(x,y) with identity
-    from_arr tables.
+    Morphisms x -> y are the base morphisms I -> K(x,y), composed by
+    underlying_comp, with identity from_arr tables.
     """
     V = K.base
     I = V.unit
     n = K.n_objects
-    hom_size = {}
-    identity = {}
-    then = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        hom_size[(x, y)] = V.hom_size(I, K.hom(x, y))
-    for x in range(n):
+    homs = {(x, y): V.hom(I, K.hom(x, y)) for x, y in itertools.product(range(n), repeat=2)}
+
+    def identity(x):
         ei = K.eid(x)
         if ei is None:
-            raise StructuralError(f"Kelly identity missing at {x}")
-        identity[x] = MorRef(x, x, ei.k)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        ec = K.ecomp(x, y, z)
-        if ec is None:
-            raise StructuralError(f"Kelly composition missing at ({x},{y},{z})")
-        for ku in range(hom_size[(x, y)]):
-            for kv in range(hom_size[(y, z)]):
-                u = MorRef(I, K.hom(x, y), ku)
-                v = MorRef(I, K.hom(y, z), kv)
-                w = V.compose_all(V.lunitor_inv(I), V.tensor_mor(v, u), ec)
-                then[(MorRef(x, y, ku), MorRef(y, z, kv))] = MorRef(x, z, w.k)
-    under = FinCat(n, hom_size, identity, then)
-    from_arr = {
-        MorRef(x, y, k): MorRef(I, K.hom(x, y), k)
-        for x, y in itertools.product(range(n), repeat=2)
-        for k in range(hom_size[(x, y)])
-    }
+            raise StructuralError(f"enriched identity missing at {x}")
+        return ei
+
+    under = FinCat.tabulate(n, homs, identity, lambda x, y, z, u, v: underlying_comp(K, u, v, x, y, z))
+    from_arr = {m: homs[m.src, m.dst][m.k] for m in under.mors()}
     return Enrichment(V, under, dict(K.hom_obj_t), dict(K.e_id_t), dict(K.e_comp_t), from_arr)
 
 
+def underlying_category(E: Enrichment) -> FinCat:
+    """The category with the same objects and hom(x,y) = base(I, E(x,y)):
+    the underlying category of the Kelly round trip.
+
+    Requires the identity and composition data; morphism k-indices are the
+    base indices of I -> E(x,y).
+    """
+    return from_kelly(to_kelly(E)).under
+
+
 def kelly_round_trip_iso(E: Enrichment) -> EnrichedFunctor:
-    """Identity-on-objects enriched isomorphism E -> from_kelly(to_kelly(E))."""
+    """Identity-on-objects enriched isomorphism E -> from_kelly(to_kelly(E)):
+    identities on hom objects, from_arr on morphisms."""
     E2 = from_kelly(to_kelly(E))
-    ob_map = {x: x for x in E.objects()}
-    mor_map = {}
-    for f in E.under.mors():
-        fa = E.farr(f)
-        if fa is None:
-            raise StructuralError(f"from_arr missing at {f}")
-        mor_map[f] = MorRef(f.src, f.dst, fa.k)
+    mor_map = {f: MorRef(f.src, f.dst, required_farr(E, f).k) for f in E.under.mors()}
     e_fun_t = {
         (x, y): E.base.id_of(E.hom(x, y))
         for x, y in itertools.product(range(E.n_objects), repeat=2)
     }
-    return EnrichedFunctor(E, E2, ob_map, mor_map, e_fun_t, name="kelly-round-trip")
+    return EnrichedFunctor(E, E2, {x: x for x in E.objects()}, mor_map, e_fun_t, name="kelly-round-trip")
+
+
+def underlying_iso_functor(E: Enrichment) -> EnrichedFunctor:
+    """The identity-on-objects comparison from E.under onto underlying_category,
+    with from_arr as the hom-wise bijection: kelly_round_trip_iso by another name."""
+    iso = kelly_round_trip_iso(E)
+    iso.name = "underlying-iso"
+    return iso
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +626,9 @@ def whisker_right(tau: EnrichedTransformation, G: EnrichedFunctor) -> EnrichedTr
     )
 
 
-def find_inverse(cat: FinCat, f: MorRef) -> MorRef | None:
-    """Two-sided inverse in a finite category, by scan; lexicographically first."""
+def find_inverse(cat: FinCat | MonBase, f: MorRef) -> MorRef | None:
+    """Two-sided inverse in a finite category or a base, by scan;
+    lexicographically first."""
     for g in cat.hom(f.dst, f.src):
         if cat.compose(f, g) == cat.id_of(f.src) and cat.compose(g, f) == cat.id_of(f.dst):
             return g
@@ -756,14 +672,7 @@ def thin_under_category(n: int, arrows: set[tuple[int, int]]) -> FinCat:
                 if b == c and (a, d) not in rel:
                     rel.add((a, d))
                     changed = True
-    hom_size = {(x, y): (1 if (x, y) in rel else 0) for x in range(n) for y in range(n)}
-    identity = {x: MorRef(x, x, 0) for x in range(n)}
-    then = {}
-    for (a, b) in rel:
-        for (c, d) in rel:
-            if b == c:
-                then[(MorRef(a, b, 0), MorRef(c, d, 0))] = MorRef(a, d, 0)
-    return FinCat(n, hom_size, identity, then)
+    return thin_category(n, rel)
 
 
 def thin_enrichment(base: MonBase, n: int, hom_obj: dict, name: str = "") -> Enrichment:

@@ -295,6 +295,15 @@ class _Decl:
     def table(self, keyword: str) -> dict:
         return self.values.get(keyword) or {}
 
+    def put_row(self, res: "_Resolver", keyword: str, key, value, span: Span) -> None:
+        """Add a table row; a repeated key is a diagnostic at the repeat."""
+        table = self.values.setdefault(keyword, {})
+        if key in table:
+            res.error(span, f"repeated {keyword!r} entry at {key}")
+        else:
+            table[key] = value
+            self.rows[keyword, key] = span
+
 
 class _Resolver:
     """Validates declarations and builds their values in one namespace."""
@@ -365,14 +374,10 @@ class _Resolver:
             self.error(d.rows[keyword, k], message.format(k, v))
         return not bad
 
-    def _resolve_base(self, d: _Decl):
-        n, unit = d.values.get("objects"), d.values.get("unit")
-        if n is None:
-            self.error(d.span, f"base {d.name!r} is missing an 'objects' entry")
-            return None
-        if unit is None:
-            self.error(d.span, f"base {d.name!r} is missing a 'unit' entry")
-            return None
+    def _check_in_range(self, d: _Decl, n: int, keywords) -> bool:
+        """Report each row of the named tables that references an object
+        outside 0..n-1 or a morphism outside its hom, by the table's own
+        ``hom`` sizes; hom values are sizes, not objects."""
         hom = d.table("hom")
 
         def in_range(v) -> bool:
@@ -382,18 +387,24 @@ class _Resolver:
                 return all(in_range(x) for x in v)
             return v < n
 
+        bad = [(keyword, k) for keyword in keywords for k, v in d.table(keyword).items()
+               if not in_range(k if keyword == "hom" else (k, v))]
+        for keyword, k in bad:
+            self.error(d.rows[keyword, k], f"{keyword} entry at {k} references an out-of-range object or morphism")
+        return not bad
+
+    def _resolve_base(self, d: _Decl):
+        n, unit = d.values.get("objects"), d.values.get("unit")
+        if n is None:
+            self.error(d.span, f"base {d.name!r} is missing an 'objects' entry")
+            return None
+        if unit is None:
+            self.error(d.span, f"base {d.name!r} is missing a 'unit' entry")
+            return None
         ok = unit < n
         if not ok:
             self.error(d.span, f"unit object {unit} out of range in base {d.name!r}")
-        # every object in a row is below n and every morphism indexes into
-        # its hom; hom values are sizes, not objects
-        for e in _SCHEMA["base"].tables:
-            for k, v in d.table(e.keyword).items():
-                if not in_range(k if e.keyword == "hom" else (k, v)):
-                    self.error(d.rows[e.keyword, k],
-                               f"{e.keyword} entry at {k} references an out-of-range object or morphism")
-                    ok = False
-        if not ok:
+        if not (self._check_in_range(d, n, [e.keyword for e in _SCHEMA["base"].tables]) and ok):
             return None
         t = d.table
         closed = None
@@ -413,6 +424,7 @@ class _Resolver:
         hom_obj, from_arr = d.table("homobj"), d.table("fromarr")
         under = FinCat(n, d.table("hom"), d.table("id"), d.table("then"))
         ok = all([
+            self._check_in_range(d, n, ("hom", "id", "then")),
             self._check_rows(d, "homobj", base.contains_obj, "hom object {1} is not a base object"),
             *(self._check_rows(d, table, lambda v: _base_mor_ok(base, v), table + " entry {1} is out of base range")
               for table in ("eid", "ecomp", "fromarr")),
@@ -552,6 +564,9 @@ def _read_text_row(entries: dict, d: _Decl, res: _Resolver, span: Span, line: st
     if not m:
         res.error(span, f"malformed {keyword!r} entry: {line!r}")
         return
+    if keyword in d.refs or (entry.key is None and keyword in d.values):
+        res.error(span, f"repeated {keyword!r} entry")
+        return
     if entry.value is NAME:
         d.refs[keyword] = m.group(1)
         return
@@ -559,9 +574,8 @@ def _read_text_row(entries: dict, d: _Decl, res: _Resolver, span: Span, line: st
     if entry.key is None:
         d.values[keyword] = ints[0]
         return
-    key = entry.key.build(ints[: entry.key.size])
-    d.values.setdefault(keyword, {})[key] = entry.value.build(ints[entry.key.size:])
-    d.rows[keyword, key] = span
+    size = entry.key.size
+    d.put_row(res, keyword, entry.key.build(ints[:size]), entry.value.build(ints[size:]), span)
 
 
 def _is_name(v) -> bool:
@@ -570,7 +584,7 @@ def _is_name(v) -> bool:
 
 def _read_json(text: str, path: str | None, res: _Resolver) -> None:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         col = max(exc.colno, 1)
         res.error(Span(exc.lineno, col, col + 1, path), f"invalid JSON: {exc}")
@@ -579,10 +593,26 @@ def _read_json(text: str, path: str | None, res: _Resolver) -> None:
     if not isinstance(items, list):
         res.error(Span(path=path, pointer="items"), "machine format needs an items list")
         return
+    for key in payload.repeated:
+        res.error(Span(path=path, pointer=key), f"repeated {key!r} entry")
     for i, entry in enumerate(items):
         d = _json_decl(entry, f"items[{i}]", path, res)
         if d is not None:
             res.resolve(d)
+
+
+class _JsonObject(dict):
+    """A JSON object that keeps the keys it holds more than once in
+    ``repeated``; the value is the first one."""
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.repeated = []
+        for k, v in pairs:
+            if k in self:
+                self.repeated.append(k)
+            else:
+                self[k] = v
 
 
 def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None:
@@ -592,6 +622,8 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
 
     if not isinstance(entry, dict):
         return fail(at, "an item must be a JSON object")
+    for key in entry.repeated:
+        fail(f"{at}.{key}", f"repeated {key!r} entry")
     kind, name = entry.get("kind"), entry.get("name")
     if kind not in _SCHEMA:
         return fail(f"{at}.kind", f"unknown item kind {kind!r}")
@@ -615,6 +647,8 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
     tables = entry.get("tables")
     if not isinstance(tables, dict):
         return fail(f"{at}.tables", f"a {kind} needs a tables object")
+    for keyword in tables.repeated:
+        fail(f"{at}.tables.{keyword}", f"repeated {keyword!r} entry")
     d = _Decl(kind, name, span, refs)
     for keyword, rows in tables.items():
         where = f"{at}.tables.{keyword}"
@@ -631,17 +665,14 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
         elif not isinstance(rows, list):
             fail(where, f"malformed {keyword!r} table: expected a list of [key, value] rows")
         else:
-            table = d.values[keyword] = {}
             for j, row in enumerate(rows):
                 row_span = Span(path=path, pointer=f"{where}[{j}]")
                 try:
                     k, v = row
-                    key = entry_schema.key.from_json(k)
-                    table[key] = entry_schema.value.from_json(v)
+                    key, value = entry_schema.key.from_json(k), entry_schema.value.from_json(v)
+                    d.put_row(res, keyword, key, value, row_span)
                 except (TypeError, ValueError):
                     res.error(row_span, f"malformed {keyword!r} entry: {json.dumps(row)}")
-                    continue
-                d.rows[keyword, key] = row_span
     return d
 
 

@@ -24,6 +24,7 @@ from .core import (
     invertible_2cell,
     postcompose_mor,
     precompose_mor,
+    required_farr,
     vcompose,
     whisker_left,
     whisker_right,
@@ -74,21 +75,12 @@ class LiftSquare:
     glue: EnrichedTransformation
 
 
-def base_inverse(V, m: MorRef) -> MorRef | None:
-    """Two-sided inverse of a base morphism, by finite search."""
-    for k in range(V.hom_size(m.dst, m.src)):
-        g = MorRef(m.dst, m.src, k)
-        if V.compose(m, g) == V.id_of(m.src) and V.compose(g, m) == V.id_of(m.dst):
-            return g
-    return None
-
-
 def is_fully_faithful(F: EnrichedFunctor) -> FullyFaithfulWitness:
     """True iff every enrichment component is invertible; witnesses returned."""
     V = F.dom.base
     inverses = {}
     for x, y in itertools.product(F.dom.objects(), repeat=2):
-        inv = base_inverse(V, F.e_fun(x, y))
+        inv = find_inverse(V, F.e_fun(x, y))
         if inv is None:
             return FullyFaithfulWitness(False, inverses, failing=(x, y))
         inverses[(x, y)] = inv
@@ -127,10 +119,7 @@ def underlying_hom_inverse(
     E1, E2 = F.dom, F.cod
     if F.ob(x) != g.src or F.ob(y) != g.dst:
         raise StructuralError(f"{g} does not sit over hom({x},{y})")
-    u2 = E2.farr(g)
-    if u2 is None:
-        raise StructuralError(f"from_arr missing at {g}")
-    u1 = E1.base.compose(u2, ff.inverses[(x, y)])
+    u1 = E1.base.compose(required_farr(E2, g), ff.inverses[(x, y)])
     f = E1.tarr(x, y, u1)
     if f is None or F.mor(f) != g:
         raise StructuralError(f"no underlying preimage for {g} in hom({x},{y})")

@@ -22,6 +22,8 @@ from .core import (
     compose_functors,
     id_functor,
     precompose_mor,
+    required_ecomp,
+    required_farr,
     whisker_right,
 )
 from .factor import (
@@ -107,19 +109,12 @@ def fkleisli(T: EnrichedMonad) -> Enrichment:
     cat = E.under
     n = E.n_objects
 
-    hom_size = {}
-    identity = {}
-    then = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        hom_size[(x, y)] = cat.hom_size(x, T.t_ob(y))
-    for x in range(n):
-        identity[x] = MorRef(x, x, T.eta(x).k)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        for f in cat.hom(x, T.t_ob(y)):
-            for g in cat.hom(y, T.t_ob(z)):
-                kl = cat.compose(cat.compose(f, T.t_mor(g)), T.mu(z))
-                then[(MorRef(x, y, f.k), MorRef(y, z, g.k))] = MorRef(x, z, kl.k)
-    under = FinCat(n, hom_size, identity, then)
+    under = FinCat.tabulate(
+        n,
+        {(x, y): cat.hom(x, T.t_ob(y)) for x, y in itertools.product(range(n), repeat=2)},
+        T.eta,
+        lambda x, y, z, f, g: cat.compose(cat.compose(f, T.t_mor(g)), T.mu(z)),
+    )
 
     hom_obj = {}
     e_id = {}
@@ -128,28 +123,17 @@ def fkleisli(T: EnrichedMonad) -> Enrichment:
     for x, y in itertools.product(range(n), repeat=2):
         hom_obj[(x, y)] = E.hom(x, T.t_ob(y))
     for x in range(n):
-        u = E.farr(T.eta(x))
-        if u is None:
-            raise StructuralError(f"from_arr missing at unit component {x}")
-        e_id[x] = u
+        e_id[x] = required_farr(E, T.eta(x))
     for x, y, z in itertools.product(range(n), repeat=3):
         ty, tz = T.t_ob(y), T.t_ob(z)
-        ttz = T.t_ob(tz)
-        ec = E.ecomp(x, ty, ttz)
-        if ec is None:
-            raise StructuralError(f"enriched composition missing at ({x},{ty},{ttz})")
         chain = V.compose_all(
             V.tensor_mor(T.endo.e_fun(y, tz), V.id_of(E.hom(x, ty))),
-            ec,
+            required_ecomp(E, x, ty, T.t_ob(tz)),
             precompose_mor(E, x, T.mu(z)),
         )
         e_comp[(x, y, z)] = chain
     for m in under.mors():
-        f = MorRef(m.src, T.t_ob(m.dst), m.k)
-        u = E.farr(f)
-        if u is None:
-            raise StructuralError(f"from_arr missing at {f}")
-        from_arr[m] = u
+        from_arr[m] = required_farr(E, MorRef(m.src, T.t_ob(m.dst), m.k))
     return Enrichment(V, under, hom_obj, e_id, e_comp, from_arr, name=f"fkleisli({T.name})")
 
 
@@ -271,8 +255,7 @@ def free_algebra_functor(T: EnrichedMonad, em: EilenbergMooreResult | None = Non
     for f in E.under.mors():
         a = em.dialg_index(ob_map[f.src])
         b = em.dialg_index(ob_map[f.dst])
-        h = T.t_mor(f)
-        k = dialg.mors[(a, b)].index(h)
+        k = dialg.mor_over(a, b, T.t_mor(f)).k
         mor_map[f] = MorRef(ob_map[f.src], ob_map[f.dst], k)
     e_fun = {}
     for x, y in itertools.product(E.objects(), repeat=2):
@@ -335,7 +318,7 @@ def kleisli_comparison(
         f = MorRef(m.src, T.t_ob(m.dst), m.k)
         h = E.under.compose(T.t_mor(f), T.mu(m.dst))
         a, b = em_pair(m.src, m.dst)
-        k = dialg.mors[(a, b)].index(h)
+        k = dialg.mor_over(a, b, h).k
         mor_map[m] = MorRef(ob_map[m.src], ob_map[m.dst], k)
     e_fun = {}
     for x, y in itertools.product(FK.objects(), repeat=2):

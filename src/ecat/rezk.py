@@ -31,6 +31,7 @@ from .core import (
     invertible_2cell,
     postcompose_mor,
     precompose_mor,
+    required_ecomp,
     whisker_left,
 )
 from .factor import (
@@ -97,10 +98,7 @@ def representable(E: Enrichment, y: int, selfE: Enrichment | None = None,
         f = MorRef(m.dst, m.src, m.k)
         mor_map[m] = postcompose_mor(E, y, f)
     for x1, x2 in itertools.product(E.objects(), repeat=2):
-        ec = E.ecomp(x2, x1, y)
-        if ec is None:
-            raise StructuralError(f"enriched composition missing at ({x2},{x1},{y})")
-        chain = V.compose(V.symmetry(E.hom(x2, x1), E.hom(x1, y)), ec)
+        chain = V.compose(V.symmetry(E.hom(x2, x1), E.hom(x1, y)), required_ecomp(E, x2, x1, y))
         e_fun[(x1, x2)] = V.lam(E.hom(x2, x1), E.hom(x1, y), E.hom(x2, y), chain)
     return EnrichedFunctor(opE, selfE, ob_map, mor_map, e_fun, name=f"repr({y})")
 
@@ -145,10 +143,7 @@ def yoneda(E: Enrichment, cap: int = 10_000) -> YonedaResult:
         P = fc.products[(a, b)]
         legs = []
         for x in objs:
-            ec = E.ecomp(x, y1, y2)
-            if ec is None:
-                raise StructuralError(f"enriched composition missing at ({x},{y1},{y2})")
-            legs.append(V.lam(E.hom(y1, y2), E.hom(x, y1), E.hom(x, y2), ec))
+            legs.append(V.lam(E.hom(y1, y2), E.hom(x, y1), E.hom(x, y2), required_ecomp(E, x, y1, y2)))
         cone = P.pair(E.hom(y1, y2), legs)
         e_fun[(y1, y2)] = fc.equalizers[(a, b)].factor(cone)
     embedding = EnrichedFunctor(E, FC, ob_map, mor_map, e_fun, name="yoneda")

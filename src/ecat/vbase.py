@@ -62,6 +62,27 @@ class FinCat:
         self.identity_t = dict(identity)
         self.then_t = dict(then)
 
+    @classmethod
+    def tabulate(cls, n: int, homs: dict, identity: Callable, compose: Callable) -> "FinCat":
+        """The category on 0..n-1 whose morphisms a -> b are the hashable
+        labels ``homs[a, b]``: label k is ``MorRef(a, b, k)``. ``identity(a)``
+        and ``compose(a, b, c, f, g)`` (f then g) answer in labels. Every
+        constructed category is numbered this way."""
+        refs = label_refs(homs)
+        identity_t = {a: label_ref(refs, a, a, identity(a)) for a in range(n)}
+        then = {}
+        for (a, b), fs in refs.items():
+            for c in range(n):
+                gs = refs.get((b, c))
+                if gs is None:
+                    continue
+                hs = refs.get((a, c), {})
+                for f, fm in fs.items():
+                    for g, gm in gs.items():
+                        h = compose(a, b, c, f, g)
+                        then[fm, gm] = hs.get(h) or label_ref(refs, a, c, h)
+        return cls(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
+
     # -- category surface -------------------------------------------------
     def objects(self) -> range:
         return range(self.n_objects)
@@ -121,6 +142,38 @@ class FinCat:
         )
 
 
+def label_refs(homs: dict) -> dict:
+    """Per non-empty hom (a, b), the dict from each label in ``homs[a, b]``
+    to its morphism ``MorRef(a, b, k)``; repeated labels raise StructuralError."""
+    refs = {}
+    for (a, b), labels in homs.items():
+        if labels:
+            refs[a, b] = row = {label: MorRef(a, b, k) for k, label in enumerate(labels)}
+            if len(row) != len(labels):
+                raise StructuralError(f"repeated morphism label in hom({a},{b})")
+    return refs
+
+
+def label_ref(refs: dict, a: int, b: int, label) -> MorRef:
+    """The morphism a -> b with this label in a ``label_refs`` table; a label
+    that is not in the hom raises StructuralError."""
+    m = refs.get((a, b), {}).get(label)
+    if m is None:
+        raise StructuralError(f"{label!r} is not a morphism {a} -> {b}")
+    return m
+
+
+def thin_category(n: int, arrows: set) -> FinCat:
+    """The thin category on 0..n-1 with one arrow a -> b for each pair in
+    ``arrows``, which must be reflexive and transitive."""
+    return FinCat.tabulate(
+        n,
+        {(a, b): [0] if (a, b) in arrows else [] for a in range(n) for b in range(n)},
+        lambda a: 0,
+        lambda a, b, c, f, g: 0,
+    )
+
+
 def require_mor_shape(cat, m: MorRef, src: int, dst: int) -> None:
     """Structural check: m is a well-indexed morphism src -> dst."""
     if not isinstance(m, MorRef):
@@ -168,6 +221,9 @@ class MonBase:
 
     # category part ------------------------------------------------------
     def objects(self) -> Iterable[int]:
+        raise NotImplementedError
+
+    def contains_obj(self, x) -> bool:
         raise NotImplementedError
 
     def hom_size(self, x: int, y: int) -> int:
@@ -370,19 +426,6 @@ class FinMonCat(MonBase):
     def product(self, objs):
         return search_product(self, objs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinMonCat)
-            and self.cat == other.cat
-            and self.unit == other.unit
-            and self.tensor_obj_t == other.tensor_obj_t
-            and self.tensor_mor_t == other.tensor_mor_t
-            and self.lunitor_t == other.lunitor_t
-            and self.runitor_t == other.runitor_t
-            and self.associator_t == other.associator_t
-            and self.symmetry_t == other.symmetry_t
-        )
-
 
 @dataclass
 class ClosedData:
@@ -493,21 +536,12 @@ def window_fincat(V: MonBase) -> FinCat:
     if isinstance(V, FinMonCat):
         return V.cat
     objs = list(V.objects())
-    hom_size = {}
-    identity = {}
-    then = {}
-    for a in objs:
-        for b in objs:
-            hom_size[(a, b)] = V.hom_size(a, b)
-    for a in objs:
-        identity[a] = V.id_of(a)
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for f in V.hom(a, b):
-                    for g in V.hom(b, c):
-                        then[(f, g)] = V.compose(f, g)
-    return FinCat(len(objs), hom_size, identity, then)
+    return FinCat.tabulate(
+        len(objs),
+        {(a, b): V.hom(a, b) for a in objs for b in objs},
+        V.id_of,
+        lambda a, b, c, f, g: V.compose(f, g),
+    )
 
 
 def equalizer(V: MonBase, f: MorRef, g: MorRef) -> EqualizerResult:
@@ -530,22 +564,19 @@ def finite_product(V: MonBase, objs: list[int]) -> ProductResult:
 # law checkers
 # ---------------------------------------------------------------------------
 
-def _window_homs(C, cap: int):
-    """Window homs as MorRef lists; raises nothing, skips nothing (window homs
-    are assumed enumerable — computed bases keep their windows small)."""
+def _window_homs(C):
+    """The window objects, and each window hom as a MorRef list; a hom larger
+    than DEFAULT_HOM_CAP is None, and the scans skip the instances needing it."""
     objs = list(C.objects())
     homs = {}
     for a in objs:
         for b in objs:
             n = C.hom_size(a, b)
-            if n > cap:
-                homs[(a, b)] = None  # marked too large to enumerate
-            else:
-                homs[(a, b)] = [MorRef(a, b, k) for k in range(n)]
+            homs[(a, b)] = None if n > DEFAULT_HOM_CAP else [MorRef(a, b, k) for k in range(n)]
     return objs, homs
 
 
-def check_category(C, limit: int | None = None, hom_cap: int = DEFAULT_HOM_CAP) -> CheckReport:
+def check_category(C, limit: int | None = None) -> CheckReport:
     """Exhaustive identity and associativity scan over the window.
 
     Malformed tables (out-of-range indices, non-composable entries) raise
@@ -553,7 +584,7 @@ def check_category(C, limit: int | None = None, hom_cap: int = DEFAULT_HOM_CAP) 
     """
     if isinstance(C, FinCat):
         C.validate()
-    objs, homs = _window_homs(C, hom_cap)
+    objs, homs = _window_homs(C)
     col = Collector(limit)
 
     # identity laws, plus shape validation of every identity component
@@ -632,7 +663,7 @@ def _check_iso_pair(V, col, law, instance, fwd, inv, src, dst):
         col.add(law, instance, V.compose(inv, fwd), V.id_of(dst))
 
 
-def check_monoidal(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HOM_CAP) -> CheckReport:
+def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
     """Bifunctoriality of the tensor, unitor/associator invertibility and
     naturality, triangle and pentagon, over every window instance.
 
@@ -640,7 +671,7 @@ def check_monoidal(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_
     preservation, both whisker decompositions, slotwise functoriality), which
     is equivalent to full interchange and quadratically cheaper.
     """
-    objs, homs = _window_homs(V, hom_cap)
+    objs, homs = _window_homs(V)
     col = Collector(limit)
     I = V.unit
 
@@ -813,11 +844,11 @@ def check_monoidal(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_
     return col.report()
 
 
-def check_symmetric(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HOM_CAP) -> CheckReport:
+def check_symmetric(V: MonBase, limit: int | None = None) -> CheckReport:
     """Symmetry involution, naturality, and the hexagon, over the window."""
     if not V.symmetric:
         raise CapabilityError("base has no symmetry")
-    objs, homs = _window_homs(V, hom_cap)
+    objs, homs = _window_homs(V)
     col = Collector(limit)
 
     _sym: dict = {}
@@ -880,12 +911,12 @@ def check_symmetric(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT
     return col.report()
 
 
-def check_closed(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HOM_CAP) -> CheckReport:
+def check_closed(V: MonBase, limit: int | None = None) -> CheckReport:
     """lam bijectivity (both round trips) and naturality in the abstraction
     variable, at every window instance whose hom enumeration fits the cap."""
     if not V.closed:
         raise CapabilityError("base has no closed structure")
-    objs, _ = _window_homs(V, hom_cap)
+    objs, _ = _window_homs(V)
     col = Collector(limit)
 
     for x, y, z in itertools.product(objs, repeat=3):
@@ -901,7 +932,7 @@ def check_closed(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HO
                 if col.full():
                     return col.report()
                 continue
-            if n_src > hom_cap:
+            if n_src > DEFAULT_HOM_CAP:
                 continue  # deterministically skipped: enumeration beyond the cap
             for k in range(n_src):
                 f = MorRef(xy, z, k)
@@ -929,7 +960,7 @@ def check_closed(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HO
             n_h = V.hom_size(x2, x)
             xy = V.tensor_obj(x, y)
             n_f = V.hom_size(xy, z)
-            if n_h * n_f > hom_cap:
+            if n_h * n_f > DEFAULT_HOM_CAP:
                 continue
             whiskers = [
                 V.tensor_mor(MorRef(x2, x, hk), V.id_of(y)) for hk in range(n_h)
@@ -950,6 +981,16 @@ def check_closed(V: MonBase, limit: int | None = None, hom_cap: int = DEFAULT_HO
     return col.report()
 
 
+def base_law_checks(V: MonBase):
+    """The (family, checker) pairs of the law families that apply to V."""
+    yield "category", check_category
+    yield "monoidal", check_monoidal
+    if V.symmetric:
+        yield "symmetric", check_symmetric
+    if V.closed:
+        yield "closed", check_closed
+
+
 # ---------------------------------------------------------------------------
 # builtin bases
 # ---------------------------------------------------------------------------
@@ -963,20 +1004,8 @@ def _thin_monoidal(
     name: str,
 ) -> FinMonCat:
     """Build a thin symmetric (closed when hom_obj given) monoidal table base."""
-    hom_size = {}
-    identity = {}
-    then = {}
-    for a in range(n):
-        for b in range(n):
-            hom_size[(a, b)] = 1 if leq(a, b) else 0
-    for a in range(n):
-        identity[a] = MorRef(a, a, 0)
-    mors = [MorRef(a, b, 0) for a in range(n) for b in range(n) if leq(a, b)]
-    for f in mors:
-        for g in mors:
-            if f.dst == g.src:
-                then[(f, g)] = MorRef(f.src, g.dst, 0)
-    cat = FinCat(n, hom_size, identity, then)
+    cat = thin_category(n, {(a, b) for a in range(n) for b in range(n) if leq(a, b)})
+    mors = list(cat.mors())
 
     def arrow(a, b):
         if not leq(a, b):

@@ -76,12 +76,9 @@ from ecat.rezk import (
 from ecat.structures import PosetStructure
 from ecat.vbase import (
     MorRef,
+    base_law_checks,
     bool_base,
     builtin_base,
-    check_category,
-    check_closed,
-    check_monoidal,
-    check_symmetric,
     cost_base,
     terminal_base,
 )
@@ -110,15 +107,6 @@ def report(line):
 # ---------------------------------------------------------------------------
 # criterion 1: coherence suite
 # ---------------------------------------------------------------------------
-
-def applicable_checks(V):
-    yield "category", check_category
-    yield "monoidal", check_monoidal
-    if V.symmetric:
-        yield "symmetric", check_symmetric
-    if V.closed:
-        yield "closed", check_closed
-
 
 MUTATION_TABLES = (
     "hom_size", "compose", "tensor_obj", "tensor_mor",
@@ -207,7 +195,7 @@ def _wrong_mor(rng, V, mors, right):
 
 def mutation_caught(M):
     try:
-        for _, fn in applicable_checks(M):
+        for _, fn in base_law_checks(M):
             if not fn(M, limit=1).ok:
                 return True
     except StructuralError:
@@ -225,7 +213,7 @@ def test_criterion_1_coherence():
     bases.append(("finposet(2)", builtin_base("finposet_struct", max_size=2)))
     bases.append(("finpointedposet(2)", builtin_base("finpointedposet_struct", max_size=2)))
     for name, V in bases:
-        for law, fn in applicable_checks(V):
+        for law, fn in base_law_checks(V):
             rep = fn(V)
             assert rep.ok, f"{name} fails {law}: {rep.failures[:3]}"
 

@@ -1,8 +1,10 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from ecat.cli import run_cli
 from ecat.construct import (
     LaxMonoidalFunctor,
     canonical_set_enrichment,
@@ -28,7 +30,7 @@ from ecat.core import (
     id_functor,
     underlying_category,
 )
-from ecat.report import CapabilityError
+from ecat.report import CapabilityError, StructuralError
 from ecat.structures import PointedPosetStructure, PosetStructure, TrivialStructure, check_structure
 from ecat.vbase import MorRef, bool_base, builtin_base, terminal_base
 
@@ -219,6 +221,16 @@ def test_functor_category_chain(boolb):
     for a, b in itertools.product(range(3), repeat=2):
         n = len(enumerate_enriched_transformations(fc.functors[a], fc.functors[b]))
         assert fc.enrichment.under.hom_size(a, b) == n
+    # objects and morphisms are looked up by table key and component table
+    for a, F in enumerate(fc.functors):
+        assert fc.functor_index(F) == a
+        for b in range(3):
+            for k, t in enumerate(fc.transformations[(a, b)]):
+                assert fc.transformation_index(a, b, t.component) == k
+    with pytest.raises(StructuralError):
+        fc.transformation_index(1, 0, fc.transformations[(0, 1)][0].component)
+    with pytest.raises(StructuralError):
+        fc.functor_index(id_functor(fc.enrichment))
 
 
 def test_functor_category_needs_capabilities(boolb):
@@ -540,3 +552,31 @@ def test_pointed_poset_equalizer_edge():
     # agreeing nowhere: no least element, no equalizer
     with pytest.raises(CapabilityError):
         V.equalizer(const0, const1)
+
+
+# ---------------------------------------------------------------------------
+# construction outputs, byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# pinned output under golden/constructed/ -> the CLI arguments producing it;
+# the last argument names an input file under golden/
+PINNED_CONSTRUCTIONS = {
+    "bool_chain2.opposite.ecat": ["construct", "opposite", "bool_chain2.ecat"],
+    "bool_chain2.full_sub_0.ecat": ["construct", "full-sub", "--keep", "0", "bool_chain2.ecat"],
+    "bool_chain2.functor_category.ecat": ["construct", "functor-category", "bool_chain2.ecat"],
+    "monad_toppoint.kleisli_raw.ecat": ["kleisli", "monad_toppoint.ecat"],
+    "monad_toppoint.kleisli_univalent.ecat": ["kleisli", "--variant", "univalent", "monad_toppoint.ecat"],
+    "bool_two_iso_points.rezk.ecat": ["rezk", "bool_two_iso_points.ecat"],
+    "set_idem.opposite.ecat": ["construct", "opposite", "set_idem.ecat"],
+    "set_z3.functor_category.ecat": ["construct", "functor-category", "set_z3.ecat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONSTRUCTIONS))
+def test_construction_output_bytes_pinned(name, capsys):
+    """The morphism numbering and composition tables the constructions emit."""
+    *argv, source = PINNED_CONSTRUCTIONS[name]
+    assert run_cli([*argv, str(GOLDEN / source)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "constructed" / name).read_text(encoding="utf-8")

@@ -68,7 +68,7 @@ NEGATIVE_SOURCES = [
     ("base V = builtin(bool)\nenrichment E over V {\n  objects 1\n  hom (0,0) = 1\n  id 0 = (0,0,0)\n  then (0,0,0)(0,0,0) = (0,0,0)\n  homobj (0,0) = 9\n  eid 0 = (1,1,0)\n  fromarr (0,0,0) = (1,1,0)\n}\n", "not a base object"),
     ("base V = builtin(bool)\nenrichment E over V {\n  objects 1\n  hom (0,0) = 1\n  id 0 = (0,0,0)\n  then (0,0,0)(0,0,0) = (0,0,0)\n  homobj (0,0) = 1\n  eid 0 = (1,1,5)\n  fromarr (0,0,0) = (1,1,0)\n}\n", "out of base range"),
     ("base V = builtin(bool)\nenrichment E over V {\n  objects 2\n  hom (0,0) = 1\n  hom (1,1) = 1\n  hom (0,1) = 2\n  id 0 = (0,0,0)\n  id 1 = (1,1,0)\n  then (0,0,0)(0,0,0) = (0,0,0)\n  then (1,1,0)(1,1,0) = (1,1,0)\n  then (0,0,0)(0,1,0) = (0,1,0)\n  then (0,0,0)(0,1,1) = (0,1,1)\n  then (0,1,0)(1,1,0) = (0,1,0)\n  then (0,1,1)(1,1,0) = (0,1,1)\n  homobj (0,0) = 1\n  homobj (0,1) = 1\n  homobj (1,0) = 0\n  homobj (1,1) = 1\n  eid 0 = (1,1,0)\n  eid 1 = (1,1,0)\n  fromarr (0,0,0) = (1,1,0)\n  fromarr (0,1,0) = (1,1,0)\n  fromarr (0,1,1) = (1,1,0)\n  fromarr (1,1,0) = (1,1,0)\n}\n", "not injective"),
-    ("base V = builtin(bool)\nenrichment E over V {\n  objects 1\n  hom (0,0) = 1\n  id 0 = (0,0,5)\n  then (0,0,0)(0,0,0) = (0,0,0)\n  homobj (0,0) = 1\n  eid 0 = (1,1,0)\n  fromarr (0,0,0) = (1,1,0)\n}\n", None),
+    ("base V = builtin(bool)\nenrichment E over V {\n  objects 1\n  hom (0,0) = 1\n  id 0 = (0,0,5)\n  then (0,0,0)(0,0,0) = (0,0,0)\n  homobj (0,0) = 1\n  eid 0 = (1,1,0)\n  fromarr (0,0,0) = (1,1,0)\n}\n", "out-of-range"),
     ("base V {\n  objects 1\n  unit 0\n  hom (0,0) = 1\n  id 0 = (0,0,9)\n}\n", "out-of-range"),
     ("base V {\n  objects 1\n  hom (0,0) = 1\n  id 0 = (0,0,0)\n}\n", "missing a 'unit'"),
     ("base V = builtin(bool)\nenrichment E over V {\n  objects 1\n  homm (0,0) = 1\n}\n", "unexpected entry"),
@@ -79,14 +79,6 @@ NEGATIVE_SOURCES = [
 @pytest.mark.parametrize("source,needle", NEGATIVE_SOURCES, ids=range(len(NEGATIVE_SOURCES)))
 def test_negative_sources_have_spanned_diagnostics(source, needle):
     doc, diags = parse(source)
-    if doc is not None and needle is None:
-        # out-of-range identity inside the under-category is caught either at
-        # resolve time or by the structural checker downstream
-        from ecat.report import StructuralError
-
-        with pytest.raises(StructuralError):
-            check_enrichment(doc.get("E").value)
-        return
     assert doc is None
     assert diags
     lines = source.splitlines()
@@ -94,8 +86,7 @@ def test_negative_sources_have_spanned_diagnostics(source, needle):
         assert isinstance(d, Diagnostic)
         assert 1 <= d.span.line <= len(lines)
         assert 1 <= d.span.col <= d.span.end_col
-    if needle is not None:
-        assert any(needle in d.message for d in diags), [d.describe() for d in diags]
+    assert any(needle in d.message for d in diags), [d.describe() for d in diags]
 
 
 @pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)
@@ -320,6 +311,67 @@ def test_json_out_of_range_reported_once_at_json_path(tmp_path, capsys):
     assert run_cli(["check", path]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == [f"{path}:items[1].tables.eid[0]: error: eid entry (1,1,7) is out of base range"]
+
+
+_ONE_POINT = """base V = builtin(bool)
+enrichment E over V {{
+  objects 1
+  hom (0,0) = 1
+  id 0 = {id}
+  then (0,0,0)(0,0,0) = (0,0,0)
+  homobj (0,0) = 1
+  eid 0 = (1,1,0)
+  ecomp (0,0,0) = (1,1,0)
+  fromarr (0,0,0) = (1,1,0)
+{extra}}}
+"""
+
+
+def test_text_enrichment_underlying_rows_range_checked(tmp_path, capsys):
+    path = tmp_path / "bad.ecat"
+    path.write_text(_ONE_POINT.format(id="(0,0,5)", extra="  hom (0,2) = 1\n"), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:11:3: error: hom entry at (0, 2) references an out-of-range object or morphism",
+        f"{path}:5:3: error: id entry at 0 references an out-of-range object or morphism",
+    ]
+
+
+def test_json_enrichment_underlying_rows_range_checked(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e["tables"]["then"][0].__setitem__(1, [0, 0, 5]))
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:items[1].tables.then[0]: error: then entry at ((0,0,0), (0,0,0))"
+        " references an out-of-range object or morphism"
+    ]
+
+
+def test_text_repeated_entries_are_diagnostics(tmp_path, capsys):
+    path = tmp_path / "twice.ecat"
+    path.write_text(_ONE_POINT.format(id="(0,0,0)", extra="  objects 2\n  eid 0 = (1,1,0)\n"), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:11:3: error: repeated 'objects' entry",
+        f"{path}:12:3: error: repeated 'eid' entry at 0",
+    ]
+    doc, diags = parse("monad T on E {\n  endo F\n  endo G\n}\n")
+    assert doc is None and diags[0].describe() == "3:3: error: repeated 'endo' entry"
+
+
+def test_json_repeated_entries_are_diagnostics(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e["tables"]["eid"].append(e["tables"]["eid"][0]))
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{path}:items[1].tables.eid[2]: error: repeated 'eid' entry at 0"]
+    path = _machine_file(tmp_path, lambda e: None)
+    text = Path(path).read_text(encoding="utf-8").replace('"objects": 2', '"objects": 2, "objects": 3')
+    text = text.replace('"name": "E"', '"name": "E", "name": "F"')
+    doc, diags = from_json(text)
+    assert doc is None
+    assert [(str(d.span), d.message) for d in diags] == [
+        ("items[0].tables.objects", "repeated 'objects' entry"),
+        ("items[1].name", "repeated 'name' entry"),
+        ("items[1].tables.objects", "repeated 'objects' entry"),
+    ]
 
 
 def test_json_unknown_table_and_missing_reference(tmp_path):

@@ -42,6 +42,27 @@ def test_discrete_category_ok():
     assert check_category(discrete_category(3)).ok
 
 
+def test_tabulate_numbers_labels_in_order():
+    # a walking arrow p, q : 0 -> 1 with identities i, j, labelled by strings
+    homs = {(0, 0): ["i"], (0, 1): ["p", "q"], (1, 0): [], (1, 1): ["j"]}
+
+    def compose(a, b, c, f, g):
+        return g if f in "ij" else f
+
+    C = FinCat.tabulate(2, homs, lambda a: "ij"[a], compose)
+    assert C.hom_size_t == {(0, 0): 1, (0, 1): 2, (1, 0): 0, (1, 1): 1}
+    assert C.identity_t == {0: MorRef(0, 0, 0), 1: MorRef(1, 1, 0)}
+    assert C.compose(MorRef(0, 0, 0), MorRef(0, 1, 1)) == MorRef(0, 1, 1)
+    assert C.compose(MorRef(0, 1, 1), MorRef(1, 1, 0)) == MorRef(0, 1, 1)
+    assert check_category(C).ok
+    with pytest.raises(StructuralError, match="'r' is not a morphism 0 -> 1"):
+        FinCat.tabulate(2, homs, lambda a: "ij"[a], lambda a, b, c, f, g: "r" if (a, c) == (0, 1) else compose(a, b, c, f, g))
+    with pytest.raises(StructuralError, match="'k' is not a morphism 1 -> 1"):
+        FinCat.tabulate(2, homs, lambda a: "ik"[a], compose)
+    with pytest.raises(StructuralError, match="repeated morphism label"):
+        FinCat.tabulate(2, {**homs, (0, 1): ["p", "p"]}, lambda a: "ij"[a], compose)
+
+
 def test_broken_associativity_located():
     # 2-object category with two parallel arrows and composition mutated
     C = builtin_base("finset", k=2)
