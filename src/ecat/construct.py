@@ -466,12 +466,27 @@ def functor_category_enrichment(
     """Objects are all enriched functors E1 -> E2 (enumerated); hom objects
     are the equalizers of the two transposed composites over the product of
     componentwise homs."""
+    return functor_category_on(E1, E2, enumerate_enriched_functors(E1, E2, cap=cap), cap=cap)
+
+
+def functor_category_on(
+    E1: Enrichment, E2: Enrichment, functors: list, cap: int = 10_000
+) -> FunctorCategoryResult:
+    """The full subcategory of the enriched functor category [E1, E2] on the
+    given functors E1 -> E2, which the caller has checked to be lawful.
+    Functors with the same ``table_key`` are one object, at the place of the
+    first; transformations between them are enumerated and checked."""
     V = E1.base
     if not (V.symmetric and V.closed and V.has_products and V.has_equalizers):
         raise CapabilityError(
             "functor category needs a symmetric closed base with products and equalizers"
         )
-    functors = enumerate_enriched_functors(E1, E2, cap=cap)
+    if any(F.dom is not E1 or F.cod is not E2 for F in functors):
+        raise StructuralError("functor category objects must be functors E1 -> E2")
+    unique = {}
+    for F in functors:
+        unique.setdefault(F.table_key(), F)
+    functors = list(unique.values())
     n = len(functors)
     objs1 = list(E1.objects())
     trans = {}

@@ -377,7 +377,8 @@ class _Resolver:
     def _check_in_range(self, d: _Decl, n: int, keywords) -> bool:
         """Report each row of the named tables that references an object
         outside 0..n-1 or a morphism outside its hom, by the table's own
-        ``hom`` sizes; hom values are sizes, not objects."""
+        ``hom`` sizes; hom values are sizes, not objects, and fromarr values
+        are base morphisms, so only their keys are checked."""
         hom = d.table("hom")
 
         def in_range(v) -> bool:
@@ -388,9 +389,27 @@ class _Resolver:
             return v < n
 
         bad = [(keyword, k) for keyword in keywords for k, v in d.table(keyword).items()
-               if not in_range(k if keyword == "hom" else (k, v))]
+               if not in_range(k if keyword in ("hom", "fromarr") else (k, v))]
         for keyword, k in bad:
             self.error(d.rows[keyword, k], f"{keyword} entry at {k} references an out-of-range object or morphism")
+        return not bad
+
+    def _check_category_shapes(self, d: _Decl) -> bool:
+        """Report each ``id`` row that is not a morphism x -> x and each
+        ``then`` row whose morphisms do not compose or whose value does not
+        go from the first's source to the second's target."""
+        bad = [(d.rows["id", x], f"id entry at {x} is {m}, not a morphism {x} -> {x}")
+               for x, m in d.table("id").items() if not m.src == m.dst == x]
+        for (f, g), h in d.table("then").items():
+            if f.dst != g.src:
+                message = f"then entry at ({f}, {g}): {f} ends at {f.dst} and {g} starts at {g.src}"
+            elif (h.src, h.dst) != (f.src, g.dst):
+                message = f"then entry at ({f}, {g}) is {h}, not a morphism {f.src} -> {g.dst}"
+            else:
+                continue
+            bad.append((d.rows["then", (f, g)], message))
+        for span, message in bad:
+            self.error(span, message)
         return not bad
 
     def _resolve_base(self, d: _Decl):
@@ -404,7 +423,8 @@ class _Resolver:
         ok = unit < n
         if not ok:
             self.error(d.span, f"unit object {unit} out of range in base {d.name!r}")
-        if not (self._check_in_range(d, n, [e.keyword for e in _SCHEMA["base"].tables]) and ok):
+        in_range = self._check_in_range(d, n, [e.keyword for e in _SCHEMA["base"].tables])
+        if not (in_range and self._check_category_shapes(d) and ok):
             return None
         t = d.table
         closed = None
@@ -424,7 +444,7 @@ class _Resolver:
         hom_obj, from_arr = d.table("homobj"), d.table("fromarr")
         under = FinCat(n, d.table("hom"), d.table("id"), d.table("then"))
         ok = all([
-            self._check_in_range(d, n, ("hom", "id", "then")),
+            self._check_in_range(d, n, ("hom", "id", "then", "fromarr")) and self._check_category_shapes(d),
             self._check_rows(d, "homobj", base.contains_obj, "hom object {1} is not a base object"),
             *(self._check_rows(d, table, lambda v: _base_mor_ok(base, v), table + " entry {1} is out of base range")
               for table in ("eid", "ecomp", "fromarr")),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .construct import (
     FunctorCategoryResult,
-    functor_category_enrichment,
+    functor_category_on,
     full_sub_enrichment,
     opposite_enrichment,
     self_enrichment,
@@ -23,6 +23,7 @@ from .core import (
     Enrichment,
     EnrichedFunctor,
     EnrichedTransformation,
+    check_functor_enrichment,
     check_nat_trans_enrichment,
     compose_functors,
     enumerate_enriched_functors,
@@ -114,19 +115,31 @@ def representable_transformation(
 
 @dataclass(eq=False)
 class YonedaResult:
+    """The Yoneda embedding; ``functor_category`` is the full subcategory of
+    the presheaf category [op(E), self(V)] on the representables, and
+    ``representables`` maps each object y to E(-, y)."""
+
     embedding: EnrichedFunctor
     functor_category: FunctorCategoryResult
     representables: dict
 
 
 def yoneda(E: Enrichment, cap: int = 10_000) -> YonedaResult:
-    """The enriched Yoneda embedding into the functor category of presheaves."""
+    """The enriched Yoneda embedding of E into the full subcategory of
+    presheaves on the representables, which is all a fully faithful
+    embedding needs. Each representable is checked to be an enriched
+    functor, and each transformation a morphism of E induces is found among
+    the enumerated transformations between representables."""
     V = E.base
     opE = opposite_enrichment(E)
     selfE = self_enrichment(V)
-    fc = functor_category_enrichment(opE, selfE, cap=cap)
-    FC = fc.enrichment
     reps = {y: representable(E, y, selfE=selfE, opE=opE) for y in E.objects()}
+    for y, R in reps.items():
+        rep = check_functor_enrichment(R)
+        if not rep.ok:
+            raise StructuralError(f"representable at {y} fails enrichment: {rep.failures[0].describe()}")
+    fc = functor_category_on(opE, selfE, list(reps.values()), cap=cap)
+    FC = fc.enrichment
     ob_map = {y: fc.functor_index(reps[y]) for y in E.objects()}
     mor_map = {}
     for f in E.under.mors():

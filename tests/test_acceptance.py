@@ -581,17 +581,19 @@ def test_criterion_6_rezk(boolb, cost3):
         assert check_precomp_equivalence(F, E3).ok
         triples += 1
 
-    # micro cross-check: image of Yoneda vs skeleton, |obj| <= 2 over Bool
-    for n in range(1, 3):
-        for rel in all_preorders(n):
-            E = bool_preorder_enrichment(boolb, rel, n)
-            fact = image_factorization(yoneda(E).embedding)
-            eso1 = fact.eso_part
-            assert is_fully_faithful(eso1).ok and is_essentially_surjective(eso1).ok
-            rc = rezk_completion(E)
-            L, cell = extend_functor(eso1, rc.unit_functor)
-            assert is_fully_faithful(L).ok and is_essentially_surjective(L).ok
-            assert invertible_2cell(cell) is not None
+    # cross-check: image of Yoneda vs skeleton, all Bool preorders on
+    # <= 3 points and all Cost(3) two-point spaces
+    spaces = [bool_preorder_enrichment(boolb, rel, n) for n in range(4) for rel in all_preorders(n)]
+    for a, b in itertools.product(range(5), repeat=2):
+        spaces.append(cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): a, (1, 0): b}, 2))
+    for E in spaces:
+        fact = image_factorization(yoneda(E).embedding)
+        eso1 = fact.eso_part
+        assert is_fully_faithful(eso1).ok and is_essentially_surjective(eso1).ok
+        rc = rezk_completion(E)
+        L, cell = extend_functor(eso1, rc.unit_functor)
+        assert is_fully_faithful(L).ok and is_essentially_surjective(L).ok
+        assert invertible_2cell(cell) is not None
     report("6 rezk suite: PASS")
 
 

@@ -14,6 +14,7 @@ from ecat.construct import (
     dialgebra_enrichment,
     full_sub_enrichment,
     functor_category_enrichment,
+    functor_category_on,
     opposite_enrichment,
     self_enrichment,
     self_to_arr,
@@ -23,6 +24,7 @@ from ecat.construct import (
     struct_enrichment_to_data,
 )
 from ecat.core import (
+    EnrichedFunctor,
     bool_preorder_enrichment,
     check_enrichment,
     check_functor_enrichment,
@@ -231,6 +233,26 @@ def test_functor_category_chain(boolb):
         fc.transformation_index(1, 0, fc.transformations[(0, 1)][0].component)
     with pytest.raises(StructuralError):
         fc.functor_index(id_functor(fc.enrichment))
+
+
+def test_functor_category_on_requested_functors(boolb):
+    rel = {(0, 0), (1, 1), (0, 1)}
+    E = bool_preorder_enrichment(boolb, rel, 2)
+    full = functor_category_enrichment(E, E)
+    F, _, H = full.functors
+    # a functor with H's tables is H: duplicates merge, request order stays
+    H2 = EnrichedFunctor(E, E, dict(H.ob_map), dict(H.mor_map), dict(H.e_fun_t))
+    sub = functor_category_on(E, E, [H, F, H2, F])
+    assert sub.functors == [H, F] and sub.functor_index(H2) == 0
+    old = [2, 0]
+    for a, b in itertools.product(range(2), repeat=2):
+        assert sub.enrichment.hom(a, b) == full.enrichment.hom(old[a], old[b])
+        assert [t.component for t in sub.transformations[(a, b)]] == [
+            t.component for t in full.transformations[(old[a], old[b])]
+        ]
+    assert check_enrichment(sub.enrichment).ok
+    with pytest.raises(StructuralError):
+        functor_category_on(bool_preorder_enrichment(boolb, rel, 2), E, [F])
 
 
 def test_functor_category_needs_capabilities(boolb):

@@ -427,3 +427,56 @@ def test_cli_functor_category_missing_ecomp(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: missing ecomp entry")
+
+
+def _chain2_text(tmp_path, *edits) -> str:
+    """bool_chain2 as a text file with lines of the enrichment block
+    replaced by the (old, new) pairs of ``edits``."""
+    head, rest = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8").split("\n\n", 1)
+    for old, new in edits:
+        assert old in rest
+        rest = rest.replace(old, new, 1)
+    path = tmp_path / "bad.ecat"
+    path.write_text(head + "\n\n" + rest, encoding="utf-8")
+    return str(path)
+
+
+def test_text_underlying_row_shapes_checked(tmp_path, capsys):
+    path = _chain2_text(
+        tmp_path,
+        ("  id 1 = (1,1,0)\n", "  id 1 = (0,0,0)\n"),
+        ("  then (0,0,0)(0,1,0) = (0,1,0)\n", "  then (0,0,0)(0,1,0) = (0,0,0)\n"),
+        ("  then (0,1,0)(1,1,0) = (0,1,0)\n", "  then (0,1,0)(0,0,0) = (0,1,0)\n"),
+    )
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:79:3: error: id entry at 1 is (0,0,0), not a morphism 1 -> 1",
+        f"{path}:81:3: error: then entry at ((0,0,0), (0,1,0)) is (0,0,0), not a morphism 0 -> 1",
+        f"{path}:82:3: error: then entry at ((0,1,0), (0,0,0)): (0,1,0) ends at 1 and (0,0,0) starts at 0",
+    ]
+    # a base block's underlying rows get the same check
+    text = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8").split("\n\n", 1)[0]
+    doc, diags = parse(text.replace("then (0,0,0)(0,1,0) = (0,1,0)", "then (0,0,0)(0,1,0) = (0,0,0)", 1) + "\n")
+    assert doc is None
+    assert [d.describe() for d in diags] == [
+        "11:3: error: then entry at ((0,0,0), (0,1,0)) is (0,0,0), not a morphism 0 -> 1"
+    ]
+
+
+def test_json_underlying_row_shapes_checked(tmp_path, capsys):
+    path = _machine_file(tmp_path, lambda e: e["tables"]["then"][1].__setitem__(1, [0, 0, 0]))
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:items[1].tables.then[1]: error: then entry at ((0,0,0), (0,1,0)) is (0,0,0), not a morphism 0 -> 1"
+    ]
+
+
+def test_fromarr_key_must_be_an_underlying_morphism(tmp_path, capsys):
+    stray = "  fromarr (1,1,0) = (1,1,0)\n  fromarr (1,0,0) = (1,1,0)\n"
+    path = _chain2_text(tmp_path, ("  fromarr (1,1,0) = (1,1,0)\n", stray))
+    assert run_cli(["check", path]) == 1
+    message = "error: fromarr entry at (1,0,0) references an out-of-range object or morphism"
+    assert capsys.readouterr().out.splitlines() == [f"{path}:101:3: {message}"]
+    path = _machine_file(tmp_path, lambda e: e["tables"]["fromarr"].append([[1, 0, 0], [1, 1, 0]]))
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{path}:items[1].tables.fromarr[3]: {message}"]

@@ -2,7 +2,12 @@ import itertools
 import random
 
 
-from ecat.construct import canonical_set_enrichment
+from ecat.construct import (
+    canonical_set_enrichment,
+    functor_category_enrichment,
+    opposite_enrichment,
+    self_enrichment,
+)
 from ecat.core import (
     EnrichedTransformation,
     bool_preorder_enrichment,
@@ -108,6 +113,78 @@ def test_yoneda_ff_cost_two_points(cost3):
         d = {(0, 0): 0, (1, 1): 0, (0, 1): a, (1, 0): b}
         E = cost_space_enrichment(cost3, d, 2)
         assert check_yoneda_ff(E).ok, d
+
+
+def _eager_yoneda(E):
+    """Reference: the Yoneda embedding into the whole enumerated presheaf
+    category [op(E), self(V)]."""
+    V = E.base
+    opE, selfE = opposite_enrichment(E), self_enrichment(V)
+    fc = functor_category_enrichment(opE, selfE)
+    reps = {y: representable(E, y, selfE=selfE, opE=opE) for y in E.objects()}
+    ob_map = {y: fc.functor_index(R) for y, R in reps.items()}
+    mor_map = {}
+    for f in E.under.mors():
+        tau = representable_transformation(E, f, reps[f.src], reps[f.dst])
+        a, b = ob_map[f.src], ob_map[f.dst]
+        mor_map[f] = MorRef(a, b, fc.transformation_index(a, b, tau.component))
+    e_fun = {}
+    for y1, y2 in itertools.product(E.objects(), repeat=2):
+        a, b = ob_map[y1], ob_map[y2]
+        legs = [V.lam(E.hom(y1, y2), E.hom(x, y1), E.hom(x, y2), E.ecomp(x, y1, y2)) for x in E.objects()]
+        e_fun[(y1, y2)] = fc.equalizers[(a, b)].factor(fc.products[(a, b)].pair(E.hom(y1, y2), legs))
+    return fc, ob_map, mor_map, e_fun
+
+
+def test_yoneda_on_representables_matches_eager_functor_category(boolb, cost3):
+    inputs = [bool_preorder_enrichment(boolb, rel, n) for n in range(4) for rel in preorders_on(boolb, n)]
+    for a, b in itertools.product(range(5), repeat=2):
+        inputs.append(cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): a, (1, 0): b}, 2))
+    assert len(inputs) == 35 + 25
+    for E in inputs:
+        res = yoneda(E)
+        small, S = res.functor_category, res.functor_category.enrichment
+        eager, ob_ref, mor_ref, e_fun_ref = _eager_yoneda(E)
+        L = eager.enrichment
+        m = [eager.functor_index(F) for F in small.functors]
+        assert sorted(set(m)) == sorted(set(ob_ref.values()))
+        n = len(m)
+
+        def moved(f):
+            return MorRef(m[f.src], m[f.dst], f.k)
+
+        for a, b in itertools.product(range(n), repeat=2):
+            assert S.hom(a, b) == L.hom(m[a], m[b])
+            assert [sorted(t.component.items()) for t in small.transformations[(a, b)]] == [
+                sorted(t.component.items()) for t in eager.transformations[(m[a], m[b])]
+            ]
+        for a in range(n):
+            assert S.eid(a) == L.eid(m[a])
+        for a, b, c in itertools.product(range(n), repeat=3):
+            assert S.ecomp(a, b, c) == L.ecomp(m[a], m[b], m[c])
+        for f in S.under.mors():
+            assert S.farr(f) == L.farr(moved(f))
+            for g in (g for c in range(n) for g in S.under.hom(f.dst, c)):
+                assert moved(S.under.compose(f, g)) == L.under.compose(moved(f), moved(g))
+        emb = res.embedding
+        assert {y: m[a] for y, a in emb.ob_map.items()} == ob_ref
+        assert {f: moved(g) for f, g in emb.mor_map.items()} == mor_ref
+        assert emb.e_fun_t == e_fun_ref
+
+
+def test_yoneda_ff_three_and_four_point_cost_spaces(cost3):
+    # the discrete 3-point space has 125 presheaves and the 4-point ones
+    # more; the embedding builds the homs between the representables only
+    for n in (3, 4):
+        d = {(x, y): 0 if x == y else 4 for x in range(n) for y in range(n)}
+        E = cost_space_enrichment(cost3, d, n)
+        assert check_enrichment(E).ok
+        assert check_yoneda_ff(E).ok, n
+        assert len(yoneda(E).functor_category.functors) == n
+    line = {(x, y): abs(x - y) for x in range(4) for y in range(4)}
+    E = cost_space_enrichment(cost3, line, 4)
+    assert check_enrichment(E).ok
+    assert check_yoneda_ff(E).ok
 
 
 # ---------------------------------------------------------------------------
