@@ -71,8 +71,10 @@ def _item_reports(doc: dsl.Document, item: dsl.Item) -> dict[str, CheckReport]:
     return reports
 
 
-def _emit_reports(named_reports: list[tuple[str, dict]], fmt: str) -> int:
-    ok = True
+def _emit_reports(named_reports: list[tuple[str, dict]], fmt: str, diagnostics=()) -> int:
+    """Print the reports, after the diagnostics of files that did not
+    load; either makes the verdict a failure (exit 1)."""
+    ok = not diagnostics
     if fmt == "json":
         payload = []
         for name, reports in named_reports:
@@ -81,8 +83,10 @@ def _emit_reports(named_reports: list[tuple[str, dict]], fmt: str) -> int:
                 entry[law] = rep.to_json()
                 ok = ok and rep.ok
             payload.append(entry)
-        print(json.dumps({"ok": ok, "items": payload}, indent=2, sort_keys=True))
+        described = [d.describe() for d in diagnostics]
+        print(json.dumps({"ok": ok, "items": payload, "diagnostics": described}, indent=2, sort_keys=True))
     else:
+        _print_diagnostics(diagnostics)
         for name, reports in named_reports:
             for law, rep in reports.items():
                 status = "ok" if rep.ok else "FAIL"
@@ -138,16 +142,13 @@ def _base_item_for(doc: dsl.Document, base) -> dsl.Item:
 
 def _cmd_check(args) -> int:
     """Each file is checked on its own, in its own namespace."""
-    code = 0
-    reports = []
+    reports, diagnostics = [], []
     for path in args.files:
         doc, diags = dsl.load([path])
-        _print_diagnostics(diags)
-        if doc is None:
-            code = 1
-            continue
-        reports.extend((f"{path}:{item.name}", _item_reports(doc, item)) for item in doc.items)
-    return max(code, _emit_reports(reports, args.format))
+        diagnostics.extend(diags)
+        if doc is not None:
+            reports.extend((f"{path}:{item.name}", _item_reports(doc, item)) for item in doc.items)
+    return _emit_reports(reports, args.format, diagnostics)
 
 
 def _cmd_construct(args) -> int:

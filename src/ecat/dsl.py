@@ -412,6 +412,29 @@ class _Resolver:
             self.error(span, message)
         return not bad
 
+    def _check_enrichment_shapes(self, d: _Decl, base) -> bool:
+        """Report each ``eid`` row that is not a morphism I -> homobj(x,x),
+        each ``ecomp`` row that is not homobj(y,z) (x) homobj(x,y) ->
+        homobj(x,z) and each ``fromarr`` row that is not I -> homobj(a,b) for
+        its key a -> b. A row whose hom objects are not all declared, or whose
+        tensor the base cannot form, is left to the enrichment check."""
+        hom_obj = d.table("homobj")
+        rows = [("eid", x, m, base.unit, hom_obj.get((x, x))) for x, m in d.table("eid").items()]
+        for (x, y, z), m in d.table("ecomp").items():
+            src = None
+            if (y, z) in hom_obj and (x, y) in hom_obj:
+                try:
+                    src = base.tensor_obj(hom_obj[y, z], hom_obj[x, y])
+                except EcatError:
+                    pass
+            rows.append(("ecomp", (x, y, z), m, src, hom_obj.get((x, z))))
+        rows += [("fromarr", f, m, base.unit, hom_obj.get((f.src, f.dst))) for f, m in d.table("fromarr").items()]
+        bad = [(keyword, key, m, src, dst) for keyword, key, m, src, dst in rows
+               if None not in (src, dst) and (m.src, m.dst) != (src, dst)]
+        for keyword, key, m, src, dst in bad:
+            self.error(d.rows[keyword, key], f"{keyword} entry at {key} is {m}, not a morphism {src} -> {dst}")
+        return not bad
+
     def _resolve_base(self, d: _Decl):
         n, unit = d.values.get("objects"), d.values.get("unit")
         if n is None:
@@ -448,7 +471,7 @@ class _Resolver:
             self._check_rows(d, "homobj", base.contains_obj, "hom object {1} is not a base object"),
             *(self._check_rows(d, table, lambda v: _base_mor_ok(base, v), table + " entry {1} is out of base range")
               for table in ("eid", "ecomp", "fromarr")),
-        ])
+        ]) and self._check_enrichment_shapes(d, base)
         # from_arr must be bijective per hom pair onto base(I, E(x,y))
         for x in range(n):
             for y in range(n):

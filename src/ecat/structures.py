@@ -6,6 +6,10 @@ structured sets and structure-preserving maps is cartesian monoidal with the
 literal pairing encoding (i, j) -> i*|Y| + j, under which unitors and
 associators are identities.
 
+``CartesianStructure.maps`` lists the structure-preserving graphs in
+lexicographic order; ``MorRef`` indices into a hom, and the points of an
+internal hom object, are positions in that list and depend on that order.
+
 The materialized category quantifies checks over the canonical structures on
 carriers up to the size cap; products of window objects are registered lazily
 in an object halo. Hom enumerations beyond ``mor_bound`` raise WindowExceeded.
@@ -31,6 +35,14 @@ class CartesianStructure:
 
     def is_map(self, nx: int, sx, ny: int, sy, graph: tuple[int, ...]) -> bool:
         raise NotImplementedError
+
+    def maps(self, nx: int, sx, ny: int, sy) -> list[tuple[int, ...]]:
+        """The structure-preserving graphs nx -> ny in lexicographic order;
+        this filter is the reference that faster overrides must match."""
+        return [
+            g for g in itertools.product(range(ny), repeat=nx)
+            if self.is_map(nx, sx, ny, sy, g)
+        ]
 
     def unit_structure(self):
         raise NotImplementedError
@@ -87,7 +99,7 @@ class TrivialStructure(CartesianStructure):
         return ()
 
     def hom_structure(self, nx, sx, ny, sy):
-        return [tuple(g) for g in itertools.product(range(ny), repeat=nx)], ()
+        return self.maps(nx, sx, ny, sy), ()
 
 
 def _is_poset(n: int, rel: frozenset) -> bool:
@@ -101,6 +113,29 @@ def _is_poset(n: int, rel: frozenset) -> bool:
             if b == c and (a, d) not in rel:
                 return False
     return True
+
+
+def _monotone_maps(nx: int, rx, ny: int, ry) -> list[tuple[int, ...]]:
+    """The graphs g: nx -> ny with (g[i], g[j]) in ry for every (i, j) in rx,
+    in lexicographic order. Prefixes grow one position at a time: position i
+    takes the values that satisfy the pairs of rx whose larger end is i
+    (diagonal included), cached per tuple of the earlier positions they name."""
+    prefixes: list[tuple[int, ...]] = [()]
+    for i in range(nx):
+        pairs = [(a, b) for a, b in rx if max(a, b) == i]
+        earlier = sorted({p for pair in pairs for p in pair} - {i})
+        allowed: dict[tuple, list[int]] = {}
+        grown = []
+        for g in prefixes:
+            key = tuple(map(g.__getitem__, earlier))
+            if key not in allowed:
+                allowed[key] = [
+                    v for v in range(ny)
+                    if all((t[a], t[b]) in ry for t in [g + (v,)] for a, b in pairs)
+                ]
+            grown += [g + (v,) for v in allowed[key]]
+        prefixes = grown
+    return prefixes
 
 
 class PosetStructure(CartesianStructure):
@@ -123,6 +158,9 @@ class PosetStructure(CartesianStructure):
     def is_map(self, nx, sx, ny, sy, graph):
         return all((graph[i], graph[j]) in sy for (i, j) in sx)
 
+    def maps(self, nx, sx, ny, sy):
+        return _monotone_maps(nx, sx, ny, sy)
+
     def unit_structure(self):
         return frozenset({(0, 0)})
 
@@ -141,10 +179,7 @@ class PosetStructure(CartesianStructure):
         )
 
     def hom_structure(self, nx, sx, ny, sy):
-        graphs = [
-            g for g in itertools.product(range(ny), repeat=nx)
-            if self.is_map(nx, sx, ny, sy, g)
-        ]
+        graphs = _monotone_maps(nx, sx, ny, sy)
         m = len(graphs)
         rel = frozenset(
             (a, b)
@@ -177,7 +212,10 @@ class PointedPosetStructure(PosetStructure):
         return out
 
     def is_map(self, nx, sx, ny, sy, graph):
-        return all((graph[i], graph[j]) in sy[0] for (i, j) in sx[0])
+        return super().is_map(nx, sx[0], ny, sy[0], graph)
+
+    def maps(self, nx, sx, ny, sy):
+        return super().maps(nx, sx[0], ny, sy[0])
 
     def unit_structure(self):
         return (frozenset({(0, 0)}), 0)
@@ -198,19 +236,8 @@ class PointedPosetStructure(PosetStructure):
         return (rel, bottoms[0])
 
     def hom_structure(self, nx, sx, ny, sy):
-        graphs = [
-            g for g in itertools.product(range(ny), repeat=nx)
-            if self.is_map(nx, sx, ny, sy, g)
-        ]
-        m = len(graphs)
-        rel = frozenset(
-            (a, b)
-            for a in range(m)
-            for b in range(m)
-            if all((graphs[a][i], graphs[b][i]) in sy[0] for i in range(nx))
-        )
-        bottom = graphs.index(tuple(sy[1] for _ in range(nx)))
-        return graphs, (rel, bottom)
+        graphs, rel = super().hom_structure(nx, sx[0], ny, sy[0])
+        return graphs, (rel, graphs.index((sy[1],) * nx))
 
     def _key(self, s):
         return (tuple(sorted(s[0])), s[1])
@@ -236,11 +263,13 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
                 if s != s2 and S.is_map(n, s, n, s2, ident) and S.is_map(n, s2, n, s, ident):
                     col.add("structure-antisymmetry", (n, S._key(s), S._key(s2)))
 
-    for (nx, sx), (ny, sy) in itertools.product(carriers, repeat=2):
-        maps_xy = [
-            g for g in itertools.product(range(ny), repeat=nx)
-            if S.is_map(nx, sx, ny, sy, g)
-        ]
+    maps = {
+        (x, y): S.maps(nx, sx, ny, sy)
+        for x, (nx, sx) in enumerate(carriers)
+        for y, (ny, sy) in enumerate(carriers)
+    }
+    for (x, y), maps_xy in maps.items():
+        (nx, sx), (ny, sy) = carriers[x], carriers[y]
         prod = S.prod(nx, sx, ny, sy)
         p1 = tuple(idx // ny for idx in range(nx * ny))
         p2 = tuple(idx % ny for idx in range(nx * ny))
@@ -248,19 +277,17 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
             col.add("projection-1", (nx, ny))
         if not S.is_map(nx * ny, prod, ny, sy, p2):
             col.add("projection-2", (nx, ny))
-        for (nz, sz) in carriers:
+        for z, (nz, sz) in enumerate(carriers):
             for g in maps_xy:
-                for h in itertools.product(range(nz), repeat=ny):
-                    if S.is_map(ny, sy, nz, sz, h):
-                        if not S.is_map(nx, sx, nz, sz, tuple(h[v] for v in g)):
-                            col.add("composition-closure", (nx, ny, nz, g, h))
+                for h in maps[y, z]:
+                    if not S.is_map(nx, sx, nz, sz, tuple(h[v] for v in g)):
+                        col.add("composition-closure", (nx, ny, nz, g, h))
             # pairing from X into Y x Z
-            for g2 in itertools.product(range(nz), repeat=nx):
-                if not S.is_map(nx, sx, nz, sz, g2):
-                    continue
+            prod_yz = S.prod(ny, sy, nz, sz)
+            for g2 in maps[x, z]:
                 for g1 in maps_xy:
                     paired = tuple(g1[i] * nz + g2[i] for i in range(nx))
-                    if not S.is_map(nx, sx, ny * nz, S.prod(ny, sy, nz, sz), paired):
+                    if not S.is_map(nx, sx, ny * nz, prod_yz, paired):
                         col.add("pairing", (nx, ny, nz, g1, g2))
     return col.report()
 
@@ -326,10 +353,7 @@ class StructCat(MonBase):
             space = ny ** nx if nx > 0 else 1
             if space > self.mor_bound:
                 raise WindowExceeded(f"hom({x},{y}) enumeration of {space} graphs")
-            got = [
-                g for g in itertools.product(range(ny), repeat=nx)
-                if self.struct.is_map(nx, sx, ny, sy, g)
-            ]
+            got = self.struct.maps(nx, sx, ny, sy)
             self._homs[key] = got
             self._hom_index[key] = {g: i for i, g in enumerate(got)}
         return got
@@ -429,7 +453,6 @@ class StructCat(MonBase):
 
     def ev(self, y, z):
         obj, graphs, _ = self._hom_object(y, z)
-        ny = self.obj_size(y)
         out = []
         for g in graphs:
             out.extend(g)

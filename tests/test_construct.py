@@ -32,9 +32,16 @@ from ecat.core import (
     id_functor,
     underlying_category,
 )
-from ecat.report import CapabilityError, StructuralError
-from ecat.structures import PointedPosetStructure, PosetStructure, TrivialStructure, check_structure
-from ecat.vbase import MorRef, bool_base, builtin_base, terminal_base
+from ecat.report import CapabilityError, StructuralError, WindowExceeded
+from ecat.structures import (
+    CartesianStructure,
+    PointedPosetStructure,
+    PosetStructure,
+    StructCat,
+    TrivialStructure,
+    check_structure,
+)
+from ecat.vbase import MorRef, base_law_checks, bool_base, builtin_base, terminal_base
 
 from helpers import random_preorder
 
@@ -399,6 +406,66 @@ def test_structure_axioms():
     assert check_structure(TrivialStructure(), 2).ok
     assert check_structure(PosetStructure(), 2).ok
     assert check_structure(PointedPosetStructure(), 2).ok
+    assert check_structure(PointedPosetStructure(), 3).ok
+
+
+class _CountingStructCat(StructCat):
+    """Counts the WindowExceeded refusals of the hom and hom-object
+    enumerations, the skips a law scan swallows."""
+
+    window_exceeded = 0
+
+    def _hom_graphs(self, x, y):
+        try:
+            return super()._hom_graphs(x, y)
+        except WindowExceeded:
+            self.window_exceeded += 1
+            raise
+
+    def _hom_object(self, y, z):
+        try:
+            return super()._hom_object(y, z)
+        except WindowExceeded:
+            self.window_exceeded += 1
+            raise
+
+
+@pytest.mark.parametrize("struct, skips", [
+    (PosetStructure(), {"category": 0, "monoidal": 156, "symmetric": 8, "closed": 0}),
+    (PointedPosetStructure(), {"category": 0, "monoidal": 12, "symmetric": 1, "closed": 0}),
+])
+def test_struct_maps_match_reference_filter_on_law_scans(struct, skips):
+    """Every hom and hom object the four law scans enumerate on a fresh
+    base of cap 2 equals the generate-and-test reference, list order
+    included, and each scan refuses the same instances."""
+    seen = {}
+    for family, check in base_law_checks(StructCat(struct, 2)):
+        V = _CountingStructCat(struct, 2)
+        assert check(V).ok
+        assert V.window_exceeded == skips.pop(family)
+        for (x, y), graphs in V._homs.items():
+            seen[V._objs[x], V._objs[y]] = graphs
+        for (y, z), (_, graphs, _) in V._homobj.items():
+            seen[V._objs[y], V._objs[z]] = graphs
+    assert not skips
+    for ((nx, sx), (ny, sy)), graphs in seen.items():
+        assert graphs == CartesianStructure.maps(struct, nx, sx, ny, sy)
+
+
+def test_poset_maps_match_reference_filter_on_random_relations():
+    """Arbitrary relations, reflexive or not, on 0 to 4 points each side."""
+    S = PosetStructure()
+    rng = random.Random(11)
+    for nx, ny in itertools.product(range(5), repeat=2):
+        for _ in range(12):
+            rx = frozenset(p for p in itertools.product(range(nx), repeat=2) if rng.random() < 0.4)
+            ry = frozenset(p for p in itertools.product(range(ny), repeat=2) if rng.random() < 0.7)
+            assert S.maps(nx, rx, ny, ry) == CartesianStructure.maps(S, nx, rx, ny, ry)
+    assert S.maps(0, frozenset(), 0, frozenset()) == [()]
+    assert S.maps(0, frozenset(), 2, frozenset({(0, 0)})) == [()]
+    assert S.maps(2, frozenset({(0, 1)}), 0, frozenset()) == []
+    # the diagonal pair (0, 0) asks for g[0] in {v : (v, v) in ry}
+    assert S.maps(1, frozenset({(0, 0)}), 3, frozenset({(1, 1), (0, 2)})) == [(1,)]
 
 
 def test_trivial_structure_matches_finset(finset2):

@@ -480,3 +480,49 @@ def test_fromarr_key_must_be_an_underlying_morphism(tmp_path, capsys):
     path = _machine_file(tmp_path, lambda e: e["tables"]["fromarr"].append([[1, 0, 0], [1, 1, 0]]))
     assert run_cli(["check", path]) == 1
     assert capsys.readouterr().out.splitlines() == [f"{path}:items[1].tables.fromarr[3]: {message}"]
+
+
+ENRICHED_SHAPE_ERRORS = [
+    "eid entry at 1 is (0,0,0), not a morphism 1 -> 1",
+    "ecomp entry at (1, 1, 1) is (0,1,0), not a morphism 1 -> 1",
+    "fromarr entry at (0,1,0) is (0,1,0), not a morphism 1 -> 1",
+]
+
+
+def test_text_enriched_row_shapes_checked(tmp_path, capsys):
+    path = _chain2_text(
+        tmp_path,
+        ("  eid 1 = (1,1,0)\n", "  eid 1 = (0,0,0)\n"),
+        ("  ecomp (1,1,1) = (1,1,0)\n", "  ecomp (1,1,1) = (0,1,0)\n"),
+        ("  fromarr (0,1,0) = (1,1,0)\n", "  fromarr (0,1,0) = (0,1,0)\n"),
+    )
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:{line}:3: error: {message}" for line, message in zip((89, 97, 99), ENRICHED_SHAPE_ERRORS)
+    ]
+
+
+def test_json_enriched_row_shapes_checked(tmp_path, capsys):
+    def mutate(e):
+        e["tables"]["eid"][1][1] = [0, 0, 0]
+        e["tables"]["ecomp"][7][1] = [0, 1, 0]
+        e["tables"]["fromarr"][1][1] = [0, 1, 0]
+
+    path = _machine_file(tmp_path, mutate)
+    assert run_cli(["check", path]) == 1
+    rows = ("eid[1]", "ecomp[7]", "fromarr[1]")
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:items[1].tables.{row}: error: {message}" for row, message in zip(rows, ENRICHED_SHAPE_ERRORS)
+    ]
+
+
+@pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)
+def test_cli_json_check_of_bad_files_is_json_and_fails(path, capsys):
+    code = run_cli(["--format", "json", "check", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["ok"] is False
+    doc, diags = load([str(path)])
+    assert payload["diagnostics"] == [d.describe() for d in diags]
+    if doc is None:
+        assert payload["items"] == []
