@@ -415,10 +415,12 @@ def run_cli(argv: list[str]) -> int:
     try:
         return args.fn(args)
     except dsl.ParseFailure as exc:
-        _print_diagnostics(exc.diagnostics)
-        return 1
+        return _emit_reports([], args.format, exc.diagnostics)
     except (EcatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            print(json.dumps({"ok": False, "error": str(exc)}, indent=2, sort_keys=True))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,23 +4,29 @@ A structured set is a pair (carrier size, structure value); structure values
 are hashable and canonical under carrier relabeling. The category of
 structured sets and structure-preserving maps is cartesian monoidal with the
 literal pairing encoding (i, j) -> i*|Y| + j, under which unitors and
-associators are identities.
+associators are identities. ``StructCat`` runs on the graph kernel
+``finset.GraphBase`` and numbers each hom in one of its two ways.
 
 ``CartesianStructure.maps`` lists the structure-preserving graphs in
 lexicographic order; ``MorRef`` indices into a hom, and the points of an
-internal hom object, are positions in that list and depend on that order.
+internal hom object, are positions in that list and depend on that order. A
+free hom (``CartesianStructure.is_free``: a discrete poset source, or a
+trivial structure) holds every graph, so that position equals ``graph_rank``:
+free homs are ranked by arithmetic and never listed; constrained homs are
+listed once per base instance.
 
 The materialized category quantifies checks over the canonical structures on
 carriers up to the size cap; products of window objects are registered lazily
-in an object halo. Hom enumerations beyond ``mor_bound`` raise WindowExceeded.
+in an object halo. A hom of more than ``mor_bound`` candidate graphs (ny**nx),
+free or not, raises WindowExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .finset import GraphBase, graph_rank
 from .report import CapabilityError, CheckReport, Collector, StructuralError, WindowExceeded
-from .vbase import EqualizerResult, MonBase, MorRef, ProductResult
 
 
 class CartesianStructure:
@@ -43,6 +49,12 @@ class CartesianStructure:
             g for g in itertools.product(range(ny), repeat=nx)
             if self.is_map(nx, sx, ny, sy, g)
         ]
+
+    def is_free(self, nx: int, sx, ny: int, sy) -> bool:
+        """True when every graph nx -> ny preserves the structure, so that
+        ``maps`` would list all ny**nx graphs and a graph's position there
+        is its ``graph_rank``. False, the default, is always safe."""
+        return False
 
     def unit_structure(self):
         raise NotImplementedError
@@ -84,6 +96,9 @@ class TrivialStructure(CartesianStructure):
         return [()]
 
     def is_map(self, nx, sx, ny, sy, graph):
+        return True
+
+    def is_free(self, nx, sx, ny, sy):
         return True
 
     def unit_structure(self):
@@ -161,6 +176,10 @@ class PosetStructure(CartesianStructure):
     def maps(self, nx, sx, ny, sy):
         return _monotone_maps(nx, sx, ny, sy)
 
+    def is_free(self, nx, sx, ny, sy):
+        """A source relation of diagonal pairs only, into a reflexive target."""
+        return all(a == b for a, b in sx) and all((v, v) in sy for v in range(ny))
+
     def unit_structure(self):
         return frozenset({(0, 0)})
 
@@ -217,6 +236,9 @@ class PointedPosetStructure(PosetStructure):
     def maps(self, nx, sx, ny, sy):
         return super().maps(nx, sx[0], ny, sy[0])
 
+    def is_free(self, nx, sx, ny, sy):
+        return super().is_free(nx, sx[0], ny, sy[0])
+
     def unit_structure(self):
         return (frozenset({(0, 0)}), 0)
 
@@ -268,6 +290,8 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
         for x, (nx, sx) in enumerate(carriers)
         for y, (ny, sy) in enumerate(carriers)
     }
+    # a composite preserves the structure iff it is one of the maps x -> z
+    preserving = {key: set(maps_xy) for key, maps_xy in maps.items()}
     for (x, y), maps_xy in maps.items():
         (nx, sx), (ny, sy) = carriers[x], carriers[y]
         prod = S.prod(nx, sx, ny, sy)
@@ -278,25 +302,23 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
         if not S.is_map(nx * ny, prod, ny, sy, p2):
             col.add("projection-2", (nx, ny))
         for z, (nz, sz) in enumerate(carriers):
+            preserving_xz = preserving[x, z]
             for g in maps_xy:
                 for h in maps[y, z]:
-                    if not S.is_map(nx, sx, nz, sz, tuple(h[v] for v in g)):
+                    if tuple(map(h.__getitem__, g)) not in preserving_xz:
                         col.add("composition-closure", (nx, ny, nz, g, h))
             # pairing from X into Y x Z
             prod_yz = S.prod(ny, sy, nz, sz)
             for g2 in maps[x, z]:
                 for g1 in maps_xy:
-                    paired = tuple(g1[i] * nz + g2[i] for i in range(nx))
+                    paired = tuple([a * nz + b for a, b in zip(g1, g2)])
                     if not S.is_map(nx, sx, ny * nz, prod_yz, paired):
                         col.add("pairing", (nx, ny, nz, g1, g2))
     return col.report()
 
 
-class StructCat(MonBase):
+class StructCat(GraphBase):
     """Monoidal category of structured sets, windowed at a carrier-size cap."""
-
-    symmetric = True
-    has_products = True
 
     def __init__(self, struct: CartesianStructure, size_cap: int, mor_bound: int = 200_000):
         report = check_structure(struct, size_cap)
@@ -304,6 +326,7 @@ class StructCat(MonBase):
             raise StructuralError(
                 f"structure axioms fail: {report.failures[0].law} at {report.failures[0].instance}"
             )
+        super().__init__()
         self.struct = struct
         self.size_cap = size_cap
         self.mor_bound = mor_bound
@@ -314,6 +337,7 @@ class StructCat(MonBase):
         self._homs: dict = {}
         self._hom_index: dict = {}
         self._homobj: dict = {}
+        self._tensor: dict = {}
         for n in range(size_cap + 1):
             for s in struct.structures(n):
                 self._register(n, struct.canonical(n, s))
@@ -344,191 +368,60 @@ class StructCat(MonBase):
         return self._objs[x][1]
 
     # -- homs --------------------------------------------------------------
-    def _hom_graphs(self, x: int, y: int) -> list[tuple[int, ...]]:
+    def _numbering(self, x: int, y: int) -> list[tuple[int, ...]] | None:
+        """The preserving graphs x -> y in order, or None for a free hom,
+        numbered by ``graph_rank``. The one place a hom (or hom object) is
+        refused: WindowExceeded when ny**nx exceeds ``mor_bound``."""
         key = (x, y)
-        got = self._homs.get(key)
-        if got is None:
-            nx, sx = self._objs[x]
-            ny, sy = self._objs[y]
-            space = ny ** nx if nx > 0 else 1
-            if space > self.mor_bound:
-                raise WindowExceeded(f"hom({x},{y}) enumeration of {space} graphs")
-            got = self.struct.maps(nx, sx, ny, sy)
-            self._homs[key] = got
-            self._hom_index[key] = {g: i for i, g in enumerate(got)}
-        return got
-
-    def hom_size(self, x, y):
-        return len(self._hom_graphs(x, y))
-
-    def graph(self, m: MorRef) -> tuple[int, ...]:
-        hs = self._hom_graphs(m.src, m.dst)
-        if not (0 <= m.k < len(hs)):
-            raise StructuralError(f"morphism index out of range: {m}")
-        return hs[m.k]
-
-    def mor(self, src: int, dst: int, graph: tuple[int, ...]) -> MorRef:
-        self._hom_graphs(src, dst)
-        idx = self._hom_index[(src, dst)].get(tuple(graph))
-        if idx is None:
-            raise StructuralError(f"graph {graph} is not structure-preserving {src} -> {dst}")
-        return MorRef(src, dst, idx)
-
-    def id_of(self, x):
-        return self.mor(x, x, tuple(range(self.obj_size(x))))
-
-    def compose(self, f, g):
-        if f.dst != g.src:
-            raise StructuralError(f"non-composable pair {f} {g}")
-        gf, gg = self.graph(f), self.graph(g)
-        return self.mor(f.src, g.dst, tuple(gg[v] for v in gf))
-
-    # -- monoidal ------------------------------------------------------------
-    def tensor_obj(self, x, y):
+        if key in self._homs:
+            return self._homs[key]
         nx, sx = self._objs[x]
         ny, sy = self._objs[y]
-        return self._register(nx * ny, self.struct.prod(nx, sx, ny, sy))
-
-    def tensor_mor(self, f, g):
-        nf, ng = self.obj_size(f.src), self.obj_size(g.src)
-        ny2 = self.obj_size(g.dst)
-        gf, gg = self.graph(f), self.graph(g)
-        out = []
-        for i in range(nf):
-            for j in range(ng):
-                out.append(gf[i] * ny2 + gg[j])
-        return self.mor(self.tensor_obj(f.src, g.src), self.tensor_obj(f.dst, g.dst), tuple(out))
-
-    def lunitor(self, x):
-        src = self.tensor_obj(self.unit, x)
-        return self.mor(src, x, tuple(range(self.obj_size(x))))
-
-    def lunitor_inv(self, x):
-        dst = self.tensor_obj(self.unit, x)
-        return self.mor(x, dst, tuple(range(self.obj_size(x))))
-
-    def runitor(self, x):
-        src = self.tensor_obj(x, self.unit)
-        return self.mor(src, x, tuple(range(self.obj_size(x))))
-
-    def runitor_inv(self, x):
-        dst = self.tensor_obj(x, self.unit)
-        return self.mor(x, dst, tuple(range(self.obj_size(x))))
-
-    def associator(self, x, y, z):
-        src = self.tensor_obj(self.tensor_obj(x, y), z)
-        dst = self.tensor_obj(x, self.tensor_obj(y, z))
-        return self.mor(src, dst, tuple(range(self.obj_size(src))))
-
-    def associator_inv(self, x, y, z):
-        src = self.tensor_obj(self.tensor_obj(x, y), z)
-        dst = self.tensor_obj(x, self.tensor_obj(y, z))
-        return self.mor(dst, src, tuple(range(self.obj_size(src))))
-
-    def symmetry(self, x, y):
-        nx, ny = self.obj_size(x), self.obj_size(y)
-        graph = tuple((idx % ny) * nx + (idx // ny) for idx in range(nx * ny))
-        return self.mor(self.tensor_obj(x, y), self.tensor_obj(y, x), graph)
-
-    # -- closed --------------------------------------------------------------
-    def _hom_object(self, y: int, z: int):
-        key = (y, z)
-        got = self._homobj.get(key)
-        if got is None:
-            ny, sy = self._objs[y]
-            nz, sz = self._objs[z]
-            if not self.closed:
-                raise CapabilityError(f"{self.name} has no closed structure")
-            space = nz ** ny if ny > 0 else 1
-            if space > self.mor_bound:
-                raise WindowExceeded(f"hom object [{y},{z}] of {space} graphs")
-            graphs, value = self.struct.hom_structure(ny, sy, nz, sz)
-            obj = self._register(len(graphs), value)
-            got = (obj, graphs, {g: i for i, g in enumerate(graphs)})
-            self._homobj[key] = got
+        space = ny ** nx
+        if space > self.mor_bound:
+            raise WindowExceeded(f"hom({x},{y}) enumeration of {space} graphs")
+        got = None
+        if not self.struct.is_free(nx, sx, ny, sy):
+            got = self.struct.maps(nx, sx, ny, sy)
+            self._hom_index[key] = {g: i for i, g in enumerate(got)}
+        self._homs[key] = got
         return got
 
-    def hom_obj(self, y, z):
-        return self._hom_object(y, z)[0]
+    def _rank(self, src: int, dst: int, graph: tuple[int, ...]) -> int:
+        if self._numbering(src, dst) is None:
+            nx, ny = self.obj_size(src), self.obj_size(dst)
+            if len(graph) == nx and all(0 <= v < ny for v in graph):
+                return graph_rank(graph, ny)
+        else:
+            idx = self._hom_index[(src, dst)].get(graph)
+            if idx is not None:
+                return idx
+        raise StructuralError(f"graph {graph} is not structure-preserving {src} -> {dst}")
 
-    def ev(self, y, z):
-        obj, graphs, _ = self._hom_object(y, z)
-        out = []
-        for g in graphs:
-            out.extend(g)
-        return self.mor(self.tensor_obj(obj, y), z, tuple(out))
-
-    def lam(self, x, y, z, f):
-        obj, _, gidx = self._hom_object(y, z)
-        nx, ny = self.obj_size(x), self.obj_size(y)
-        if f.src != self.tensor_obj(x, y) or f.dst != z:
-            raise StructuralError(f"lam argument {f} is not {x}*{y} -> {z}")
-        gf = self.graph(f)
-        rows = []
-        for i in range(nx):
-            row = tuple(gf[i * ny + j] for j in range(ny))
-            ri = gidx.get(row)
-            if ri is None:
-                raise StructuralError(f"transpose row {row} is not structure-preserving")
-            rows.append(ri)
-        return self.mor(x, obj, tuple(rows))
-
-    # -- limits ----------------------------------------------------------------
-    def equalizer(self, f, g):
-        if not self.has_equalizers:
-            raise CapabilityError(f"{self.name} has no equalizers")
-        gf, gg = self.graph(f), self.graph(g)
-        fixed = [i for i in range(self.obj_size(f.src)) if gf[i] == gg[i]]
-        n, s = self._objs[f.src]
-        sub = self.struct.sub(n, s, fixed)
+    def _subobject(self, x: int, positions: list[int]) -> int:
+        n, s = self._objs[x]
+        sub = self.struct.sub(n, s, positions)
         if sub is None:
             raise CapabilityError("equalizing subset carries no structure (no least element)")
-        obj = self._register(len(fixed), sub)
-        inc = self.mor(obj, f.src, tuple(fixed))
-        positions = {v: i for i, v in enumerate(fixed)}
+        return self._register(len(positions), sub)
 
-        def factor(h: MorRef) -> MorRef:
-            gh = self.graph(h)
-            if any(v not in positions for v in gh):
-                raise StructuralError(f"{h} does not equalize the pair")
-            return self.mor(h.src, obj, tuple(positions[v] for v in gh))
+    # -- monoidal and closed objects -------------------------------------------
+    def tensor_obj(self, x, y):
+        obj = self._tensor.get((x, y))
+        if obj is None:
+            nx, sx = self._objs[x]
+            ny, sy = self._objs[y]
+            obj = self._tensor[(x, y)] = self._register(nx * ny, self.struct.prod(nx, sx, ny, sy))
+        return obj
 
-        return EqualizerResult(obj, inc, factor)
-
-    def product(self, objs):
-        objs = list(objs)
-        obj = self.unit
-        for o in reversed(objs):
-            obj = self.tensor_obj(o, obj) if obj != self.unit else o
-        if not objs:
-            obj = self.unit
-        sizes = [self.obj_size(o) for o in objs]
-        total = self.obj_size(obj)
-        strides = []
-        acc = 1
-        for n in reversed(sizes):
-            strides.append(acc)
-            acc *= n
-        strides.reverse()
-        projections = tuple(
-            self.mor(obj, o, tuple((idx // strides[i]) % sizes[i] for idx in range(total)))
-            for i, o in enumerate(objs)
-        )
-
-        def pair(src: int, cone) -> MorRef:
-            cone = list(cone)
-            if len(cone) != len(objs):
-                raise StructuralError("cone arity mismatch")
-            if any(h.src != src for h in cone):
-                raise StructuralError("cone legs do not share the stated source")
-            graphs = [self.graph(h) for h in cone]
-            n_src = self.obj_size(src)
-            out = []
-            for t in range(n_src):
-                idx = 0
-                for gr, stride in zip(graphs, strides):
-                    idx += gr[t] * stride
-                out.append(idx)
-            return self.mor(src, obj, tuple(out))
-
-        return ProductResult(obj, projections, pair)
+    def hom_obj(self, y, z):
+        obj = self._homobj.get((y, z))
+        if obj is None:
+            if not self.closed:
+                raise CapabilityError(f"{self.name} has no closed structure")
+            self._numbering(y, z)
+            ny, sy = self._objs[y]
+            nz, sz = self._objs[z]
+            graphs, value = self.struct.hom_structure(ny, sy, nz, sz)
+            obj = self._homobj[(y, z)] = self._register(len(graphs), value)
+        return obj

@@ -410,21 +410,14 @@ def test_structure_axioms():
 
 
 class _CountingStructCat(StructCat):
-    """Counts the WindowExceeded refusals of the hom and hom-object
-    enumerations, the skips a law scan swallows."""
+    """Counts the WindowExceeded refusals of ``_numbering``, the one site
+    that refuses a hom or hom object: the skips a law scan swallows."""
 
     window_exceeded = 0
 
-    def _hom_graphs(self, x, y):
+    def _numbering(self, x, y):
         try:
-            return super()._hom_graphs(x, y)
-        except WindowExceeded:
-            self.window_exceeded += 1
-            raise
-
-    def _hom_object(self, y, z):
-        try:
-            return super()._hom_object(y, z)
+            return super()._numbering(x, y)
         except WindowExceeded:
             self.window_exceeded += 1
             raise
@@ -435,21 +428,54 @@ class _CountingStructCat(StructCat):
     (PointedPosetStructure(), {"category": 0, "monoidal": 12, "symmetric": 1, "closed": 0}),
 ])
 def test_struct_maps_match_reference_filter_on_law_scans(struct, skips):
-    """Every hom and hom object the four law scans enumerate on a fresh
-    base of cap 2 equals the generate-and-test reference, list order
-    included, and each scan refuses the same instances."""
+    """Every hom the four law scans number on a fresh base of cap 2, listed
+    or ranked by arithmetic, equals the generate-and-test reference, list
+    order included; so do the points of every hom object they form, which
+    are the hom's own numbering. Each scan refuses the same instances."""
     seen = {}
+    ranked = 0
     for family, check in base_law_checks(StructCat(struct, 2)):
         V = _CountingStructCat(struct, 2)
         assert check(V).ok
         assert V.window_exceeded == skips.pop(family)
-        for (x, y), graphs in V._homs.items():
+        for (x, y), listed in V._homs.items():
+            graphs = [V.graph(MorRef(x, y, k)) for k in range(V.hom_size(x, y))]
+            if listed is None:
+                ranked += 1
+            else:
+                assert graphs == listed
             seen[V._objs[x], V._objs[y]] = graphs
-        for (y, z), (_, graphs, _) in V._homobj.items():
-            seen[V._objs[y], V._objs[z]] = graphs
+        for y, z in V._homobj:
+            (ny, sy), (nz, sz) = V._objs[y], V._objs[z]
+            points, _ = struct.hom_structure(ny, sy, nz, sz)
+            assert points == list(V.hom_graphs(y, z))
+            seen[V._objs[y], V._objs[z]] = points
     assert not skips
+    assert ranked > 0
     for ((nx, sx), (ny, sy)), graphs in seen.items():
         assert graphs == CartesianStructure.maps(struct, nx, sx, ny, sy)
+
+
+@pytest.mark.parametrize("name", ["finposet_struct", "finpointedposet_struct"])
+def test_free_homs_ranked_by_arithmetic_match_reference_filter(name):
+    """On the window objects and their binary products, every hom within
+    ``mor_bound`` whose source imposes no constraint is numbered by
+    ``graph_rank``, never listed, and its k-th morphism is the k-th graph of
+    the generate-and-test reference."""
+    V = builtin_base(name, max_size=2)
+    window = list(V.objects())
+    objs = sorted(set(window) | {V.tensor_obj(a, b) for a in window for b in window})
+    free = 0
+    for x, y in itertools.product(objs, repeat=2):
+        (nx, sx), (ny, sy) = V._objs[x], V._objs[y]
+        if ny ** nx > V.mor_bound or not V.struct.is_free(nx, sx, ny, sy):
+            continue
+        free += 1
+        graphs = [V.graph(MorRef(x, y, k)) for k in range(V.hom_size(x, y))]
+        assert graphs == CartesianStructure.maps(V.struct, nx, sx, ny, sy)
+        assert V._homs[(x, y)] is None
+        assert all(V.mor(x, y, g) == MorRef(x, y, k) for k, g in enumerate(graphs))
+    assert free > 0
 
 
 def test_poset_maps_match_reference_filter_on_random_relations():

@@ -526,3 +526,24 @@ def test_cli_json_check_of_bad_files_is_json_and_fails(path, capsys):
     assert payload["diagnostics"] == [d.describe() for d in diags]
     if doc is None:
         assert payload["items"] == []
+
+
+COMMANDS = [
+    ["check"], ["construct", "self"], ["construct", "opposite"], ["construct", "full-sub"],
+    ["construct", "functor-category"], ["factorize"], ["equivalence"], ["rezk"],
+    ["yoneda-check"], ["precomp-check"], ["kleisli"], ["kleisli-ump"], ["enum-functors"],
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids="-".join)
+@pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)
+def test_cli_json_of_every_command_on_bad_files_is_json(path, command, capsys):
+    """A load failure or a refused command still prints one JSON object."""
+    code = run_cli(["--format", "json", *command, str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    doc, diags = load([str(path)])
+    if doc is None:
+        assert code == 1
+        assert payload == {"ok": False, "items": [], "diagnostics": [d.describe() for d in diags]}
+    elif code != 0:
+        assert payload["ok"] is False

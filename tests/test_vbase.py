@@ -176,6 +176,41 @@ def test_equalizer_rejects_non_parallel(boolb):
         equalizer(boolb, MorRef(0, 1, 0), MorRef(0, 0, 0))
 
 
+def test_finset_kernel_matches_rank_formulas():
+    """The shared graph kernel on finset(3) window morphisms against the
+    direct rank/unrank formulas: compose, tensor_mor, symmetry, ev, lam."""
+    from ecat.finset import graph_rank, graph_unrank
+
+    V = builtin_base("finset", k=3)
+
+    def ref(src, dst, graph):
+        return MorRef(src, dst, graph_rank(graph, dst))
+
+    def g(m):
+        return graph_unrank(m.k, m.src, m.dst)
+
+    objs = range(4)
+    homs = {(a, b): [MorRef(a, b, k) for k in range(V.hom_size(a, b))] for a in objs for b in objs}
+    window = [m for ms in homs.values() for m in ms]
+    for f in window:
+        for h in (h for c in objs for h in homs[f.dst, c]):
+            assert V.compose(f, h) == ref(f.src, h.dst, tuple(g(h)[v] for v in g(f)))
+        for h in window:
+            graph = tuple(g(f)[i] * h.dst + g(h)[j] for i in range(f.src) for j in range(h.src))
+            assert V.tensor_mor(f, h) == ref(f.src * h.src, f.dst * h.dst, graph)
+    for x, y in itertools.product(objs, repeat=2):
+        graph = tuple((idx % y) * x + idx // y for idx in range(x * y))
+        assert V.symmetry(x, y) == ref(x * y, y * x, graph)
+        h = V.hom_obj(x, y)
+        graph = tuple(v for k in range(h) for v in graph_unrank(k, x, y))
+        assert V.ev(x, y) == ref(h * x, y, graph)
+    for x, y, z in itertools.product(objs, repeat=3):
+        h = V.hom_obj(y, z)
+        for f in itertools.islice(V.hom(x * y, z), 500):
+            graph = tuple(graph_rank(g(f)[i * y:(i + 1) * y], z) for i in range(x))
+            assert V.lam(x, y, z, f) == ref(x, h, graph)
+
+
 def test_finset_equalizer_subset():
     V = builtin_base("finset", k=3)
     # f, g: 3 -> 2 differing exactly on the last element
