@@ -38,6 +38,10 @@ from .rezk import (
 from .vbase import base_law_checks
 
 
+class _UsageError(EcatError):
+    """A command whose inputs do not say which items to use (exit 2)."""
+
+
 def _load(paths: list[str]) -> dsl.Document:
     """Read one or more files into a single namespace; later files may
     reference earlier declarations. Raises ParseFailure on diagnostics."""
@@ -210,8 +214,7 @@ def _cmd_equivalence(args) -> int:
     try:
         adj = weak_equivalence_to_adjoint_equivalence(fun_item.value)
     except EcatError as exc:
-        print(f"not a weak equivalence: {exc}")
-        return 1
+        raise EcatError(f"not a weak equivalence: {exc}") from exc
     t1, t2 = adj.triangle_reports
     verdict = {"triangle_fwd": t1.ok, "triangle_bwd": t2.ok}
     print(json.dumps(verdict, indent=2, sort_keys=True) if args.format == "json"
@@ -253,8 +256,7 @@ def _cmd_precomp_check(args) -> int:
         cands = [i for i in doc.of_kind("enrichment")
                  if i.name not in (fun_item.refs["dom"], fun_item.refs["cod"])]
         if len(cands) != 1:
-            print("precomp-check needs --target to pick the third enrichment")
-            return 2
+            raise _UsageError("precomp-check needs --target to pick the third enrichment")
         enr_item = cands[0]
     rep = check_precomp_equivalence(fun_item.value, enr_item.value, cap=args.cap)
     return _emit_reports([(f"{fun_item.name}->{enr_item.name}", {"precomp": rep})], args.format)
@@ -294,10 +296,9 @@ def _cmd_kleisli_ump(args) -> int:
     cocone_item = _single(doc, "cocone", args.cocone, "kleisli-ump")
     T = monad_item.value
     try:
-        H, com = kleisli_universal_extend(T, cocone_item.value, cap=args.cap)
+        H, com = kleisli_universal_extend(T, cocone_item.value)
     except EcatError as exc:
-        print(f"universal property failed: {exc}")
-        return 1
+        raise EcatError(f"universal property failed: {exc}") from exc
     rep_h = check_functor_enrichment(H)
     rep_c = check_nat_trans_enrichment(com)
     verdict = {"mediator_ok": rep_h.ok, "cell_ok": rep_c.ok}
@@ -317,8 +318,7 @@ def _cmd_enum_functors(args) -> int:
                 doms = doms or enrs[0]
                 cods = cods or enrs[0]
             else:
-                print("enum-functors needs --dom and --cod")
-                return 2
+                raise _UsageError("enum-functors needs --dom and --cod")
         else:
             doms = doms or enrs[0]
             cods = cods or enrs[1]
@@ -421,7 +421,7 @@ def run_cli(argv: list[str]) -> int:
             print(json.dumps({"ok": False, "error": str(exc)}, indent=2, sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 def main() -> None:

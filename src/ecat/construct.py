@@ -17,7 +17,7 @@ from .core import (
     required_ecomp,
     required_farr,
 )
-from .report import CapabilityError, CheckReport, Collector, StructuralError
+from .report import CapabilityError, Collector, StructuralError, law_scan
 from .structures import CartesianStructure, StructCat
 from .vbase import FinCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
 
@@ -68,10 +68,10 @@ class LaxMonoidalFunctor:
             raise StructuralError(f"no underlying preimage for {m} at {x}") from None
 
 
-def check_lax_monoidal(F: LaxMonoidalFunctor, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_lax_monoidal(col: Collector, F: LaxMonoidalFunctor) -> None:
     """Functor laws and the lax unit/associativity coherence squares,
     exhaustively over the domain window."""
-    col = Collector(limit)
     V, W = F.dom, F.cod
     for x in V.objects():
         fx = F.ob(x)
@@ -90,8 +90,6 @@ def check_lax_monoidal(F: LaxMonoidalFunctor, limit: int | None = None) -> Check
             rhs = W.compose(F.mor(f), F.mor(g))
             if lhs != rhs:
                 col.add("functor-composition", (f, g), lhs, rhs)
-            if col.full():
-                return col.report()
 
     for x, y in itertools.product(V.objects(), repeat=2):
         require_mor_shape(
@@ -106,8 +104,6 @@ def check_lax_monoidal(F: LaxMonoidalFunctor, limit: int | None = None) -> Check
             rhs = W.compose(W.tensor_mor(F.mor(f), F.mor(g)), F.mult(f.dst, g.dst))
             if lhs != rhs:
                 col.add("mult-natural", (f, g), lhs, rhs)
-            if col.full():
-                return col.report()
 
     I = V.unit
     for x in V.objects():
@@ -141,16 +137,13 @@ def check_lax_monoidal(F: LaxMonoidalFunctor, limit: int | None = None) -> Check
         )
         if lhs != rhs:
             col.add("lax-associativity", (x, y, z), lhs, rhs)
-        if col.full():
-            return col.report()
-    return col.report()
 
 
-def check_preserves_underlying(F: LaxMonoidalFunctor, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_preserves_underlying(col: Collector, F: LaxMonoidalFunctor) -> None:
     """For every domain object x, the map u |-> unit_cell ; F(u) from
     dom(I1, x) to cod(I2, F x) must be a bijection. On success the inverse
     table is materialized on F for change-of-base."""
-    col = Collector(limit)
     V, W = F.dom, F.cod
     I1 = V.unit
     change = {}
@@ -170,12 +163,8 @@ def check_preserves_underlying(F: LaxMonoidalFunctor, limit: int | None = None) 
         if fine:
             for v, u in image.items():
                 change[(x, v)] = u
-        if col.full():
-            return col.report()
-    report = col.report()
-    if report.ok:
+    if not col.failures:
         F._change = change
-    return report
 
 
 def change_of_base(F: LaxMonoidalFunctor, E: Enrichment) -> Enrichment:

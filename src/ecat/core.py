@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .report import CheckReport, Collector, StructuralError
+from .report import Collector, StructuralError, law_scan
 from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
 
 
@@ -251,7 +251,7 @@ def _scan_data_present(K, objs, col: Collector) -> None:
 def _scan_unit_assoc(K, objs, col: Collector) -> None:
     """The left and right unit and the associativity diagrams of an
     enrichment or a Kelly presentation, at every instance whose data is
-    present; stops once ``col`` is full."""
+    present."""
     V = K.base
     for x, y in itertools.product(objs, repeat=2):
         e_xy = K.hom(x, y)
@@ -268,8 +268,6 @@ def _scan_unit_assoc(K, objs, col: Collector) -> None:
             rhs = V.runitor(e_xy)
             if lhs != rhs:
                 col.add("right-unit", (x, y), lhs, rhs)
-        if col.full():
-            return
 
     for w, x, y, z in itertools.product(objs, repeat=4):
         c_wxy = K.ecomp(w, x, y)
@@ -287,11 +285,10 @@ def _scan_unit_assoc(K, objs, col: Collector) -> None:
         rhs = V.compose(V.tensor_mor(c_xyz, V.id_of(e_wx)), c_wxz)
         if lhs != rhs:
             col.add("associativity", (w, x, y, z), lhs, rhs)
-        if col.full():
-            return
 
 
-def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_enrichment(col: Collector, E: Enrichment) -> None:
     """All enrichment law families at every instance.
 
     Families: identity/composition data present, left and right unit,
@@ -302,15 +299,12 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
     _shape_enrichment(E)
     V = E.base
     I = V.unit
-    col = Collector(limit)
     objs = list(E.objects())
 
     _scan_data_present(E, objs, col)
     for f in E.under.mors():
         if E.farr(f) is None:
             col.add("from-arr-total", (f,))
-    if col.full():
-        return col.report()
 
     # from_arr bijectivity onto base(I, E(x,y)), per hom pair
     for x, y in itertools.product(objs, repeat=2):
@@ -327,8 +321,6 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
             seen[v] = f
         if fine and len(seen) != V.hom_size(I, E.hom(x, y)):
             col.add("from-arr-bijective", (x, y), len(seen), V.hom_size(I, E.hom(x, y)))
-        if col.full():
-            return col.report()
 
     # e_id is from_arr of the identity
     for x in objs:
@@ -338,8 +330,6 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
             col.add("identity-from-arr", (x,), ei, fa)
 
     _scan_unit_assoc(E, objs, col)
-    if col.full():
-        return col.report()
 
     # from_arr functoriality: composition in `under` maps to the enriched
     # composite of the unit-shaped arrows
@@ -356,22 +346,18 @@ def check_enrichment(E: Enrichment, limit: int | None = None) -> CheckReport:
             rhs = underlying_comp(E, u, v, f.src, f.dst, g.dst)
             if lhs != rhs:
                 col.add("from-arr-compose", (f, g), lhs, rhs)
-            if col.full():
-                return col.report()
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
 # Kelly presentation round trip
 # ---------------------------------------------------------------------------
 
-def check_kelly(K: KellyEnrichedCat, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_kelly(col: Collector, K: KellyEnrichedCat) -> None:
     """Unit and associativity diagrams of the Kelly-style presentation."""
-    col = Collector(limit)
     objs = range(K.n_objects)
     _scan_data_present(K, objs, col)
     _scan_unit_assoc(K, objs, col)
-    return col.report()
 
 
 def to_kelly(E: Enrichment) -> KellyEnrichedCat:
@@ -440,10 +426,10 @@ def underlying_iso_functor(E: Enrichment) -> EnrichedFunctor:
 # functor and transformation checkers
 # ---------------------------------------------------------------------------
 
-def check_functor_enrichment(F: EnrichedFunctor, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_functor_enrichment(col: Collector, F: EnrichedFunctor) -> None:
     """Underlying functor laws, the enrichment triangle and square, and the
     from_arr compatibility, at all instances."""
-    col = Collector(limit)
     E1, E2 = F.dom, F.cod
     V = E1.base
 
@@ -468,8 +454,6 @@ def check_functor_enrichment(F: EnrichedFunctor, limit: int | None = None) -> Ch
             rhs = E2.under.compose(F.mor(f), F.mor(g))
             if lhs != rhs:
                 col.add("underlying-composition", (f, g), lhs, rhs)
-            if col.full():
-                return col.report()
 
     for x in E1.objects():
         e1 = E1.eid(x)
@@ -489,8 +473,6 @@ def check_functor_enrichment(F: EnrichedFunctor, limit: int | None = None) -> Ch
         rhs = V.compose(V.tensor_mor(F.e_fun(y, z), F.e_fun(x, y)), c2)
         if lhs != rhs:
             col.add("functor-composition", (x, y, z), lhs, rhs)
-        if col.full():
-            return col.report()
 
     for f in E1.under.mors():
         u1 = E1.farr(f)
@@ -500,16 +482,13 @@ def check_functor_enrichment(F: EnrichedFunctor, limit: int | None = None) -> Ch
         lhs = V.compose(u1, F.e_fun(f.src, f.dst))
         if lhs != u2:
             col.add("functor-from-arr", (f,), lhs, u2)
-        if col.full():
-            return col.report()
-    return col.report()
 
 
-def check_nat_trans_enrichment(tau: EnrichedTransformation, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_nat_trans_enrichment(col: Collector, tau: EnrichedTransformation) -> None:
     """Underlying naturality plus BOTH enrichment formulations: the unitor
     hexagon and the pre/post-composition square. Their verdicts must agree;
     both are evaluated at every hom pair."""
-    col = Collector(limit)
     F1, F2 = tau.src, tau.dst
     E1, E2 = F1.dom, F1.cod
     V = E1.base
@@ -526,8 +505,6 @@ def check_nat_trans_enrichment(tau: EnrichedTransformation, limit: int | None = 
         rhs = E2.under.compose(tau.at(f.src), F2.mor(f))
         if lhs != rhs:
             col.add("naturality", (f,), lhs, rhs)
-        if col.full():
-            return col.report()
 
     for x, y in itertools.product(E1.objects(), repeat=2):
         e1 = E1.hom(x, y)
@@ -554,9 +531,6 @@ def check_nat_trans_enrichment(tau: EnrichedTransformation, limit: int | None = 
         sq_rhs = V.compose(F2.e_fun(x, y), postcompose_mor(E2, F2.ob(y), tau.at(x)))
         if sq_lhs != sq_rhs:
             col.add("nat-trans-square", (x, y), sq_lhs, sq_rhs)
-        if col.full():
-            return col.report()
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +623,7 @@ def invertible_2cell(tau: EnrichedTransformation) -> EnrichedTransformation | No
             return None
         inv[x] = g
     out = EnrichedTransformation(tau.dst, tau.src, inv, name=f"{tau.name}^-1")
-    rep = check_nat_trans_enrichment(out)
-    if not rep.ok:
-        raise StructuralError(
-            f"pointwise inverse fails enrichment: {rep.failures[0].describe()}"
-        )
+    check_nat_trans_enrichment(out).require("pointwise inverse fails enrichment")
     return out
 
 

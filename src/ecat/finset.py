@@ -239,6 +239,8 @@ class GraphBase(MonBase):
                 raise StructuralError("cone arity mismatch")
             if any(h.src != src for h in cone):
                 raise StructuralError("cone legs do not share the stated source")
+            if any(h.dst != o for h, o in zip(cone, objs)):
+                raise StructuralError("cone legs do not land in their factors")
             graphs = [self.graph(h) for h in cone]
             out = []
             for t in range(self.obj_size(src)):
@@ -246,7 +248,7 @@ class GraphBase(MonBase):
                 for gr, stride in zip(graphs, strides):
                     idx += gr[t] * stride
                 out.append(idx)
-            return self.mor(src, obj, tuple(out))  # legs' targets are unchecked
+            return self.mor(src, obj, tuple(out))
 
         return ProductResult(obj, projections, pair)
 

@@ -30,7 +30,7 @@ from .factor import (
     FactorizationResult,
     image_factorization,
 )
-from .report import CapabilityError, CheckReport, Collector, StructuralError
+from .report import CapabilityError, Collector, StructuralError, law_scan
 from .rezk import UnivalenceReport, extend_functor, transport_transformation, univalence_report
 from .vbase import FinCat, MorRef
 
@@ -66,19 +66,15 @@ class KleisliCocone:
     name: str = ""
 
 
-def check_enriched_monad(T: EnrichedMonad, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_enriched_monad(col: Collector, T: EnrichedMonad) -> None:
     """Endofunctor/transformation checkers plus the unit and associativity
     laws of the monad, componentwise over every object."""
-    col = Collector(limit)
     E = T.carrier
     cat = E.under
-    rep = check_functor_enrichment(T.endo)
-    for f in rep.failures:
-        col.add(f"endo/{f.law}", f.instance, f.lhs, f.rhs)
+    col.include("endo", check_functor_enrichment(T.endo))
     for name, tr in (("unit", T.unit), ("mult", T.mult)):
-        rep = check_nat_trans_enrichment(tr)
-        for f in rep.failures:
-            col.add(f"{name}/{f.law}", f.instance, f.lhs, f.rhs)
+        col.include(name, check_nat_trans_enrichment(tr))
     for x in E.objects():
         tx = T.t_ob(x)
         left = cat.compose(T.eta(tx), T.mu(x))
@@ -91,9 +87,6 @@ def check_enriched_monad(T: EnrichedMonad, limit: int | None = None) -> CheckRep
         assoc_r = cat.compose(T.t_mor(T.mu(x)), T.mu(x))
         if assoc_l != assoc_r:
             col.add("monad-associativity", (x,), assoc_l, assoc_r)
-        if col.full():
-            return col.report()
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +158,12 @@ def fkleisli_cocone(T: EnrichedMonad, FK: Enrichment | None = None) -> KleisliCo
     return KleisliCocone(FK, leg, cell, name="canonical")
 
 
-def check_kleisli_cocone(T: EnrichedMonad, q: KleisliCocone, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_kleisli_cocone(col: Collector, T: EnrichedMonad, q: KleisliCocone) -> None:
     """Leg and cell enrichment plus the unit triangle and multiplication
     square of a Kleisli cocone."""
-    col = Collector(limit)
-    rep = check_functor_enrichment(q.leg)
-    for f in rep.failures:
-        col.add(f"leg/{f.law}", f.instance, f.lhs, f.rhs)
-    rep = check_nat_trans_enrichment(q.cell)
-    for f in rep.failures:
-        col.add(f"cell/{f.law}", f.instance, f.lhs, f.rhs)
+    col.include("leg", check_functor_enrichment(q.leg))
+    col.include("cell", check_nat_trans_enrichment(q.cell))
     apex_cat = q.apex.under
     for x in T.carrier.objects():
         lhs = apex_cat.compose(q.leg.mor(T.eta(x)), q.cell.at(x))
@@ -185,9 +174,6 @@ def check_kleisli_cocone(T: EnrichedMonad, q: KleisliCocone, limit: int | None =
         rhs = apex_cat.compose(q.cell.at(T.t_ob(x)), q.cell.at(x))
         if lhs != rhs:
             col.add("cocone-mult", (x,), lhs, rhs)
-        if col.full():
-            return col.report()
-    return col.report()
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +342,6 @@ def univalent_kleisli_cocone(
 def kleisli_universal_extend(
     T: EnrichedMonad,
     q: KleisliCocone,
-    cap: int = 10_000,
     FK: Enrichment | None = None,
     uk: UnivalentKleisliResult | None = None,
     kappa: EnrichedFunctor | None = None,
@@ -373,9 +358,7 @@ def kleisli_universal_extend(
     FK = FK if FK is not None else fkleisli(T)
     uk = uk if uk is not None else univalent_kleisli(T)
     kappa = kappa if kappa is not None else kleisli_comparison(T, FK, uk)
-    pre = check_kleisli_cocone(T, q)
-    if not pre.ok:
-        raise StructuralError(f"invalid Kleisli cocone: {pre.failures[0].describe()}")
+    check_kleisli_cocone(T, q).require("invalid Kleisli cocone")
 
     # step two: the cocone induces P : FK -> apex
     A = q.apex
@@ -391,9 +374,7 @@ def kleisli_universal_extend(
             q.leg.e_fun(x, ty), precompose_mor(A, q.leg.ob(x), q.cell.at(y))
         )
     P = EnrichedFunctor(FK, A, ob_map, mor_map, e_fun, name="cocone-induced")
-    rep = check_functor_enrichment(P)
-    if not rep.ok:
-        raise StructuralError(f"cocone-induced functor fails: {rep.failures[0].describe()}")
+    check_functor_enrichment(P).require("cocone-induced functor fails")
 
     # step three: extend along the comparison weak equivalence
     H, cell2 = extend_functor(kappa, P)
@@ -405,9 +386,7 @@ def kleisli_universal_extend(
         {x: cell2.at(x) for x in E.objects()},
         name="mediator-cell",
     )
-    rep = check_nat_trans_enrichment(com)
-    if not rep.ok:
-        raise StructuralError(f"mediator 2-cell fails enrichment: {rep.failures[0].describe()}")
+    check_nat_trans_enrichment(com).require("mediator 2-cell fails enrichment")
     # cocone compatibility square, componentwise
     for x in E.objects():
         lhs = A.under.compose(com.at(T.t_ob(x)), q.cell.at(x))

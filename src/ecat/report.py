@@ -4,10 +4,19 @@ Every law checker returns a :class:`CheckReport` whose failures name the law,
 the instance tuple it failed at, and (when meaningful) the two sides that were
 compared. Reports are deterministic: failures are sorted lexicographically by
 law name and flattened instance tuple, independent of scan order.
+
+A checker is a scan over a :class:`Collector`, wrapped by :func:`law_scan`.
+The collector is the one place where a scan stops: given ``limit=k``, it ends
+the scan once it holds k failures, so the report holds the first k failures in
+scan order (``limit=None`` scans everything). A construction that re-checks
+what it built refuses through :meth:`CheckReport.require`, which raises
+:class:`StructuralError` naming the first failure.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 
@@ -94,6 +103,12 @@ class CheckReport:
         ordered = sorted(failures, key=Failure.sort_key)
         return cls(ok=not ordered, failures=ordered)
 
+    def require(self, what: str) -> None:
+        """Refuse a failed re-check: raise StructuralError naming ``what`` and
+        the first failure."""
+        if not self.ok:
+            raise StructuralError(f"{what}: {self.failures[0].describe()}")
+
     def describe(self) -> str:
         if self.ok:
             return "ok"
@@ -124,8 +139,18 @@ def _jsonable(value):
     return repr(value)
 
 
+class _ScanStop(Exception):
+    """Raised by a Collector that holds its limit of failures. It names that
+    collector, so only the scan that owns it catches it."""
+
+    def __init__(self, collector: "Collector"):
+        super().__init__()
+        self.collector = collector
+
+
 class Collector:
-    """Accumulates failures during a scan, with an optional early-exit limit."""
+    """Accumulates the failures of one scan; ``add`` ends the scan once
+    ``limit`` failures are held."""
 
     def __init__(self, limit: int | None = None):
         self.failures: list[Failure] = []
@@ -133,9 +158,37 @@ class Collector:
 
     def add(self, law: str, instance: tuple, lhs=None, rhs=None) -> None:
         self.failures.append(Failure(law, instance, lhs, rhs))
+        if self.limit is not None and len(self.failures) >= self.limit:
+            raise _ScanStop(self)
 
-    def full(self) -> bool:
-        return self.limit is not None and len(self.failures) >= self.limit
+    def include(self, prefix: str, report: CheckReport) -> None:
+        """Add a nested check's failures, each law renamed ``prefix/law``."""
+        for f in report.failures:
+            self.add(f"{prefix}/{f.law}", f.instance, f.lhs, f.rhs)
 
     def report(self) -> CheckReport:
         return CheckReport.from_failures(self.failures)
+
+
+def law_scan(scan):
+    """Turn ``scan(col, *args)`` into the checker ``(*args, limit=None) ->
+    CheckReport``.
+
+    The checker builds the Collector from ``limit``, runs the scan until it
+    ends or the collector stops it, and returns the collector's report.
+    """
+
+    @functools.wraps(scan)
+    def checker(*args, limit: int | None = None) -> CheckReport:
+        col = Collector(limit=limit)
+        try:
+            scan(col, *args)
+        except _ScanStop as stop:
+            if stop.collector is not col:
+                raise
+        return col.report()
+
+    params = [*inspect.signature(scan).parameters.values()][1:]
+    limit = inspect.Parameter("limit", inspect.Parameter.KEYWORD_ONLY, default=None, annotation="int | None")
+    checker.__signature__ = inspect.Signature([*params, limit], return_annotation="CheckReport")
+    return checker

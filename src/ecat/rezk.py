@@ -135,9 +135,7 @@ def yoneda(E: Enrichment, cap: int = 10_000) -> YonedaResult:
     selfE = self_enrichment(V)
     reps = {y: representable(E, y, selfE=selfE, opE=opE) for y in E.objects()}
     for y, R in reps.items():
-        rep = check_functor_enrichment(R)
-        if not rep.ok:
-            raise StructuralError(f"representable at {y} fails enrichment: {rep.failures[0].describe()}")
+        check_functor_enrichment(R).require(f"representable at {y} fails enrichment")
     fc = functor_category_on(opE, selfE, list(reps.values()), cap=cap)
     FC = fc.enrichment
     ob_map = {y: fc.functor_index(reps[y]) for y in E.objects()}
@@ -274,9 +272,7 @@ def transport_transformation(
             )
         comp[x] = candidates[0]
     theta = EnrichedTransformation(G1, G2, comp, name="transported")
-    rep = check_nat_trans_enrichment(theta)
-    if not rep.ok:
-        raise StructuralError(f"transported transformation fails enrichment: {rep.failures[0].describe()}")
+    check_nat_trans_enrichment(theta).require("transported transformation fails enrichment")
     back = whisker_left(F, theta)
     if back.component != tau.component:
         raise StructuralError("transported transformation does not whisker back to tau")
@@ -383,9 +379,7 @@ def extend_functor(
             raise StructuralError("comparison component is not invertible")
         comp[w] = p_inv
     cell = EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")
-    rep = check_nat_trans_enrichment(cell)
-    if not rep.ok:
-        raise StructuralError(f"extension 2-cell fails enrichment: {rep.failures[0].describe()}")
+    check_nat_trans_enrichment(cell).require("extension 2-cell fails enrichment")
     if invertible_2cell(cell) is None:
         raise StructuralError("extension 2-cell is not invertible")
     return H, cell

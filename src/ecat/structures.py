@@ -321,11 +321,7 @@ class StructCat(GraphBase):
     """Monoidal category of structured sets, windowed at a carrier-size cap."""
 
     def __init__(self, struct: CartesianStructure, size_cap: int, mor_bound: int = 200_000):
-        report = check_structure(struct, size_cap)
-        if not report.ok:
-            raise StructuralError(
-                f"structure axioms fail: {report.failures[0].law} at {report.failures[0].instance}"
-            )
+        check_structure(struct, size_cap).require("structure axioms fail")
         super().__init__()
         self.struct = struct
         self.size_cap = size_cap

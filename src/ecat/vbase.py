@@ -22,13 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .report import (
-    CapabilityError,
-    CheckReport,
-    Collector,
-    StructuralError,
-    WindowExceeded,
-)
+from .report import CapabilityError, Collector, StructuralError, WindowExceeded, law_scan
 
 ObjId = int
 
@@ -576,7 +570,8 @@ def _window_homs(C):
     return objs, homs
 
 
-def check_category(C, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_category(col: Collector, C) -> None:
     """Exhaustive identity and associativity scan over the window.
 
     Malformed tables (out-of-range indices, non-composable entries) raise
@@ -585,7 +580,6 @@ def check_category(C, limit: int | None = None) -> CheckReport:
     if isinstance(C, FinCat):
         C.validate()
     objs, homs = _window_homs(C)
-    col = Collector(limit)
 
     # identity laws, plus shape validation of every identity component
     for x in objs:
@@ -604,8 +598,6 @@ def check_category(C, limit: int | None = None) -> CheckReport:
             require_mor_shape(C, rhs, a, b)
             if rhs != f:
                 col.add("identity-right", (f,), rhs, f)
-            if col.full():
-                return col.report()
 
     # memoized composition index tables: comp[(a,b,c)][i][j] = k index in hom(a,c)
     comp: dict = {}
@@ -649,9 +641,6 @@ def check_category(C, limit: int | None = None) -> CheckReport:
                                 MorRef(a, d, l),
                                 MorRef(a, d, r),
                             )
-                            if col.full():
-                                return col.report()
-    return col.report()
 
 
 def _check_iso_pair(V, col, law, instance, fwd, inv, src, dst):
@@ -663,7 +652,8 @@ def _check_iso_pair(V, col, law, instance, fwd, inv, src, dst):
         col.add(law, instance, V.compose(inv, fwd), V.id_of(dst))
 
 
-def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_monoidal(col: Collector, V: MonBase) -> None:
     """Bifunctoriality of the tensor, unitor/associator invertibility and
     naturality, triangle and pentagon, over every window instance.
 
@@ -672,7 +662,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
     is equivalent to full interchange and quadratically cheaper.
     """
     objs, homs = _window_homs(V)
-    col = Collector(limit)
     I = V.unit
 
     def windowed(ab):
@@ -705,8 +694,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                 col.add("tensor-id", (x, y), t, V.id_of(xy))
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
 
     # whisker decompositions over all window pairs
     for a, b in itertools.product(objs, repeat=2):
@@ -724,8 +711,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                             col.add("tensor-right-decomp", (f, g), fg, right)
                     except WindowExceeded:
                         continue
-                    if col.full():
-                        return col.report()
 
     # slotwise functoriality over composable pairs and window objects
     for a, b, c in itertools.product(objs, repeat=3):
@@ -744,8 +729,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                             col.add("tensor-right-funct", (f, f2, y), lhs, rhs)
                     except WindowExceeded:
                         continue
-                if col.full():
-                    return col.report()
 
     # unitor and associator invertibility
     for x in objs:
@@ -763,8 +746,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
             )
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
 
     # unitor naturality
     for (a, b), fs in homs.items():
@@ -782,8 +763,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                     col.add("runitor-natural", (f,), lhs, rhs)
             except WindowExceeded:
                 continue
-            if col.full():
-                return col.report()
 
     # associator naturality, one slot at a time
     for (a, b), fs in homs.items():
@@ -807,8 +786,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                         col.add("associator-natural-3", (y, z, f), lhs, rhs)
                 except WindowExceeded:
                     continue
-            if col.full():
-                return col.report()
 
     # triangle
     for x, y in itertools.product(objs, repeat=2):
@@ -819,8 +796,6 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                 col.add("triangle", (x, y), lhs, rhs)
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
 
     # pentagon
     for w, x, y, z in itertools.product(objs, repeat=4):
@@ -838,18 +813,15 @@ def check_monoidal(V: MonBase, limit: int | None = None) -> CheckReport:
                 col.add("pentagon", (w, x, y, z), lhs, rhs)
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
-
-    return col.report()
 
 
-def check_symmetric(V: MonBase, limit: int | None = None) -> CheckReport:
+
+@law_scan
+def check_symmetric(col: Collector, V: MonBase) -> None:
     """Symmetry involution, naturality, and the hexagon, over the window."""
     if not V.symmetric:
         raise CapabilityError("base has no symmetry")
     objs, homs = _window_homs(V)
-    col = Collector(limit)
 
     _sym: dict = {}
 
@@ -869,8 +841,6 @@ def check_symmetric(V: MonBase, limit: int | None = None) -> CheckReport:
                 col.add("symmetry-inverse", (x, y), roundtrip, V.id_of(V.tensor_obj(x, y)))
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
 
     for (a, b), fs in homs.items():
         if fs is None:
@@ -887,8 +857,6 @@ def check_symmetric(V: MonBase, limit: int | None = None) -> CheckReport:
                             col.add("symmetry-natural", (f, g), lhs, rhs)
                     except WindowExceeded:
                         continue
-                    if col.full():
-                        return col.report()
 
     for x, y, z in itertools.product(objs, repeat=3):
         try:
@@ -906,18 +874,15 @@ def check_symmetric(V: MonBase, limit: int | None = None) -> CheckReport:
                 col.add("hexagon", (x, y, z), lhs, rhs)
         except WindowExceeded:
             continue
-        if col.full():
-            return col.report()
-    return col.report()
 
 
-def check_closed(V: MonBase, limit: int | None = None) -> CheckReport:
+@law_scan
+def check_closed(col: Collector, V: MonBase) -> None:
     """lam bijectivity (both round trips) and naturality in the abstraction
     variable, at every window instance whose hom enumeration fits the cap."""
     if not V.closed:
         raise CapabilityError("base has no closed structure")
     objs, _ = _window_homs(V)
-    col = Collector(limit)
 
     for x, y, z in itertools.product(objs, repeat=3):
         try:
@@ -929,8 +894,6 @@ def check_closed(V: MonBase, limit: int | None = None) -> CheckReport:
             n_dst = V.hom_size(x, h)
             if n_src != n_dst:
                 col.add("lam-bijective", (x, y, z), n_src, n_dst)
-                if col.full():
-                    return col.report()
                 continue
             if n_src > DEFAULT_HOM_CAP:
                 continue  # deterministically skipped: enumeration beyond the cap
@@ -941,15 +904,11 @@ def check_closed(V: MonBase, limit: int | None = None) -> CheckReport:
                 back = V.unlam(x, y, z, lf)
                 if back != f:
                     col.add("lam-beta", (x, y, z, f), back, f)
-                if col.full():
-                    return col.report()
             for k in range(n_dst):
                 g = MorRef(x, h, k)
                 forth = V.lam(x, y, z, V.unlam(x, y, z, g))
                 if forth != g:
                     col.add("lam-eta", (x, y, z, g), forth, g)
-                if col.full():
-                    return col.report()
         except WindowExceeded:
             continue
 
@@ -974,11 +933,8 @@ def check_closed(V: MonBase, limit: int | None = None) -> CheckReport:
                     rhs = V.compose(h, lam_f)
                     if lhs != rhs:
                         col.add("lam-natural", (h, f), lhs, rhs)
-                    if col.full():
-                        return col.report()
         except WindowExceeded:
             continue
-    return col.report()
 
 
 def base_law_checks(V: MonBase):

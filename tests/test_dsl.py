@@ -547,3 +547,28 @@ def test_cli_json_of_every_command_on_bad_files_is_json(path, command, capsys):
         assert payload == {"ok": False, "items": [], "diagnostics": [d.describe() for d in diags]}
     elif code != 0:
         assert payload["ok"] is False
+
+
+def test_cli_refusals_go_through_the_error_handler(tmp_path, capsys):
+    """A refused command prints one JSON object with --format json, and
+    `error: ...` on stderr in text; the exit codes stay 1 or 2."""
+    text = (GOLDEN / "cocone_toppoint.ecat").read_text(encoding="utf-8")
+    assert text.count("  cell 0 = (2,0,0)\n") == 1
+    cocone = tmp_path / "cocone_bad_cell.ecat"
+    cocone.write_text(text.replace("  cell 0 = (2,0,0)\n", "  cell 0 = (2,2,0)\n"), encoding="utf-8")
+    chain = str(GOLDEN / "functors_chain2.ecat")
+    cases = [
+        (["equivalence", chain, "--functor", "F0"], 1,
+         "not a weak equivalence: not fully faithful at (1, 0)"),
+        (["precomp-check", chain, "--functor", "F1"], 2,
+         "precomp-check needs --target to pick the third enrichment"),
+        (["enum-functors", str(GOLDEN / "base_bool.ecat")], 2,
+         "enum-functors needs --dom and --cod"),
+        (["kleisli-ump", str(cocone)], 1,
+         "universal property failed: morphism (2,2,0) does not have shape 2 -> 0"),
+    ]
+    for argv, code, error in cases:
+        assert run_cli(["--format", "json", *argv]) == code
+        assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+        assert run_cli(argv) == code
+        assert capsys.readouterr() == ("", f"error: {error}\n")

@@ -382,3 +382,18 @@ def test_finset2_equalizers_exhaustive():
                                 if V.compose(u2, eq.include) == h
                             ]
                             assert others == [u]
+
+
+def test_product_pairing_refuses_legs_outside_their_factors(finset3):
+    # hom(1, 4) has 4 arrows; an unchecked leg into 3 used to give (1,4,4)
+    with pytest.raises(StructuralError, match="do not land in their factors"):
+        finset3.product([2, 2]).pair(1, [MorRef(1, 3, 2), MorRef(1, 2, 0)])
+    # finposet_struct(2): objects 2 (discrete) and 3 (chain) are both 2-point
+    # carriers, so a leg into 3 fits the graph of a leg into 2
+    V = builtin_base("finposet_struct", max_size=2)
+    pr = V.product([2, 2])
+    legs = [MorRef(1, 2, 0), MorRef(1, 2, 1)]
+    u = pr.pair(1, legs)
+    assert [V.compose(u, p) for p in pr.projections] == legs
+    with pytest.raises(StructuralError, match="do not land in their factors"):
+        pr.pair(1, [MorRef(1, 2, 0), MorRef(1, 3, 1)])
