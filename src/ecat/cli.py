@@ -1,7 +1,8 @@
 """Command-line interface: checking documents and running the constructions.
 
-Exit codes: 0 when every requested check passes, 1 on check failures or
-parse/resolve diagnostics, 2 on usage errors.
+Every command but ``enum-functors`` returns a :class:`Verdict`, and
+:func:`_emit` alone prints it and chooses the exit code: 0 iff every file
+loaded and every report is ok. A refused command exits 1, a usage error 2.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 
 from . import construct as construct_mod
 from . import dsl
@@ -42,6 +44,74 @@ class _UsageError(EcatError):
     """A command whose inputs do not say which items to use (exit 2)."""
 
 
+@dataclass
+class Verdict:
+    """What a command found: each checked item's name with its reports by
+    law, facts that inform but never decide the exit code, the items the
+    command built (or None), and the diagnostics of files that did not load."""
+
+    reports: list[tuple[str, dict[str, CheckReport]]] = field(default_factory=list)
+    facts: dict = field(default_factory=dict)
+    document: list[dsl.Item] | None = None
+    diagnostics: list[dsl.Diagnostic] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.diagnostics and all(r.ok for _, laws in self.reports for r in laws.values())
+
+
+def _failure_lines(rep: CheckReport) -> list[str]:
+    lines = [f.describe() for f in rep.failures[:10]]
+    if len(rep.failures) > 10:
+        lines.append(f"... {len(rep.failures) - 10} more")
+    return lines
+
+
+def _emit(args, verdict: Verdict) -> int:
+    """Print the verdict and return its exit code.
+
+    Text: the document, if any, goes to ``--out`` or stdout, then stdout
+    gets one ``# key: value`` line per fact and report, so it still loads as
+    a document; without a document, the diagnostics and one ``name [law]
+    ok|FAIL`` line per report. JSON: one ``{"ok", "items", "diagnostics"}``
+    object, or the document itself for a command that checks nothing; the
+    document goes to ``--out`` in the chosen format."""
+    as_json = args.format == "json"
+    out = getattr(args, "out", None)
+    if verdict.document is not None and (out or not (as_json and verdict.reports)):
+        doc = dsl.Document(verdict.document)
+        text = dsl.to_json(doc) if as_json else dsl.serialize(doc)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            print(text, end="")
+    if as_json:
+        if verdict.reports or verdict.document is None:
+            items = [{"item": name, **verdict.facts, **{law: rep.to_json() for law, rep in laws.items()}}
+                     for name, laws in verdict.reports]
+            described = [d.describe() for d in verdict.diagnostics]
+            print(json.dumps({"ok": verdict.ok, "items": items, "diagnostics": described}, indent=2, sort_keys=True))
+    elif verdict.document is not None:
+        entries = {**verdict.facts, **{law: rep for _, laws in verdict.reports for law, rep in laws.items()}}
+        for key, value in sorted(entries.items()):
+            if isinstance(value, CheckReport):
+                print(f"# {key}: {value.ok}")
+                for line in _failure_lines(value):
+                    print(f"#   {line}")
+            else:
+                print(f"# {key}: {value}")
+    else:
+        for d in verdict.diagnostics:
+            print(d.describe())
+        for name, laws in verdict.reports:
+            for law, rep in laws.items():
+                print(f"{name} [{law}] {'ok' if rep.ok else 'FAIL'}")
+                for line in _failure_lines(rep):
+                    print(f"  {line}")
+    return 0 if verdict.ok else 1
+
+
 def _load(paths: list[str]) -> dsl.Document:
     """Read one or more files into a single namespace; later files may
     reference earlier declarations. Raises ParseFailure on diagnostics."""
@@ -49,11 +119,6 @@ def _load(paths: list[str]) -> dsl.Document:
     if doc is None:
         raise dsl.ParseFailure(diags)
     return doc
-
-
-def _print_diagnostics(diags: list[dsl.Diagnostic]) -> None:
-    for d in diags:
-        print(d.describe())
 
 
 def _item_reports(doc: dsl.Document, item: dsl.Item) -> dict[str, CheckReport]:
@@ -75,35 +140,6 @@ def _item_reports(doc: dsl.Document, item: dsl.Item) -> dict[str, CheckReport]:
     return reports
 
 
-def _emit_reports(named_reports: list[tuple[str, dict]], fmt: str, diagnostics=()) -> int:
-    """Print the reports, after the diagnostics of files that did not
-    load; either makes the verdict a failure (exit 1)."""
-    ok = not diagnostics
-    if fmt == "json":
-        payload = []
-        for name, reports in named_reports:
-            entry = {"item": name}
-            for law, rep in reports.items():
-                entry[law] = rep.to_json()
-                ok = ok and rep.ok
-            payload.append(entry)
-        described = [d.describe() for d in diagnostics]
-        print(json.dumps({"ok": ok, "items": payload, "diagnostics": described}, indent=2, sort_keys=True))
-    else:
-        _print_diagnostics(diagnostics)
-        for name, reports in named_reports:
-            for law, rep in reports.items():
-                status = "ok" if rep.ok else "FAIL"
-                print(f"{name} [{law}] {status}")
-                if not rep.ok:
-                    ok = False
-                    for f in rep.failures[:10]:
-                        print(f"  {f.describe()}")
-                    if len(rep.failures) > 10:
-                        print(f"  ... {len(rep.failures) - 10} more")
-    return 0 if ok else 1
-
-
 def _single(doc: dsl.Document, kind: str, name: str | None, what: str):
     if name is not None:
         item = doc.get(name)
@@ -116,27 +152,6 @@ def _single(doc: dsl.Document, kind: str, name: str | None, what: str):
     return items[0]
 
 
-def _emit_document(items: list[dsl.Item], out: str | None, as_json: bool) -> None:
-    doc = dsl.Document(items)
-    text = dsl.to_json(doc) if as_json else dsl.serialize(doc)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-
-
-def _emit_result(args, items: list[dsl.Item], verdict: dict) -> None:
-    """The verdict as JSON, or the constructed document then one
-    ``# key: value`` line per verdict entry."""
-    if args.format == "json":
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-    else:
-        _emit_document(items, args.out, False)
-        for k, v in sorted(verdict.items()):
-            print(f"# {k}: {v}")
-
-
 def _base_item_for(doc: dsl.Document, base) -> dsl.Item:
     for item in doc.of_kind("base"):
         if item.value is base:
@@ -144,18 +159,18 @@ def _base_item_for(doc: dsl.Document, base) -> dsl.Item:
     raise EcatError("enrichment's base is not declared in the document")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Verdict:
     """Each file is checked on its own, in its own namespace."""
-    reports, diagnostics = [], []
+    verdict = Verdict()
     for path in args.files:
         doc, diags = dsl.load([path])
-        diagnostics.extend(diags)
+        verdict.diagnostics.extend(diags)
         if doc is not None:
-            reports.extend((f"{path}:{item.name}", _item_reports(doc, item)) for item in doc.items)
-    return _emit_reports(reports, args.format, diagnostics)
+            verdict.reports.extend((f"{path}:{item.name}", _item_reports(doc, item)) for item in doc.items)
+    return verdict
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> Verdict:
     doc = _load(args.files)
     op = args.operation
     if op == "self":
@@ -169,8 +184,10 @@ def _cmd_construct(args) -> int:
         items = [_base_item_for(doc, enr_item.value.base), out_item]
     elif op == "full-sub":
         enr_item = _single(doc, "enrichment", args.enrichment, "construct full-sub")
-        keep = {int(s) for s in args.keep.split(",") if s != ""}
-        sub, inc = construct_mod.full_sub_enrichment(enr_item.value, lambda x: x in keep)
+        outside = [x for x in args.keep if not 0 <= x < enr_item.value.n_objects]
+        if outside:
+            raise _UsageError(f"--keep {outside[0]} is not an object of {enr_item.name!r}")
+        sub, inc = construct_mod.full_sub_enrichment(enr_item.value, lambda x: x in args.keep)
         base_item = _base_item_for(doc, enr_item.value.base)
         sub_item = dsl.Item("enrichment", args.name, sub, dict(enr_item.refs), enr_item.span)
         inc_item = dsl.Item(
@@ -184,31 +201,25 @@ def _cmd_construct(args) -> int:
         fc = construct_mod.functor_category_enrichment(e1.value, e2.value, cap=args.cap)
         base_item = _base_item_for(doc, e1.value.base)
         items = [base_item, dsl.Item("enrichment", args.name, fc.enrichment, {"over": base_item.name}, e1.span)]
-    _emit_document(items, args.out, args.format == "json")
-    return 0
+    return Verdict(document=items)
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> Verdict:
     doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "factorize")
     fact = image_factorization(fun_item.value)
-    eso = is_essentially_surjective(fact.eso_part)
-    ff = is_fully_faithful(fact.ff_part)
-    cmp_rep = check_nat_trans_enrichment(fact.comparison)
-    verdict = {
-        "image_objects": fact.image.n_objects,
-        "eso": eso.ok,
-        "fully_faithful": ff.ok,
-        "comparison_enriched": cmp_rep.ok,
+    reports = {
+        "eso": is_essentially_surjective(fact.eso_part).report(),
+        "fully_faithful": is_fully_faithful(fact.ff_part).report(),
+        "comparison_enriched": check_nat_trans_enrichment(fact.comparison),
     }
     base_item = _base_item_for(doc, fun_item.value.dom.base)
     img_item = dsl.Item("enrichment", f"{fun_item.name}_image", fact.image,
                         {"over": base_item.name}, fun_item.span)
-    _emit_result(args, [base_item, img_item], verdict)
-    return 0 if eso.ok and ff.ok and cmp_rep.ok else 1
+    return Verdict([(fun_item.name, reports)], {"image_objects": fact.image.n_objects}, [base_item, img_item])
 
 
-def _cmd_equivalence(args) -> int:
+def _cmd_equivalence(args) -> Verdict:
     doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "equivalence")
     try:
@@ -216,39 +227,33 @@ def _cmd_equivalence(args) -> int:
     except EcatError as exc:
         raise EcatError(f"not a weak equivalence: {exc}") from exc
     t1, t2 = adj.triangle_reports
-    verdict = {"triangle_fwd": t1.ok, "triangle_bwd": t2.ok}
-    print(json.dumps(verdict, indent=2, sort_keys=True) if args.format == "json"
-          else f"triangles: {t1.ok} {t2.ok}")
-    return 0 if t1.ok and t2.ok else 1
+    return Verdict([(fun_item.name, {"triangle_fwd": t1, "triangle_bwd": t2})])
 
 
-def _cmd_rezk(args) -> int:
+def _cmd_rezk(args) -> Verdict:
     doc = _load(args.files)
     enr_item = _single(doc, "enrichment", args.enrichment, "rezk")
     res = rezk_completion(enr_item.value)
     rep = univalence_report(res.completion)
-    verdict = {
-        "completion_objects": res.completion.n_objects,
-        "skeletal": rep.skeletal,
-        "gaunt": rep.gaunt,
-        "unit_fully_faithful": res.cert_ff.ok,
-        "unit_essentially_surjective": res.cert_eso.ok,
+    reports = {
+        "skeletal": rep.skeletal_report(),
+        "unit_fully_faithful": res.cert_ff.report(),
+        "unit_essentially_surjective": res.cert_eso.report(),
     }
+    facts = {"completion_objects": res.completion.n_objects, "gaunt": rep.gaunt}
     base_item = _base_item_for(doc, enr_item.value.base)
     out_item = dsl.Item("enrichment", f"{enr_item.name}_rezk", res.completion,
                         {"over": base_item.name}, enr_item.span)
-    _emit_result(args, [base_item, out_item], verdict)
-    return 0 if rep.skeletal and res.cert_ff.ok and res.cert_eso.ok else 1
+    return Verdict([(enr_item.name, reports)], facts, [base_item, out_item])
 
 
-def _cmd_yoneda_check(args) -> int:
+def _cmd_yoneda_check(args) -> Verdict:
     doc = _load(args.files)
     enr_item = _single(doc, "enrichment", args.enrichment, "yoneda-check")
-    rep = check_yoneda_ff(enr_item.value, cap=args.cap)
-    return _emit_reports([(enr_item.name, {"yoneda-ff": rep})], args.format)
+    return Verdict([(enr_item.name, {"yoneda-ff": check_yoneda_ff(enr_item.value, cap=args.cap)})])
 
 
-def _cmd_precomp_check(args) -> int:
+def _cmd_precomp_check(args) -> Verdict:
     doc = _load(args.files)
     fun_item = _single(doc, "functor", args.functor, "precomp-check")
     enr_item = _single(doc, "enrichment", args.target, "precomp-check target") if args.target else None
@@ -259,70 +264,51 @@ def _cmd_precomp_check(args) -> int:
             raise _UsageError("precomp-check needs --target to pick the third enrichment")
         enr_item = cands[0]
     rep = check_precomp_equivalence(fun_item.value, enr_item.value, cap=args.cap)
-    return _emit_reports([(f"{fun_item.name}->{enr_item.name}", {"precomp": rep})], args.format)
+    return Verdict([(f"{fun_item.name}->{enr_item.name}", {"precomp": rep})])
 
 
-def _cmd_kleisli(args) -> int:
+def _cmd_kleisli(args) -> Verdict:
     doc = _load(args.files)
     monad_item = _single(doc, "monad", args.monad, "kleisli")
     T = monad_item.value
     base_item = _base_item_for(doc, T.carrier.base)
     if args.variant == "raw":
         enr = fkleisli(T)
-        rep = check_enrichment(enr)
-        out_item = dsl.Item("enrichment", f"{monad_item.name}_kleisli", enr,
-                            {"over": base_item.name}, monad_item.span)
-        verdict = {"objects": enr.n_objects, "enrichment_ok": rep.ok}
+        reports = {"enrichment_ok": check_enrichment(enr)}
     else:
         uk = univalent_kleisli(T)
-        rep = check_enrichment(uk.enrichment)
+        enr = uk.enrichment
+        reports = {"enrichment_ok": check_enrichment(enr), "skeletal": uk.report.skeletal_report()}
         kappa = kleisli_comparison(T, None, uk)
-        out_item = dsl.Item("enrichment", f"{monad_item.name}_kleisli", uk.enrichment,
-                            {"over": base_item.name}, monad_item.span)
-        verdict = {
-            "objects": uk.enrichment.n_objects,
-            "enrichment_ok": rep.ok,
-            "skeletal": uk.report.skeletal,
-            "comparison_fully_faithful": is_fully_faithful(kappa).ok,
-            "comparison_essentially_surjective": is_essentially_surjective(kappa).ok,
-        }
-    _emit_result(args, [base_item, out_item], verdict)
-    return 0 if all(v is not False for v in verdict.values()) else 1
+        reports["comparison_fully_faithful"] = is_fully_faithful(kappa).report()
+        reports["comparison_essentially_surjective"] = is_essentially_surjective(kappa).report()
+    out_item = dsl.Item("enrichment", f"{monad_item.name}_kleisli", enr,
+                        {"over": base_item.name}, monad_item.span)
+    return Verdict([(monad_item.name, reports)], {"objects": enr.n_objects}, [base_item, out_item])
 
 
-def _cmd_kleisli_ump(args) -> int:
+def _cmd_kleisli_ump(args) -> Verdict:
     doc = _load(args.files)
     monad_item = _single(doc, "monad", args.monad, "kleisli-ump")
     cocone_item = _single(doc, "cocone", args.cocone, "kleisli-ump")
-    T = monad_item.value
     try:
-        H, com = kleisli_universal_extend(T, cocone_item.value)
+        H, com = kleisli_universal_extend(monad_item.value, cocone_item.value)
     except EcatError as exc:
         raise EcatError(f"universal property failed: {exc}") from exc
-    rep_h = check_functor_enrichment(H)
-    rep_c = check_nat_trans_enrichment(com)
-    verdict = {"mediator_ok": rep_h.ok, "cell_ok": rep_c.ok}
-    print(json.dumps(verdict, indent=2, sort_keys=True) if args.format == "json"
-          else f"mediator: {rep_h.ok} cell: {rep_c.ok}")
-    return 0 if rep_h.ok and rep_c.ok else 1
+    reports = {"mediator": check_functor_enrichment(H), "cell": check_nat_trans_enrichment(com)}
+    return Verdict([(cocone_item.name, reports)])
 
 
-def _cmd_enum_functors(args) -> int:
+def _cmd_enum_functors(args) -> None:
+    """A listing, not a verdict: prints the functors itself."""
     doc = _load(args.files)
-    doms = doc.get(args.dom) if args.dom else None
-    cods = doc.get(args.cod) if args.cod else None
-    if doms is None or cods is None:
-        enrs = doc.of_kind("enrichment")
-        if len(enrs) < 2 and (doms is None or cods is None):
-            if len(enrs) == 1:
-                doms = doms or enrs[0]
-                cods = cods or enrs[0]
-            else:
-                raise _UsageError("enum-functors needs --dom and --cod")
-        else:
-            doms = doms or enrs[0]
-            cods = cods or enrs[1]
-    funs = enumerate_enriched_functors(doms.value, cods.value, cap=args.cap)
+    dom, cod = (_single(doc, "enrichment", name, "enum-functors") if name else None
+                for name in (args.dom, args.cod))
+    enrs = doc.of_kind("enrichment")
+    if not enrs:
+        raise _UsageError("enum-functors needs --dom and --cod")
+    funs = enumerate_enriched_functors((dom or enrs[0]).value, (cod or enrs[min(1, len(enrs) - 1)]).value,
+                                       cap=args.cap)
     if args.format == "json":
         payload = [
             {"ob": sorted(F.ob_map.items()), "efun": [[list(k), [m.src, m.dst, m.k]] for k, m in sorted(F.e_fun_t.items())]}
@@ -333,7 +319,13 @@ def _cmd_enum_functors(args) -> int:
         print(f"{len(funs)} enriched functor(s)")
         for i, F in enumerate(funs):
             print(f"  [{i}] ob={dict(sorted(F.ob_map.items()))}")
-    return 0
+
+
+def _indices(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of object indices: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,67 +334,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=10_000)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run every applicable law checker")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(fn=_cmd_check)
+    def command(name: str, fn, help: str, *flags: str, operations=None) -> argparse.ArgumentParser:
+        """A subcommand on files, with ``--flag NAME`` options that default to None."""
+        p = sub.add_parser(name, help=help)
+        if operations:
+            p.add_argument("operation", choices=operations)
+        p.add_argument("files", nargs="+")
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("construct", help="run a construction and emit DSL")
-    p.add_argument("operation", choices=("self", "opposite", "full-sub", "functor-category"))
-    p.add_argument("files", nargs="+")
+    command("check", _cmd_check, "run every applicable law checker")
+    p = command("construct", _cmd_construct, "run a construction and emit DSL", "base", "enrichment", "cod", "out",
+                operations=("self", "opposite", "full-sub", "functor-category"))
     p.add_argument("--name", default="result")
-    p.add_argument("--base", default=None)
-    p.add_argument("--enrichment", default=None)
-    p.add_argument("--cod", default=None)
-    p.add_argument("--keep", default="")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("factorize", help="image factorization of a functor")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--functor", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_factorize)
-
-    p = sub.add_parser("equivalence", help="invert a weak equivalence")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--functor", default=None)
-    p.set_defaults(fn=_cmd_equivalence)
-
-    p = sub.add_parser("rezk", help="desk-scale Rezk completion")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--enrichment", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_rezk)
-
-    p = sub.add_parser("yoneda-check", help="fully-faithfulness of the Yoneda embedding")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--enrichment", default=None)
-    p.set_defaults(fn=_cmd_yoneda_check)
-
-    p = sub.add_parser("precomp-check", help="precomposition universal property")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--functor", default=None)
-    p.add_argument("--target", default=None)
-    p.set_defaults(fn=_cmd_precomp_check)
-
-    p = sub.add_parser("kleisli", help="Kleisli enrichment of a monad")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--monad", default=None)
+    p.add_argument("--keep", type=_indices, default=[])
+    command("factorize", _cmd_factorize, "image factorization of a functor", "functor", "out")
+    command("equivalence", _cmd_equivalence, "invert a weak equivalence", "functor")
+    command("rezk", _cmd_rezk, "desk-scale Rezk completion", "enrichment", "out")
+    command("yoneda-check", _cmd_yoneda_check, "fully-faithfulness of the Yoneda embedding", "enrichment")
+    command("precomp-check", _cmd_precomp_check, "precomposition universal property", "functor", "target")
+    p = command("kleisli", _cmd_kleisli, "Kleisli enrichment of a monad", "monad", "out")
     p.add_argument("--variant", choices=("raw", "univalent"), default="raw")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_kleisli)
-
-    p = sub.add_parser("kleisli-ump", help="universal property of the Kleisli object")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--monad", default=None)
-    p.add_argument("--cocone", default=None)
-    p.set_defaults(fn=_cmd_kleisli_ump)
-
-    p = sub.add_parser("enum-functors", help="enumerate enriched functors")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--dom", default=None)
-    p.add_argument("--cod", default=None)
-    p.set_defaults(fn=_cmd_enum_functors)
+    command("kleisli-ump", _cmd_kleisli_ump, "universal property of the Kleisli object", "monad", "cocone")
+    command("enum-functors", _cmd_enum_functors, "enumerate enriched functors", "dom", "cod")
     return parser
 
 
@@ -413,9 +369,10 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.fn(args)
+        verdict = args.fn(args)
+        return 0 if verdict is None else _emit(args, verdict)
     except dsl.ParseFailure as exc:
-        return _emit_reports([], args.format, exc.diagnostics)
+        return _emit(args, Verdict(diagnostics=exc.diagnostics))
     except (EcatError, OSError) as exc:
         if args.format == "json":
             print(json.dumps({"ok": False, "error": str(exc)}, indent=2, sort_keys=True))

@@ -394,12 +394,22 @@ class _Resolver:
             self.error(d.rows[keyword, k], f"{keyword} entry at {k} references an out-of-range object or morphism")
         return not bad
 
+    def _check_arrow_shapes(self, d: _Decl, keyword: str, ends: Callable) -> bool:
+        """Report each ``keyword`` row whose morphism is not ``src -> dst``
+        for ``(src, dst) = ends(key)``; a row with an undefined (None) end is
+        left to the law checks."""
+        bad = [(k, m, e) for k, m in d.table(keyword).items()
+               if None not in (e := ends(k)) and (m.src, m.dst) != e]
+        for k, m, (src, dst) in bad:
+            self.error(d.rows[keyword, k], f"{keyword} entry at {k} is {m}, not a morphism {src} -> {dst}")
+        return not bad
+
     def _check_category_shapes(self, d: _Decl) -> bool:
         """Report each ``id`` row that is not a morphism x -> x and each
         ``then`` row whose morphisms do not compose or whose value does not
         go from the first's source to the second's target."""
-        bad = [(d.rows["id", x], f"id entry at {x} is {m}, not a morphism {x} -> {x}")
-               for x, m in d.table("id").items() if not m.src == m.dst == x]
+        ok = self._check_arrow_shapes(d, "id", lambda x: (x, x))
+        bad = []
         for (f, g), h in d.table("then").items():
             if f.dst != g.src:
                 message = f"then entry at ({f}, {g}): {f} ends at {f.dst} and {g} starts at {g.src}"
@@ -410,7 +420,7 @@ class _Resolver:
             bad.append((d.rows["then", (f, g)], message))
         for span, message in bad:
             self.error(span, message)
-        return not bad
+        return ok and not bad
 
     def _check_enrichment_shapes(self, d: _Decl, base) -> bool:
         """Report each ``eid`` row that is not a morphism I -> homobj(x,x),
@@ -419,21 +429,20 @@ class _Resolver:
         its key a -> b. A row whose hom objects are not all declared, or whose
         tensor the base cannot form, is left to the enrichment check."""
         hom_obj = d.table("homobj")
-        rows = [("eid", x, m, base.unit, hom_obj.get((x, x))) for x, m in d.table("eid").items()]
-        for (x, y, z), m in d.table("ecomp").items():
-            src = None
+
+        def tensor(x, y, z):
             if (y, z) in hom_obj and (x, y) in hom_obj:
                 try:
-                    src = base.tensor_obj(hom_obj[y, z], hom_obj[x, y])
+                    return base.tensor_obj(hom_obj[y, z], hom_obj[x, y])
                 except EcatError:
                     pass
-            rows.append(("ecomp", (x, y, z), m, src, hom_obj.get((x, z))))
-        rows += [("fromarr", f, m, base.unit, hom_obj.get((f.src, f.dst))) for f, m in d.table("fromarr").items()]
-        bad = [(keyword, key, m, src, dst) for keyword, key, m, src, dst in rows
-               if None not in (src, dst) and (m.src, m.dst) != (src, dst)]
-        for keyword, key, m, src, dst in bad:
-            self.error(d.rows[keyword, key], f"{keyword} entry at {key} is {m}, not a morphism {src} -> {dst}")
-        return not bad
+            return None
+
+        return all([
+            self._check_arrow_shapes(d, "eid", lambda x: (base.unit, hom_obj.get((x, x)))),
+            self._check_arrow_shapes(d, "ecomp", lambda k: (tensor(*k), hom_obj.get((k[0], k[2])))),
+            self._check_arrow_shapes(d, "fromarr", lambda f: (base.unit, hom_obj.get((f.src, f.dst)))),
+        ])
 
     def _resolve_base(self, d: _Decl):
         n, unit = d.values.get("objects"), d.values.get("unit")
@@ -501,29 +510,41 @@ class _Resolver:
         return Enrichment(base, under, hom_obj, d.table("eid"), d.table("ecomp"), from_arr, name=d.name)
 
     def _resolve_functor(self, d: _Decl, dom, cod):
-        if not all([
+        ob = d.table("ob")
+        in_range = all([
             self._check_rows(d, "ob", lambda y: y < cod.n_objects, "object image {1} out of range"),
             self._check_rows(d, "mor", lambda m: _fincat_mor_ok(cod.under, m), "morphism image {1} out of range"),
             self._check_rows(d, "efun", lambda m: _base_mor_ok(dom.base, m),
                              "enrichment component {1} is out of base range"),
-        ]):
+        ])
+        if not (in_range and self._check_arrow_shapes(d, "mor", lambda f: (ob.get(f.src), ob.get(f.dst)))):
             return None
-        return EnrichedFunctor(dom, cod, d.table("ob"), d.table("mor"), d.table("efun"), name=d.name)
+        return EnrichedFunctor(dom, cod, ob, d.table("mor"), d.table("efun"), name=d.name)
 
     def _resolve_transformation(self, d: _Decl, src, dst):
-        if not self._check_rows(d, "at", lambda m: _fincat_mor_ok(src.cod.under, m), "component {1} out of range"):
+        if not (self._check_rows(d, "at", lambda m: _fincat_mor_ok(src.cod.under, m), "component {1} out of range")
+                and self._check_arrow_shapes(d, "at", lambda x: (src.ob_map.get(x), dst.ob_map.get(x)))):
             return None
         return EnrichedTransformation(src, dst, d.table("at"), name=d.name)
 
     def _resolve_monad(self, d: _Decl, carrier, endo):
-        if not all([self._check_rows(d, table, lambda m: _fincat_mor_ok(carrier.under, m),
-                                     "monad component {1} out of range") for table in ("unit", "mult")]):
+        t = endo.ob_map.get
+        in_range = all([self._check_rows(d, table, lambda m: _fincat_mor_ok(carrier.under, m),
+                                         "monad component {1} out of range") for table in ("unit", "mult")])
+        if not (in_range and all([
+            self._check_arrow_shapes(d, "unit", lambda x: (x, t(x))),
+            self._check_arrow_shapes(d, "mult", lambda x: (t(t(x)), t(x))),
+        ])):
             return None
         unit = EnrichedTransformation(id_functor(carrier), endo, d.table("unit"), name=f"{d.name}-unit")
         mult = EnrichedTransformation(compose_functors(endo, endo), endo, d.table("mult"), name=f"{d.name}-mult")
         return EnrichedMonad(carrier, endo, unit, mult, name=d.name)
 
     def _resolve_cocone(self, d: _Decl, monad, apex, leg):
+        q = leg.ob_map.get
+        if not (self._check_rows(d, "cell", lambda m: _fincat_mor_ok(apex.under, m), "cell component {1} out of range")
+                and self._check_arrow_shapes(d, "cell", lambda x: (q(monad.endo.ob_map.get(x)), q(x)))):
+            return None
         cell = EnrichedTransformation(compose_functors(monad.endo, leg), leg, d.table("cell"), name=f"{d.name}-cell")
         return KleisliCocone(apex, leg, cell, name=d.name)
 

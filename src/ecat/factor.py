@@ -29,7 +29,7 @@ from .core import (
     whisker_left,
     whisker_right,
 )
-from .report import CapabilityError, CheckReport, Collector, StructuralError
+from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
 from .vbase import MorRef
 
 
@@ -39,12 +39,20 @@ class FullyFaithfulWitness:
     inverses: dict
     failing: tuple | None = None
 
+    def report(self) -> CheckReport:
+        """Law ``fully-faithful``, failing at the first (x, y) with no inverse."""
+        return CheckReport.from_failures([] if self.ok else [Failure("fully-faithful", self.failing)])
+
 
 @dataclass
 class EsoWitness:
     ok: bool
     preimage: dict
     missed: list
+
+    def report(self) -> CheckReport:
+        """Law ``essentially-surjective``, failing at each missed (y,)."""
+        return CheckReport.from_failures([Failure("essentially-surjective", (y,)) for y in self.missed])
 
 
 @dataclass

@@ -43,7 +43,7 @@ from .factor import (
     iso_arrows,
     underlying_hom_inverse,
 )
-from .report import CapabilityError, CheckReport, Collector, StructuralError
+from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
 from .vbase import MorRef
 
 __all__ = [
@@ -66,11 +66,17 @@ __all__ = [
 @dataclass
 class UnivalenceReport:
     """Finite reading of univalence: skeletal (no isos between distinct
-    objects) and gaunt (skeletal with trivial automorphism groups)."""
+    objects) and gaunt (skeletal with trivial automorphism groups).
+    ``isomorphic`` is the first pair of distinct isomorphic objects."""
 
     skeletal: bool
     automorphism_counts: dict
     gaunt: bool
+    isomorphic: tuple | None = None
+
+    def skeletal_report(self) -> CheckReport:
+        """Law ``skeletal``, failing at the first pair of distinct isomorphic objects."""
+        return CheckReport.from_failures([] if self.skeletal else [Failure("skeletal", self.isomorphic)])
 
 
 @dataclass
@@ -164,26 +170,15 @@ def yoneda(E: Enrichment, cap: int = 10_000) -> YonedaResult:
 def check_yoneda_ff(E: Enrichment, cap: int = 10_000) -> CheckReport:
     """Fully-faithfulness of the Yoneda embedding; a failure here is a
     library bug, not a property of E."""
-    col = Collector()
-    res = yoneda(E, cap=cap)
-    witness = is_fully_faithful(res.embedding)
-    if not witness.ok:
-        col.add("yoneda-fully-faithful", witness.failing)
-    return col.report()
+    return is_fully_faithful(yoneda(E, cap=cap).embedding).report()
 
 
 def univalence_report(E: Enrichment) -> UnivalenceReport:
     cat = E.under
-    skeletal = True
-    for x, y in itertools.combinations(list(E.objects()), 2):
-        if iso_arrows(cat, x, y):
-            skeletal = False
-            break
-    autos = {}
-    for x in E.objects():
-        autos[x] = len(iso_arrows(cat, x, x))
-    gaunt = skeletal and all(c == 1 for c in autos.values())
-    return UnivalenceReport(skeletal, autos, gaunt)
+    isomorphic = next((p for p in itertools.combinations(E.objects(), 2) if iso_arrows(cat, *p)), None)
+    autos = {x: len(iso_arrows(cat, x, x)) for x in E.objects()}
+    skeletal = isomorphic is None
+    return UnivalenceReport(skeletal, autos, skeletal and all(c == 1 for c in autos.values()), isomorphic)
 
 
 def rezk_completion(E: Enrichment) -> RezkResult:

@@ -1,11 +1,17 @@
 import json
+import re
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from ecat.cli import run_cli
-from ecat.core import check_enrichment
-from ecat.dsl import Diagnostic, Document, from_json, load, parse, serialize, to_json
+import cli_corpus
+from ecat.cli import Verdict, _emit, run_cli
+from ecat.core import check_enrichment, id_functor, id_transformation
+from ecat.dsl import Diagnostic, Document, Item, from_json, load, parse, serialize, to_json
+from ecat.monad import EnrichedMonad, fkleisli_cocone
+from ecat.report import CheckReport, Failure
+from ecat.vbase import MorRef
 
 GOLDEN = Path(__file__).parent / "golden"
 POSITIVE = sorted(p for p in GOLDEN.glob("*.ecat") if not p.name.startswith("bad_"))
@@ -219,8 +225,87 @@ def test_cli_kleisli_json(capsys):
     assert run_cli(["--format", "json", "kleisli", path, "--variant", "univalent"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
-    assert payload["skeletal"] is True
-    assert payload["comparison_fully_faithful"] is True
+    assert payload["items"][0]["skeletal"]["ok"] is True
+    assert payload["items"][0]["comparison_fully_faithful"]["ok"] is True
+
+
+def test_cli_out_gets_the_document_in_either_format(tmp_path, capsys):
+    """--out receives the built document in the chosen format; stdout gets
+    the verdict (the `#` lines in text)."""
+    commands = [
+        ["rezk", str(GOLDEN / "bool_two_iso_points.ecat")],
+        ["kleisli", str(GOLDEN / "monad_toppoint.ecat"), "--variant", "univalent"],
+        ["factorize", str(GOLDEN / "functors_chain2.ecat"), "--functor", "F1"],
+    ]
+    for argv in commands:
+        for fmt, read in (("text", parse), ("json", from_json)):
+            out = tmp_path / f"{argv[0]}.{fmt}"
+            assert run_cli(["--format", fmt, *argv, "--out", str(out)]) == 0
+            doc, diags = read(out.read_text(encoding="utf-8"))
+            assert doc is not None and len(doc.items) == 2, diags
+            stdout = capsys.readouterr().out
+            if fmt == "json":
+                assert json.loads(stdout)["ok"] is True
+            else:
+                assert stdout and all(line.startswith("# ") for line in stdout.splitlines())
+
+
+def test_cli_full_sub_keep_takes_object_indices(capsys):
+    src = str(GOLDEN / "bool_chain2.ecat")
+    assert run_cli(["construct", "full-sub", src, "--keep", "a"]) == 2
+    assert "argument --keep: not a comma-separated list of object indices: 'a'" in capsys.readouterr().err
+    error = "--keep 7 is not an object of 'E'"
+    assert run_cli(["construct", "full-sub", src, "--keep", "0,7"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert run_cli(["--format", "json", "construct", "full-sub", src, "--keep", "7"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+
+
+def test_cli_enum_functors_resolves_dom_and_cod_by_name(capsys):
+    path = str(GOLDEN / "bool_chain2.ecat")
+    for flag in ("--dom", "--cod"):
+        for name in ("V", "nosuch"):
+            assert run_cli(["enum-functors", path, flag, name]) == 1
+            assert capsys.readouterr() == ("", f"error: no enrichment named {name!r}\n")
+    assert run_cli(["enum-functors", path]) == 0
+    assert "3 enriched functor(s)" in capsys.readouterr().out
+
+
+def test_emit_exit_code_and_failing_trailer(capsys):
+    """Exit 0 iff every report is ok, whatever the facts; a failing report
+    in a document's trailer adds `#` lines, so stdout still loads."""
+    doc, _ = parse((GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8"))
+    text, as_json = Namespace(format="text", out=None), Namespace(format="json", out=None)
+    assert _emit(text, Verdict([("E", {"skeletal": CheckReport(True)})], {"gaunt": False}, doc.items)) == 0
+    assert capsys.readouterr().out.endswith("# gaunt: False\n# skeletal: True\n")
+    failing = CheckReport.from_failures([Failure("fully-faithful", (0, 1))])
+    verdict = Verdict([("E", {"unit_fully_faithful": failing})], {"objects": 2}, doc.items)
+    assert _emit(text, verdict) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("# objects: 2\n# unit_fully_faithful: False\n#   fully-faithful at (0, 1)\n")
+    assert parse(out)[0] is not None
+    assert _emit(as_json, verdict) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert payload["items"] == [{"item": "E", "objects": 2, "unit_fully_faithful": failing.to_json()}]
+
+
+@pytest.mark.parametrize("form", cli_corpus.FORMS)
+def test_cli_corpus_outputs_are_well_formed(form):
+    """Over the golden corpus: every JSON stdout parses, a verdict's ok is
+    "exit code 0", and the text of a built document, `#` lines and all,
+    loads. The cells in cli_corpus.SLOW are left to the suites that run them."""
+    for name in cli_corpus.FILES:
+        if (form, name) in cli_corpus.SLOW:
+            continue
+        code, out, _ = cli_corpus.run(form, name, "json")
+        payload = json.loads(out)
+        if "ok" in payload:
+            assert payload["ok"] == (code == 0), name
+        if form in cli_corpus.DOCUMENT_FORMS and "error" not in payload and not payload.get("diagnostics"):
+            code, out, _ = cli_corpus.run(form, name, "text")
+            doc, diags = parse(out)
+            assert doc is not None and doc.items, (name, [d.describe() for d in diags])
 
 
 @pytest.mark.parametrize("path", POSITIVE, ids=lambda p: p.name)
@@ -516,6 +601,55 @@ def test_json_enriched_row_shapes_checked(tmp_path, capsys):
     ]
 
 
+# one row of a transformation-like item, edited: (golden file, item, table,
+# key, value before, value after, the located diagnostic)
+COMPONENT_ROW_CASES = [
+    ("transformation_chain2.ecat", "t", "at", 1, (0, 1, 0), (1, 1, 0),
+     "at entry at 1 is (1,1,0), not a morphism 0 -> 1"),
+    ("transformation_chain2.ecat", "F1", "mor", (0, 1, 0), (1, 1, 0), (0, 1, 0),
+     "mor entry at (0,1,0) is (0,1,0), not a morphism 1 -> 1"),
+    ("monad_toppoint.ecat", "M", "unit", 0, (0, 2, 0), (0, 0, 0),
+     "unit entry at 0 is (0,0,0), not a morphism 0 -> 2"),
+    ("monad_toppoint.ecat", "M", "mult", 1, (1, 1, 0), (1, 2, 0),
+     "mult entry at 1 is (1,2,0), not a morphism 1 -> 1"),
+    ("cocone_toppoint.ecat", "Q", "cell", 0, (2, 0, 0), (2, 2, 0),
+     "cell entry at 0 is (2,2,0), not a morphism 2 -> 0"),
+    ("cocone_toppoint.ecat", "Q", "cell", 0, (2, 0, 0), (2, 0, 9),
+     "cell component (2,0,9) out of range"),
+]
+
+
+def _row_text(v) -> str:
+    return f"({','.join(map(str, v))})" if isinstance(v, tuple) else str(v)
+
+
+@pytest.mark.parametrize("case", COMPONENT_ROW_CASES, ids=lambda c: f"{c[0]}-{c[2]}-{_row_text(c[5])}")
+def test_component_row_shapes_checked(case, tmp_path, capsys):
+    """transformation, monad, cocone and functor-mor rows are located
+    diagnostics in both formats, not unlocated errors of a later check."""
+    source, name, keyword, key, before, after, message = case
+    text = (GOLDEN / source).read_text(encoding="utf-8")
+    row = f"  {keyword} {_row_text(key)} = {_row_text(before)}\n"
+    at = text.index(row, re.search(rf"^\w+ {name} ", text, re.M).start())
+    path = tmp_path / source
+    path.write_text(text[:at] + f"  {keyword} {_row_text(key)} = {_row_text(after)}\n" + text[at + len(row):],
+                    encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    line = text[:at].count("\n") + 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{path}:{line}:3: error: {message}"
+
+    payload = json.loads(to_json(parse(text)[0]))
+    i = next(i for i, item in enumerate(payload["items"]) if item["name"] == name)
+    rows = payload["items"][i]["tables"][keyword]
+    json_key = list(key) if isinstance(key, tuple) else key
+    j = next(j for j, (k, _) in enumerate(rows) if k == json_key)
+    rows[j][1] = list(after)
+    machine = tmp_path / f"{source}.json"
+    machine.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["check", str(machine)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{machine}:items[{i}].tables.{keyword}[{j}]: error: {message}"
+
+
 @pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)
 def test_cli_json_check_of_bad_files_is_json_and_fails(path, capsys):
     code = run_cli(["--format", "json", "check", str(path)])
@@ -549,13 +683,30 @@ def test_cli_json_of_every_command_on_bad_files_is_json(path, command, capsys):
         assert payload["ok"] is False
 
 
+def _z2_cocone_with_generator_cell() -> str:
+    """The canonical Kleisli cocone of the identity monad on Z2 with cell 0
+    the generator, as a document: it loads, and breaks a cocone law."""
+    doc, _ = parse((GOLDEN / "set_z2.ecat").read_text(encoding="utf-8"))
+    base, E = doc.items
+    idE = id_functor(E.value)
+    T = EnrichedMonad(E.value, idE, id_transformation(idE), id_transformation(idE), name="M")
+    q = fkleisli_cocone(T)
+    q.cell.component[0] = MorRef(0, 0, 1)
+    built = [
+        ("functor", "I", idE, {"dom": "E", "cod": "E"}),
+        ("monad", "M", T, {"on": "E", "endo": "I"}),
+        ("enrichment", "FK", q.apex, {"over": base.name}),
+        ("functor", "leg", q.leg, {"dom": "E", "cod": "FK"}),
+        ("cocone", "Q", q, {"for": "M", "apex": "FK", "leg": "leg"}),
+    ]
+    return serialize(Document([base, E, *(Item(*fields, E.span) for fields in built)]))
+
+
 def test_cli_refusals_go_through_the_error_handler(tmp_path, capsys):
     """A refused command prints one JSON object with --format json, and
     `error: ...` on stderr in text; the exit codes stay 1 or 2."""
-    text = (GOLDEN / "cocone_toppoint.ecat").read_text(encoding="utf-8")
-    assert text.count("  cell 0 = (2,0,0)\n") == 1
-    cocone = tmp_path / "cocone_bad_cell.ecat"
-    cocone.write_text(text.replace("  cell 0 = (2,0,0)\n", "  cell 0 = (2,2,0)\n"), encoding="utf-8")
+    cocone = tmp_path / "cocone_z2_generator_cell.ecat"
+    cocone.write_text(_z2_cocone_with_generator_cell(), encoding="utf-8")
     chain = str(GOLDEN / "functors_chain2.ecat")
     cases = [
         (["equivalence", chain, "--functor", "F0"], 1,
@@ -565,7 +716,7 @@ def test_cli_refusals_go_through_the_error_handler(tmp_path, capsys):
         (["enum-functors", str(GOLDEN / "base_bool.ecat")], 2,
          "enum-functors needs --dom and --cod"),
         (["kleisli-ump", str(cocone)], 1,
-         "universal property failed: morphism (2,2,0) does not have shape 2 -> 0"),
+         "universal property failed: invalid Kleisli cocone: cocone-mult at (0,): lhs=(0,0,1) rhs=(0,0,0)"),
     ]
     for argv, code, error in cases:
         assert run_cli(["--format", "json", *argv]) == code

@@ -23,7 +23,8 @@ from ecat.factor import (
     orthogonal_lift,
     weak_equivalence_to_adjoint_equivalence,
 )
-from ecat.report import CapabilityError, StructuralError
+from ecat.report import CapabilityError, Failure, StructuralError
+from ecat.rezk import univalence_report
 from ecat.vbase import MorRef
 
 from helpers import random_poset, random_preorder, thin_functor
@@ -86,6 +87,23 @@ def test_hom_collapse_not_ff(finset3):
     assert check_functor_enrichment(F).ok
     w = is_fully_faithful(F)
     assert not w.ok and w.failing == (0, 0)
+
+
+def test_certificates_are_located_reports(boolb):
+    """Each certificate converts to a CheckReport naming where it fails."""
+    from ecat.construct import full_sub_enrichment
+
+    chain = preorder(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    discrete = preorder(boolb, {(0, 0), (1, 1)}, 2)
+    ff = is_fully_faithful(thin_functor(discrete, chain, (0, 1)))
+    assert ff.report().failures == [Failure("fully-faithful", (0, 1))]
+    _, inc = full_sub_enrichment(chain, lambda x: x == 0)
+    assert is_essentially_surjective(inc).report().failures == [Failure("essentially-surjective", (1,))]
+    codiscrete = preorder(boolb, full_relation(3), 3)
+    assert univalence_report(codiscrete).skeletal_report().failures == [Failure("skeletal", (0, 1))]
+    assert is_fully_faithful(id_functor(chain)).report().ok
+    assert is_essentially_surjective(id_functor(chain)).report().ok
+    assert univalence_report(chain).skeletal_report().ok
 
 
 # ---------------------------------------------------------------------------
