@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import construction_cases
 from ecat.cli import run_cli
 from ecat.construct import (
     LaxMonoidalFunctor,
@@ -695,3 +696,16 @@ def test_construction_output_bytes_pinned(name, capsys):
     *argv, source = PINNED_CONSTRUCTIONS[name]
     assert run_cli([*argv, str(GOLDEN / source)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "constructed" / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(construction_cases.cases()))
+def test_construction_tables_pinned(name):
+    """The tables of every constructed enrichment and functor, as written
+    by ``construction_cases.py`` into golden/constructions/."""
+    pinned = (construction_cases.OUT / f"{name}.json").read_text(encoding="utf-8")
+    assert construction_cases.cases()[name] == pinned
+
+
+def test_every_construction_pin_is_generated():
+    pins = sorted(p.stem for p in construction_cases.OUT.glob("*.json"))
+    assert pins == sorted(construction_cases.cases())
