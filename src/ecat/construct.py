@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Enrichment,
@@ -18,7 +19,7 @@ from .core import (
     required_farr,
 )
 from .report import CapabilityError, Collector, StructuralError, law_scan
-from .structures import CartesianStructure, StructCat
+from .structures import StructCat
 from .vbase import FinCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
 
 
@@ -201,17 +202,8 @@ def self_enrichment(V: MonBase) -> Enrichment:
         raise CapabilityError("self-enrichment needs a closed base")
     if not V.symmetric:
         raise CapabilityError("self-enrichment needs a symmetric base")
-    under = window_fincat(V)
-    n = under.n_objects
-    hom_obj = {}
-    e_id = {}
-    e_comp = {}
-    from_arr = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        hom_obj[(x, y)] = V.hom_obj(x, y)
-    for x in range(n):
-        e_id[x] = V.lam(V.unit, x, x, V.lunitor(x))
-    for x, y, z in itertools.product(range(n), repeat=3):
+
+    def ecomp(x, y, z):
         hyz, hxy = V.hom_obj(y, z), V.hom_obj(x, y)
         src = V.tensor_obj(hyz, hxy)
         chain = V.compose_all(
@@ -219,10 +211,15 @@ def self_enrichment(V: MonBase) -> Enrichment:
             V.tensor_mor(V.id_of(hyz), V.ev(x, y)),
             V.ev(y, z),
         )
-        e_comp[(x, y, z)] = V.lam(src, x, z, chain)
-    for f in under.mors():
-        from_arr[f] = V.lam(V.unit, f.src, f.dst, V.compose(V.lunitor(f.src), f))
-    return Enrichment(V, under, hom_obj, e_id, e_comp, from_arr, name="self")
+        return V.lam(src, x, z, chain)
+
+    return Enrichment.tabulate(
+        V, window_fincat(V), V.hom_obj,
+        lambda x: V.lam(V.unit, x, x, V.lunitor(x)),
+        ecomp,
+        lambda f: V.lam(V.unit, f.src, f.dst, V.compose(V.lunitor(f.src), f)),
+        name="self",
+    )
 
 
 def self_to_arr(E: Enrichment, x: int, y: int, f: MorRef) -> MorRef:
@@ -254,27 +251,21 @@ def full_sub_enrichment(E: Enrichment, keep) -> tuple[Enrichment, EnrichedFuncto
         lambda a: E.under.id_of(old_of[a]),
         lambda a, b, c, f, g: E.under.compose(f, g),
     )
-    hom_obj = {
-        (a, b): E.hom(old_of[a], old_of[b]) for a, b in itertools.product(range(n), repeat=2)
-    }
-    e_id = {a: E.eid(old_of[a]) for a in range(n) if E.eid(old_of[a]) is not None}
-    e_comp = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        m = E.ecomp(old_of[a], old_of[b], old_of[c])
-        if m is not None:
-            e_comp[(a, b, c)] = m
-    from_arr = {}
-    for f in under.mors():
-        m = E.farr(MorRef(old_of[f.src], old_of[f.dst], f.k))
-        if m is not None:
-            from_arr[f] = m
-    sub = Enrichment(E.base, under, hom_obj, e_id, e_comp, from_arr, name=f"sub({E.name})")
-    inclusion = EnrichedFunctor(
-        sub, E,
-        dict(old_of),
-        {f: MorRef(old_of[f.src], old_of[f.dst], f.k) for f in under.mors()},
-        {(a, b): E.base.id_of(hom_obj[(a, b)]) for a, b in itertools.product(range(n), repeat=2)},
-        name="inclusion",
+    eids, ecomps, farrs = E.e_id_t, E.e_comp_t, E.from_arr_t
+
+    def old(f: MorRef) -> MorRef:
+        return MorRef(old_of[f.src], old_of[f.dst], f.k)
+
+    sub = Enrichment.tabulate(
+        E.base, under,
+        lambda a, b: E.hom(old_of[a], old_of[b]),
+        lambda a: eids.get(old_of[a]),
+        lambda a, b, c: ecomps.get((old_of[a], old_of[b], old_of[c])),
+        lambda f: farrs.get(old(f)),
+        name=f"sub({E.name})",
+    )
+    inclusion = EnrichedFunctor.tabulate(
+        sub, E, old_of.__getitem__, old, lambda a, b: E.base.id_of(sub.hom_obj_t[a, b]), name="inclusion"
     )
     return sub, inclusion
 
@@ -294,22 +285,19 @@ def opposite_enrichment(E: Enrichment) -> Enrichment:
     V = E.base
     if not V.symmetric:
         raise CapabilityError("opposite enrichment needs a symmetric base")
-    under_op = opposite_category(E.under)
-    hom_obj = {(x, y): E.hom(y, x) for x, y in itertools.product(E.objects(), repeat=2)}
-    e_comp = {}
-    for x, y, z in itertools.product(E.objects(), repeat=3):
-        m = E.ecomp(z, y, x)
-        if m is None:
-            continue
-        s = V.symmetry(E.hom(z, y), E.hom(y, x))
-        e_comp[(x, y, z)] = V.compose(s, m)
-    from_arr = {}
-    for f in under_op.mors():
-        m = E.farr(MorRef(f.dst, f.src, f.k))
-        if m is not None:
-            from_arr[f] = m
-    return Enrichment(
-        V, under_op, hom_obj, dict(E.e_id_t), e_comp, from_arr, name=f"op({E.name})"
+    ecomps, farrs = E.e_comp_t, E.from_arr_t
+
+    def ecomp(x, y, z):
+        m = ecomps.get((z, y, x))
+        return None if m is None else V.compose(V.symmetry(E.hom(z, y), E.hom(y, x)), m)
+
+    return Enrichment.tabulate(
+        V, opposite_category(E.under),
+        lambda x, y: E.hom(y, x),
+        E.e_id_t.get,
+        ecomp,
+        lambda f: farrs.get(MorRef(f.dst, f.src, f.k)),
+        name=f"op({E.name})",
     )
 
 
@@ -318,12 +306,7 @@ def opposite_enrichment(E: Enrichment) -> Enrichment:
 # ---------------------------------------------------------------------------
 
 def dialgebra_objects(F1: EnrichedFunctor, F2: EnrichedFunctor) -> list[tuple[int, MorRef]]:
-    E1, E2 = F1.dom, F1.cod
-    out = []
-    for x in E1.objects():
-        for f in E2.under.hom(F1.ob(x), F2.ob(x)):
-            out.append((x, f))
-    return out
+    return [(x, f) for x in F1.dom.objects() for f in F1.cod.under.hom(F1.ob(x), F2.ob(x))]
 
 
 @dataclass(eq=False)
@@ -357,7 +340,6 @@ def dialgebra_enrichment(F1: EnrichedFunctor, F2: EnrichedFunctor) -> DialgebraR
         raise CapabilityError("dialgebra enrichment needs equalizers in the base")
     objs = dialgebra_objects(F1, F2)
     n = len(objs)
-    idx = {ob: i for i, ob in enumerate(objs)}
 
     def square_ok(a, b, h):
         (x, f), (y, g) = objs[a], objs[b]
@@ -371,45 +353,36 @@ def dialgebra_enrichment(F1: EnrichedFunctor, F2: EnrichedFunctor) -> DialgebraR
         n, mors, lambda a: E1.under.id_of(objs[a][0]), lambda a, b, c, h1, h2: E1.under.compose(h1, h2)
     )
 
+    # the hom rule records each hom object's equalizer for the later rules
     eqs = {}
-    hom_obj = {}
-    for a, b in itertools.product(range(n), repeat=2):
+
+    def hom_obj(a, b):
         (x, f), (y, g) = objs[a], objs[b]
         p = V.compose(F1.e_fun(x, y), precompose_mor(E2, F1.ob(x), g))
         q = V.compose(F2.e_fun(x, y), postcompose_mor(E2, F2.ob(y), f))
-        eq = V.equalizer(p, q)
-        eqs[(a, b)] = eq
-        hom_obj[(a, b)] = eq.obj
+        eqs[a, b] = V.equalizer(p, q)
+        return eqs[a, b].obj
 
-    e_id = {}
-    for a in range(n):
-        x, f = objs[a]
-        ei = E1.eid(x)
-        if ei is not None:
-            e_id[a] = eqs[(a, a)].factor(ei)
-    e_comp = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        (x, _), (y, _), (z, _) = objs[a], objs[b], objs[c]
-        c1 = E1.ecomp(x, y, z)
+    def eid(a):
+        ei = E1.eid(objs[a][0])
+        return None if ei is None else eqs[a, a].factor(ei)
+
+    def ecomp(a, b, c):
+        c1 = E1.ecomp(objs[a][0], objs[b][0], objs[c][0])
         if c1 is None:
-            continue
-        chain = V.compose(
-            V.tensor_mor(eqs[(b, c)].include, eqs[(a, b)].include), c1
-        )
-        e_comp[(a, b, c)] = eqs[(a, c)].factor(chain)
-    from_arr = {}
-    for m in under.mors():
-        h = mors[(m.src, m.dst)][m.k]
-        u = E1.farr(h)
-        if u is not None:
-            from_arr[m] = eqs[(m.src, m.dst)].factor(u)
-    dialg = Enrichment(V, under, hom_obj, e_id, e_comp, from_arr, name="dialg")
-    projection = EnrichedFunctor(
-        dialg, E1,
-        {a: objs[a][0] for a in range(n)},
-        {m: mors[(m.src, m.dst)][m.k] for m in under.mors()},
-        {(a, b): eqs[(a, b)].include for a, b in itertools.product(range(n), repeat=2)},
-        name="dialg-proj",
+            return None
+        return eqs[a, c].factor(V.compose(V.tensor_mor(eqs[b, c].include, eqs[a, b].include), c1))
+
+    def under_mor(m: MorRef) -> MorRef:
+        return mors[m.src, m.dst][m.k]
+
+    def farr(m):
+        u = E1.farr(under_mor(m))
+        return None if u is None else eqs[m.src, m.dst].factor(u)
+
+    dialg = Enrichment.tabulate(V, under, hom_obj, eid, ecomp, farr, name="dialg")
+    projection = EnrichedFunctor.tabulate(
+        dialg, E1, lambda a: objs[a][0], under_mor, lambda a, b: eqs[a, b].include, name="dialg-proj"
     )
     return DialgebraResult(dialg, projection, objs, mors, eqs)
 
@@ -466,7 +439,7 @@ def functor_category_on(
     Functors with the same ``table_key`` are one object, at the place of the
     first; transformations between them are enumerated and checked."""
     V = E1.base
-    if not (V.symmetric and V.closed and V.has_products and V.has_equalizers):
+    if not (V.symmetric and V.closed and V.has_equalizers):
         raise CapabilityError(
             "functor category needs a symmetric closed base with products and equalizers"
         )
@@ -488,14 +461,15 @@ def functor_category_on(
         lambda a, b, c, s, t: tuple((x, E2.under.compose(f, g)) for (x, f), (_, g) in zip(s, t)),
     )
 
-    # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)]
+    # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)];
+    # the hom rule records each product and equalizer for the later rules
     pair_keys = list(itertools.product(objs1, repeat=2))
     prods = {}
     eqs = {}
-    hom_obj = {}
-    for a, b in itertools.product(range(n), repeat=2):
+
+    def hom_obj(a, b):
         F, G = functors[a], functors[b]
-        P = V.product([E2.hom(F.ob(x), G.ob(x)) for x in objs1])
+        P = prods[a, b] = V.product([E2.hom(F.ob(x), G.ob(x)) for x in objs1])
         legs_f = []
         legs_g = []
         for (x, y) in pair_keys:
@@ -508,7 +482,7 @@ def functor_category_on(
                 required_ecomp(E2, F.ob(x), F.ob(y), G.ob(y)),
             )
             phi = V.lam(src_f, e1, tgt, chain_f)
-            legs_f.append(V.compose(P.projections[objs1.index(y)], phi))
+            legs_f.append(V.compose(P.projections[y], phi))
             # psi: E2(Fx, Gx) -> [E1(x,y), E2(Fx, Gy)]
             src_g = E2.hom(F.ob(x), G.ob(x))
             chain_g = V.compose_all(
@@ -517,58 +491,46 @@ def functor_category_on(
                 required_ecomp(E2, F.ob(x), G.ob(x), G.ob(y)),
             )
             psi = V.lam(src_g, e1, tgt, chain_g)
-            legs_g.append(V.compose(P.projections[objs1.index(x)], psi))
+            legs_g.append(V.compose(P.projections[x], psi))
         Q = V.product(
             [V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys]
         )
-        f_mor = Q.pair(P.obj, legs_f)
-        g_mor = Q.pair(P.obj, legs_g)
-        eq = V.equalizer(f_mor, g_mor)
-        prods[(a, b)] = P
-        eqs[(a, b)] = eq
-        hom_obj[(a, b)] = eq.obj
+        eqs[a, b] = V.equalizer(Q.pair(P.obj, legs_f), Q.pair(P.obj, legs_g))
+        return eqs[a, b].obj
 
-    e_id = {}
-    for a in range(n):
-        F = functors[a]
-        legs = [E2.eid(F.ob(x)) for x in objs1]
+    def cone(a, b, src, legs):
+        """The hom (a, b) point of ``src`` with the given legs, or None if a
+        leg is absent."""
         if any(m is None for m in legs):
-            continue
-        cone = prods[(a, a)].pair(V.unit, legs)
-        e_id[a] = eqs[(a, a)].factor(cone)
-    e_comp = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
+            return None
+        return eqs[a, b].factor(prods[a, b].pair(src, legs))
+
+    def eid(a):
+        F = functors[a]
+        return cone(a, a, V.unit, [E2.eid(F.ob(x)) for x in objs1])
+
+    def ecomp(a, b, c):
         F, G, H = functors[a], functors[b], functors[c]
-        src = V.tensor_obj(hom_obj[(b, c)], hom_obj[(a, b)])
+        src = V.tensor_obj(eqs[b, c].obj, eqs[a, b].obj)
         legs = []
-        skip = False
         for x in objs1:
             c2 = E2.ecomp(F.ob(x), G.ob(x), H.ob(x))
             if c2 is None:
-                skip = True
-                break
-            Pbc, Pab = prods[(b, c)], prods[(a, b)]
-            leg = V.compose_all(
+                return None
+            legs.append(V.compose_all(
                 V.tensor_mor(
-                    V.compose(eqs[(b, c)].include, Pbc.projections[objs1.index(x)]),
-                    V.compose(eqs[(a, b)].include, Pab.projections[objs1.index(x)]),
+                    V.compose(eqs[b, c].include, prods[b, c].projections[x]),
+                    V.compose(eqs[a, b].include, prods[a, b].projections[x]),
                 ),
                 c2,
-            )
-            legs.append(leg)
-        if skip:
-            continue
-        cone = prods[(a, c)].pair(src, legs)
-        e_comp[(a, b, c)] = eqs[(a, c)].factor(cone)
-    from_arr = {}
-    for m in under.mors():
-        tau = trans[(m.src, m.dst)][m.k]
-        legs = [E2.farr(tau.at(x)) for x in objs1]
-        if any(u is None for u in legs):
-            continue
-        cone = prods[(m.src, m.dst)].pair(V.unit, legs)
-        from_arr[m] = eqs[(m.src, m.dst)].factor(cone)
-    enr = Enrichment(V, under, hom_obj, e_id, e_comp, from_arr, name="functor-cat")
+            ))
+        return cone(a, c, src, legs)
+
+    def farr(m):
+        tau = trans[m.src, m.dst][m.k]
+        return cone(m.src, m.dst, V.unit, [E2.farr(tau.at(x)) for x in objs1])
+
+    enr = Enrichment.tabulate(V, under, hom_obj, eid, ecomp, farr, name="functor-cat")
     return FunctorCategoryResult(enr, functors, trans, prods, eqs)
 
 
@@ -584,24 +546,21 @@ def canonical_set_enrichment(C: FinCat, base) -> Enrichment:
         raise CapabilityError(
             f"skeletal base window {base.k} cannot index homs of size {max_hom}"
         )
-    hom_obj = {}
-    e_id = {}
-    e_comp = {}
-    from_arr = {}
-    for x, y in itertools.product(C.objects(), repeat=2):
-        hom_obj[(x, y)] = C.hom_size(x, y)
-    for x in C.objects():
-        e_id[x] = MorRef(1, C.hom_size(x, x), C.id_of(x).k)
-    for x, y, z in itertools.product(C.objects(), repeat=3):
-        n_yz, n_xy = C.hom_size(y, z), C.hom_size(x, y)
-        graph = []
-        for g in C.hom(y, z):
-            for f in C.hom(x, y):
-                graph.append(C.compose(f, g).k)
-        e_comp[(x, y, z)] = base.mor(n_yz * n_xy, C.hom_size(x, z), tuple(graph))
-    for f in C.mors():
-        from_arr[f] = MorRef(1, C.hom_size(f.src, f.dst), f.k)
-    return Enrichment(base, C, hom_obj, e_id, e_comp, from_arr, name="set-enrichment")
+    size, graph = C.hom_size, composition_graph(C)
+    return Enrichment.tabulate(
+        base, C, size,
+        lambda x: MorRef(1, size(x, x), C.id_of(x).k),
+        lambda x, y, z: base.mor(size(y, z) * size(x, y), size(x, z), graph(x, y, z)),
+        lambda f: MorRef(1, size(f.src, f.dst), f.k),
+        name="set-enrichment",
+    )
+
+
+def composition_graph(C: FinCat) -> Callable[[int, int, int], tuple[int, ...]]:
+    """C's composition C(y,z) x C(x,y) -> C(x,z) as ``graph(x, y, z)``, a
+    graph on hom indices under the pairing code ``k_g * |C(x,y)| + k_f``."""
+    homs = {(x, y): C.hom(x, y) for x in C.objects() for y in C.objects()}
+    return lambda x, y, z: tuple([C.compose(f, g).k for g in homs[y, z] for f in homs[x, y]])
 
 
 def set_enrichment_unique(E1: Enrichment, E2: Enrichment) -> EnrichedFunctor:
@@ -611,32 +570,22 @@ def set_enrichment_unique(E1: Enrichment, E2: Enrichment) -> EnrichedFunctor:
         raise StructuralError("set enrichments must share the underlying category")
     V = E1.base
     C = E1.under
-    e_fun = {}
-    for x, y in itertools.product(C.objects(), repeat=2):
+
+    def e_fun(x, y):
         n = C.hom_size(x, y)
         if E1.hom(x, y) != n or E2.hom(x, y) != n:
             raise StructuralError(f"hom object at ({x},{y}) is not the hom-set size")
         graph = [0] * n
         for f in C.hom(x, y):
             graph[required_farr(E1, f).k] = required_farr(E2, f).k
-        e_fun[(x, y)] = V.mor(n, n, tuple(graph))
-    return EnrichedFunctor(
-        E1, E2,
-        {x: x for x in C.objects()},
-        {f: f for f in C.mors()},
-        e_fun,
-        name="set-enrichment-iso",
-    )
+        return V.mor(n, n, tuple(graph))
+
+    return EnrichedFunctor.tabulate(E1, E2, lambda x: x, lambda f: f, e_fun, name="set-enrichment-iso")
 
 
 # ---------------------------------------------------------------------------
 # cartesian structure enrichments
 # ---------------------------------------------------------------------------
-
-def struct_cat(S: CartesianStructure, size_cap: int) -> StructCat:
-    """The monoidal category of S-structured sets, windowed at the cap."""
-    return StructCat(S, size_cap)
-
 
 def struct_enrichment_to_data(E: Enrichment) -> dict:
     """Extract per-hom structures from an enrichment over a structure
@@ -667,33 +616,21 @@ def struct_data_to_enrichment(C: FinCat, hom_structs: dict, V: StructCat) -> Enr
     structure-preserving map of the given structures.
     """
     S = V.struct
+    graph = composition_graph(C)
     for x, y, z in itertools.product(C.objects(), repeat=3):
         n_yz, n_xy, n_xz = C.hom_size(y, z), C.hom_size(x, y), C.hom_size(x, z)
-        graph = []
-        for g in C.hom(y, z):
-            for f in C.hom(x, y):
-                graph.append(C.compose(f, g).k)
         prod = S.prod(n_yz, hom_structs[(y, z)], n_xy, hom_structs[(x, y)])
-        if not S.is_map(n_yz * n_xy, prod, n_xz, hom_structs[(x, z)], tuple(graph)):
+        if not S.is_map(n_yz * n_xy, prod, n_xz, hom_structs[(x, z)], graph(x, y, z)):
             raise CapabilityError(
                 f"composition is not structure-preserving at ({x},{y},{z})"
             )
-    hom_obj = {}
-    e_id = {}
-    e_comp = {}
-    from_arr = {}
-    for x, y in itertools.product(C.objects(), repeat=2):
-        n = C.hom_size(x, y)
-        hom_obj[(x, y)] = V._register(n, hom_structs[(x, y)])
-    for x in C.objects():
-        e_id[x] = V.mor(V.unit, hom_obj[(x, x)], (C.id_of(x).k,))
-    for x, y, z in itertools.product(C.objects(), repeat=3):
-        graph = []
-        for g in C.hom(y, z):
-            for f in C.hom(x, y):
-                graph.append(C.compose(f, g).k)
-        src = V.tensor_obj(hom_obj[(y, z)], hom_obj[(x, y)])
-        e_comp[(x, y, z)] = V.mor(src, hom_obj[(x, z)], tuple(graph))
-    for f in C.mors():
-        from_arr[f] = V.mor(V.unit, hom_obj[(f.src, f.dst)], (f.k,))
-    return Enrichment(V, C, hom_obj, e_id, e_comp, from_arr, name="struct-enrichment")
+    # registered up front, in (x, y) order, for the rules to read
+    hom = {(x, y): V._register(C.hom_size(x, y), hom_structs[x, y]) for x in C.objects() for y in C.objects()}
+    return Enrichment.tabulate(
+        V, C,
+        lambda x, y: hom[x, y],
+        lambda x: V.mor(V.unit, hom[x, x], (C.id_of(x).k,)),
+        lambda x, y, z: V.mor(V.tensor_obj(hom[y, z], hom[x, y]), hom[x, z], graph(x, y, z)),
+        lambda f: V.mor(V.unit, hom[f.src, f.dst], (f.k,)),
+        name="struct-enrichment",
+    )

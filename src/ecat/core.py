@@ -12,13 +12,18 @@ diagram rather than refusing the data.
 
 The underlying category of an enrichment and the Kelly round trip are one
 construction: ``underlying_category(E)`` is ``from_kelly(to_kelly(E)).under``,
-and ``underlying_iso_functor`` is ``kelly_round_trip_iso`` under another name.
+and ``kelly_round_trip_iso(E)`` is the identity-on-objects isomorphism from
+E onto that round trip.
+
+Every constructed enrichment and functor is built by ``Enrichment.tabulate``
+or ``EnrichedFunctor.tabulate`` from one rule per table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .report import Collector, StructuralError, law_scan
 from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
@@ -34,6 +39,23 @@ class Enrichment:
     from_arr_t: dict
     name: str = ""
     _to_arr: dict = field(default=None, repr=False)
+
+    @classmethod
+    def tabulate(cls, base: MonBase, under: FinCat, hom_obj: Callable, eid: Callable, ecomp: Callable,
+                 farr: Callable, name: str = "") -> "Enrichment":
+        """The enrichment of ``under`` with one rule per table: ``hom_obj(x,
+        y)``, ``eid(x)``, ``ecomp(x, y, z)`` and ``farr(f)``. The last three
+        may return None, which leaves the entry absent for the checker to
+        report. The rules run in a fixed order, which numbers the objects a
+        computed base registers: hom objects over (x, y), then eid over x,
+        then ecomp over (x, y, z), then farr over ``under.mors()``. Every
+        constructed enrichment is built this way."""
+        objs = under.objects()
+        hom_obj_t = {(x, y): hom_obj(x, y) for x in objs for y in objs}
+        e_id_t = {x: m for x in objs if (m := eid(x)) is not None}
+        e_comp_t = {(x, y, z): m for x in objs for y in objs for z in objs if (m := ecomp(x, y, z)) is not None}
+        from_arr_t = {f: m for f in under.mors() if (m := farr(f)) is not None}
+        return cls(base, under, hom_obj_t, e_id_t, e_comp_t, from_arr_t, name=name)
 
     @property
     def n_objects(self) -> int:
@@ -88,6 +110,19 @@ class EnrichedFunctor:
     mor_map: dict
     e_fun_t: dict
     name: str = ""
+
+    @classmethod
+    def tabulate(cls, dom: Enrichment, cod: Enrichment, ob: Callable, mor: Callable, e_fun: Callable,
+                 name: str = "") -> "EnrichedFunctor":
+        """The functor dom -> cod with one total rule per table, run in a
+        fixed order: ``ob(x)`` over the objects, then ``mor(f)`` over
+        ``dom.under.mors()``, then ``e_fun(x, y)`` over pairs of objects.
+        Every constructed functor is built this way."""
+        objs = dom.objects()
+        ob_map = {x: ob(x) for x in objs}
+        mor_map = {f: mor(f) for f in dom.under.mors()}
+        e_fun_t = {(x, y): e_fun(x, y) for x in objs for y in objs}
+        return cls(dom, cod, ob_map, mor_map, e_fun_t, name=name)
 
     def ob(self, x: int) -> int:
         try:
@@ -388,8 +423,7 @@ def from_kelly(K: KellyEnrichedCat) -> Enrichment:
         return ei
 
     under = FinCat.tabulate(n, homs, identity, lambda x, y, z, u, v: underlying_comp(K, u, v, x, y, z))
-    from_arr = {m: homs[m.src, m.dst][m.k] for m in under.mors()}
-    return Enrichment(V, under, dict(K.hom_obj_t), dict(K.e_id_t), dict(K.e_comp_t), from_arr)
+    return Enrichment.tabulate(V, under, K.hom, K.eid, K.ecomp, lambda m: homs[m.src, m.dst][m.k])
 
 
 def underlying_category(E: Enrichment) -> FinCat:
@@ -405,21 +439,13 @@ def underlying_category(E: Enrichment) -> FinCat:
 def kelly_round_trip_iso(E: Enrichment) -> EnrichedFunctor:
     """Identity-on-objects enriched isomorphism E -> from_kelly(to_kelly(E)):
     identities on hom objects, from_arr on morphisms."""
-    E2 = from_kelly(to_kelly(E))
-    mor_map = {f: MorRef(f.src, f.dst, required_farr(E, f).k) for f in E.under.mors()}
-    e_fun_t = {
-        (x, y): E.base.id_of(E.hom(x, y))
-        for x, y in itertools.product(range(E.n_objects), repeat=2)
-    }
-    return EnrichedFunctor(E, E2, {x: x for x in E.objects()}, mor_map, e_fun_t, name="kelly-round-trip")
-
-
-def underlying_iso_functor(E: Enrichment) -> EnrichedFunctor:
-    """The identity-on-objects comparison from E.under onto underlying_category,
-    with from_arr as the hom-wise bijection: kelly_round_trip_iso by another name."""
-    iso = kelly_round_trip_iso(E)
-    iso.name = "underlying-iso"
-    return iso
+    return EnrichedFunctor.tabulate(
+        E, from_kelly(to_kelly(E)),
+        lambda x: x,
+        lambda f: MorRef(f.src, f.dst, required_farr(E, f).k),
+        lambda x, y: E.base.id_of(E.hom(x, y)),
+        name="kelly-round-trip",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,28 +564,20 @@ def check_nat_trans_enrichment(col: Collector, tau: EnrichedTransformation) -> N
 # ---------------------------------------------------------------------------
 
 def id_functor(E: Enrichment) -> EnrichedFunctor:
-    return EnrichedFunctor(
-        E, E,
-        {x: x for x in E.objects()},
-        {f: f for f in E.under.mors()},
-        {(x, y): E.base.id_of(E.hom(x, y)) for x in E.objects() for y in E.objects()},
-        name="id",
-    )
+    V = E.base
+    return EnrichedFunctor.tabulate(E, E, lambda x: x, lambda f: f, lambda x, y: V.id_of(E.hom(x, y)), name="id")
 
 
 def compose_functors(F: EnrichedFunctor, G: EnrichedFunctor) -> EnrichedFunctor:
     """Diagrammatic composite: F then G."""
     if F.cod is not G.dom and not F.cod.data_equal(G.dom):
         raise StructuralError("functors are not composable")
-    return EnrichedFunctor(
+    V = F.dom.base
+    return EnrichedFunctor.tabulate(
         F.dom, G.cod,
-        {x: G.ob(F.ob(x)) for x in F.dom.objects()},
-        {f: G.mor(F.mor(f)) for f in F.dom.under.mors()},
-        {
-            (x, y): F.dom.base.compose(F.e_fun(x, y), G.e_fun(F.ob(x), F.ob(y)))
-            for x in F.dom.objects()
-            for y in F.dom.objects()
-        },
+        lambda x: G.ob(F.ob(x)),
+        lambda f: G.mor(F.mor(f)),
+        lambda x, y: V.compose(F.e_fun(x, y), G.e_fun(F.ob(x), F.ob(y))),
         name=f"{F.name};{G.name}",
     )
 
@@ -654,27 +672,23 @@ def thin_enrichment(base: MonBase, n: int, hom_obj: dict, name: str = "") -> Enr
     identities/compositions are left absent for the checker to report.
     """
     I = base.unit
-    arrows = {
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if base.hom_size(I, hom_obj[(x, y)]) > 0
-    }
-    under = thin_under_category(n, arrows)
-    e_id_t = {}
-    for x in range(n):
-        if base.hom_size(I, hom_obj[(x, x)]) > 0:
-            e_id_t[x] = MorRef(I, hom_obj[(x, x)], 0)
-    e_comp_t = {}
-    for x, y, z in itertools.product(range(n), repeat=3):
-        src = base.tensor_obj(hom_obj[(y, z)], hom_obj[(x, y)])
-        if base.hom_size(src, hom_obj[(x, z)]) > 0:
-            e_comp_t[(x, y, z)] = MorRef(src, hom_obj[(x, z)], 0)
-    from_arr_t = {}
-    for f in under.mors():
-        if base.hom_size(I, hom_obj[(f.src, f.dst)]) > 0:
-            from_arr_t[f] = MorRef(I, hom_obj[(f.src, f.dst)], 0)
-    return Enrichment(base, under, dict(hom_obj), e_id_t, e_comp_t, from_arr_t, name=name)
+    # the point I -> h of each hom object h that has one
+    points = {h: MorRef(I, h, 0) for h in {hom_obj[x, y] for x in range(n) for y in range(n)}
+              if base.hom_size(I, h) > 0}
+    arrows = {(x, y) for x in range(n) for y in range(n) if hom_obj[x, y] in points}
+
+    def ecomp(x, y, z):
+        src, dst = base.tensor_obj(hom_obj[y, z], hom_obj[x, y]), hom_obj[x, z]
+        return MorRef(src, dst, 0) if base.hom_size(src, dst) > 0 else None
+
+    return Enrichment.tabulate(
+        base, thin_under_category(n, arrows),
+        lambda x, y: hom_obj[x, y],
+        lambda x: points.get(hom_obj[x, x]),
+        ecomp,
+        lambda f: points.get(hom_obj[f.src, f.dst]),
+        name=name,
+    )
 
 
 def bool_preorder_enrichment(base: MonBase, relation: set[tuple[int, int]], n: int, name: str = "") -> Enrichment:
@@ -704,9 +718,6 @@ def enumerate_enriched_functors(E1: Enrichment, E2: Enrichment, cap: int = 10_00
 
     n1, n2 = E1.n_objects, E2.n_objects
     mors1 = list(E1.under.mors())
-    if n1 == 0:
-        empty = EnrichedFunctor(E1, E2, {}, {}, {})
-        return [empty]
     bound = n2 ** n1
     if bound > cap:
         raise EnumerationCapExceeded("functor object-map space too large", bound)

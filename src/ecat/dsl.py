@@ -374,6 +374,19 @@ class _Resolver:
             self.error(d.rows[keyword, k], message.format(k, v))
         return not bad
 
+    def _check_keys(self, d: _Decl, keyword: str, keys) -> bool:
+        """Report a table whose keys are not exactly ``keys``: once at the
+        declaration, naming the first missing key, and at each extra row."""
+        table, keys = d.table(keyword), list(keys)
+        missing = next((k for k in keys if k not in table), None)
+        if missing is not None:
+            self.error(d.span, f"{d.kind} {d.name!r} has no {keyword!r} entry at {missing}")
+        expected = set(keys)
+        extra = [k for k in table if k not in expected]
+        for k in extra:
+            self.error(d.rows[keyword, k], f"{keyword} entry at {k} is outside the domain")
+        return missing is None and not extra
+
     def _check_in_range(self, d: _Decl, n: int, keywords) -> bool:
         """Report each row of the named tables that references an object
         outside 0..n-1 or a morphism outside its hom, by the table's own
@@ -512,6 +525,9 @@ class _Resolver:
     def _resolve_functor(self, d: _Decl, dom, cod):
         ob = d.table("ob")
         in_range = all([
+            self._check_keys(d, "ob", dom.objects()),
+            self._check_keys(d, "mor", dom.under.mors()),
+            self._check_keys(d, "efun", itertools.product(dom.objects(), repeat=2)),
             self._check_rows(d, "ob", lambda y: y < cod.n_objects, "object image {1} out of range"),
             self._check_rows(d, "mor", lambda m: _fincat_mor_ok(cod.under, m), "morphism image {1} out of range"),
             self._check_rows(d, "efun", lambda m: _base_mor_ok(dom.base, m),
@@ -522,15 +538,20 @@ class _Resolver:
         return EnrichedFunctor(dom, cod, ob, d.table("mor"), d.table("efun"), name=d.name)
 
     def _resolve_transformation(self, d: _Decl, src, dst):
-        if not (self._check_rows(d, "at", lambda m: _fincat_mor_ok(src.cod.under, m), "component {1} out of range")
+        if not (self._check_keys(d, "at", src.dom.objects())
+                and self._check_rows(d, "at", lambda m: _fincat_mor_ok(src.cod.under, m), "component {1} out of range")
                 and self._check_arrow_shapes(d, "at", lambda x: (src.ob_map.get(x), dst.ob_map.get(x)))):
             return None
         return EnrichedTransformation(src, dst, d.table("at"), name=d.name)
 
     def _resolve_monad(self, d: _Decl, carrier, endo):
+        if not (_same(endo.dom, carrier) and _same(endo.cod, carrier)):
+            self.error(d.span, f"monad {d.name!r}: {d.refs['endo']!r} is not an endofunctor of {d.refs['on']!r}")
+            return None
         t = endo.ob_map.get
-        in_range = all([self._check_rows(d, table, lambda m: _fincat_mor_ok(carrier.under, m),
-                                         "monad component {1} out of range") for table in ("unit", "mult")])
+        in_range = all([self._check_keys(d, table, carrier.objects()) for table in ("unit", "mult")]
+                       + [self._check_rows(d, table, lambda m: _fincat_mor_ok(carrier.under, m),
+                                           "monad component {1} out of range") for table in ("unit", "mult")])
         if not (in_range and all([
             self._check_arrow_shapes(d, "unit", lambda x: (x, t(x))),
             self._check_arrow_shapes(d, "mult", lambda x: (t(t(x)), t(x))),
@@ -541,12 +562,21 @@ class _Resolver:
         return EnrichedMonad(carrier, endo, unit, mult, name=d.name)
 
     def _resolve_cocone(self, d: _Decl, monad, apex, leg):
+        if not (_same(leg.dom, monad.carrier) and _same(leg.cod, apex)):
+            self.error(d.span, f"cocone {d.name!r}: {d.refs['leg']!r} does not go from the carrier of "
+                               f"{d.refs['for']!r} to {d.refs['apex']!r}")
+            return None
         q = leg.ob_map.get
-        if not (self._check_rows(d, "cell", lambda m: _fincat_mor_ok(apex.under, m), "cell component {1} out of range")
+        if not (self._check_keys(d, "cell", monad.carrier.objects())
+                and self._check_rows(d, "cell", lambda m: _fincat_mor_ok(apex.under, m), "cell component {1} out of range")
                 and self._check_arrow_shapes(d, "cell", lambda x: (q(monad.endo.ob_map.get(x)), q(x)))):
             return None
         cell = EnrichedTransformation(compose_functors(monad.endo, leg), leg, d.table("cell"), name=f"{d.name}-cell")
         return KleisliCocone(apex, leg, cell, name=d.name)
+
+
+def _same(E1: Enrichment, E2: Enrichment) -> bool:
+    return E1 is E2 or E1.data_equal(E2)
 
 
 def _base_mor_ok(base, m: MorRef) -> bool:

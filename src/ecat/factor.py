@@ -105,13 +105,7 @@ def is_essentially_surjective(F: EnrichedFunctor) -> EsoWitness:
     preimage = {}
     missed = []
     for y in F.cod.objects():
-        found = None
-        for x in F.dom.objects():
-            for i in iso_arrows(cod, F.ob(x), y):
-                found = (x, i)
-                break
-            if found:
-                break
+        found = next(((x, i) for x in F.dom.objects() for i in iso_arrows(cod, F.ob(x), y)), None)
         if found is None:
             missed.append(y)
         else:
@@ -142,23 +136,16 @@ def image_factorization(F: EnrichedFunctor) -> FactorizationResult:
     """
     cod = F.cod
     values = {F.ob(x) for x in F.dom.objects()}
-    hit = set()
-    for y in cod.objects():
-        for v in values:
-            if iso_arrows(cod.under, v, y):
-                hit.add(y)
-                break
+    hit = {y for y in cod.objects() if any(iso_arrows(cod.under, v, y) for v in values)}
     image, inclusion = full_sub_enrichment(cod, lambda y: y in hit)
     new_of = {old: new for new, old in inclusion.ob_map.items()}
-    eso = EnrichedFunctor(
-        F.dom, image,
-        {x: new_of[F.ob(x)] for x in F.dom.objects()},
-        {
-            f: MorRef(new_of[F.mor(f).src], new_of[F.mor(f).dst], F.mor(f).k)
-            for f in F.dom.under.mors()
-        },
-        dict(F.e_fun_t),
-        name=f"{F.name}-corestriction",
+
+    def mor(f):
+        g = F.mor(f)
+        return MorRef(new_of[g.src], new_of[g.dst], g.k)
+
+    eso = EnrichedFunctor.tabulate(
+        F.dom, image, lambda x: new_of[F.ob(x)], mor, F.e_fun, name=f"{F.name}-corestriction"
     )
     composite = compose_functors(eso, inclusion)
     comparison = EnrichedTransformation(
@@ -212,19 +199,15 @@ def orthogonal_lift(
         whole = cod4.compose(lhs, gmi)
         return underlying_hom_inverse(G, ff, whole, ob_map[g.src], ob_map[g.dst])
 
-    mor_map = {}
-    for g in E2.under.mors():
-        mor_map[g] = transport(g)
-
-    e_fun = {}
-    for y, y2 in itertools.product(E2.objects(), repeat=2):
+    def e_fun(y, y2):
         # E2(y,y') -> E4(H2 y, H2 y') -> E4(GL y, GL y') -> E3(L y, L y')
         m = H2.e_fun(y, y2)
         m = V.compose(m, postcompose_mor(E4, H2.ob(y2), gamma[y]))
         gmi = find_inverse(cod4, gamma[y2])
         m = V.compose(m, precompose_mor(E4, G.ob(ob_map[y]), gmi))
-        e_fun[(y, y2)] = V.compose(m, ff.inverses[(ob_map[y], ob_map[y2])])
-    L = EnrichedFunctor(E2, E3, ob_map, mor_map, e_fun, name="lift")
+        return V.compose(m, ff.inverses[(ob_map[y], ob_map[y2])])
+
+    L = EnrichedFunctor.tabulate(E2, E3, ob_map.__getitem__, transport, e_fun, name="lift")
 
     # lower triangle: L.G => H2 with components gamma
     lower = EnrichedTransformation(compose_functors(L, G), H2, dict(gamma), name="lift-lower")

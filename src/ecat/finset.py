@@ -55,7 +55,6 @@ class GraphBase(MonBase):
     """
 
     symmetric = True
-    has_products = True
     #: Entries the graph/MorRef memos hold before they start over: this keeps
     #: a finset(4) scan under about 80 MB.
     memo_limit = 1 << 17

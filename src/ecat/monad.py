@@ -109,25 +109,22 @@ def fkleisli(T: EnrichedMonad) -> Enrichment:
         lambda x, y, z, f, g: cat.compose(cat.compose(f, T.t_mor(g)), T.mu(z)),
     )
 
-    hom_obj = {}
-    e_id = {}
-    e_comp = {}
-    from_arr = {}
-    for x, y in itertools.product(range(n), repeat=2):
-        hom_obj[(x, y)] = E.hom(x, T.t_ob(y))
-    for x in range(n):
-        e_id[x] = required_farr(E, T.eta(x))
-    for x, y, z in itertools.product(range(n), repeat=3):
+    def ecomp(x, y, z):
         ty, tz = T.t_ob(y), T.t_ob(z)
-        chain = V.compose_all(
+        return V.compose_all(
             V.tensor_mor(T.endo.e_fun(y, tz), V.id_of(E.hom(x, ty))),
             required_ecomp(E, x, ty, T.t_ob(tz)),
             precompose_mor(E, x, T.mu(z)),
         )
-        e_comp[(x, y, z)] = chain
-    for m in under.mors():
-        from_arr[m] = required_farr(E, MorRef(m.src, T.t_ob(m.dst), m.k))
-    return Enrichment(V, under, hom_obj, e_id, e_comp, from_arr, name=f"fkleisli({T.name})")
+
+    return Enrichment.tabulate(
+        V, under,
+        lambda x, y: E.hom(x, T.t_ob(y)),
+        lambda x: required_farr(E, T.eta(x)),
+        ecomp,
+        lambda m: required_farr(E, MorRef(m.src, T.t_ob(m.dst), m.k)),
+        name=f"fkleisli({T.name})",
+    )
 
 
 def fkleisli_cocone(T: EnrichedMonad, FK: Enrichment | None = None) -> KleisliCocone:
@@ -136,17 +133,11 @@ def fkleisli_cocone(T: EnrichedMonad, FK: Enrichment | None = None) -> KleisliCo
     E = T.carrier
     FK = FK if FK is not None else fkleisli(T)
     cat = E.under
-    leg = EnrichedFunctor(
+    leg = EnrichedFunctor.tabulate(
         E, FK,
-        {x: x for x in E.objects()},
-        {
-            f: MorRef(f.src, f.dst, cat.compose(f, T.eta(f.dst)).k)
-            for f in cat.mors()
-        },
-        {
-            (x, y): precompose_mor(E, x, T.eta(y))
-            for x, y in itertools.product(E.objects(), repeat=2)
-        },
+        lambda x: x,
+        lambda f: MorRef(f.src, f.dst, cat.compose(f, T.eta(f.dst)).k),
+        lambda x, y: precompose_mor(E, x, T.eta(y)),
         name="kleisli-leg",
     )
     cell = EnrichedTransformation(
@@ -233,22 +224,18 @@ def free_algebra_functor(T: EnrichedMonad, em: EilenbergMooreResult | None = Non
     E = T.carrier
     dialg = em.dialg
     d_index = {ob: i for i, ob in enumerate(dialg.objects)}
-    ob_map = {}
-    for x in E.objects():
-        d = d_index[(T.t_ob(x), T.mu(x))]
-        ob_map[x] = em.em_index_of_dialg(d)
-    mor_map = {}
-    for f in E.under.mors():
-        a = em.dialg_index(ob_map[f.src])
-        b = em.dialg_index(ob_map[f.dst])
-        k = dialg.mor_over(a, b, T.t_mor(f)).k
-        mor_map[f] = MorRef(ob_map[f.src], ob_map[f.dst], k)
-    e_fun = {}
-    for x, y in itertools.product(E.objects(), repeat=2):
-        a = em.dialg_index(ob_map[x])
-        b = em.dialg_index(ob_map[y])
-        e_fun[(x, y)] = dialg.equalizers[(a, b)].factor(T.endo.e_fun(x, y))
-    return EnrichedFunctor(E, em.enrichment, ob_map, mor_map, e_fun, name="free-algebra")
+    ob_map = {x: em.em_index_of_dialg(d_index[T.t_ob(x), T.mu(x)]) for x in E.objects()}
+
+    def dialg_pair(x, y):
+        return em.dialg_index(ob_map[x]), em.dialg_index(ob_map[y])
+
+    return EnrichedFunctor.tabulate(
+        E, em.enrichment,
+        ob_map.__getitem__,
+        lambda f: MorRef(ob_map[f.src], ob_map[f.dst], dialg.mor_over(*dialg_pair(f.src, f.dst), T.t_mor(f)).k),
+        lambda x, y: dialg.equalizers[dialg_pair(x, y)].factor(T.endo.e_fun(x, y)),
+        name="free-algebra",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +278,22 @@ def kleisli_comparison(
     uk = uk if uk is not None else univalent_kleisli(T)
     em = uk.em
     dialg = em.dialg
-    eso_part = uk.factorization.eso_part
-    ob_map = dict(eso_part.ob_map)
+    ob_map = uk.factorization.eso_part.ob_map
 
     # image-mor indices agree with EM-mor indices, which agree with the
-    # dialgebra hom filtration
+    # dialgebra hom filtration; the image object of x sits over the algebra free(x)
     def em_pair(x, y):
-        return em.dialg_index(_image_to_em(uk, ob_map[x])), em.dialg_index(_image_to_em(uk, ob_map[y]))
+        return em.dialg_index(uk.free.ob(x)), em.dialg_index(uk.free.ob(y))
 
-    mor_map = {}
-    for m in FK.under.mors():
-        f = MorRef(m.src, T.t_ob(m.dst), m.k)
-        h = E.under.compose(T.t_mor(f), T.mu(m.dst))
-        a, b = em_pair(m.src, m.dst)
-        k = dialg.mor_over(a, b, h).k
-        mor_map[m] = MorRef(ob_map[m.src], ob_map[m.dst], k)
-    e_fun = {}
-    for x, y in itertools.product(FK.objects(), repeat=2):
-        ty = T.t_ob(y)
-        chain = V.compose(T.endo.e_fun(x, ty), precompose_mor(E, T.t_ob(x), T.mu(y)))
-        a, b = em_pair(x, y)
-        e_fun[(x, y)] = dialg.equalizers[(a, b)].factor(chain)
-    return EnrichedFunctor(FK, uk.enrichment, ob_map, mor_map, e_fun, name="kleisli-comparison")
+    def mor(m):
+        h = E.under.compose(T.t_mor(MorRef(m.src, T.t_ob(m.dst), m.k)), T.mu(m.dst))
+        return MorRef(ob_map[m.src], ob_map[m.dst], dialg.mor_over(*em_pair(m.src, m.dst), h).k)
 
+    def e_fun(x, y):
+        chain = V.compose(T.endo.e_fun(x, T.t_ob(y)), precompose_mor(E, T.t_ob(x), T.mu(y)))
+        return dialg.equalizers[em_pair(x, y)].factor(chain)
 
-def _image_to_em(uk: UnivalentKleisliResult, image_index: int) -> int:
-    return uk.factorization.ff_part.ob(image_index)
+    return EnrichedFunctor.tabulate(FK, uk.enrichment, ob_map.__getitem__, mor, e_fun, name="kleisli-comparison")
 
 
 def univalent_kleisli_cocone(
@@ -362,18 +339,13 @@ def kleisli_universal_extend(
 
     # step two: the cocone induces P : FK -> apex
     A = q.apex
-    ob_map = {x: q.leg.ob(x) for x in FK.objects()}
-    mor_map = {}
-    for m in FK.under.mors():
-        f = MorRef(m.src, T.t_ob(m.dst), m.k)
-        mor_map[m] = A.under.compose(q.leg.mor(f), q.cell.at(m.dst))
-    e_fun = {}
-    for x, y in itertools.product(FK.objects(), repeat=2):
-        ty = T.t_ob(y)
-        e_fun[(x, y)] = V.compose(
-            q.leg.e_fun(x, ty), precompose_mor(A, q.leg.ob(x), q.cell.at(y))
-        )
-    P = EnrichedFunctor(FK, A, ob_map, mor_map, e_fun, name="cocone-induced")
+    P = EnrichedFunctor.tabulate(
+        FK, A,
+        q.leg.ob,
+        lambda m: A.under.compose(q.leg.mor(MorRef(m.src, T.t_ob(m.dst), m.k)), q.cell.at(m.dst)),
+        lambda x, y: V.compose(q.leg.e_fun(x, T.t_ob(y)), precompose_mor(A, q.leg.ob(x), q.cell.at(y))),
+        name="cocone-induced",
+    )
     check_functor_enrichment(P).require("cocone-induced functor fails")
 
     # step three: extend along the comparison weak equivalence

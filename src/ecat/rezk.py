@@ -95,19 +95,19 @@ def representable(E: Enrichment, y: int, selfE: Enrichment | None = None,
         opE = opposite_enrichment(E)
     if selfE is None:
         selfE = self_enrichment(V)
-    ob_map = {}
-    mor_map = {}
-    e_fun = {}
-    for x in E.objects():
-        ob_map[x] = E.hom(x, y)
-    for m in opE.under.mors():
-        # an op-morphism x1 -> x2 is an E-morphism x2 -> x1
-        f = MorRef(m.dst, m.src, m.k)
-        mor_map[m] = postcompose_mor(E, y, f)
-    for x1, x2 in itertools.product(E.objects(), repeat=2):
+
+    def e_fun(x1, x2):
         chain = V.compose(V.symmetry(E.hom(x2, x1), E.hom(x1, y)), required_ecomp(E, x2, x1, y))
-        e_fun[(x1, x2)] = V.lam(E.hom(x2, x1), E.hom(x1, y), E.hom(x2, y), chain)
-    return EnrichedFunctor(opE, selfE, ob_map, mor_map, e_fun, name=f"repr({y})")
+        return V.lam(E.hom(x2, x1), E.hom(x1, y), E.hom(x2, y), chain)
+
+    return EnrichedFunctor.tabulate(
+        opE, selfE,
+        lambda x: E.hom(x, y),
+        # an op-morphism x1 -> x2 is an E-morphism x2 -> x1
+        lambda m: postcompose_mor(E, y, MorRef(m.dst, m.src, m.k)),
+        e_fun,
+        name=f"repr({y})",
+    )
 
 
 def representable_transformation(
@@ -143,27 +143,19 @@ def yoneda(E: Enrichment, cap: int = 10_000) -> YonedaResult:
     for y, R in reps.items():
         check_functor_enrichment(R).require(f"representable at {y} fails enrichment")
     fc = functor_category_on(opE, selfE, list(reps.values()), cap=cap)
-    FC = fc.enrichment
     ob_map = {y: fc.functor_index(reps[y]) for y in E.objects()}
-    mor_map = {}
-    for f in E.under.mors():
+
+    def mor(f):
+        a, b = ob_map[f.src], ob_map[f.dst]
         tau = representable_transformation(E, f, reps[f.src], reps[f.dst])
-        mor_map[f] = MorRef(
-            ob_map[f.src],
-            ob_map[f.dst],
-            fc.transformation_index(ob_map[f.src], ob_map[f.dst], tau.component),
-        )
-    e_fun = {}
-    objs = list(E.objects())
-    for y1, y2 in itertools.product(objs, repeat=2):
+        return MorRef(a, b, fc.transformation_index(a, b, tau.component))
+
+    def e_fun(y1, y2):
         a, b = ob_map[y1], ob_map[y2]
-        P = fc.products[(a, b)]
-        legs = []
-        for x in objs:
-            legs.append(V.lam(E.hom(y1, y2), E.hom(x, y1), E.hom(x, y2), required_ecomp(E, x, y1, y2)))
-        cone = P.pair(E.hom(y1, y2), legs)
-        e_fun[(y1, y2)] = fc.equalizers[(a, b)].factor(cone)
-    embedding = EnrichedFunctor(E, FC, ob_map, mor_map, e_fun, name="yoneda")
+        legs = [V.lam(E.hom(y1, y2), E.hom(x, y1), E.hom(x, y2), required_ecomp(E, x, y1, y2)) for x in E.objects()]
+        return fc.equalizers[a, b].factor(fc.products[a, b].pair(E.hom(y1, y2), legs))
+
+    embedding = EnrichedFunctor.tabulate(E, fc.enrichment, ob_map.__getitem__, mor, e_fun, name="yoneda")
     return YonedaResult(embedding, fc, reps)
 
 
@@ -188,34 +180,21 @@ def rezk_completion(E: Enrichment) -> RezkResult:
     cat = E.under
     rep = {}
     iso_to = {}
-    for x in E.objects():
-        found = None
-        for r in range(x + 1):
-            isos = iso_arrows(cat, r, x)
-            if isos:
-                found = (r, isos[0])  # first iso r -> x
-                break
-        rep[x], iso_to[x] = found
-    kept = sorted({r for r in rep.values()})
+    for x in E.objects():  # the first iso r -> x from the least such r
+        rep[x], iso_to[x] = next((r, isos[0]) for r in range(x + 1) if (isos := iso_arrows(cat, r, x)))
     completion, inclusion = full_sub_enrichment(E, lambda x: rep[x] == x)
     new_of = {old: new for new, old in inclusion.ob_map.items()}
-
-    ob_map = {x: new_of[rep[x]] for x in E.objects()}
-    mor_map = {}
-    for f in cat.mors():
-        cx, cy = iso_to[f.src], iso_to[f.dst]
-        cy_inv = find_inverse(cat, cy)
-        m = cat.compose(cat.compose(cx, f), cy_inv)
-        mor_map[f] = MorRef(new_of[rep[f.src]], new_of[rep[f.dst]], m.k)
-    e_fun = {}
     V = E.base
-    for x, y in itertools.product(E.objects(), repeat=2):
-        cx, cy = iso_to[x], iso_to[y]
-        cy_inv = find_inverse(cat, cy)
-        m = postcompose_mor(E, y, cx)                 # E(x,y) -> E(rx, y)
-        m = V.compose(m, precompose_mor(E, rep[x], cy_inv))  # -> E(rx, ry)
-        e_fun[(x, y)] = m
-    unit = EnrichedFunctor(E, completion, ob_map, mor_map, e_fun, name="rezk-unit")
+
+    def mor(f):
+        m = cat.compose(cat.compose(iso_to[f.src], f), find_inverse(cat, iso_to[f.dst]))
+        return MorRef(new_of[rep[f.src]], new_of[rep[f.dst]], m.k)
+
+    def e_fun(x, y):
+        m = postcompose_mor(E, y, iso_to[x])                                  # E(x,y) -> E(rx, y)
+        return V.compose(m, precompose_mor(E, rep[x], find_inverse(cat, iso_to[y])))  # -> E(rx, ry)
+
+    unit = EnrichedFunctor.tabulate(E, completion, lambda x: new_of[rep[x]], mor, e_fun, name="rezk-unit")
     return RezkResult(completion, unit, is_fully_faithful(unit), is_essentially_surjective(unit))
 
 
@@ -294,12 +273,7 @@ def extend_functor(
     def f_inv(g: MorRef, w1: int, w2: int) -> MorRef:
         return underlying_hom_inverse(F, ffw, g, w1, w2)
 
-    ob_map = {}
-    chosen = {}
-    for x in E2.objects():
-        w, i = eso.preimage[x]
-        chosen[x] = (w, i)
-        ob_map[x] = G.ob(w)
+    chosen = eso.preimage
 
     def phi(x: int, w: int, i: MorRef) -> MorRef:
         """The iso G w -> H x for a witness (w, i: F w ~ x)."""
@@ -324,26 +298,25 @@ def extend_functor(
                                 f"phi family incoherent at {x} with witnesses {(w1, i1)}, {(w2, i2)}"
                             )
 
-    mor_map = {}
-    for h in cat2.mors():
-        w1, i1 = chosen[h.src]
-        w2, i2 = chosen[h.dst]
-        i2_inv = find_inverse(cat2, i2)
-        k = f_inv(cat2.compose(cat2.compose(i1, h), i2_inv), w1, w2)
-        mor_map[h] = G.mor(k)
+    def mor(h):
+        (w1, i1), (w2, i2) = chosen[h.src], chosen[h.dst]
+        return G.mor(f_inv(cat2.compose(cat2.compose(i1, h), find_inverse(cat2, i2)), w1, w2))
 
-    e_fun = {}
-    for x, y in itertools.product(E2.objects(), repeat=2):
-        w1, i1 = chosen[x]
-        w2, i2 = chosen[y]
-        i2_inv = find_inverse(cat2, i2)
-        m = postcompose_mor(E2, y, i1)            # E2(x,y) -> E2(Fw1, y)
-        m = V.compose(m, precompose_mor(E2, F.ob(w1), i2_inv))  # -> E2(Fw1, Fw2)
-        m = V.compose(m, ffw.inverses[(w1, w2)])  # -> E1(w1, w2)
-        m = V.compose(m, G.e_fun(w1, w2))         # -> E3(Gw1, Gw2)
-        # chosen-witness phis are identities; general witnesses are verified below
-        e_fun[(x, y)] = m
-    H = EnrichedFunctor(E2, E3, ob_map, mor_map, e_fun, name="extension")
+    def hom_component(x: int, y: int, w1: int, i1: MorRef, w2: int, i2: MorRef) -> MorRef:
+        """E2(x,y) -> E3(Gw1, Gw2) through the witnesses i1: F w1 ~ x and i2: F w2 ~ y."""
+        m = postcompose_mor(E2, y, i1)                                          # -> E2(Fw1, y)
+        m = V.compose(m, precompose_mor(E2, F.ob(w1), find_inverse(cat2, i2)))  # -> E2(Fw1, Fw2)
+        m = V.compose(m, ffw.inverses[(w1, w2)])                                # -> E1(w1, w2)
+        return V.compose(m, G.e_fun(w1, w2))                                    # -> E3(Gw1, Gw2)
+
+    # chosen-witness phis are identities; general witnesses are verified below
+    H = EnrichedFunctor.tabulate(
+        E2, E3,
+        lambda x: G.ob(chosen[x][0]),
+        mor,
+        lambda x, y: hom_component(x, y, *chosen[x], *chosen[y]),
+        name="extension",
+    )
 
     # verify the hom component against every witness pair
     for x, y in itertools.product(E2.objects(), repeat=2):
@@ -351,15 +324,11 @@ def extend_functor(
             for i1 in iso_arrows(cat2, F.ob(w1), x):
                 for w2 in E1.objects():
                     for i2 in iso_arrows(cat2, F.ob(w2), y):
-                        i2_inv = find_inverse(cat2, i2)
-                        m = postcompose_mor(E2, y, i1)
-                        m = V.compose(m, precompose_mor(E2, F.ob(w1), i2_inv))
-                        m = V.compose(m, ffw.inverses[(w1, w2)])
-                        m = V.compose(m, G.e_fun(w1, w2))
+                        m = hom_component(x, y, w1, i1, w2, i2)
                         p1_inv = find_inverse(cat3, phi(x, w1, i1))
                         m = V.compose(m, postcompose_mor(E3, G.ob(w2), p1_inv))
                         m = V.compose(m, precompose_mor(E3, H.ob(x), phi(y, w2, i2)))
-                        if m != e_fun[(x, y)]:
+                        if m != H.e_fun(x, y):
                             raise StructuralError(
                                 f"extension hom component at ({x},{y}) differs at witnesses"
                                 f" {(w1, i1)}, {(w2, i2)}"

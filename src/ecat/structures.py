@@ -320,12 +320,14 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
 class StructCat(GraphBase):
     """Monoidal category of structured sets, windowed at a carrier-size cap."""
 
-    def __init__(self, struct: CartesianStructure, size_cap: int, mor_bound: int = 200_000):
+    #: The most candidate graphs (ny**nx) a hom may have; a larger hom raises WindowExceeded.
+    mor_bound = 200_000
+
+    def __init__(self, struct: CartesianStructure, size_cap: int):
         check_structure(struct, size_cap).require("structure axioms fail")
         super().__init__()
         self.struct = struct
         self.size_cap = size_cap
-        self.mor_bound = mor_bound
         self.name = f"{struct.name}({size_cap})"
         self.n_objects = None
         self._objs: list[tuple[int, object]] = []

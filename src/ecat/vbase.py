@@ -211,7 +211,6 @@ class MonBase:
     symmetric: bool = False
     closed: bool = False
     has_equalizers: bool = False
-    has_products: bool = False
 
     # category part ------------------------------------------------------
     def objects(self) -> Iterable[int]:
@@ -332,7 +331,6 @@ class FinMonCat(MonBase):
         self.closed_data = closed_data
         self.name = name
         self.has_equalizers = True
-        self.has_products = True
 
     # category delegation --------------------------------------------------
     @property
@@ -549,8 +547,6 @@ def equalizer(V: MonBase, f: MorRef, g: MorRef) -> EqualizerResult:
 
 def finite_product(V: MonBase, objs: list[int]) -> ProductResult:
     """Finite product (empty list gives the terminal object) via the chooser."""
-    if not V.has_products:
-        raise CapabilityError("base has no product chooser")
     return V.product(list(objs))
 
 

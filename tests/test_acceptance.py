@@ -16,7 +16,6 @@ from ecat.construct import (
     functor_category_enrichment,
     opposite_enrichment,
     self_enrichment,
-    struct_cat,
     struct_data_to_enrichment,
     struct_enrichment_to_data,
 )
@@ -73,7 +72,7 @@ from ecat.rezk import (
     univalence_report,
     yoneda,
 )
-from ecat.structures import PosetStructure
+from ecat.structures import PosetStructure, StructCat
 from ecat.vbase import (
     MorRef,
     base_law_checks,
@@ -404,7 +403,7 @@ def test_criterion_4_constructions(boolb, cost3, finset3):
     # structure-data round trip is the identity on structure tables
     from helpers import free_dag_category
 
-    V = struct_cat(PosetStructure(), 2)
+    V = StructCat(PosetStructure(), 2)
     done = 0
     attempts = 0
     while done < 5 and attempts < 200:

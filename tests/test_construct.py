@@ -20,7 +20,6 @@ from ecat.construct import (
     self_enrichment,
     self_to_arr,
     set_enrichment_unique,
-    struct_cat,
     struct_data_to_enrichment,
     struct_enrichment_to_data,
 )
@@ -496,7 +495,7 @@ def test_poset_maps_match_reference_filter_on_random_relations():
 
 
 def test_trivial_structure_matches_finset(finset2):
-    V = struct_cat(TrivialStructure(), 2)
+    V = StructCat(TrivialStructure(), 2)
     for x in V.objects():
         for y in V.objects():
             nx, ny = V.obj_size(x), V.obj_size(y)
@@ -504,7 +503,7 @@ def test_trivial_structure_matches_finset(finset2):
 
 
 def test_poset_struct_products_componentwise():
-    V = struct_cat(PosetStructure(), 2)
+    V = StructCat(PosetStructure(), 2)
     chain = next(
         i for i in V.objects()
         if V.obj_size(i) == 2 and len(V.obj_value(i)) == 3
@@ -526,7 +525,7 @@ def test_prop_3_12_round_trip(boolb):
         C = free_dag_category(rng, max_objects=2, max_hom=2)
         if any(v == 2 for v in C.hom_size_t.values()):
             break
-    V = struct_cat(PosetStructure(), 2)
+    V = StructCat(PosetStructure(), 2)
     structs = {}
     for (x, y), n in sorted(C.hom_size_t.items()):
         if n == 2:
@@ -548,7 +547,7 @@ def test_prop_3_12_trivial_reduces_to_set(finset2):
         C = free_dag_category(rng, max_objects=2, max_hom=2)
         if any(v == 2 for v in C.hom_size_t.values()):
             break
-    V = struct_cat(TrivialStructure(), 2)
+    V = StructCat(TrivialStructure(), 2)
     structs = {key: () for key in C.hom_size_t}
     E = struct_data_to_enrichment(C, structs, V)
     assert check_enrichment(E).ok
@@ -564,7 +563,7 @@ def test_prop_3_12_refusal_names_witness():
     from helpers import cyclic_monoid_category
 
     C = cyclic_monoid_category(2)
-    V = struct_cat(PosetStructure(), 2)
+    V = StructCat(PosetStructure(), 2)
     structs = {(0, 0): frozenset({(0, 0), (1, 1), (0, 1)})}
     with pytest.raises(CapabilityError) as err:
         struct_data_to_enrichment(C, structs, V)
@@ -574,7 +573,7 @@ def test_prop_3_12_refusal_names_witness():
 def test_pointed_poset_enrichment():
     # pointed-poset enrichments need every hom carrier pointed (nonempty);
     # the codiscrete category is the natural small fixture
-    V = struct_cat(PointedPosetStructure(), 2)
+    V = StructCat(PointedPosetStructure(), 2)
     n = 2
     hom = {(i, j): 1 for i in range(n) for j in range(n)}
     ident = {i: MorRef(i, i, 0) for i in range(n)}
@@ -601,7 +600,7 @@ def test_underlying_of_self_enrichment_is_the_base(finset2):
     for x in range(3):
         for y in range(3):
             assert U.hom_size(x, y) == finset2.hom_size(x, y)
-    iso = __import__("ecat.core", fromlist=["underlying_iso_functor"]).underlying_iso_functor(S)
+    iso = __import__("ecat.core", fromlist=["kelly_round_trip_iso"]).kelly_round_trip_iso(S)
     assert check_functor_enrichment(iso).ok
 
 
@@ -657,7 +656,7 @@ def test_composite_change_of_base(boolb, cost3, cost5):
 
 
 def test_pointed_poset_equalizer_edge():
-    V = struct_cat(PointedPosetStructure(), 2)
+    V = StructCat(PointedPosetStructure(), 2)
     chain = next(i for i in V.objects() if V.obj_size(i) == 2)
     const0 = V.mor(chain, chain, (0, 0))
     const1 = V.mor(chain, chain, (1, 1))

@@ -24,7 +24,6 @@ from ecat.core import (
     precompose_mor,
     to_kelly,
     underlying_category,
-    underlying_iso_functor,
     vcompose,
     whisker_left,
     whisker_right,
@@ -165,7 +164,7 @@ def test_underlying_of_bool_preorder_is_the_order(boolb):
     E = bool_preorder_enrichment(boolb, rel, 3)
     U = underlying_category(E)
     assert {k for k, v in U.hom_size_t.items() if v} == rel
-    iso = underlying_iso_functor(E)
+    iso = kelly_round_trip_iso(E)
     assert check_functor_enrichment(iso).ok
 
 
@@ -175,7 +174,7 @@ def test_underlying_of_set_enrichment_matches(finset3):
     E = canonical_set_enrichment(C, finset3)
     U = underlying_category(E)
     assert U.hom_size_t == C.hom_size_t
-    iso = underlying_iso_functor(E)
+    iso = kelly_round_trip_iso(E)
     assert check_functor_enrichment(iso).ok
 
 

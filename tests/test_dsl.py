@@ -7,7 +7,7 @@ import pytest
 
 import cli_corpus
 from ecat.cli import Verdict, _emit, run_cli
-from ecat.core import check_enrichment, id_functor, id_transformation
+from ecat.core import EnrichedFunctor, check_enrichment, id_functor, id_transformation, thin_enrichment
 from ecat.dsl import Diagnostic, Document, Item, from_json, load, parse, serialize, to_json
 from ecat.monad import EnrichedMonad, fkleisli_cocone
 from ecat.report import CheckReport, Failure
@@ -648,6 +648,113 @@ def test_component_row_shapes_checked(case, tmp_path, capsys):
     machine.write_text(json.dumps(payload), encoding="utf-8")
     assert run_cli(["check", str(machine)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"{machine}:items[{i}].tables.{keyword}[{j}]: error: {message}"
+
+
+# one table row of a golden file removed (value None) or added: (golden
+# file, item, table, key, added value, the diagnostics as (item, key of the
+# row it is located at or None for the declaration, message))
+KEY_CASES = [
+    ("monad_toppoint.ecat", "T", "ob", 1, None,
+     [("T", None, "functor 'T' has no 'ob' entry at 1"), ("M", None, "unknown reference 'T'")]),
+    ("functors_chain2.ecat", "F1", "ob", 1, None, [("F1", None, "functor 'F1' has no 'ob' entry at 1")]),
+    ("functors_chain2.ecat", "F0", "mor", (0, 1, 0), None,
+     [("F0", None, "functor 'F0' has no 'mor' entry at (0,1,0)")]),
+    ("functors_chain2.ecat", "F2", "efun", (1, 0), None, [("F2", None, "functor 'F2' has no 'efun' entry at (1, 0)")]),
+    ("transformation_chain2.ecat", "t", "at", 1, None, [("t", None, "transformation 't' has no 'at' entry at 1")]),
+    ("monad_toppoint.ecat", "M", "unit", 2, None, [("M", None, "monad 'M' has no 'unit' entry at 2")]),
+    ("monad_toppoint.ecat", "M", "mult", 0, None, [("M", None, "monad 'M' has no 'mult' entry at 0")]),
+    ("cocone_toppoint.ecat", "Q", "cell", 1, None, [("Q", None, "cocone 'Q' has no 'cell' entry at 1")]),
+    ("functors_chain2.ecat", "F0", "ob", 5, 0, [("F0", 5, "ob entry at 5 is outside the domain")]),
+    ("functors_chain2.ecat", "F0", "mor", (1, 0, 0), (0, 0, 0),
+     [("F0", (1, 0, 0), "mor entry at (1,0,0) is outside the domain")]),
+    ("transformation_chain2.ecat", "t", "at", 2, (1, 1, 0), [("t", 2, "at entry at 2 is outside the domain")]),
+    ("monad_toppoint.ecat", "M", "unit", 3, (2, 2, 0), [("M", 3, "unit entry at 3 is outside the domain")]),
+]
+
+
+def _bool_chain2_lines(capsys) -> list[str]:
+    assert run_cli(["check", str(GOLDEN / "bool_chain2.ecat")]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{_row_text(c[3])}")
+def test_tables_must_have_the_domain_keys(case, tmp_path, capsys):
+    """A functor, transformation, monad or cocone table with a missing key is
+    one diagnostic at its declaration, and an extra key one at its row, in
+    both formats; the other files are still checked."""
+    source, name, keyword, key, added, expected = case
+    other = _bool_chain2_lines(capsys)
+    text = (GOLDEN / source).read_text(encoding="utf-8")
+    starts = {m.group(1): m.start() for m in re.finditer(r"^\w+ (\w+) ", text, re.M)}
+    prefix = f"  {keyword} {_row_text(key)} = "
+    if added is None:
+        at = text.index(prefix, starts[name])
+        edited = text[:at] + text[text.index("\n", at) + 1:]
+    else:
+        at = text.index("}\n", starts[name])
+        edited = text[:at] + f"{prefix}{_row_text(added)}\n" + text[at:]
+
+    def line_of(item, row_key):
+        if row_key is None:
+            return edited[:edited.index(f" {item} ")].count("\n") + 1
+        row = f"  {keyword} {_row_text(row_key)} = "
+        return edited[:edited.index(row, edited.index(f" {item} "))].count("\n") + 1
+
+    path = tmp_path / source
+    path.write_text(edited, encoding="utf-8")
+    assert run_cli(["check", str(path), str(GOLDEN / "bool_chain2.ecat")]) == 1
+    col = {True: 1, False: 3}
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:{line_of(item, row_key)}:{col[row_key is None]}: error: {message}"
+        for item, row_key, message in expected
+    ] + other
+
+    payload = json.loads(to_json(parse(text)[0]))
+    index = {item["name"]: i for i, item in enumerate(payload["items"])}
+    rows = payload["items"][index[name]]["tables"][keyword]
+    json_key = list(key) if isinstance(key, tuple) else key
+    if added is None:
+        rows[:] = [row for row in rows if row[0] != json_key]
+    else:
+        rows.append([json_key, list(added) if isinstance(added, tuple) else added])
+
+    def pointer(item, row_key):
+        if row_key is None:
+            return f"items[{index[item]}]"
+        return f"items[{index[item]}].tables.{keyword}[{len(rows) - 1}]"
+
+    machine = tmp_path / f"{source}.json"
+    machine.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["check", str(machine), str(GOLDEN / "bool_chain2.ecat")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{machine}:{pointer(item, row_key)}: error: {message}" for item, row_key, message in expected
+    ] + other
+
+
+def test_monad_and_cocone_need_endpoints_that_compose(tmp_path, capsys):
+    """A monad whose endo is not an endofunctor of its carrier, and a cocone
+    whose leg does not leave the carrier, are diagnostics at the declaration
+    rather than a failure to compose while loading."""
+    doc, _ = parse((GOLDEN / "cocone_toppoint.ecat").read_text(encoding="utf-8"))
+    E, FK = doc.get("E").value, doc.get("FK").value
+    P = thin_enrichment(E.base, 3, {(x, y): 1 for x in range(3) for y in range(3)}, name="P")
+    K = EnrichedFunctor.tabulate(E, P, lambda x: x, lambda f: MorRef(f.src, f.dst, 0),
+                                 lambda x, y: MorRef(E.hom(x, y), 1, 0))
+    identities = "".join(f"  {table} {x} = ({x},{x},0)\n" for table in ("unit", "mult") for x in range(3))
+    leg = Item("functor", "leg", id_functor(FK), {"dom": "FK", "cod": "FK"}, None)
+    doc.items[doc.items.index(doc.get("leg"))] = leg
+    doc.items[2:2] = [Item("enrichment", "P", P, {"over": "V"}, None),
+                      Item("functor", "K", K, {"dom": "E", "cod": "P"}, None)]
+    text = serialize(doc) + f"\nmonad N on E {{\n  endo K\n{identities}}}\n"
+    path = tmp_path / "endpoints.ecat"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["check", str(path), str(GOLDEN / "bool_chain2.ecat")]) == 1
+    lines = {name: text[:text.index(f"{kind} {name} ")].count("\n") + 1
+             for kind, name in (("cocone", "Q"), ("monad", "N"))}
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:{lines['Q']}:1: error: cocone 'Q': 'leg' does not go from the carrier of 'M' to 'FK'",
+        f"{path}:{lines['N']}:1: error: monad 'N': 'K' is not an endofunctor of 'E'",
+    ] + _bool_chain2_lines(capsys)
 
 
 @pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)

@@ -13,7 +13,7 @@ from ecat.core import (
     id_functor,
     id_transformation,
     invertible_2cell,
-    underlying_iso_functor,
+    kelly_round_trip_iso,
 )
 from ecat.factor import is_essentially_surjective, is_fully_faithful, weak_equivalence_to_adjoint_equivalence
 from ecat.monad import (
@@ -134,7 +134,7 @@ def test_fkleisli_matches_oracle(toppoint, idmonad):
         assert FK.under.then_t == oracle.then_t
         # the enriched route agrees: underlying category of the enrichment is
         # isomorphic to the oracle via from_arr
-        iso = underlying_iso_functor(FK)
+        iso = kelly_round_trip_iso(FK)
         assert check_functor_enrichment(iso).ok
 
 
