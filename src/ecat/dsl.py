@@ -390,8 +390,8 @@ class _Resolver:
     def _check_in_range(self, d: _Decl, n: int, keywords) -> bool:
         """Report each row of the named tables that references an object
         outside 0..n-1 or a morphism outside its hom, by the table's own
-        ``hom`` sizes; hom values are sizes, not objects, and fromarr values
-        are base morphisms, so only their keys are checked."""
+        ``hom`` sizes; hom values are sizes, not objects, and fromarr, eid
+        and ecomp values are base morphisms, so only their keys are checked."""
         hom = d.table("hom")
 
         def in_range(v) -> bool:
@@ -402,7 +402,7 @@ class _Resolver:
             return v < n
 
         bad = [(keyword, k) for keyword in keywords for k, v in d.table(keyword).items()
-               if not in_range(k if keyword in ("hom", "fromarr") else (k, v))]
+               if not in_range(k if keyword in ("hom", "fromarr", "eid", "ecomp") else (k, v))]
         for keyword, k in bad:
             self.error(d.rows[keyword, k], f"{keyword} entry at {k} references an out-of-range object or morphism")
         return not bad
@@ -469,12 +469,15 @@ class _Resolver:
         if not ok:
             self.error(d.span, f"unit object {unit} out of range in base {d.name!r}")
         in_range = self._check_in_range(d, n, [e.keyword for e in _SCHEMA["base"].tables])
+        t = d.table
+        is_closed = bool(t("homobj") or t("eval") or t("lam"))
+        if in_range and is_closed:
+            # a closed base answers hom_obj and eval at every object pair
+            pairs = list(itertools.product(range(n), repeat=2))
+            in_range = all([self._check_keys(d, keyword, pairs) for keyword in ("homobj", "eval")])
         if not (in_range and self._check_category_shapes(d) and ok):
             return None
-        t = d.table
-        closed = None
-        if t("homobj") or t("eval") or t("lam"):
-            closed = ClosedData(t("homobj"), t("eval"), t("lam"))
+        closed = ClosedData(t("homobj"), t("eval"), t("lam")) if is_closed else None
         return FinMonCat(
             FinCat(n, t("hom"), t("id"), t("then")), unit, t("tensorobj"), t("tensormor"),
             t("lunitor"), t("lunitorinv"), t("runitor"), t("runitorinv"),
@@ -489,7 +492,9 @@ class _Resolver:
         hom_obj, from_arr = d.table("homobj"), d.table("fromarr")
         under = FinCat(n, d.table("hom"), d.table("id"), d.table("then"))
         ok = all([
-            self._check_in_range(d, n, ("hom", "id", "then", "fromarr")) and self._check_category_shapes(d),
+            self._check_in_range(d, n, ("hom", "id", "then", "fromarr", "eid", "ecomp"))
+            and self._check_category_shapes(d),
+            self._check_keys(d, "homobj", itertools.product(range(n), repeat=2)),
             self._check_rows(d, "homobj", base.contains_obj, "hom object {1} is not a base object"),
             *(self._check_rows(d, table, lambda v: _base_mor_ok(base, v), table + " entry {1} is out of base range")
               for table in ("eid", "ecomp", "fromarr")),

@@ -211,6 +211,9 @@ class MonBase:
     symmetric: bool = False
     closed: bool = False
     has_equalizers: bool = False
+    #: Certified thin: every hom has at most one morphism and every table
+    #: entry is well-shaped. Only ``_thin_monoidal`` sets it.
+    thin: bool = False
 
     # category part ------------------------------------------------------
     def objects(self) -> Iterable[int]:
@@ -1005,10 +1008,15 @@ def _thin_monoidal(
                         f = MorRef(tensor(x, y), z, 0)
                         lam_t[(x, y, z, f)] = arrow(x, hom_obj(y, z))
         closed = ClosedData(hom_obj_t, eval_t, lam_t)
-    return FinMonCat(
+    base = FinMonCat(
         cat, unit, tensor_obj_t, tensor_mor_t, lun, lun_i, run, run_i,
         assoc, assoc_i, sym, closed, name=name,
     )
+    # Thin and well-shaped by construction: every entry comes from arrow(a,
+    # b), which exists only when leq(a, b); thin_category refuses a relation
+    # that is not transitive; and FinMonCat copies its tables.
+    base.thin = True
+    return base
 
 
 def bool_base() -> FinMonCat:

@@ -425,6 +425,10 @@ class Mutated:
     the wrapped base for every attribute that is not intercepted.
     """
 
+    # A mutated view certifies nothing, so it must not inherit a wrapped
+    # thin base's certificate through __getattr__.
+    thin = False
+
     def __init__(self, base, table: str, key: tuple, value):
         if table not in _TABLE_METHODS and table != "lam":
             raise ValueError(f"unknown table {table!r}")

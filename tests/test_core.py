@@ -1,11 +1,13 @@
+import copy
 import itertools
 import random
 
 import pytest
 
-from ecat.construct import canonical_set_enrichment
+from ecat.construct import canonical_set_enrichment, opposite_enrichment, self_enrichment
 from ecat.core import (
     EnrichedTransformation,
+    Enrichment,
     bool_preorder_enrichment,
     check_enrichment,
     check_functor_enrichment,
@@ -28,7 +30,8 @@ from ecat.core import (
     whisker_left,
     whisker_right,
 )
-from ecat.vbase import MorRef, builtin_base
+from ecat.rezk import yoneda
+from ecat.vbase import MorRef, builtin_base, thin_category
 
 from helpers import (
     preorder_oracle,
@@ -90,6 +93,48 @@ def test_triangle_violation_reports_composition(cost5):
     assert not rep.ok
     assert {f.law for f in rep.failures} == {"composition"}
     assert (0, 1, 2) in {f.instance for f in rep.failures}
+
+
+def test_thin_path_matches_the_full_scan(boolb, cost3, cost5):
+    """check_enrichment over a certified-thin base reports what the full scan
+    reports over a copy of the base without the certificate: the same ``ok``
+    and the same failures (law, instance, lhs, rhs) in order."""
+    pairs3 = list(itertools.product(range(3), repeat=2))
+    pairs2 = list(itertools.product(range(2), repeat=2))
+    cases = [bool_preorder_enrichment(boolb, {p for p, bit in zip(pairs3, bits) if bit}, 3)
+             for bits in itertools.product((0, 1), repeat=9)]
+    # every 8th of them on the discrete category, so that from_arr misses
+    # the points of the off-diagonal hom objects
+    discrete = thin_category(3, {(x, x) for x in range(3)})
+    cases += [Enrichment(boolb, discrete, E.hom_obj_t, E.e_id_t, E.e_comp_t,
+                         {f: m for f, m in E.from_arr_t.items() if f.src == f.dst})
+              for E in cases[::8]]
+    cases += [cost_space_enrichment(cost3, dict(zip(pairs2, ds)), 2)
+              for ds in itertools.product(range(cost3.n_objects), repeat=4)]
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.choice((3, 4))
+        if rng.random() < 0.5:
+            d = random_metric_table(rng, cost5, n)
+        else:
+            d = {p: rng.randrange(cost5.n_objects) for p in itertools.product(range(n), repeat=2)}
+        cases.append(cost_space_enrichment(cost5, d, n))
+    S = self_enrichment(cost3)
+    space = cost_space_enrichment(cost3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3, (1, 1): 0,
+                                          (1, 2): 1, (2, 0): 4, (2, 1): 2, (2, 2): 0}, 3)
+    cases += [S, opposite_enrichment(S), yoneda(space).functor_category.enrichment]
+    assert len(cases) == 512 + 64 + 625 + 300 + 3
+    verdicts = []
+    for E in cases:
+        assert E.base.thin
+        reference = copy.copy(E)
+        reference.base = copy.copy(E.base)
+        reference.base.thin = False
+        for limit in (None, 1):
+            report = check_enrichment(E, limit=limit)
+            assert report == check_enrichment(reference, limit=limit)
+        verdicts.append(report.ok)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_canonical_set_enrichment_random_categories(finset3):

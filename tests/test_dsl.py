@@ -669,6 +669,15 @@ KEY_CASES = [
      [("F0", (1, 0, 0), "mor entry at (1,0,0) is outside the domain")]),
     ("transformation_chain2.ecat", "t", "at", 2, (1, 1, 0), [("t", 2, "at entry at 2 is outside the domain")]),
     ("monad_toppoint.ecat", "M", "unit", 3, (2, 2, 0), [("M", 3, "unit entry at 3 is outside the domain")]),
+    ("bool_chain2.ecat", "E", "eid", 5, (1, 1, 0),
+     [("E", 5, "eid entry at 5 references an out-of-range object or morphism")]),
+    ("bool_chain2.ecat", "E", "ecomp", (0, 3, 1), (1, 1, 0),
+     [("E", (0, 3, 1), "ecomp entry at (0, 3, 1) references an out-of-range object or morphism")]),
+    ("bool_chain2.ecat", "E", "homobj", (1, 0), None, [("E", None, "enrichment 'E' has no 'homobj' entry at (1, 0)")]),
+    ("bool_chain2.ecat", "V", "homobj", (1, 0), None,
+     [("V", None, "base 'V' has no 'homobj' entry at (1, 0)"), ("E", None, "unknown reference 'V'")]),
+    ("bool_chain2.ecat", "V", "eval", (0, 1), None,
+     [("V", None, "base 'V' has no 'eval' entry at (0, 1)"), ("E", None, "unknown reference 'V'")]),
 ]
 
 
@@ -679,9 +688,10 @@ def _bool_chain2_lines(capsys) -> list[str]:
 
 @pytest.mark.parametrize("case", KEY_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{_row_text(c[3])}")
 def test_tables_must_have_the_domain_keys(case, tmp_path, capsys):
-    """A functor, transformation, monad or cocone table with a missing key is
-    one diagnostic at its declaration, and an extra key one at its row, in
-    both formats; the other files are still checked."""
+    """A functor, transformation, monad or cocone table, an enrichment's hom
+    objects or a closed base's hom objects and evaluations with a missing key
+    are one diagnostic at the declaration, and an extra or out-of-range key
+    one at its row, in both formats; the other files are still checked."""
     source, name, keyword, key, added, expected = case
     other = _bool_chain2_lines(capsys)
     text = (GOLDEN / source).read_text(encoding="utf-8")

@@ -1,8 +1,10 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from ecat.dsl import parse
 from ecat.report import CapabilityError, StructuralError
 from ecat.vbase import (
     FinCat,
@@ -16,6 +18,7 @@ from ecat.vbase import (
     cost_base,
     equalizer,
     finite_product,
+    require_mor_shape,
     terminal_base,
     window_fincat,
 )
@@ -397,3 +400,48 @@ def test_product_pairing_refuses_legs_outside_their_factors(finset3):
     assert [V.compose(u, p) for p in pr.projections] == legs
     with pytest.raises(StructuralError, match="do not land in their factors"):
         pr.pair(1, [MorRef(1, 2, 0), MorRef(1, 3, 1)])
+
+
+def _assert_thin_and_well_shaped(V):
+    """Brute force: every hom has at most one morphism, and every compose,
+    tensor_mor, unitor and associator entry has its declared shape."""
+    objs = list(V.objects())
+    assert all(V.hom_size(x, y) <= 1 for x in objs for y in objs)
+    mors = list(V.mors())
+    t = V.tensor_obj
+    for f, g in itertools.product(mors, repeat=2):
+        if f.dst == g.src:
+            require_mor_shape(V, V.compose(f, g), f.src, g.dst)
+        require_mor_shape(V, V.tensor_mor(f, g), t(f.src, g.src), t(f.dst, g.dst))
+    I = V.unit
+    for x in objs:
+        require_mor_shape(V, V.lunitor(x), t(I, x), x)
+        require_mor_shape(V, V.lunitor_inv(x), x, t(I, x))
+        require_mor_shape(V, V.runitor(x), t(x, I), x)
+        require_mor_shape(V, V.runitor_inv(x), x, t(x, I))
+    for x, y, z in itertools.product(objs, repeat=3):
+        require_mor_shape(V, V.associator(x, y, z), t(t(x, y), z), t(x, t(y, z)))
+        require_mor_shape(V, V.associator_inv(x, y, z), t(x, t(y, z)), t(t(x, y), z))
+
+
+def test_thin_is_certified_only_where_it_holds():
+    """``thin`` lets check_enrichment skip diagrams, so it is True exactly on
+    the bases built thin (bool, cost(n)) and False on every other base: the
+    computed ones, the explicit table bases of the golden corpus and a
+    mutated view of a thin base."""
+    for V in [bool_base(), *(cost_base(n) for n in range(7))]:
+        assert V.thin, V.name
+        _assert_thin_and_well_shaped(V)
+    golden = Path(__file__).parent / "golden"
+    tables = [item.value for path in sorted(golden.glob("*.ecat"))
+              if (doc := parse(path.read_text(encoding="utf-8"))[0]) is not None
+              for item in doc.of_kind("base") if "builtin" not in item.refs]
+    assert tables
+    others = [
+        builtin_base("finset", k=2),
+        builtin_base("finposet_struct", max_size=2),
+        builtin_base("finpointedposet_struct", max_size=2),
+        *tables,
+        Mutated(bool_base(), "associator", (1, 1, 1), MorRef(1, 1, 0)),
+    ]
+    assert not any(V.thin for V in others)
