@@ -25,7 +25,6 @@ from .monad import (
     check_enriched_monad,
     check_kleisli_cocone,
     fkleisli,
-    kleisli_comparison,
     kleisli_universal_extend,
     univalent_kleisli,
 )
@@ -277,11 +276,13 @@ def _cmd_kleisli(args) -> Verdict:
         reports = {"enrichment_ok": check_enrichment(enr)}
     else:
         uk = univalent_kleisli(T)
-        enr = uk.enrichment
-        reports = {"enrichment_ok": check_enrichment(enr), "skeletal": uk.report.skeletal_report()}
-        kappa = kleisli_comparison(T, None, uk)
-        reports["comparison_fully_faithful"] = is_fully_faithful(kappa).report()
-        reports["comparison_essentially_surjective"] = is_essentially_surjective(kappa).report()
+        enr = uk.completion
+        reports = {
+            "enrichment_ok": check_enrichment(enr),
+            "skeletal": univalence_report(enr).skeletal_report(),
+            "comparison_fully_faithful": uk.cert_ff.report(),
+            "comparison_essentially_surjective": uk.cert_eso.report(),
+        }
     out_item = dsl.Item("enrichment", f"{monad_item.name}_kleisli", enr,
                         {"over": base_item.name}, monad_item.span)
     return Verdict([(monad_item.name, reports)], {"objects": enr.n_objects}, [base_item, out_item])

@@ -1,10 +1,10 @@
 """Enriched monads, both Kleisli presentations, Eilenberg-Moore objects via
-dialgebras, the comparison weak equivalence between them, and Kleisli-object
-universal property verification.
+dialgebras, and Kleisli-object universal property verification.
 
-The raw Kleisli enrichment needs no equalizers; the Eilenberg-Moore and
-univalent Kleisli constructions do, so the base's capabilities gate which
-constructions a monad supports.
+The univalent Kleisli enrichment is the Rezk completion of the raw one, and
+the Rezk unit is the comparison weak equivalence between them. Neither needs
+equalizers; only Eilenberg-Moore does, so it alone is gated on the base's
+capabilities.
 """
 
 from __future__ import annotations
@@ -26,12 +26,8 @@ from .core import (
     required_farr,
     whisker_right,
 )
-from .factor import (
-    FactorizationResult,
-    image_factorization,
-)
 from .report import CapabilityError, Collector, StructuralError, law_scan
-from .rezk import UnivalenceReport, extend_functor, transport_transformation, univalence_report
+from .rezk import RezkResult, extend_functor, rezk_completion
 from .vbase import FinCat, MorRef
 
 
@@ -239,89 +235,31 @@ def free_algebra_functor(T: EnrichedMonad, em: EilenbergMooreResult | None = Non
 
 
 # ---------------------------------------------------------------------------
-# the univalent Kleisli enrichment and the comparison
+# the univalent Kleisli enrichment: the Rezk completion of the raw one
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class UnivalentKleisliResult:
-    """Image of the free-algebra functor with its univalence report; unpacks
-    like (enrichment, report)."""
-
-    enrichment: Enrichment
-    report: UnivalenceReport
-    factorization: FactorizationResult
-    em: EilenbergMooreResult
-    free: EnrichedFunctor
-
-    def __iter__(self):
-        return iter((self.enrichment, self.report))
+def univalent_kleisli(T: EnrichedMonad) -> RezkResult:
+    """The Rezk completion of the raw Kleisli enrichment. Its unit, out of
+    ``fkleisli(T)``, is the comparison weak equivalence, with certificates."""
+    return rezk_completion(fkleisli(T))
 
 
-def univalent_kleisli(T: EnrichedMonad, em: EilenbergMooreResult | None = None) -> UnivalentKleisliResult:
-    em = em if em is not None else eilenberg_moore(T)
-    free = free_algebra_functor(T, em)
-    fact = image_factorization(free)
-    return UnivalentKleisliResult(fact.image, univalence_report(fact.image), fact, em, free)
-
-
-def kleisli_comparison(
-    T: EnrichedMonad,
-    FK: Enrichment | None = None,
-    uk: UnivalentKleisliResult | None = None,
-) -> EnrichedFunctor:
-    """The weak equivalence from the raw Kleisli enrichment onto the image of
-    the free-algebra functor: x to the free algebra on x, hom components the
-    endofunctor enrichment followed by composing with mu."""
-    E = T.carrier
-    V = E.base
-    FK = FK if FK is not None else fkleisli(T)
-    uk = uk if uk is not None else univalent_kleisli(T)
-    em = uk.em
-    dialg = em.dialg
-    ob_map = uk.factorization.eso_part.ob_map
-
-    # image-mor indices agree with EM-mor indices, which agree with the
-    # dialgebra hom filtration; the image object of x sits over the algebra free(x)
-    def em_pair(x, y):
-        return em.dialg_index(uk.free.ob(x)), em.dialg_index(uk.free.ob(y))
-
-    def mor(m):
-        h = E.under.compose(T.t_mor(MorRef(m.src, T.t_ob(m.dst), m.k)), T.mu(m.dst))
-        return MorRef(ob_map[m.src], ob_map[m.dst], dialg.mor_over(*em_pair(m.src, m.dst), h).k)
-
-    def e_fun(x, y):
-        chain = V.compose(T.endo.e_fun(x, T.t_ob(y)), precompose_mor(E, T.t_ob(x), T.mu(y)))
-        return dialg.equalizers[em_pair(x, y)].factor(chain)
-
-    return EnrichedFunctor.tabulate(FK, uk.enrichment, ob_map.__getitem__, mor, e_fun, name="kleisli-comparison")
-
-
-def univalent_kleisli_cocone(
-    T: EnrichedMonad,
-    FK: Enrichment | None = None,
-    uk: UnivalentKleisliResult | None = None,
-    kappa: EnrichedFunctor | None = None,
-) -> KleisliCocone:
+def univalent_kleisli_cocone(T: EnrichedMonad, uk: RezkResult | None = None) -> KleisliCocone:
     """The canonical cocone transported along the comparison functor."""
-    FK = FK if FK is not None else fkleisli(T)
     uk = uk if uk is not None else univalent_kleisli(T)
-    kappa = kappa if kappa is not None else kleisli_comparison(T, FK, uk)
-    raw = fkleisli_cocone(T, FK)
+    kappa = uk.unit_functor
+    raw = fkleisli_cocone(T, kappa.dom)
     leg = compose_functors(raw.leg, kappa)
     cell = whisker_right(raw.cell, kappa)
     # reshape: whisker_right produces (endo.raw_leg).kappa => raw_leg.kappa
     cell = EnrichedTransformation(
         compose_functors(T.endo, leg), leg, dict(cell.component), name="univalent-kleisli-cell"
     )
-    return KleisliCocone(uk.enrichment, leg, cell, name="univalent-canonical")
+    return KleisliCocone(uk.completion, leg, cell, name="univalent-canonical")
 
 
 def kleisli_universal_extend(
-    T: EnrichedMonad,
-    q: KleisliCocone,
-    FK: Enrichment | None = None,
-    uk: UnivalentKleisliResult | None = None,
-    kappa: EnrichedFunctor | None = None,
+    T: EnrichedMonad, q: KleisliCocone, uk: RezkResult | None = None
 ) -> tuple[EnrichedFunctor, EnrichedTransformation]:
     """Mediating 1-cell out of the univalent Kleisli object for a cocone q,
     with the invertible comparison 2-cell; the cocone compatibility square is
@@ -332,9 +270,9 @@ def kleisli_universal_extend(
     """
     E = T.carrier
     V = E.base
-    FK = FK if FK is not None else fkleisli(T)
     uk = uk if uk is not None else univalent_kleisli(T)
-    kappa = kappa if kappa is not None else kleisli_comparison(T, FK, uk)
+    kappa = uk.unit_functor
+    FK = kappa.dom
     check_kleisli_cocone(T, q).require("invalid Kleisli cocone")
 
     # step two: the cocone induces P : FK -> apex
@@ -352,7 +290,7 @@ def kleisli_universal_extend(
     H, cell2 = extend_functor(kappa, P)
 
     # the mediating 2-cell against the transported canonical cocone
-    canon = univalent_kleisli_cocone(T, FK, uk, kappa)
+    canon = univalent_kleisli_cocone(T, uk)
     com = EnrichedTransformation(
         compose_functors(canon.leg, H), q.leg,
         {x: cell2.at(x) for x in E.objects()},
@@ -366,14 +304,3 @@ def kleisli_universal_extend(
         if lhs != rhs:
             raise StructuralError(f"mediator compatibility square fails at {x}")
     return H, com
-
-
-def kleisli_mediator_2cell(
-    cocone_leg: EnrichedFunctor,
-    g1: EnrichedFunctor,
-    g2: EnrichedFunctor,
-    tau: EnrichedTransformation,
-) -> EnrichedTransformation:
-    """The unique 2-cell between mediators whose whiskering along the cocone
-    leg is tau; uniqueness comes from the transport scan."""
-    return transport_transformation(cocone_leg, g1, g2, tau)

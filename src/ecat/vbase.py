@@ -117,14 +117,16 @@ class FinCat:
         for x in self.objects():
             i = self.id_of(x)
             require_mor_shape(self, i, x, x)
-        for f in self.mors():
-            for g in self.mors():
-                if f.dst != g.src:
-                    if (f, g) in self.then_t:
-                        raise StructuralError(f"composition defined on non-composable {f};{g}")
-                    continue
-                h = self.compose(f, g)
-                require_mor_shape(self, h, f.src, g.dst)
+        for f, g in self.then_t:
+            if f.dst != g.src:
+                raise StructuralError(f"composition defined on non-composable {f};{g}")
+        # the composable pairs: the non-empty homs out of each object
+        out = {x: [(y, self.hom(x, y)) for y in self.objects() if self.hom_size(x, y)] for x in self.objects()}
+        for x, row in out.items():
+            for y, fs in row:
+                for z, gs in out[y]:
+                    for f, g in itertools.product(fs, gs):
+                        require_mor_shape(self, self.compose(f, g), x, z)
 
     def __eq__(self, other):
         return (

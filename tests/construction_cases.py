@@ -48,7 +48,6 @@ from ecat.monad import (
     fkleisli,
     fkleisli_cocone,
     free_algebra_functor,
-    kleisli_comparison,
     kleisli_universal_extend,
     univalent_kleisli,
 )
@@ -250,9 +249,8 @@ def _monad_toppoint() -> dict:
     q = doc.get("Q").value
     FK = fkleisli(T)
     em = eilenberg_moore(T)
-    uk = univalent_kleisli(T, em)
-    kappa = kleisli_comparison(T, FK, uk)
-    H, _ = kleisli_universal_extend(T, q, FK=FK, uk=uk, kappa=kappa)
+    uk = univalent_kleisli(T)
+    H, _ = kleisli_universal_extend(T, q, uk)
     return {
         "fkleisli": {"fkleisli": FK, "leg": fkleisli_cocone(T, FK).leg},
         "eilenberg_moore": {
@@ -260,11 +258,8 @@ def _monad_toppoint() -> dict:
             "algebras": em.enrichment, "inclusion": em.inclusion, "forgetful": em.forgetful,
         },
         "free_algebra": {"free": free_algebra_functor(T, em)},
-        "univalent_kleisli": {
-            "image": uk.enrichment, "corestriction": uk.factorization.eso_part,
-            "inclusion": uk.factorization.ff_part,
-        },
-        "comparison": {"comparison": kappa},
+        "univalent_kleisli": {"completion": uk.completion},
+        "comparison": {"comparison": uk.unit_functor},
         "universal_extend": {"mediator": H},
         **_generic(T.carrier),
     }

@@ -165,17 +165,22 @@ def main(out: Path = OUT):
     write("monad_toppoint.ecat", Document([base_it, vee_it, endo_it, monad_it]))
     count += 1
 
-    idE = id_functor(vee)
-    Tid = EnrichedMonad(vee, idE, id_transformation(idE), id_transformation(idE))
-    write(
-        "monad_identity.ecat",
-        Document([
-            base_it, vee_it,
-            item("functor", "I", idE, dom="E", cod="E"),
-            item("monad", "M", Tid, on="E", endo="I"),
-        ]),
-    )
-    count += 1
+    # identity monads, on a skeletal carrier and on two isomorphic points
+    for fname, E in [
+        ("monad_identity.ecat", vee),
+        ("monad_two_iso_points.ecat", bool_preorder_enrichment(B, shapes["two_iso_points"], 2)),
+    ]:
+        idE = id_functor(E)
+        Tid = EnrichedMonad(E, idE, id_transformation(idE), id_transformation(idE))
+        write(
+            fname,
+            Document([
+                base_it, item("enrichment", "E", E, over="V"),
+                item("functor", "I", idE, dom="E", cod="E"),
+                item("monad", "M", Tid, on="E", endo="I"),
+            ]),
+        )
+        count += 1
 
     from ecat.monad import fkleisli
 

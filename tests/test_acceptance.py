@@ -57,8 +57,6 @@ from ecat.monad import (
     fkleisli,
     fkleisli_cocone,
     free_algebra_functor,
-    kleisli_comparison,
-    kleisli_mediator_2cell,
     kleisli_universal_extend,
     univalent_kleisli,
     univalent_kleisli_cocone,
@@ -69,6 +67,7 @@ from ecat.rezk import (
     check_yoneda_ff,
     extend_functor,
     rezk_completion,
+    transport_transformation,
     univalence_report,
     yoneda,
 )
@@ -80,6 +79,7 @@ from ecat.vbase import (
     builtin_base,
     cost_base,
     terminal_base,
+    thin_category,
 )
 
 from helpers import (
@@ -620,8 +620,14 @@ def identity_monad_on(E):
 
 def test_criterion_7_monads(boolb):
     chain = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}, 3)
-    fixtures = [toppoint_monad(boolb), identity_monad_on(chain)]
-    for T in fixtures:
+    two_iso_points = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
+    codiscrete = canonical_set_enrichment(
+        thin_category(2, {(0, 0), (1, 1), (0, 1), (1, 0)}), builtin_base("finset", k=2)
+    )
+    skeletal = [toppoint_monad(boolb), identity_monad_on(chain)]
+    # carriers with two isomorphic objects: their univalent Kleisli object has one
+    non_skeletal = [identity_monad_on(two_iso_points), identity_monad_on(codiscrete)]
+    for T in skeletal + non_skeletal:
         assert check_enriched_monad(T).ok
         FK = fkleisli(T)
         assert check_enrichment(FK).ok
@@ -636,23 +642,26 @@ def test_criterion_7_monads(boolb):
         for key, hs in homs.items():
             assert em.enrichment.under.hom_size(*key) == len(hs)
 
-        uk = univalent_kleisli(T, em)
-        kappa = kleisli_comparison(T, FK, uk)
+        uk = univalent_kleisli(T)
+        kappa = uk.unit_functor
         assert is_fully_faithful(kappa).ok
         assert is_essentially_surjective(kappa).ok
+        assert univalence_report(uk.completion).skeletal
+        if T in non_skeletal:
+            assert uk.completion.n_objects == 1
 
         # canonical cocone extension with mediator uniqueness
         q = fkleisli_cocone(T, FK)
         assert check_kleisli_cocone(T, q).ok
-        H, com = kleisli_universal_extend(T, q, FK=FK, uk=uk, kappa=kappa)
+        H, com = kleisli_universal_extend(T, q, uk)
         assert check_functor_enrichment(H).ok
         assert invertible_2cell(com) is not None
-        canon = univalent_kleisli_cocone(T, FK, uk, kappa)
+        canon = univalent_kleisli_cocone(T, uk)
         tau = EnrichedTransformation(
             compose_functors(canon.leg, H), compose_functors(canon.leg, H),
             {x: q.apex.under.id_of(H.ob(canon.leg.ob(x))) for x in T.carrier.objects()},
         )
-        zeta = kleisli_mediator_2cell(canon.leg, H, H, tau)
+        zeta = transport_transformation(canon.leg, H, H, tau)
         assert all(
             zeta.at(y) == q.apex.under.id_of(H.ob(y)) for y in canon.apex.objects()
         )
@@ -668,7 +677,7 @@ def test_criterion_7_monads(boolb):
         cell = EnrichedTransformation(compose_functors(T.endo, free), free, comp)
         q2 = KleisliCocone(em.enrichment, free, cell)
         assert check_kleisli_cocone(T, q2).ok
-        H2, com2 = kleisli_universal_extend(T, q2, FK=FK, uk=uk, kappa=kappa)
+        H2, com2 = kleisli_universal_extend(T, q2, uk)
         assert check_functor_enrichment(H2).ok
         assert invertible_2cell(com2) is not None
     report("7 monad suite: PASS")

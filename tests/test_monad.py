@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,20 @@ from ecat.core import (
     check_functor_enrichment,
     check_nat_trans_enrichment,
     compose_functors,
+    enumerate_enriched_functors,
     id_functor,
     id_transformation,
     invertible_2cell,
     kelly_round_trip_iso,
 )
-from ecat.factor import is_essentially_surjective, is_fully_faithful, weak_equivalence_to_adjoint_equivalence
+from ecat.dsl import load
+from ecat.factor import (
+    image_factorization,
+    is_essentially_surjective,
+    is_fully_faithful,
+    iso_arrows,
+    weak_equivalence_to_adjoint_equivalence,
+)
 from ecat.monad import (
     EnrichedMonad,
     KleisliCocone,
@@ -25,15 +34,13 @@ from ecat.monad import (
     fkleisli,
     fkleisli_cocone,
     free_algebra_functor,
-    kleisli_comparison,
-    kleisli_mediator_2cell,
     kleisli_universal_extend,
     univalent_kleisli,
     univalent_kleisli_cocone,
 )
-from ecat.report import StructuralError
-from ecat.rezk import univalence_report
-from ecat.vbase import MorRef
+from ecat.report import CapabilityError, StructuralError
+from ecat.rezk import transport_transformation, univalence_report
+from ecat.vbase import MorRef, bool_base
 
 from helpers import em_oracle, kleisli_oracle, thin_functor
 
@@ -221,31 +228,88 @@ def test_free_algebra_functor(toppoint, idmonad):
 def test_univalent_kleisli(toppoint, idmonad):
     for T in (toppoint, idmonad):
         uk = univalent_kleisli(T)
-        assert check_enrichment(uk.enrichment).ok
-        # objects are exactly the EM objects isomorphic to a free algebra
-        em_cat = uk.em.enrichment.under
-        frees = {free_algebra_functor(T, uk.em).ob(x) for x in T.carrier.objects()}
-        from ecat.factor import iso_arrows
-
-        expected = {
-            y for y in range(em_cat.n_objects)
-            if any(iso_arrows(em_cat, v, y) for v in frees)
+        assert check_enrichment(uk.completion).ok
+        # the completion of the raw Kleisli enrichment: one object per
+        # isomorphism class of fkleisli(T), reached by the unit
+        FK = fkleisli(T)
+        assert uk.unit_functor.dom.hom_obj_t == FK.hom_obj_t
+        classes = {
+            frozenset(y for y in FK.objects() if iso_arrows(FK.under, x, y))
+            for x in FK.objects()
         }
-        got = {uk.factorization.ff_part.ob(i) for i in range(uk.enrichment.n_objects)}
-        assert got == expected
+        assert uk.completion.n_objects == len(classes)
+        assert set(uk.unit_functor.ob_map.values()) == set(uk.completion.objects())
+        assert univalence_report(uk.completion).skeletal
 
 
 def test_kappa_weak_equivalence(toppoint, idmonad):
     for T in (toppoint, idmonad):
-        FK = fkleisli(T)
-        uk = univalent_kleisli(T)
-        kappa = kleisli_comparison(T, FK, uk)
+        kappa = univalent_kleisli(T).unit_functor
         assert check_functor_enrichment(kappa).ok
         assert is_fully_faithful(kappa).ok
         assert is_essentially_surjective(kappa).ok
         # restricted to its image the comparison inverts
         adj = weak_equivalence_to_adjoint_equivalence(kappa)
         assert adj.triangle_reports[0].ok and adj.triangle_reports[1].ok
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_monad(name):
+    doc, diags = load([str(GOLDEN / name)])
+    assert doc is not None, [d.describe() for d in diags]
+    return doc.get("M").value
+
+
+def _is_identity(F):
+    return F.cod.data_equal(F.dom) and F.data_equal(id_functor(F.dom))
+
+
+def test_univalent_kleisli_isomorphic_to_em_image(toppoint, idmonad):
+    """Over a skeletal carrier the Rezk completion of the raw Kleisli
+    enrichment is isomorphic to the image of the free-algebra functor in
+    Eilenberg-Moore: a pair of enriched functors between them composes to
+    the identity both ways."""
+    golden = [_golden_monad(f) for f in ("monad_toppoint.ecat", "monad_identity.ecat", "cocone_toppoint.ecat")]
+    for T in [toppoint, idmonad, *golden]:
+        assert univalence_report(T.carrier).skeletal
+        em = eilenberg_moore(T)
+        free = free_algebra_functor(T, em)
+        image = image_factorization(free)
+        # the image holds exactly the EM objects isomorphic to a free algebra
+        em_cat = em.enrichment.under
+        frees = {free.ob(x) for x in T.carrier.objects()}
+        expected = {
+            y for y in range(em_cat.n_objects)
+            if any(iso_arrows(em_cat, v, y) for v in frees)
+        }
+        assert {image.ff_part.ob(i) for i in image.image.objects()} == expected
+
+        K = univalent_kleisli(T).completion
+        isos = [
+            (F, G)
+            for F in enumerate_enriched_functors(K, image.image)
+            for G in enumerate_enriched_functors(image.image, K)
+            if _is_identity(compose_functors(F, G)) and _is_identity(compose_functors(G, F))
+        ]
+        assert isos, T.name
+
+
+def test_univalent_kleisli_needs_no_equalizers():
+    """Only Eilenberg-Moore is gated on equalizers; the Rezk route to the
+    univalent Kleisli object and its universal property are not."""
+    V = bool_base()
+    V.has_equalizers = False
+    T = vee_fixture(V)
+    with pytest.raises(CapabilityError):
+        eilenberg_moore(T)
+    uk = univalent_kleisli(T)
+    assert uk.cert_ff.ok and uk.cert_eso.ok
+    assert univalence_report(uk.completion).skeletal
+    H, com = kleisli_universal_extend(T, fkleisli_cocone(T))
+    assert check_functor_enrichment(H).ok
+    assert invertible_2cell(com) is not None
 
 
 def test_transported_cocone(toppoint):
@@ -300,7 +364,7 @@ def test_mediator_uniqueness(toppoint):
         compose_functors(canon.leg, H), compose_functors(canon.leg, H),
         {x: q.apex.under.id_of(H.ob(canon.leg.ob(x))) for x in T.carrier.objects()},
     )
-    zeta = kleisli_mediator_2cell(canon.leg, H, H, tau)
+    zeta = transport_transformation(canon.leg, H, H, tau)
     assert all(
         zeta.at(y) == q.apex.under.id_of(H.ob(y))
         for y in canon.apex.objects()
@@ -323,6 +387,6 @@ def test_constant_monad_regression(boolb):
     FK = fkleisli(T)
     uk = univalent_kleisli(T)
     assert not univalence_report(FK).skeletal
-    assert uk.report.skeletal
-    kappa = kleisli_comparison(T, FK, uk)
+    assert univalence_report(uk.completion).skeletal
+    kappa = uk.unit_functor
     assert is_fully_faithful(kappa).ok and is_essentially_surjective(kappa).ok

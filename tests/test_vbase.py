@@ -45,6 +45,22 @@ def test_discrete_category_ok():
     assert check_category(discrete_category(3)).ok
 
 
+def test_validate_rejects_malformed_composition_tables():
+    """A composition key whose ends do not meet, a missing composite and a
+    composite of the wrong shape are each a StructuralError."""
+    C = discrete_category(2)
+    C.validate()
+    i0, i1 = MorRef(0, 0, 0), MorRef(1, 1, 0)
+    cases = [
+        ({**C.then_t, (i0, i1): i0}, r"composition defined on non-composable \(0,0,0\);\(1,1,0\)"),
+        ({k: v for k, v in C.then_t.items() if k != (i1, i1)}, r"missing composition entry \(1,1,0\);\(1,1,0\)"),
+        ({**C.then_t, (i1, i1): MorRef(1, 0, 0)}, r"morphism \(1,0,0\) does not have shape 1 -> 1"),
+    ]
+    for then, message in cases:
+        with pytest.raises(StructuralError, match=message):
+            FinCat(2, C.hom_size_t, C.identity_t, then).validate()
+
+
 def test_tabulate_numbers_labels_in_order():
     # a walking arrow p, q : 0 -> 1 with identities i, j, labelled by strings
     homs = {(0, 0): ["i"], (0, 1): ["p", "q"], (1, 0): [], (1, 1): ["j"]}
