@@ -8,6 +8,7 @@ loaded and every report is ok. A refused command exits 1, a usage error 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -329,7 +330,10 @@ def _indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of object indices: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser and its subparsers, built once per process; parsing
+    leaves it unchanged, and no option has a mutable default."""
     parser = argparse.ArgumentParser(prog="ecat", description="finite enriched category workbench")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cap", type=int, default=10_000)
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("construct", _cmd_construct, "run a construction and emit DSL", "base", "enrichment", "cod", "out",
                 operations=("self", "opposite", "full-sub", "functor-category"))
     p.add_argument("--name", default="result")
-    p.add_argument("--keep", type=_indices, default=[])
+    p.add_argument("--keep", type=_indices, default=())
     command("factorize", _cmd_factorize, "image factorization of a functor", "functor", "out")
     command("equivalence", _cmd_equivalence, "invert a weak equivalence", "functor")
     command("rezk", _cmd_rezk, "desk-scale Rezk completion", "enrichment", "out")

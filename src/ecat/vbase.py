@@ -18,6 +18,7 @@ failures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -122,11 +123,18 @@ class FinCat:
                 raise StructuralError(f"composition defined on non-composable {f};{g}")
         # the composable pairs: the non-empty homs out of each object
         out = {x: [(y, self.hom(x, y)) for y in self.objects() if self.hom_size(x, y)] for x in self.objects()}
+        composable = 0
         for x, row in out.items():
             for y, fs in row:
                 for z, gs in out[y]:
+                    composable += len(fs) * len(gs)
                     for f, g in itertools.product(fs, gs):
                         require_mor_shape(self, self.compose(f, g), x, z)
+        # every composable pair is a key now, so a further key holds a
+        # morphism outside its hom
+        if len(self.then_t) != composable:
+            f, g = next(key for key in self.then_t if not all(0 <= m.k < self.hom_size(m.src, m.dst) for m in key))
+            raise StructuralError(f"composition defined on {f};{g}, outside their homs")
 
     def __eq__(self, other):
         return (
@@ -213,8 +221,9 @@ class MonBase:
     symmetric: bool = False
     closed: bool = False
     has_equalizers: bool = False
-    #: Certified thin: every hom has at most one morphism and every table
-    #: entry is well-shaped. Only ``_thin_monoidal`` sets it.
+    #: Certified thin: every hom has at most one morphism and every entry the
+    #: law scans read is well-shaped. ``FinMonCat`` computes it from its own
+    #: tables; a computed base is never certified.
     thin: bool = False
 
     # category part ------------------------------------------------------
@@ -416,6 +425,58 @@ class FinMonCat(MonBase):
             raise CapabilityError("base has no closed structure")
         return self.closed_data.lam(x, y, z, f)
 
+    # thin certificate -------------------------------------------------------
+    @functools.cached_property
+    def thin(self) -> bool:
+        """Certified from the tables on first read: the category validates
+        with at most one morphism per hom, the unit and every tensor and
+        internal-hom object is an object, and every tensor_mor, unitor,
+        associator, symmetry, ev and lam entry the law scans read exists with
+        its shape. A malformed base is not certified, so its scans raise."""
+        if not all(isinstance(n, int) and n <= 1 for n in self.cat.hom_size_t.values()):
+            return False
+        try:
+            self.cat.validate()
+            self._require_well_shaped()
+        except StructuralError:
+            return False
+        return True
+
+    def _require_well_shaped(self) -> None:
+        """Raise StructuralError unless every monoidal, symmetry and closed
+        entry the law scans read exists and has its shape."""
+        objs = self.objects()
+
+        def obj(x):
+            if not self.contains_obj(x):
+                raise StructuralError(f"{x!r} is not an object")
+            return x
+
+        I = obj(self.unit)
+        t = {(x, y): obj(self.tensor_obj(x, y)) for x in objs for y in objs}
+        mors = list(self.cat.mors())
+        for f in mors:
+            for g in mors:
+                require_mor_shape(self, self.tensor_mor(f, g), t[f.src, g.src], t[f.dst, g.dst])
+        for x in objs:
+            require_mor_shape(self, self.lunitor(x), t[I, x], x)
+            require_mor_shape(self, self.lunitor_inv(x), x, t[I, x])
+            require_mor_shape(self, self.runitor(x), t[x, I], x)
+            require_mor_shape(self, self.runitor_inv(x), x, t[x, I])
+        for x, y, z in itertools.product(objs, repeat=3):
+            require_mor_shape(self, self.associator(x, y, z), t[t[x, y], z], t[x, t[y, z]])
+            require_mor_shape(self, self.associator_inv(x, y, z), t[x, t[y, z]], t[t[x, y], z])
+        if self.symmetric:
+            for x, y in itertools.product(objs, repeat=2):
+                require_mor_shape(self, self.symmetry(x, y), t[x, y], t[y, x])
+        if self.closed:
+            for y, z in itertools.product(objs, repeat=2):
+                h = obj(self.hom_obj(y, z))
+                require_mor_shape(self, self.ev(y, z), t[h, y], z)
+                for x in objs:
+                    for f in self.hom(t[x, y], z):
+                        require_mor_shape(self, self.lam(x, y, z, f), x, h)
+
     # limits by universal search --------------------------------------------
     def equalizer(self, f, g):
         return search_equalizer(self, f, g)
@@ -576,10 +637,14 @@ def check_category(col: Collector, C) -> None:
     """Exhaustive identity and associativity scan over the window.
 
     Malformed tables (out-of-range indices, non-composable entries) raise
-    StructuralError; law violations are reported.
+    StructuralError; law violations are reported. A base certified thin
+    (``C.thin``) is not scanned: each law compares two composites in a hom
+    with at most one morphism.
     """
     if isinstance(C, FinCat):
         C.validate()
+    elif C.thin:
+        return
     objs, homs = _window_homs(C)
 
     # identity laws, plus shape validation of every identity component
@@ -660,8 +725,12 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
 
     Bifunctoriality is checked through its generating family (identity
     preservation, both whisker decompositions, slotwise functoriality), which
-    is equivalent to full interchange and quadratically cheaper.
+    is equivalent to full interchange and quadratically cheaper. A base
+    certified thin (``V.thin``) is not scanned: each diagram compares two
+    parallel, well-shaped morphisms in a hom with at most one element.
     """
+    if V.thin:
+        return
     objs, homs = _window_homs(V)
     I = V.unit
 
@@ -819,9 +888,12 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
 
 @law_scan
 def check_symmetric(col: Collector, V: MonBase) -> None:
-    """Symmetry involution, naturality, and the hexagon, over the window."""
+    """Symmetry involution, naturality, and the hexagon, over the window. A
+    base certified thin (``V.thin``) is not scanned, as in check_monoidal."""
     if not V.symmetric:
         raise CapabilityError("base has no symmetry")
+    if V.thin:
+        return
     objs, homs = _window_homs(V)
 
     _sym: dict = {}
@@ -880,9 +952,15 @@ def check_symmetric(col: Collector, V: MonBase) -> None:
 @law_scan
 def check_closed(col: Collector, V: MonBase) -> None:
     """lam bijectivity (both round trips) and naturality in the abstraction
-    variable, at every window instance whose hom enumeration fits the cap."""
+    variable, at every window instance whose hom enumeration fits the cap.
+
+    On a base certified thin (``V.thin``) only the hom sizes are compared:
+    x (x) y -> z exists iff x -> [y,z] does, and every round trip and
+    naturality square then lies in a hom with at most one morphism.
+    """
     if not V.closed:
         raise CapabilityError("base has no closed structure")
+    thin = V.thin
     objs, _ = _window_homs(V)
 
     for x, y, z in itertools.product(objs, repeat=3):
@@ -895,6 +973,8 @@ def check_closed(col: Collector, V: MonBase) -> None:
             n_dst = V.hom_size(x, h)
             if n_src != n_dst:
                 col.add("lam-bijective", (x, y, z), n_src, n_dst)
+                continue
+            if thin:
                 continue
             if n_src > DEFAULT_HOM_CAP:
                 continue  # deterministically skipped: enumeration beyond the cap
@@ -913,6 +993,8 @@ def check_closed(col: Collector, V: MonBase) -> None:
         except WindowExceeded:
             continue
 
+    if thin:
+        return
     # naturality of the bijection in the abstraction variable; the instance
     # space is the product of two homs, so the cap bounds the product
     for x, x2, y, z in itertools.product(objs, repeat=4):
@@ -1010,15 +1092,10 @@ def _thin_monoidal(
                         f = MorRef(tensor(x, y), z, 0)
                         lam_t[(x, y, z, f)] = arrow(x, hom_obj(y, z))
         closed = ClosedData(hom_obj_t, eval_t, lam_t)
-    base = FinMonCat(
+    return FinMonCat(
         cat, unit, tensor_obj_t, tensor_mor_t, lun, lun_i, run, run_i,
         assoc, assoc_i, sym, closed, name=name,
     )
-    # Thin and well-shaped by construction: every entry comes from arrow(a,
-    # b), which exists only when leq(a, b); thin_category refuses a relation
-    # that is not transitive; and FinMonCat copies its tables.
-    base.thin = True
-    return base
 
 
 def bool_base() -> FinMonCat:

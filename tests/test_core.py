@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from ecat.core import (
     whisker_left,
     whisker_right,
 )
+from ecat.dsl import parse
 from ecat.rezk import yoneda
 from ecat.vbase import MorRef, builtin_base, thin_category
 
@@ -98,7 +100,9 @@ def test_triangle_violation_reports_composition(cost5):
 def test_thin_path_matches_the_full_scan(boolb, cost3, cost5):
     """check_enrichment over a certified-thin base reports what the full scan
     reports over a copy of the base without the certificate: the same ``ok``
-    and the same failures (law, instance, lhs, rhs) in order."""
+    and the same failures (law, instance, lhs, rhs) in order. The cases
+    include every golden enrichment over an explicit table base, which the
+    certificate, computed from the tables, covers too."""
     pairs3 = list(itertools.product(range(3), repeat=2))
     pairs2 = list(itertools.product(range(2), repeat=2))
     cases = [bool_preorder_enrichment(boolb, {p for p, bit in zip(pairs3, bits) if bit}, 3)
@@ -123,7 +127,11 @@ def test_thin_path_matches_the_full_scan(boolb, cost3, cost5):
     space = cost_space_enrichment(cost3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3, (1, 1): 0,
                                           (1, 2): 1, (2, 0): 4, (2, 1): 2, (2, 2): 0}, 3)
     cases += [S, opposite_enrichment(S), yoneda(space).functor_category.enrichment]
-    assert len(cases) == 512 + 64 + 625 + 300 + 3
+    docs = [parse(path.read_text(encoding="utf-8"))[0]
+            for path in sorted((Path(__file__).parent / "golden").glob("*.ecat"))]
+    cases += [item.value for doc in docs if doc is not None for item in doc.of_kind("enrichment")
+              if "builtin" not in doc.get(item.refs["over"]).refs]
+    assert len(cases) == 512 + 64 + 625 + 300 + 3 + 23
     verdicts = []
     for E in cases:
         assert E.base.thin

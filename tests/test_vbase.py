@@ -1,14 +1,18 @@
+import copy
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from ecat.dsl import parse
+from ecat.dsl import from_json, parse
 from ecat.report import CapabilityError, StructuralError
 from ecat.vbase import (
+    ClosedData,
     FinCat,
+    FinMonCat,
     MorRef,
+    base_law_checks,
     bool_base,
     builtin_base,
     check_category,
@@ -59,6 +63,17 @@ def test_validate_rejects_malformed_composition_tables():
     for then, message in cases:
         with pytest.raises(StructuralError, match=message):
             FinCat(2, C.hom_size_t, C.identity_t, then).validate()
+
+
+def test_validate_rejects_composition_keys_outside_the_homs():
+    """A composition entry keyed by a morphism that is not in its hom is a
+    StructuralError, not a stray entry that only breaks equality."""
+    i, j = MorRef(0, 0, 0), MorRef(0, 0, 5)
+    C = FinCat(1, {(0, 0): 1}, {0: i}, {(i, i): i})
+    C.validate()
+    for key in [(j, j), (i, j), (j, i)]:
+        with pytest.raises(StructuralError, match=r"composition defined on .*, outside their homs"):
+            FinCat(1, C.hom_size_t, C.identity_t, {**C.then_t, key: j}).validate()
 
 
 def test_tabulate_numbers_labels_in_order():
@@ -440,24 +455,142 @@ def _assert_thin_and_well_shaped(V):
         require_mor_shape(V, V.associator_inv(x, y, z), t(x, t(y, z)), t(t(x, y), z))
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_bases():
+    """(file name, base item) for every base the golden corpus declares: the
+    text documents, the constructed outputs and the JSON exports."""
+    docs = [(path.name, parse(path.read_text(encoding="utf-8"))[0])
+            for path in sorted(GOLDEN.glob("*.ecat")) + sorted(GOLDEN.glob("constructed/*.ecat"))]
+    docs += [(path.name, from_json(path.read_text(encoding="utf-8"))[0]) for path in sorted(GOLDEN.glob("json/*.json"))]
+    return [(name, item) for name, doc in docs if doc is not None for item in doc.of_kind("base")]
+
+
+def _golden_table_bases():
+    return [item.value for _, item in _golden_bases() if "builtin" not in item.refs]
+
+
+def _tables(V: FinMonCat) -> dict:
+    """The tables of a table base by name, closed and symmetry ones if present."""
+    tables = {
+        "hom": V.cat.hom_size_t, "id": V.cat.identity_t, "then": V.cat.then_t,
+        "tensor_obj": V.tensor_obj_t, "tensor_mor": V.tensor_mor_t,
+        "lunitor": V.lunitor_t, "lunitor_inv": V.lunitor_inv_t,
+        "runitor": V.runitor_t, "runitor_inv": V.runitor_inv_t,
+        "associator": V.associator_t, "associator_inv": V.associator_inv_t,
+    }
+    if V.symmetric:
+        tables["symmetry"] = V.symmetry_t
+    if V.closed:
+        tables.update(hom_obj=V.closed_data.hom_obj_t, ev=V.closed_data.eval_t, lam=V.closed_data.lam_t)
+    return tables
+
+
+def _replaced(V: FinMonCat, table: str, key, value) -> FinMonCat:
+    """A new table base with V's tables, except that ``table[key]`` is ``value``."""
+    t = _tables(V)
+    t[table] = {**t[table], key: value}
+    closed = ClosedData(t["hom_obj"], t["ev"], t["lam"]) if V.closed else None
+    return FinMonCat(
+        FinCat(V.n_objects, t["hom"], t["id"], t["then"]), V.unit, t["tensor_obj"], t["tensor_mor"],
+        t["lunitor"], t["lunitor_inv"], t["runitor"], t["runitor_inv"],
+        t["associator"], t["associator_inv"], t.get("symmetry"), closed, name=V.name,
+    )
+
+
+def _z2_base() -> FinMonCat:
+    """One object whose morphisms are Z/2, tensored by addition: well-shaped
+    and lawful, but its hom has two morphisms."""
+    cat = FinCat.tabulate(1, {(0, 0): [0, 1]}, lambda a: 0, lambda a, b, c, f, g: (f + g) % 2)
+    m = [MorRef(0, 0, 0), MorRef(0, 0, 1)]
+    tensor_mor = {(f, g): m[(f.k + g.k) % 2] for f in m for g in m}
+    one = {0: m[0]}
+    return FinMonCat(cat, 0, {(0, 0): 0}, tensor_mor, one, one, one, one,
+                     {(0, 0, 0): m[0]}, {(0, 0, 0): m[0]}, {(0, 0): m[0]}, name="z2")
+
+
 def test_thin_is_certified_only_where_it_holds():
-    """``thin`` lets check_enrichment skip diagrams, so it is True exactly on
-    the bases built thin (bool, cost(n)) and False on every other base: the
-    computed ones, the explicit table bases of the golden corpus and a
-    mutated view of a thin base."""
-    for V in [bool_base(), *(cost_base(n) for n in range(7))]:
+    """``thin`` lets the base law scans and check_enrichment skip diagrams,
+    so it is computed from the tables: True exactly when every hom has at
+    most one morphism and every entry the scans read is well-shaped. It
+    holds on bool, cost(n), the terminal base and every table base of the
+    golden corpus. It fails on the computed bases (the set_* documents'
+    finset among them), a mutated view of a thin base, a lawful base with a
+    two-morphism hom and a cost(3) copy with one ill-shaped associator."""
+    golden = _golden_bases()
+    tables = [item.value for _, item in golden if "builtin" not in item.refs]
+    assert len(tables) == 33
+    for V in [bool_base(), terminal_base(), *(cost_base(n) for n in range(7)), *tables]:
         assert V.thin, V.name
         _assert_thin_and_well_shaped(V)
-    golden = Path(__file__).parent / "golden"
-    tables = [item.value for path in sorted(golden.glob("*.ecat"))
-              if (doc := parse(path.read_text(encoding="utf-8"))[0]) is not None
-              for item in doc.of_kind("base") if "builtin" not in item.refs]
-    assert tables
+    sets = [item.value for name, item in golden if name.startswith("set_")]
+    assert len(sets) == 6
+    z2 = _z2_base()
+    assert all(check(z2).ok for _, check in base_law_checks(z2))
+    skewed = _replaced(cost_base(3), "associator", (1, 1, 1), MorRef(2, 3, 0))
     others = [
         builtin_base("finset", k=2),
         builtin_base("finposet_struct", max_size=2),
         builtin_base("finpointedposet_struct", max_size=2),
-        *tables,
+        *sets,
         Mutated(bool_base(), "associator", (1, 1, 1), MorRef(1, 1, 0)),
+        z2,
+        skewed,
     ]
     assert not any(V.thin for V in others)
+    with pytest.raises(StructuralError, match=r"morphism \(2,3,0\) does not have shape 3 -> 3"):
+        check_monoidal(skewed)
+
+
+def _scan_outcome(scan, V, limit):
+    try:
+        return scan(V, limit=limit)
+    except StructuralError as exc:
+        return str(exc)
+
+
+def _mutants(rng: random.Random, bases: list, count: int):
+    """``count`` new table bases, each one of ``bases`` with one entry of one
+    table replaced: a morphism by one of the same shape (index 0 or 1) or
+    with one end moved, an object by an index up to n, a hom size by 0..2."""
+    for _ in range(count):
+        V = rng.choice(bases)
+        n = V.n_objects
+        tables = _tables(V)
+        table = rng.choice(sorted(tables))
+        key = rng.choice(sorted(tables[table]))
+        old = tables[table][key]
+        if table == "hom":
+            new = rng.randrange(3)
+        elif isinstance(old, MorRef):
+            new = rng.choice([
+                MorRef(old.src, old.dst, rng.randrange(2)),
+                MorRef(rng.randrange(n), old.dst, 0),
+                MorRef(old.src, rng.randrange(n), 0),
+            ])
+        else:
+            new = rng.randrange(n + 1)
+        yield _replaced(V, table, key, new)
+
+
+def test_thin_scans_match_the_full_scans():
+    """On every base the certificate accepts, each base law scan reports what
+    the full scan reports on a copy whose certificate is forced off, with and
+    without ``limit``: the golden table bases, bool, cost(0..6), the terminal
+    base and the seeded one-entry mutants of the small ones that certify.
+    The certificate never raises, and rejects the other mutants."""
+    tables = _golden_table_bases()
+    small = [bool_base(), terminal_base(), *(cost_base(n) for n in range(3))]
+    small += [V for V in tables if V.n_objects <= 4]
+    mutants = list(_mutants(random.Random(12), small, 300))
+    certified = [V for V in mutants if V.thin]
+    assert 0 < len(certified) < len(mutants)
+    bases = [*tables, bool_base(), terminal_base(), *(cost_base(n) for n in range(7)), *certified]
+    for V in bases:
+        assert V.thin, V.name
+        reference = copy.copy(V)
+        reference.thin = False
+        for family, scan in base_law_checks(V):
+            for limit in (None, 1):
+                assert _scan_outcome(scan, V, limit) == _scan_outcome(scan, reference, limit), (V.name, family)
