@@ -10,7 +10,13 @@ parse time, and a non-bijective ``fromarr`` is a resolve-time diagnostic.
 The JSON format carries the same tables as ``[key, value]`` rows. One schema
 (``_SCHEMA``) lists each kind's entries; the text line patterns, the text
 serializer and both JSON directions are generated from it, and both readers
-hand the same tables to one resolver.
+hand the same tables to one resolver. The JSON writer fills each table row
+into a template that the schema generates once per entry, at the fixed depth
+of an item table; only item-level strings and scalars go through
+``json.dumps``, so the bytes are those of ``json.dumps(indent=2,
+sort_keys=True)`` on the same data. The readers decode a row by its shape's
+nesting and keep only where it was read (a line number or a JSON row index);
+a row's ``Span`` is built when a diagnostic names it.
 """
 
 from __future__ import annotations
@@ -105,32 +111,9 @@ class ParseFailure(EcatError):
 # the table schema
 # ---------------------------------------------------------------------------
 
-def _encode(x):
-    """JSON form of a table key or value: morphisms and tuples become lists."""
-    if isinstance(x, MorRef):
-        return [x.src, x.dst, x.k]
-    if isinstance(x, tuple):
-        return [_encode(e) for e in x]
-    return x
-
-
-def _unnest(nesting, v, out: list) -> None:
-    """Collect the integers of ``v`` into ``out`` if it is nested like
-    ``nesting``; raise ValueError otherwise."""
-    if type(nesting) is list:
-        if type(v) is not list or len(v) != len(nesting):
-            raise ValueError(v)
-        for n, x in zip(nesting, v):
-            if type(n) is list:
-                _unnest(n, x, out)
-            elif type(x) is int and x >= 0:
-                out.append(x)
-            else:
-                raise ValueError(x)
-    elif type(v) is int and v >= 0:
-        out.append(v)
-    else:
-        raise ValueError(v)
+def _nesting(x):
+    """The list nesting of a value's JSON form, with its integers in place."""
+    return [_nesting(e) for e in x] if isinstance(x, tuple) else x
 
 
 def _paths(nesting, prefix: str = "") -> list[str]:
@@ -140,55 +123,111 @@ def _paths(nesting, prefix: str = "") -> list[str]:
     return [prefix]
 
 
+def _layout(nesting, indent: str, fields) -> str:
+    """How ``json.dumps(indent=2)`` lays out a value nested like ``nesting``
+    that starts at ``indent``, with the next of ``fields`` at each integer."""
+    if type(nesting) is not list:
+        return next(fields)
+    inner = indent + "  "
+    return "[\n" + ",\n".join(inner + _layout(n, inner, fields) for n in nesting) + f"\n{indent}]"
+
+
+def _none(values):
+    return ()
+
+
+def _same(values):
+    return values
+
+
+_flat = itertools.chain.from_iterable
+_INT_TYPE = {int}
+
+
 class _Shape:
     """How a table key or value is written: a text pattern with one group per
     integer, a text template with one ``{}`` per integer, and ``build`` from
-    those integers to the Python value. The JSON form is the value's
-    ``_encode`` nesting."""
+    those integers to the Python value. The JSON form nests the integers as
+    the value nests tuples (``nesting``); ``objects`` and ``morphisms`` map
+    values of the shape to the objects and the morphisms they name."""
 
-    def __init__(self, regex: str, template: str, build: Callable):
+    def __init__(self, regex: str, template: str, build: Callable, objects=_none, morphisms=_none):
         self.regex = regex
         self.template = template
         self.build = build
+        self.objects, self.morphisms = objects, morphisms
         self.size = re.compile(regex).groups
-        self.nesting = _encode(build(list(range(self.size))))
+        self.nesting = _nesting(build(list(range(self.size))))
+        # the length of each inner list of the JSON form, None for an integer
+        self.parts = None if type(self.nesting) is not list else [
+            len(n) if type(n) is list else None for n in self.nesting]
 
-    def fields(self, arg: int) -> str:
-        """The template as ``str.format`` fields reading the value passed as
-        argument ``arg``, e.g. ``({1[0]},{1[1]},{1[2]})`` for a morphism."""
-        return self.template.format(*(f"{{{arg}{p}}}" for p in _paths(self.nesting)))
+    def fields(self, arg: int) -> list[str]:
+        """``str.format`` fields reading the integers of the value passed as
+        argument ``arg``, e.g. ``{1[0]}``, ``{1[1]}``, ``{1[2]}`` for a morphism."""
+        return [f"{{{arg}{p}}}" for p in _paths(self.nesting)]
+
+    def text(self, arg: int) -> str:
+        """The text template with the fields of argument ``arg``."""
+        return self.template.format(*self.fields(arg))
 
     def from_json(self, v):
-        ints = []
-        _unnest(self.nesting, v, ints)
+        """The value of a JSON form nested like ``nesting``; ValueError if it
+        is not. A nesting is at most two lists deep, so one pass over the
+        outer list gathers the integers."""
+        if self.parts is None:
+            ints = [v]
+        elif type(v) is not list or len(v) != len(self.parts):
+            raise ValueError(v)
+        elif not any(self.parts):
+            ints = v
+        else:
+            ints = []
+            for part, x in zip(self.parts, v):
+                if part is None:
+                    ints.append(x)
+                elif type(x) is list and len(x) == part:
+                    ints += x
+                else:
+                    raise ValueError(x)
+        if set(map(type, ints)) != _INT_TYPE or min(ints) < 0:
+            raise ValueError(v)
         return self.build(ints)
 
 
 _N = r"(\d+)"
 _T = r"\((\d+),(\d+),(\d+)\)"
-INT = _Shape(_N, "{}", lambda a: a[0])
+INT = _Shape(_N, "{}", lambda a: a[0], objects=_same)
 NAME = _Shape(r"(\w+)", "{}", lambda a: a[0])
-PAIR = _Shape(rf"\({_N},{_N}\)", "({},{})", tuple)
-TRIPLE = _Shape(_T, "({},{},{})", tuple)
-MOR = _Shape(_T, "({},{},{})", lambda a: MorRef(*a))
-MOR_PAIR = _Shape(_T + _T, "({},{},{})({},{},{})", lambda a: (MorRef(*a[:3]), MorRef(*a[3:])))
-LAM = _Shape(_T + r"\s*" + _T, "({},{},{}) ({},{},{})", lambda a: (*a[:3], MorRef(*a[3:])))
+PAIR = _Shape(rf"\({_N},{_N}\)", "({},{})", tuple, objects=_flat)
+TRIPLE = _Shape(_T, "({},{},{})", tuple, objects=_flat)
+MOR = _Shape(_T, "({},{},{})", lambda a: MorRef(*a), morphisms=_same)
+MOR_PAIR = _Shape(_T + _T, "({},{},{})({},{},{})", lambda a: (MorRef(*a[:3]), MorRef(*a[3:])), morphisms=_flat)
+LAM = _Shape(_T + r"\s*" + _T, "({},{},{}) ({},{},{})", lambda a: (*a[:3], MorRef(*a[3:])),
+             objects=lambda vs: _flat(v[:3] for v in vs), morphisms=lambda vs: (v[3] for v in vs))
+
+# an item table's rows sit at items[i].tables.<keyword>[j] of the JSON layout
+_ROW_INDENT = " " * 10
 
 
 class _Entry:
     """One body entry of a kind. Without a key shape it is a single value
     (``objects 3``; a NAME value is a reference such as ``endo T``);
     otherwise it is a table of ``keyword key = value`` rows. ``get`` reads the
-    entry off a resolved value; ``pattern`` and ``row`` are its text forms."""
+    entry off a resolved value; ``pattern`` and ``row`` are its text forms and
+    ``json_row`` the layout of one JSON row, all filled by ``str.format``
+    with the key and the value."""
 
     def __init__(self, keyword: str, key: _Shape | None, value: _Shape, get: Callable | None = None):
         self.keyword, self.key, self.value, self.get = keyword, key, value, get
         if key is None:
             self.pattern = re.compile(rf"^{keyword}\s+{value.regex}$")
-            self.row = f"  {keyword} {value.fields(0)}"
+            self.row = f"  {keyword} {value.text(0)}"
         else:
             self.pattern = re.compile(rf"^{keyword}\s+{key.regex}\s*=\s*{value.regex}$")
-            self.row = f"  {keyword} {key.fields(0)} = {value.fields(1)}"
+            self.row = f"  {keyword} {key.text(0)} = {value.text(1)}"
+            fields = iter(key.fields(0) + value.fields(1))
+            self.json_row = _ROW_INDENT + _layout([key.nesting, value.nesting], _ROW_INDENT, fields)
 
 
 class _Kind:
@@ -199,6 +238,8 @@ class _Kind:
         self.header = header
         self.entries = entries
         self.tables = [e for e in entries if e.key is not None]
+        # the entries of a JSON item's tables object, in its key order
+        self.json_tables = sorted((e for e in entries if e.value is not NAME), key=lambda e: e.keyword)
         self.by_keyword = {e.keyword: e for e in entries}
         self.header_refs = re.findall(r"\{(\w+)\}", header)[1:]
         self.refs = self.header_refs + [e.keyword for e in entries if e.value is NAME]
@@ -282,27 +323,34 @@ _NAME_RE = re.compile(r"\w+")
 @dataclass
 class _Decl:
     """A declaration as read from either format, before resolution: its
-    references, its single values and tables by keyword, and the span of
-    each table row."""
+    references, its single values and tables by keyword, and where each
+    table row was read (``rows``: a line number in text, an index into the
+    JSON table). ``where(keyword, location)`` makes the Span of a row, only
+    when a diagnostic names it."""
 
     kind: str
     name: str
     span: Span
     refs: dict
+    where: Callable
     values: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict)
 
     def table(self, keyword: str) -> dict:
         return self.values.get(keyword) or {}
 
-    def put_row(self, res: "_Resolver", keyword: str, key, value, span: Span) -> None:
+    def span_of(self, keyword: str, key) -> Span:
+        """The span of the ``keyword`` row at ``key``."""
+        return self.where(keyword, self.rows[keyword, key])
+
+    def put_row(self, res: "_Resolver", keyword: str, key, value, location) -> None:
         """Add a table row; a repeated key is a diagnostic at the repeat."""
         table = self.values.setdefault(keyword, {})
         if key in table:
-            res.error(span, f"repeated {keyword!r} entry at {key}")
+            res.error(self.where(keyword, location), f"repeated {keyword!r} entry at {key}")
         else:
             table[key] = value
-            self.rows[keyword, key] = span
+            self.rows[keyword, key] = location
 
 
 class _Resolver:
@@ -371,7 +419,7 @@ class _Resolver:
         checks with ``all([...])`` so that every table is reported."""
         bad = [(k, v) for k, v in d.table(keyword).items() if not ok(v)]
         for k, v in bad:
-            self.error(d.rows[keyword, k], message.format(k, v))
+            self.error(d.span_of(keyword, k), message.format(k, v))
         return not bad
 
     def _check_keys(self, d: _Decl, keyword: str, keys) -> bool:
@@ -384,27 +432,36 @@ class _Resolver:
         expected = set(keys)
         extra = [k for k in table if k not in expected]
         for k in extra:
-            self.error(d.rows[keyword, k], f"{keyword} entry at {k} is outside the domain")
+            self.error(d.span_of(keyword, k), f"{keyword} entry at {k} is outside the domain")
         return missing is None and not extra
 
     def _check_in_range(self, d: _Decl, n: int, keywords) -> bool:
         """Report each row of the named tables that references an object
         outside 0..n-1 or a morphism outside its hom, by the table's own
         ``hom`` sizes; hom values are sizes, not objects, and fromarr, eid
-        and ecomp values are base morphisms, so only their keys are checked."""
+        and ecomp values are base morphisms, so only their keys are checked.
+        A table is checked whole, by its shapes: one maximum over the objects
+        and one hom-size test per distinct morphism. Only a table that fails
+        is checked row by row, to name its bad rows."""
         hom = d.table("hom")
+        entries = _SCHEMA[d.kind].by_keyword
 
-        def in_range(v) -> bool:
-            if isinstance(v, MorRef):
-                return v.src < n and v.dst < n and v.k < hom.get((v.src, v.dst), 0)
-            if isinstance(v, tuple):
-                return all(in_range(x) for x in v)
-            return v < n
+        def fits(entry: _Entry, keys, values) -> bool:
+            shapes = [(entry.key, keys)]
+            if entry.keyword not in ("hom", "fromarr", "eid", "ecomp"):
+                shapes.append((entry.value, values))
+            objects = _flat(shape.objects(vs) for shape, vs in shapes)
+            morphisms = set(_flat(shape.morphisms(vs) for shape, vs in shapes))
+            return max(objects, default=-1) < n and all(
+                m.src < n and m.dst < n and m.k < hom.get(m[:2], 0) for m in morphisms)
 
-        bad = [(keyword, k) for keyword in keywords for k, v in d.table(keyword).items()
-               if not in_range(k if keyword in ("hom", "fromarr", "eid", "ecomp") else (k, v))]
+        bad = []
+        for keyword in keywords:
+            table, entry = d.table(keyword), entries[keyword]
+            if not fits(entry, table.keys(), table.values()):
+                bad += [(keyword, k) for k, v in table.items() if not fits(entry, (k,), (v,))]
         for keyword, k in bad:
-            self.error(d.rows[keyword, k], f"{keyword} entry at {k} references an out-of-range object or morphism")
+            self.error(d.span_of(keyword, k), f"{keyword} entry at {k} references an out-of-range object or morphism")
         return not bad
 
     def _check_arrow_shapes(self, d: _Decl, keyword: str, ends: Callable) -> bool:
@@ -414,7 +471,7 @@ class _Resolver:
         bad = [(k, m, e) for k, m in d.table(keyword).items()
                if None not in (e := ends(k)) and (m.src, m.dst) != e]
         for k, m, (src, dst) in bad:
-            self.error(d.rows[keyword, k], f"{keyword} entry at {k} is {m}, not a morphism {src} -> {dst}")
+            self.error(d.span_of(keyword, k), f"{keyword} entry at {k} is {m}, not a morphism {src} -> {dst}")
         return not bad
 
     def _check_category_shapes(self, d: _Decl) -> bool:
@@ -430,7 +487,7 @@ class _Resolver:
                 message = f"then entry at ({f}, {g}) is {h}, not a morphism {f.src} -> {g.dst}"
             else:
                 continue
-            bad.append((d.rows["then", (f, g)], message))
+            bad.append((d.span_of("then", (f, g)), message))
         for span, message in bad:
             self.error(span, message)
         return ok and not bad
@@ -510,7 +567,7 @@ class _Resolver:
                         ok = False
                         continue
                     if v in pts:
-                        self.error(d.rows["fromarr", f], f"fromarr is not injective at ({x},{y})")
+                        self.error(d.span_of("fromarr", f), f"fromarr is not injective at ({x},{y})")
                         ok = False
                     pts[v] = f
                 expected = None
@@ -643,38 +700,36 @@ def _read_text(text: str, path: str | None, res: _Resolver) -> None:
             if line == "}":
                 break
             if line:
-                body.append((_span(i, lines[i - 1], path), line))
+                body.append((i, line))
         else:
             res.error(span, "unterminated block (missing '}')")
             continue
-        d = _Decl(kind, m.group(1), span, dict(zip(schema.header_refs, m.groups()[1:])))
-        for row_span, line in body:
-            _read_text_row(schema.by_keyword, d, res, row_span, line)
+        d = _Decl(kind, m.group(1), span, dict(zip(schema.header_refs, m.groups()[1:])),
+                  lambda keyword, line_no: _span(line_no, lines[line_no - 1], path))
+        for line_no, line in body:
+            _read_text_row(schema.by_keyword, d, res, line_no, line)
         res.resolve(d)
 
 
-def _read_text_row(entries: dict, d: _Decl, res: _Resolver, span: Span, line: str) -> None:
+def _read_text_row(entries: dict, d: _Decl, res: _Resolver, line_no: int, line: str) -> None:
     keyword = line.split()[0]
     entry = entries.get(keyword)
     if entry is None:
-        res.error(span, f"unexpected entry {keyword!r} in this block")
+        res.error(d.where(keyword, line_no), f"unexpected entry {keyword!r} in this block")
         return
     m = entry.pattern.match(line)
     if not m:
-        res.error(span, f"malformed {keyword!r} entry: {line!r}")
-        return
-    if keyword in d.refs or (entry.key is None and keyword in d.values):
-        res.error(span, f"repeated {keyword!r} entry")
-        return
-    if entry.value is NAME:
+        res.error(d.where(keyword, line_no), f"malformed {keyword!r} entry: {line!r}")
+    elif entry.key is not None:
+        ints = [*map(int, m.groups())]
+        size = entry.key.size
+        d.put_row(res, keyword, entry.key.build(ints[:size]), entry.value.build(ints[size:]), line_no)
+    elif keyword in d.refs or keyword in d.values:
+        res.error(d.where(keyword, line_no), f"repeated {keyword!r} entry")
+    elif entry.value is NAME:
         d.refs[keyword] = m.group(1)
-        return
-    ints = [int(g) for g in m.groups()]
-    if entry.key is None:
-        d.values[keyword] = ints[0]
-        return
-    size = entry.key.size
-    d.put_row(res, keyword, entry.key.build(ints[:size]), entry.value.build(ints[size:]), span)
+    else:
+        d.values[keyword] = int(m.group(1))
 
 
 def _is_name(v) -> bool:
@@ -748,7 +803,7 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
         return fail(f"{at}.tables", f"a {kind} needs a tables object")
     for keyword in tables.repeated:
         fail(f"{at}.tables.{keyword}", f"repeated {keyword!r} entry")
-    d = _Decl(kind, name, span, refs)
+    d = _Decl(kind, name, span, refs, lambda keyword, j: Span(path=path, pointer=f"{at}.tables.{keyword}[{j}]"))
     for keyword, rows in tables.items():
         where = f"{at}.tables.{keyword}"
         entry_schema = schema.by_keyword.get(keyword)
@@ -765,13 +820,13 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
             fail(where, f"malformed {keyword!r} table: expected a list of [key, value] rows")
         else:
             for j, row in enumerate(rows):
-                row_span = Span(path=path, pointer=f"{where}[{j}]")
                 try:
                     k, v = row
                     key, value = entry_schema.key.from_json(k), entry_schema.value.from_json(v)
-                    d.put_row(res, keyword, key, value, row_span)
                 except (TypeError, ValueError):
-                    res.error(row_span, f"malformed {keyword!r} entry: {json.dumps(row)}")
+                    res.error(d.where(keyword, j), f"malformed {keyword!r} entry: {json.dumps(row)}")
+                else:
+                    d.put_row(res, keyword, key, value, j)
     return d
 
 
@@ -828,21 +883,36 @@ def serialize(doc: Document) -> str:
     return "\n".join(_serialize_item(item) for item in doc.items)
 
 
-def _json_table(table: dict):
-    return [[_encode(k), _encode(v)] for k, v in sorted(table.items(), key=lambda kv: repr(kv[0]))]
+def _json_value(v, indent: str) -> str:
+    """``v`` as ``json.dumps(indent=2)`` writes it when it starts at ``indent``."""
+    return json.dumps(v, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_entry(entry: _Entry, v) -> str:
+    """A body entry's JSON: its single value, null, or its rows in the order
+    of their keys' ``repr``, each filled into the entry's row template."""
+    if entry.key is None or v is None:
+        return json.dumps(v)
+    if not v:
+        return "[]"
+    rows = sorted(v.items(), key=lambda kv: repr(kv[0]))
+    return "[\n" + ",\n".join(itertools.starmap(entry.json_row.format, rows)) + "\n        ]"
+
+
+def _json_item(item: Item) -> str:
+    """An item's JSON object: kind, name, references and tables, by key."""
+    members = {key: _json_value(v, "      ") for key, v in [("kind", item.kind), ("name", item.name),
+                                                          *item.refs.items()]}
+    if "builtin" not in item.refs:
+        tables = (f'        "{e.keyword}": {_json_entry(e, e.get(item.value))}'
+                  for e in _SCHEMA[item.kind].json_tables)
+        members["tables"] = "{\n" + ",\n".join(tables) + "\n      }"
+    return "    {\n" + ",\n".join(f'      "{key}": {members[key]}' for key in sorted(members)) + "\n    }"
 
 
 def to_json(doc: Document) -> str:
-    """Machine export mirroring the DSL semantics item by item."""
-    items = []
-    for item in doc.items:
-        entry: dict = {"kind": item.kind, "name": item.name}
-        entry.update({k: list(v) if isinstance(v, tuple) else v for k, v in item.refs.items()})
-        if "builtin" not in item.refs:
-            tables = entry["tables"] = {}
-            for e in _SCHEMA[item.kind].entries:
-                if e.value is not NAME:
-                    v = e.get(item.value)
-                    tables[e.keyword] = v if e.key is None or v is None else _json_table(v)
-        items.append(entry)
-    return json.dumps({"items": items}, indent=2, sort_keys=True) + "\n"
+    """Machine export mirroring the DSL semantics item by item: the bytes of
+    ``json.dumps(indent=2, sort_keys=True)`` on the items as JSON objects."""
+    if not doc.items:
+        return '{\n  "items": []\n}\n'
+    return '{\n  "items": [\n' + ",\n".join(map(_json_item, doc.items)) + "\n  ]\n}\n"

@@ -954,13 +954,18 @@ def check_closed(col: Collector, V: MonBase) -> None:
     """lam bijectivity (both round trips) and naturality in the abstraction
     variable, at every window instance whose hom enumeration fits the cap.
 
-    On a base certified thin (``V.thin``) only the hom sizes are compared:
-    x (x) y -> z exists iff x -> [y,z] does, and every round trip and
-    naturality square then lies in a hom with at most one morphism.
+    A base certified thin (``V.thin``) is not scanned. Its homs have at most
+    one morphism, and ``FinMonCat._require_well_shaped`` makes hom(x (x) y, z)
+    and hom(x, [y,z]) both empty or both one-element: lam of any f: x (x) y
+    -> z has shape x -> [y,z], and for any g: x -> [y,z] the composite of
+    ``tensor_mor(g, id_y)`` and ``ev(y, z)`` is a map x (x) y -> z. So the
+    sizes agree, and every round trip and naturality square lies in a hom
+    with at most one morphism.
     """
     if not V.closed:
         raise CapabilityError("base has no closed structure")
-    thin = V.thin
+    if V.thin:
+        return
     objs, _ = _window_homs(V)
 
     for x, y, z in itertools.product(objs, repeat=3):
@@ -973,8 +978,6 @@ def check_closed(col: Collector, V: MonBase) -> None:
             n_dst = V.hom_size(x, h)
             if n_src != n_dst:
                 col.add("lam-bijective", (x, y, z), n_src, n_dst)
-                continue
-            if thin:
                 continue
             if n_src > DEFAULT_HOM_CAP:
                 continue  # deterministically skipped: enumeration beyond the cap
@@ -993,8 +996,6 @@ def check_closed(col: Collector, V: MonBase) -> None:
         except WindowExceeded:
             continue
 
-    if thin:
-        return
     # naturality of the bijection in the abstraction variable; the instance
     # space is the product of two homs, so the cap bounds the product
     for x, x2, y, z in itertools.product(objs, repeat=4):

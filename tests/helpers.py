@@ -9,12 +9,14 @@ triple-loop oracle where a test calls for one.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from ecat.core import (
     Enrichment,
     EnrichedFunctor,
 )
+from ecat.dsl import _SCHEMA, NAME
 from ecat.report import StructuralError
 from ecat.vbase import FinCat, MorRef, require_mor_shape
 
@@ -522,3 +524,35 @@ class Mutated:
         if self._table == "lam" and (x, y, z, f) == self._key:
             return self._value
         return self._base.lam(x, y, z, f)
+
+
+# ---------------------------------------------------------------------------
+# the reference machine writer
+# ---------------------------------------------------------------------------
+
+def _encode(x):
+    """JSON form of a table key or value: morphisms and tuples become lists."""
+    if isinstance(x, MorRef):
+        return [x.src, x.dst, x.k]
+    if isinstance(x, tuple):
+        return [_encode(e) for e in x]
+    return x
+
+
+def reference_to_json(doc) -> str:
+    """The machine export of ``doc`` built as one dict, rows sorted by the
+    ``repr`` of their keys, and written by ``json.dumps(indent=2,
+    sort_keys=True)``: the bytes that ``dsl.to_json`` must reproduce."""
+    items = []
+    for item in doc.items:
+        entry: dict = {"kind": item.kind, "name": item.name}
+        entry.update({k: list(v) if isinstance(v, tuple) else v for k, v in item.refs.items()})
+        if "builtin" not in item.refs:
+            tables = entry["tables"] = {}
+            for e in _SCHEMA[item.kind].entries:
+                if e.value is not NAME:
+                    v = e.get(item.value)
+                    tables[e.keyword] = v if e.key is None or v is None else [
+                        [_encode(k), _encode(x)] for k, x in sorted(v.items(), key=lambda kv: repr(kv[0]))]
+        items.append(entry)
+    return json.dumps({"items": items}, indent=2, sort_keys=True) + "\n"

@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 import cli_corpus
+from helpers import reference_to_json
 from ecat.cli import Verdict, _emit, run_cli
 from ecat.core import EnrichedFunctor, check_enrichment, id_functor, id_transformation, thin_enrichment
-from ecat.dsl import Diagnostic, Document, Item, from_json, load, parse, serialize, to_json
+from ecat.dsl import Diagnostic, Document, Item, Span, from_json, load, parse, serialize, to_json
 from ecat.monad import EnrichedMonad, fkleisli_cocone
 from ecat.report import CheckReport, Failure
-from ecat.vbase import MorRef
+from ecat.vbase import MorRef, bool_base
 
 GOLDEN = Path(__file__).parent / "golden"
 POSITIVE = sorted(p for p in GOLDEN.glob("*.ecat") if not p.name.startswith("bad_"))
@@ -381,6 +382,31 @@ def test_json_short_row_is_a_diagnostic(tmp_path, capsys):
     assert run_cli(["check", path]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == [f"{path}:items[1].tables.eid[0]: error: malformed 'eid' entry: [0]"]
+
+
+@pytest.mark.parametrize("row", [[True, [1, 1, 0]], [0, [1, 1.0, 0]], [0, [1, 1, -1]], [0, [1, [1], 0]],
+                                 [0, [1, 1, 0, 0]], ["0", [1, 1, 0]], [0, {"1": 1}], "ab"], ids=json.dumps)
+def test_json_malformed_row_is_a_diagnostic(row, tmp_path, capsys):
+    """A row that is not [object, morphism] in non-negative JSON integers."""
+    path = _machine_file(tmp_path, lambda e: e["tables"]["eid"].__setitem__(0, row))
+    assert run_cli(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"{path}:items[1].tables.eid[0]: error: malformed 'eid' entry: {json.dumps(row)}"]
+
+
+@pytest.mark.parametrize("row", [
+    [[0, 0, 0, [0, 0]], [0, 1, 0]], [[0, 0, [0], [0, 0, 0]], [0, 1, 0]], [[0, 0, 0, 0], [0, 1, 0]],
+    [[0, 0, 0, [0, 0, True]], [0, 1, 0]], [[0, 0, 0, [0, 0, 0]], [[0], 1, 0]],
+], ids=json.dumps)
+def test_json_malformed_lam_row_is_a_diagnostic(row, tmp_path, capsys):
+    """A lam row, whose key mixes objects and a morphism, nested wrongly."""
+    payload = json.loads(to_json(parse((GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8"))[0]))
+    payload["items"][0]["tables"]["lam"][0] = row
+    path = tmp_path / "bad.ecat.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{path}:items[0].tables.lam[0]: error: malformed 'lam' entry: {json.dumps(row)}")
 
 
 def test_json_name_with_newline_is_one_diagnostic(tmp_path, capsys):
@@ -840,3 +866,101 @@ def test_cli_refusals_go_through_the_error_handler(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
         assert run_cli(argv) == code
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+# one row of a golden file edited, with the diagnostic each checker reports
+# at that row: (golden file, item index, table, row as written, the edited
+# row, its JSON key, the edited JSON row, its text line, its JSON row index,
+# message)
+LOCATED_ROW_CASES = [
+    ("bool_chain2.ecat", 0, "lam", "(0,0,0) (0,0,0) = (0,1,0)", "(0,0,0) (0,0,5) = (0,1,0)",
+     [0, 0, 0, [0, 0, 0]], [[0, 0, 0, [0, 0, 5]], [0, 1, 0]], 63, 0,
+     "lam entry at (0, 0, 0, (0,0,5)) references an out-of-range object or morphism"),
+    ("bool_chain2.ecat", 0, "tensorobj", "(0,1) = 0", "(0,1) = 2", [0, 1], [[0, 1], 2], 15, 1,
+     "tensorobj entry at (0, 1) references an out-of-range object or morphism"),
+    ("bool_chain2.ecat", 0, "tensormor", "(0,1,0)(0,1,0) = (0,1,0)", "(0,1,0)(0,1,0) = (0,1,3)",
+     [[0, 1, 0], [0, 1, 0]], [[[0, 1, 0], [0, 1, 0]], [0, 1, 3]], 22, 4,
+     "tensormor entry at ((0,1,0), (0,1,0)) references an out-of-range object or morphism"),
+    ("bool_chain2.ecat", 1, "then", "(0,1,0)(1,1,0) = (0,1,0)", "(0,1,0)(0,0,0) = (0,1,0)",
+     [[0, 1, 0], [1, 1, 0]], [[[0, 1, 0], [0, 0, 0]], [0, 1, 0]], 82, 2,
+     "then entry at ((0,1,0), (0,0,0)): (0,1,0) ends at 1 and (0,0,0) starts at 0"),
+    ("bool_chain2.ecat", 1, "homobj", "(0,1) = 1", "(0,1) = 7", [0, 1], [[0, 1], 7], 85, 1,
+     "hom object 7 is not a base object"),
+    ("set_z2.ecat", 1, "fromarr", "(0,0,1) = (1,2,1)", "(0,0,1) = (1,2,0)",
+     [0, 0, 1], [[0, 0, 1], [1, 2, 0]], 15, 1, "fromarr is not injective at (0,0)"),
+]
+
+
+@pytest.mark.parametrize("case", LOCATED_ROW_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+def test_row_diagnostics_are_located_in_both_formats(case, tmp_path, capsys):
+    """The range check of a base's tables (mixed, pair and morphism-pair
+    keys), the composability of a then row, a hom object that is not a base
+    object and a non-injective fromarr are reported at the edited row: its
+    line in text, its JSON path in a machine file."""
+    source, i, keyword, before, after, json_key, json_row, line, j, message = case
+    text = (GOLDEN / source).read_text(encoding="utf-8")
+    row = f"  {keyword} {before}\n"
+    at = text.index(row, [m.start() for m in re.finditer(r"^\w", text, re.M)][i])
+    path = tmp_path / source
+    path.write_text(text[:at] + f"  {keyword} {after}\n" + text[at + len(row):], encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{path}:{line}:3: error: {message}"
+
+    payload = json.loads(to_json(parse(text)[0]))
+    rows = payload["items"][i]["tables"][keyword]
+    assert rows[j][0] == json_key
+    rows[j] = json_row
+    machine = tmp_path / f"{source}.json"
+    machine.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["check", str(machine)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{machine}:items[{i}].tables.{keyword}[{j}]: error: {message}"
+
+
+def test_text_row_span_is_the_row_without_its_comment():
+    text = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8")
+    at = text.index("  homobj (0,1) = 1\n", text.index("enrichment E"))
+    doc, diags = parse(text[:at] + "\t   homobj (0,1) = 7   # seven\n" + text[at + 19:])
+    assert doc is None
+    assert [(d.span, d.message) for d in diags] == [
+        (Span(85, 5, 31), "hom object 7 is not a base object"),
+        (Span(72, 1, 22), "fromarr at (0,1) is not a bijection (1 of 0 unit points hit)"),
+    ]
+
+
+def _writer_cases() -> list:
+    """The parseable documents whose machine export is compared with the
+    reference writer: the golden corpus in both formats, and the edge cases
+    of the layout."""
+    docs = [(p.name, parse(p.read_text(encoding="utf-8"))[0])
+            for d in (GOLDEN, GOLDEN / "constructed") for p in sorted(d.glob("*.ecat"))]
+    docs += [(p.name, from_json(p.read_text(encoding="utf-8"))[0]) for p in sorted((GOLDEN / "json").glob("*.json"))]
+    chain = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8")
+    base = chain.split("\n\n", 1)[0] + "\n"
+    V = bool_base()
+    codiscrete = thin_enrichment(V, 11, {(x, y): 1 for x in range(11) for y in range(11)}, name="E")
+    docs += [
+        ("empty", Document()),
+        ("11 objects", Document([Item("base", "V", V, {"builtin": "bool", "params": ()}, None),
+                                 Item("enrichment", "E", codiscrete, {"over": "V"}, None)])),
+        ("no sym, not closed", parse(re.sub(r"^  (sym|homobj|eval|lam) .*\n", "", base, flags=re.M))[0]),
+        ("0 objects", parse("base V = builtin(bool)\nenrichment E over V {\n  objects 0\n}\n")[0]),
+        ("non-ASCII names", parse(re.sub(r"\bV\b", "Vé", chain).replace("enrichment E ", "enrichment Ë_ü "))[0]),
+    ]
+    return [(name, doc) for name, doc in docs if doc is not None]
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=name) for name, doc in _writer_cases()])
+def test_to_json_matches_the_reference_writer(doc):
+    assert to_json(doc) == reference_to_json(doc)
+
+
+def test_writer_edge_cases_are_what_they_claim():
+    cases = dict(_writer_cases())
+    assert to_json(cases["empty"]) == '{\n  "items": []\n}\n'
+    tables = json.loads(to_json(cases["no sym, not closed"]))["items"][0]["tables"]
+    assert [tables[k] for k in ("sym", "homobj", "eval", "lam")] == [None] * 4
+    assert json.loads(to_json(cases["0 objects"]))["items"][1]["tables"]["hom"] == []
+    # rows go in the order of their keys' text: (0,10) before (0,2)
+    assert [k for k, _ in json.loads(to_json(cases["11 objects"]))["items"][1]["tables"]["hom"][:3]] == [
+        [0, 0], [0, 1], [0, 10]]
+    assert '"name": "\\u00cb_\\u00fc"' in to_json(cases["non-ASCII names"])

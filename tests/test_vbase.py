@@ -587,6 +587,10 @@ def test_thin_scans_match_the_full_scans():
     certified = [V for V in mutants if V.thin]
     assert 0 < len(certified) < len(mutants)
     bases = [*tables, bool_base(), terminal_base(), *(cost_base(n) for n in range(7)), *certified]
+    # base_law_checks includes check_closed, which returns at once on a
+    # certified base, on bool, cost(0..6) and the closed golden table bases
+    assert bool_base().closed and all(cost_base(n).closed for n in range(7))
+    assert any(V.closed for V in tables)
     for V in bases:
         assert V.thin, V.name
         reference = copy.copy(V)
