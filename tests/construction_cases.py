@@ -233,6 +233,17 @@ def _cyclic3() -> dict:
     }
 
 
+def _z2_groupoid(twisted: bool) -> Enrichment:
+    """Two objects, every hom the group Z/2 and composition addition mod 2,
+    over finset(3). The twisted copy lists hom(1, 1) as [1, 0], so the
+    identity of object 1 is its morphism with index 1."""
+    homs = {(a, b): [0, 1] for a in range(2) for b in range(2)}
+    if twisted:
+        homs[1, 1] = [1, 0]
+    C = FinCat.tabulate(2, homs, lambda a: 0, lambda a, b, c, f, g: (f + g) % 2)
+    return canonical_set_enrichment(C, builtin_base("finset", k=3))
+
+
 def _struct() -> dict:
     E = _struct_enrichment()
     dialg = dialgebra_enrichment(id_functor(E), id_functor(E))
@@ -287,6 +298,8 @@ FIXTURES = {
     "set_z3": _set_z3,
     "cyclic3": _cyclic3,
     "finposet_struct2": _struct,
+    "z2_groupoid": lambda: _equivalences(_z2_groupoid(twisted=False)),
+    "z2_groupoid_twisted": lambda: _equivalences(_z2_groupoid(twisted=True)),
     "monad_toppoint": _monad_toppoint,
     "functors_chain2": _functors_chain2,
 }
