@@ -6,6 +6,9 @@ isomorphic to a value, with the lexicographically least witness chosen.
 Orthogonality is implemented operationally: diagonal lifts of squares against
 (eso, ff) pairs and unique 2-cells between lifts. A functor that is both eso
 and ff inverts to an adjoint equivalence by lifting its own identity square.
+One rule set, ``invert_along``, tabulates every inverse of a fully faithful
+functor along chosen isos: the diagonal lift here, and the Rezk unit and the
+extension along a weak equivalence in ``rezk``.
 """
 
 from __future__ import annotations
@@ -156,6 +159,44 @@ def image_factorization(F: EnrichedFunctor) -> FactorizationResult:
     return FactorizationResult(image, eso, inclusion, comparison)
 
 
+def invert_along(
+    G: EnrichedFunctor,
+    ff: FullyFaithfulWitness,
+    witness: dict,
+    K: EnrichedFunctor | None = None,
+    name: str = "lift",
+) -> EnrichedFunctor:
+    """The functor L: E2 -> E3 inverting a fully faithful G: E3 -> E4 along
+    K: E2 -> E4 (the identity of E4 when None), given for each y in E2 a
+    witness ``(w, gamma_y)`` with gamma_y: G w -> K y invertible: L y = w, L g
+    is the G-preimage of gamma_y ; K g ; gamma_y'^-1, and L's hom component
+    conjugates K's by the witnesses, then applies ``ff``'s inverse."""
+    E4 = G.cod
+    V, cod4 = E4.base, E4.under
+    ob = {y: w for y, (w, _) in witness.items()}
+    gamma = {y: g for y, (_, g) in witness.items()}
+    gamma_inv = {}
+    for y, g in gamma.items():
+        gamma_inv[y] = find_inverse(cod4, g)
+        if gamma_inv[y] is None:
+            raise StructuralError(f"witness {g} at {y} is not invertible")
+
+    def mor(g: MorRef) -> MorRef:
+        whole = cod4.compose(cod4.compose(gamma[g.src], g if K is None else K.mor(g)), gamma_inv[g.dst])
+        return underlying_hom_inverse(G, ff, whole, ob[g.src], ob[g.dst])
+
+    def e_fun(y, y2):
+        # E2(y,y') -> E4(K y, K y') -> E4(G w, K y') -> E4(G w, G w') -> E3(w, w'),
+        # where K y' is the codomain of gamma_y'
+        m = postcompose_mor(E4, gamma[y2].dst, gamma[y])
+        if K is not None:
+            m = V.compose(K.e_fun(y, y2), m)
+        m = V.compose(m, precompose_mor(E4, G.ob(ob[y]), gamma_inv[y2]))
+        return V.compose(m, ff.inverses[(ob[y], ob[y2])])
+
+    return EnrichedFunctor.tabulate(E4 if K is None else K.dom, G.dom, ob.__getitem__, mor, e_fun, name=name)
+
+
 def orthogonal_lift(
     sq: LiftSquare, preimage: dict | None = None
 ) -> tuple[EnrichedFunctor, EnrichedTransformation, EnrichedTransformation]:
@@ -176,48 +217,28 @@ def orthogonal_lift(
         raise CapabilityError(f"lift needs a fully faithful right leg; fails at {ff.failing}")
     if preimage is not None:
         eso = EsoWitness(True, dict(preimage), [])
-    E2, E3 = F.cod, G.dom
-    E4 = G.cod
-    V = E2.base
-    cod4 = E4.under
+    cod4 = G.cod.under
 
     # gamma_y : G(L y) -> H2 y, built from the glue at the chosen preimage
-    ob_map = {}
-    gamma = {}
-    for y in E2.objects():
+    witness = {}
+    for y in F.cod.objects():
         x, i = eso.preimage[y]
-        ob_map[y] = H1.ob(x)
         glue_inv = find_inverse(cod4, glue.at(x))
         if glue_inv is None:
             raise StructuralError("glue 2-cell is not invertible")
-        gamma[y] = cod4.compose(glue_inv, H2.mor(i))
-
-    def transport(g: MorRef) -> MorRef:
-        # L action on g: y -> y' is the G-preimage of gamma_y ; H2 g ; gamma_y'^-1
-        lhs = cod4.compose(gamma[g.src], H2.mor(g))
-        gmi = find_inverse(cod4, gamma[g.dst])
-        whole = cod4.compose(lhs, gmi)
-        return underlying_hom_inverse(G, ff, whole, ob_map[g.src], ob_map[g.dst])
-
-    def e_fun(y, y2):
-        # E2(y,y') -> E4(H2 y, H2 y') -> E4(GL y, GL y') -> E3(L y, L y')
-        m = H2.e_fun(y, y2)
-        m = V.compose(m, postcompose_mor(E4, H2.ob(y2), gamma[y]))
-        gmi = find_inverse(cod4, gamma[y2])
-        m = V.compose(m, precompose_mor(E4, G.ob(ob_map[y]), gmi))
-        return V.compose(m, ff.inverses[(ob_map[y], ob_map[y2])])
-
-    L = EnrichedFunctor.tabulate(E2, E3, ob_map.__getitem__, transport, e_fun, name="lift")
+        witness[y] = (H1.ob(x), cod4.compose(glue_inv, H2.mor(i)))
+    L = invert_along(G, ff, witness, H2)
 
     # lower triangle: L.G => H2 with components gamma
-    lower = EnrichedTransformation(compose_functors(L, G), H2, dict(gamma), name="lift-lower")
+    gamma = {y: g for y, (_, g) in witness.items()}
+    lower = EnrichedTransformation(compose_functors(L, G), H2, gamma, name="lift-lower")
 
     # upper triangle: F.L => H1; component at x is the G-preimage of
     # gamma_{F x} followed by the glue at x
     upper_comp = {}
     for x in F.dom.objects():
         w = cod4.compose(gamma[F.ob(x)], glue.at(x))
-        upper_comp[x] = underlying_hom_inverse(G, ff, w, ob_map[F.ob(x)], H1.ob(x))
+        upper_comp[x] = underlying_hom_inverse(G, ff, w, L.ob(F.ob(x)), H1.ob(x))
     upper = EnrichedTransformation(compose_functors(F, L), H1, upper_comp, name="lift-upper")
     return L, upper, lower
 

@@ -24,7 +24,6 @@ from .core import (
     precompose_mor,
     required_ecomp,
     required_farr,
-    whisker_right,
 )
 from .report import CapabilityError, Collector, StructuralError, law_scan
 from .rezk import RezkResult, extend_functor, rezk_completion
@@ -250,10 +249,10 @@ def univalent_kleisli_cocone(T: EnrichedMonad, uk: RezkResult | None = None) -> 
     kappa = uk.unit_functor
     raw = fkleisli_cocone(T, kappa.dom)
     leg = compose_functors(raw.leg, kappa)
-    cell = whisker_right(raw.cell, kappa)
-    # reshape: whisker_right produces (endo.raw_leg).kappa => raw_leg.kappa
     cell = EnrichedTransformation(
-        compose_functors(T.endo, leg), leg, dict(cell.component), name="univalent-kleisli-cell"
+        compose_functors(T.endo, leg), leg,
+        {x: kappa.mor(raw.cell.at(x)) for x in T.carrier.objects()},
+        name="univalent-kleisli-cell",
     )
     return KleisliCocone(uk.completion, leg, cell, name="univalent-canonical")
 
@@ -275,7 +274,7 @@ def kleisli_universal_extend(
     FK = kappa.dom
     check_kleisli_cocone(T, q).require("invalid Kleisli cocone")
 
-    # step two: the cocone induces P : FK -> apex
+    # the cocone induces P : FK -> apex
     A = q.apex
     P = EnrichedFunctor.tabulate(
         FK, A,
@@ -286,7 +285,7 @@ def kleisli_universal_extend(
     )
     check_functor_enrichment(P).require("cocone-induced functor fails")
 
-    # step three: extend along the comparison weak equivalence
+    # extend P along the comparison weak equivalence
     H, cell2 = extend_functor(kappa, P)
 
     # the mediating 2-cell against the transported canonical cocone

@@ -5,12 +5,15 @@ precomposition universal property.
 Skeletonization replaces the presheaf-image construction: with decidable
 equality and finite data the two agree up to weak equivalence, which the test
 suite cross-checks at micro scale against the image of the Yoneda embedding.
+The Rezk unit inverts the inclusion of the skeleton, and the extension along
+a weak equivalence inverts the equivalence, both by ``factor.invert_along``,
+the rule set of the diagonal lift.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .construct import (
     FunctorCategoryResult,
@@ -28,7 +31,6 @@ from .core import (
     compose_functors,
     enumerate_enriched_functors,
     enumerate_enriched_transformations,
-    find_inverse,
     invertible_2cell,
     postcompose_mor,
     precompose_mor,
@@ -38,6 +40,7 @@ from .core import (
 from .factor import (
     EsoWitness,
     FullyFaithfulWitness,
+    invert_along,
     is_essentially_surjective,
     is_fully_faithful,
     iso_arrows,
@@ -175,26 +178,21 @@ def univalence_report(E: Enrichment) -> UnivalenceReport:
 
 def rezk_completion(E: Enrichment) -> RezkResult:
     """Skeletonize: keep the least object of each isomorphism class and send
-    every object to its representative along the first iso found. Certificates
-    that the unit is a weak equivalence are computed, not assumed."""
+    every object to its representative along the first iso found, by
+    inverting the inclusion of the representatives. Certificates that the
+    unit is a weak equivalence are computed, not assumed."""
     cat = E.under
-    rep = {}
-    iso_to = {}
+    witness = {}
     for x in E.objects():  # the first iso r -> x from the least such r
-        rep[x], iso_to[x] = next((r, isos[0]) for r in range(x + 1) if (isos := iso_arrows(cat, r, x)))
-    completion, inclusion = full_sub_enrichment(E, lambda x: rep[x] == x)
+        found = next(((r, isos[0]) for r in range(x + 1) if (isos := iso_arrows(cat, r, x))), None)
+        if found is None:
+            raise StructuralError(f"object {x} has no invertible endomorphism, so no Rezk representative")
+        witness[x] = found
+    completion, inclusion = full_sub_enrichment(E, lambda x: witness[x][0] == x)
     new_of = {old: new for new, old in inclusion.ob_map.items()}
-    V = E.base
-
-    def mor(f):
-        m = cat.compose(cat.compose(iso_to[f.src], f), find_inverse(cat, iso_to[f.dst]))
-        return MorRef(new_of[rep[f.src]], new_of[rep[f.dst]], m.k)
-
-    def e_fun(x, y):
-        m = postcompose_mor(E, y, iso_to[x])                                  # E(x,y) -> E(rx, y)
-        return V.compose(m, precompose_mor(E, rep[x], find_inverse(cat, iso_to[y])))  # -> E(rx, ry)
-
-    unit = EnrichedFunctor.tabulate(E, completion, lambda x: new_of[rep[x]], mor, e_fun, name="rezk-unit")
+    # the inclusion's hom components are identities, their own inverses
+    ff = FullyFaithfulWitness(True, inclusion.e_fun_t)
+    unit = invert_along(inclusion, ff, {x: (new_of[r], i) for x, (r, i) in witness.items()}, name="rezk-unit")
     return RezkResult(completion, unit, is_fully_faithful(unit), is_essentially_surjective(unit))
 
 
@@ -259,89 +257,21 @@ def extend_functor(
     """Extend G: E1 -> E3 along a weak equivalence F: E1 -> E2 to H: E2 -> E3
     with an invertible 2-cell F.H => G.
 
-    The object action and hom components are verified against every witness
-    pair, turning the uniqueness claims of the construction into checks.
+    H is L ; G, where L: E2 -> E1 inverts F along its eso witnesses; the
+    2-cell's component at w is G of L's upper-triangle component, the
+    F-preimage of the witness at F w. H and the 2-cell are re-checked.
     """
     ffw = is_fully_faithful(F)
     eso = is_essentially_surjective(F)
     if not ffw.ok or not eso.ok:
         raise CapabilityError("extension needs a weak equivalence")
-    E1, E2, E3 = F.dom, F.cod, G.cod
-    V = E1.base
-    cat1, cat2, cat3 = E1.under, E2.under, E3.under
-
-    def f_inv(g: MorRef, w1: int, w2: int) -> MorRef:
-        return underlying_hom_inverse(F, ffw, g, w1, w2)
-
-    chosen = eso.preimage
-
-    def phi(x: int, w: int, i: MorRef) -> MorRef:
-        """The iso G w -> H x for a witness (w, i: F w ~ x)."""
-        w0, i0 = chosen[x]
-        i0_inv = find_inverse(cat2, i0)
-        k = f_inv(cat2.compose(i, i0_inv), w, w0)
-        return G.mor(k)
-
-    # coherence of the phi family: G k ; phi(w2, i2) = phi(w1, i1) whenever
-    # F k ; i2 = i1
-    for x in E2.objects():
-        for w1, w2 in itertools.product(E1.objects(), repeat=2):
-            for i1 in iso_arrows(cat2, F.ob(w1), x):
-                for i2 in iso_arrows(cat2, F.ob(w2), x):
-                    for k in cat1.hom(w1, w2):
-                        if cat2.compose(F.mor(k), i2) != i1:
-                            continue
-                        lhs = cat3.compose(G.mor(k), phi(x, w2, i2))
-                        rhs = phi(x, w1, i1)
-                        if lhs != rhs:
-                            raise StructuralError(
-                                f"phi family incoherent at {x} with witnesses {(w1, i1)}, {(w2, i2)}"
-                            )
-
-    def mor(h):
-        (w1, i1), (w2, i2) = chosen[h.src], chosen[h.dst]
-        return G.mor(f_inv(cat2.compose(cat2.compose(i1, h), find_inverse(cat2, i2)), w1, w2))
-
-    def hom_component(x: int, y: int, w1: int, i1: MorRef, w2: int, i2: MorRef) -> MorRef:
-        """E2(x,y) -> E3(Gw1, Gw2) through the witnesses i1: F w1 ~ x and i2: F w2 ~ y."""
-        m = postcompose_mor(E2, y, i1)                                          # -> E2(Fw1, y)
-        m = V.compose(m, precompose_mor(E2, F.ob(w1), find_inverse(cat2, i2)))  # -> E2(Fw1, Fw2)
-        m = V.compose(m, ffw.inverses[(w1, w2)])                                # -> E1(w1, w2)
-        return V.compose(m, G.e_fun(w1, w2))                                    # -> E3(Gw1, Gw2)
-
-    # chosen-witness phis are identities; general witnesses are verified below
-    H = EnrichedFunctor.tabulate(
-        E2, E3,
-        lambda x: G.ob(chosen[x][0]),
-        mor,
-        lambda x, y: hom_component(x, y, *chosen[x], *chosen[y]),
-        name="extension",
-    )
-
-    # verify the hom component against every witness pair
-    for x, y in itertools.product(E2.objects(), repeat=2):
-        for w1 in E1.objects():
-            for i1 in iso_arrows(cat2, F.ob(w1), x):
-                for w2 in E1.objects():
-                    for i2 in iso_arrows(cat2, F.ob(w2), y):
-                        m = hom_component(x, y, w1, i1, w2, i2)
-                        p1_inv = find_inverse(cat3, phi(x, w1, i1))
-                        m = V.compose(m, postcompose_mor(E3, G.ob(w2), p1_inv))
-                        m = V.compose(m, precompose_mor(E3, H.ob(x), phi(y, w2, i2)))
-                        if m != H.e_fun(x, y):
-                            raise StructuralError(
-                                f"extension hom component at ({x},{y}) differs at witnesses"
-                                f" {(w1, i1)}, {(w2, i2)}"
-                            )
-
-    # comparison 2-cell F.H => G: component at w is phi(F w, w, id)^{-1}
+    L = invert_along(F, ffw, eso.preimage)
+    H = replace(compose_functors(L, G), name="extension")
+    check_functor_enrichment(H).require("extension fails enrichment")
     comp = {}
-    for w in E1.objects():
-        p = phi(F.ob(w), w, cat2.id_of(F.ob(w)))
-        p_inv = find_inverse(cat3, p)
-        if p_inv is None:
-            raise StructuralError("comparison component is not invertible")
-        comp[w] = p_inv
+    for w in F.dom.objects():
+        w0, i0 = eso.preimage[F.ob(w)]
+        comp[w] = G.mor(underlying_hom_inverse(F, ffw, i0, w0, w))
     cell = EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")
     check_nat_trans_enrichment(cell).require("extension 2-cell fails enrichment")
     if invertible_2cell(cell) is None:

@@ -12,12 +12,24 @@ import itertools
 import json
 import random
 
+from ecat.construct import full_sub_enrichment
 from ecat.core import (
     Enrichment,
     EnrichedFunctor,
+    EnrichedTransformation,
+    compose_functors,
+    find_inverse,
+    postcompose_mor,
+    precompose_mor,
 )
 from ecat.dsl import _SCHEMA, NAME
-from ecat.report import StructuralError
+from ecat.factor import (
+    is_essentially_surjective,
+    is_fully_faithful,
+    iso_arrows,
+    underlying_hom_inverse,
+)
+from ecat.report import CapabilityError, StructuralError
 from ecat.vbase import FinCat, MorRef, require_mor_shape
 
 
@@ -556,3 +568,100 @@ def reference_to_json(doc) -> str:
                         [_encode(k), _encode(x)] for k, x in sorted(v.items(), key=lambda kv: repr(kv[0]))]
         items.append(entry)
     return json.dumps({"items": items}, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the reference Rezk unit and extension
+# ---------------------------------------------------------------------------
+
+def reference_rezk_unit(E: Enrichment) -> tuple[Enrichment, EnrichedFunctor]:
+    """The skeleton of E and the Rezk unit by their own rules: each object
+    goes to the least isomorphic object r along the first iso r -> x, and a
+    morphism and a hom object are conjugated by those isos directly. The
+    tables that ``rezk.rezk_completion`` must reproduce."""
+    cat = E.under
+    rep = {}
+    iso_to = {}
+    for x in E.objects():
+        rep[x], iso_to[x] = next((r, isos[0]) for r in range(x + 1) if (isos := iso_arrows(cat, r, x)))
+    completion, inclusion = full_sub_enrichment(E, lambda x: rep[x] == x)
+    new_of = {old: new for new, old in inclusion.ob_map.items()}
+    V = E.base
+
+    def mor(f):
+        m = cat.compose(cat.compose(iso_to[f.src], f), find_inverse(cat, iso_to[f.dst]))
+        return MorRef(new_of[rep[f.src]], new_of[rep[f.dst]], m.k)
+
+    def e_fun(x, y):
+        m = postcompose_mor(E, y, iso_to[x])
+        return V.compose(m, precompose_mor(E, rep[x], find_inverse(cat, iso_to[y])))
+
+    unit = EnrichedFunctor.tabulate(E, completion, lambda x: new_of[rep[x]], mor, e_fun, name="rezk-unit")
+    return completion, unit
+
+
+def reference_extend_functor(
+    F: EnrichedFunctor, G: EnrichedFunctor
+) -> tuple[EnrichedFunctor, EnrichedTransformation]:
+    """The extension of G along a weak equivalence F by its own rules: a
+    family phi of isos G w -> H x for every witness (w, i: F w ~ x), checked
+    coherent, and the hom component checked equal through every pair of
+    witnesses. The tables that ``rezk.extend_functor`` must reproduce."""
+    ffw = is_fully_faithful(F)
+    eso = is_essentially_surjective(F)
+    if not ffw.ok or not eso.ok:
+        raise CapabilityError("extension needs a weak equivalence")
+    E1, E2, E3 = F.dom, F.cod, G.cod
+    V = E1.base
+    cat1, cat2, cat3 = E1.under, E2.under, E3.under
+
+    def f_inv(g: MorRef, w1: int, w2: int) -> MorRef:
+        return underlying_hom_inverse(F, ffw, g, w1, w2)
+
+    chosen = eso.preimage
+
+    def phi(x: int, w: int, i: MorRef) -> MorRef:
+        w0, i0 = chosen[x]
+        return G.mor(f_inv(cat2.compose(i, find_inverse(cat2, i0)), w, w0))
+
+    for x in E2.objects():
+        for w1, w2 in itertools.product(E1.objects(), repeat=2):
+            for i1 in iso_arrows(cat2, F.ob(w1), x):
+                for i2 in iso_arrows(cat2, F.ob(w2), x):
+                    for k in cat1.hom(w1, w2):
+                        if cat2.compose(F.mor(k), i2) != i1:
+                            continue
+                        if cat3.compose(G.mor(k), phi(x, w2, i2)) != phi(x, w1, i1):
+                            raise StructuralError(f"phi family incoherent at {x}")
+
+    def mor(h):
+        (w1, i1), (w2, i2) = chosen[h.src], chosen[h.dst]
+        return G.mor(f_inv(cat2.compose(cat2.compose(i1, h), find_inverse(cat2, i2)), w1, w2))
+
+    def hom_component(x: int, y: int, w1: int, i1: MorRef, w2: int, i2: MorRef) -> MorRef:
+        m = postcompose_mor(E2, y, i1)
+        m = V.compose(m, precompose_mor(E2, F.ob(w1), find_inverse(cat2, i2)))
+        m = V.compose(m, ffw.inverses[(w1, w2)])
+        return V.compose(m, G.e_fun(w1, w2))
+
+    H = EnrichedFunctor.tabulate(
+        E2, E3,
+        lambda x: G.ob(chosen[x][0]),
+        mor,
+        lambda x, y: hom_component(x, y, *chosen[x], *chosen[y]),
+        name="extension",
+    )
+
+    for x, y in itertools.product(E2.objects(), repeat=2):
+        for w1 in E1.objects():
+            for i1 in iso_arrows(cat2, F.ob(w1), x):
+                for w2 in E1.objects():
+                    for i2 in iso_arrows(cat2, F.ob(w2), y):
+                        m = hom_component(x, y, w1, i1, w2, i2)
+                        m = V.compose(m, postcompose_mor(E3, G.ob(w2), find_inverse(cat3, phi(x, w1, i1))))
+                        m = V.compose(m, precompose_mor(E3, H.ob(x), phi(y, w2, i2)))
+                        if m != H.e_fun(x, y):
+                            raise StructuralError(f"extension hom component at ({x},{y}) depends on the witnesses")
+
+    comp = {w: find_inverse(cat3, phi(F.ob(w), w, cat2.id_of(F.ob(w)))) for w in E1.objects()}
+    return H, EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")

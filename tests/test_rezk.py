@@ -1,7 +1,8 @@
 import itertools
+import json
 import random
 
-
+from ecat.cli import run_cli
 from ecat.construct import (
     canonical_set_enrichment,
     functor_category_enrichment,
@@ -38,9 +39,11 @@ from ecat.rezk import (
     univalence_report,
     yoneda,
 )
-from ecat.vbase import MorRef
+from ecat.monad import fkleisli
+from ecat.vbase import FinCat, MorRef, builtin_base
 
-from helpers import random_preorder
+import construction_cases
+from helpers import random_preorder, reference_extend_functor, reference_rezk_unit
 
 
 def preorders_on(boolb, n):
@@ -333,6 +336,48 @@ def test_extend_functor_set_enrichment(finset3):
     assert invertible_2cell(cell) is not None
 
 
+def _differential_inputs(boolb, cost3):
+    """Every Bool preorder on at most 3 points, every 2-point cost(3) space,
+    the Z/2 groupoid, its twisted copy, the Z/2 groupoid acting on a third
+    object, and the raw Kleisli enrichment of the monad of
+    cocone_toppoint.ecat."""
+    for n in range(4):
+        for rel in preorders_on(boolb, n):
+            yield bool_preorder_enrichment(boolb, rel, n)
+    for a, b in itertools.product(range(cost3.n_objects), repeat=2):
+        yield cost_space_enrichment(cost3, {(0, 0): 0, (0, 1): a, (1, 0): b, (1, 1): 0}, 2)
+    yield construction_cases._z2_groupoid(twisted=False)
+    yield construction_cases._z2_groupoid(twisted=True)
+    # the Z/2 groupoid acting on two arrows into a third object: the unit
+    # changes with the choice of the iso that sends 1 to its representative
+    homs = {(a, b): [0, 1] for a in range(2) for b in range(3)} | {(2, 2): [0]}
+    C = FinCat.tabulate(3, homs, lambda a: 0, lambda a, b, c, f, g: (f + g) % 2)
+    yield canonical_set_enrichment(C, builtin_base("finset", k=3))
+    yield fkleisli(construction_cases._load("cocone_toppoint.ecat").get("M").value)
+
+
+def _tables(F):
+    return F.ob_map, F.mor_map, F.e_fun_t
+
+
+def test_rezk_unit_and_extension_match_their_references(boolb, cost3):
+    """The Rezk unit and the extension along it, tabulated by the inversion
+    rules of ``factor.invert_along``, equal the tables of their former
+    rules."""
+    count = 0
+    for E in _differential_inputs(boolb, cost3):
+        completion, unit = reference_rezk_unit(E)
+        res = rezk_completion(E)
+        assert res.completion.data_equal(completion)
+        assert _tables(res.unit_functor) == _tables(unit)
+        H, cell = extend_functor(res.unit_functor, id_functor(E))
+        ref_H, ref_cell = reference_extend_functor(unit, id_functor(E))
+        assert _tables(H) == _tables(ref_H) and H.name == ref_H.name
+        assert cell.component == ref_cell.component
+        count += 1
+    assert count == 1 + 1 + 4 + 29 + cost3.n_objects ** 2 + 4
+
+
 # ---------------------------------------------------------------------------
 # precomposition universal property
 # ---------------------------------------------------------------------------
@@ -404,3 +449,38 @@ def test_transport_is_two_sided_inverse_to_whiskering(boolb):
                 tau = whisker_left(F, theta)
                 back = transport_transformation(F, G1, G2, tau)
                 assert back.component == theta.component
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+NO_INVERTIBLE_ENDO = """\
+base V = builtin(finset, k=3)
+enrichment E over V {
+  objects 1
+  hom (0,0) = 2
+  id 0 = (0,0,0)
+  then (0,0,0)(0,0,0) = (0,0,1)
+  then (0,0,0)(0,0,1) = (0,0,1)
+  then (0,0,1)(0,0,0) = (0,0,1)
+  then (0,0,1)(0,0,1) = (0,0,1)
+  homobj (0,0) = 2
+  eid 0 = (1,2,0)
+  ecomp (0,0,0) = (4,2,15)
+  fromarr (0,0,0) = (1,2,0)
+  fromarr (0,0,1) = (1,2,1)
+}
+"""
+
+
+def test_rezk_refuses_an_object_without_invertible_endomorphism(tmp_path, capsys):
+    # the identity of object 0 composes to the other endomorphism, so no
+    # endomorphism of 0 is invertible and 0 has no representative
+    path = tmp_path / "no_invertible_endo.ecat"
+    path.write_text(NO_INVERTIBLE_ENDO, encoding="utf-8")
+    error = "object 0 has no invertible endomorphism, so no Rezk representative"
+    assert run_cli(["rezk", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert run_cli(["--format", "json", "rezk", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
