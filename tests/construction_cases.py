@@ -1,14 +1,14 @@
-"""The fixture x construction matrix of every constructed enrichment and
-enriched functor, and a dump of it. Regenerate the pins from the repository
-root with
+"""The fixture x construction matrix of every constructed enrichment,
+enriched functor and 2-cell, and a dump of it. Regenerate the pins from
+the repository root with
 
     python tests/construction_cases.py [OUT_DIR]
 
 OUT_DIR defaults to ``tests/golden/constructions``. Each pin
-``<fixture>.<construction>.json`` holds the tables of every enrichment and
-functor one construction returns, as canonical JSON with sorted keys, so a
-change to a builder's numbering, its tables or the order in which it
-registers base objects shows up as a byte difference.
+``<fixture>.<construction>.json`` holds the tables of every enrichment,
+functor and 2-cell one construction returns, as canonical JSON with
+sorted keys, so a change to a builder's numbering, its tables or the
+order in which it registers base objects shows up as a byte difference.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ecat.construct import (
 from ecat.core import (
     Enrichment,
     EnrichedFunctor,
+    EnrichedTransformation,
     compose_functors,
     from_kelly,
     id_functor,
@@ -105,6 +106,8 @@ def _tables(value) -> dict:
             "mor": _rows(value.mor_map),
             "efun": _rows(value.e_fun_t),
         }
+    if isinstance(value, EnrichedTransformation):
+        return {"name": value.name, "component": _rows(value.component)}
     raise TypeError(value)
 
 
@@ -173,17 +176,18 @@ def _generic(E: Enrichment) -> dict:
 
 
 def _equivalences(E: Enrichment) -> dict:
-    """Rezk completion, then the extension, image and lift along its unit."""
+    """Rezk completion, then the extension, image and lift along its unit,
+    with their 2-cells."""
     rezk = rezk_completion(E)
     unit = rezk.unit_functor
-    H, _ = extend_functor(unit, id_functor(E))
+    H, cell = extend_functor(unit, id_functor(E))
     fact = image_factorization(unit)
     adj = weak_equivalence_to_adjoint_equivalence(unit)
     return {
         "rezk": {"completion": rezk.completion, "unit": unit},
-        "extend": {"extension": H},
+        "extend": {"extension": H, "cell": cell},
         "image": {"image": fact.image, "corestriction": fact.eso_part, "inclusion": fact.ff_part},
-        "lift": {"lift": adj.bwd},
+        "lift": {"lift": adj.bwd, "unit": adj.unit, "counit": adj.counit},
     }
 
 
