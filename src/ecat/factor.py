@@ -5,10 +5,11 @@ inverse in the base; essentially surjective means every codomain object is
 isomorphic to a value, with the lexicographically least witness chosen.
 Orthogonality is implemented operationally: diagonal lifts of squares against
 (eso, ff) pairs and unique 2-cells between lifts. A functor that is both eso
-and ff inverts to an adjoint equivalence by lifting its own identity square.
-One rule set, ``invert_along``, tabulates every inverse of a fully faithful
-functor along chosen isos: the diagonal lift here, and the Rezk unit and the
-extension along a weak equivalence in ``rezk``.
+and ff has one weak inverse, ``weak_inverse``, with the components of its
+unit and counit; the adjoint equivalence here and the extension along a
+weak equivalence in ``rezk`` read it. One rule set, ``invert_along``,
+tabulates every inverse of a fully faithful functor along chosen isos: the
+diagonal lift and the weak inverse here, and the Rezk unit in ``rezk``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .core import (
     postcompose_mor,
     precompose_mor,
     required_farr,
-    vcompose,
     whisker_left,
     whisker_right,
 )
-from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
+from .report import CapabilityError, CheckReport, Failure, StructuralError
 from .vbase import MorRef
 
 
@@ -278,45 +278,41 @@ def lift_2cell(
     return zeta
 
 
-def weak_equivalence_to_adjoint_equivalence(F: EnrichedFunctor) -> AdjointEquivalence:
-    """Quasi-inverse by lifting the identity square of F; unit and counit are
-    the triangle 2-cells, with both triangle identities checked."""
-    ffw = is_fully_faithful(F)
-    eso = is_essentially_surjective(F)
-    if not ffw.ok:
-        raise CapabilityError(f"not fully faithful at {ffw.failing}")
+def weak_inverse(F: EnrichedFunctor) -> tuple[EnrichedFunctor, dict, dict]:
+    """The inverse L: E2 -> E1 of a weak equivalence F: E1 -> E2, with the
+    components of its invertible 2-cells F.L => id_E1 and L.F => id_E2.
+
+    L inverts F along its eso witnesses (w, i: F w ~ y); the component of
+    F.L => id_E1 at x is the F-preimage of the witness at F x, and the
+    component of L.F => id_E2 at y is the witness at y. ff and eso are
+    computed once."""
+    ff, eso = is_fully_faithful(F), is_essentially_surjective(F)
+    if not ff.ok:
+        raise CapabilityError(f"not fully faithful at {ff.failing}")
     if not eso.ok:
         raise CapabilityError(f"not essentially surjective at {eso.missed}")
+    wit = eso.preimage
+    L = invert_along(F, ff, wit)
+    upper = {x: underlying_hom_inverse(F, ff, wit[F.ob(x)][1], L.ob(F.ob(x)), x) for x in F.dom.objects()}
+    return L, upper, {y: i for y, (_, i) in wit.items()}
+
+
+def weak_equivalence_to_adjoint_equivalence(F: EnrichedFunctor) -> AdjointEquivalence:
+    """Quasi-inverse of F by ``weak_inverse``: the unit inverts the cell
+    F.L => id and the counit is the cell L.F => id, with both triangle
+    identities checked componentwise."""
+    L, upper, lower = weak_inverse(F)
     E1, E2 = F.dom, F.cod
-    sq = LiftSquare(F, F, id_functor(E1), id_functor(E2), identity_glue(F))
-    L, upper, lower = orthogonal_lift(sq)
-    # upper : F.L => id_E1, lower : L.F => id_E2
-    unit = invertible_2cell(upper)
+    unit = invertible_2cell(EnrichedTransformation(compose_functors(F, L), id_functor(E1), upper, name="lift-upper"))
     if unit is None:
         raise StructuralError("unit candidate is not invertible")
-    counit = lower
-    # triangle identities: (unit whiskered by F) ; (F into counit) = id_F
-    # and (L into unit) ; (counit whiskered by L) = id_L
-    col1 = Collector()
-    t1 = vcompose(whisker_right(unit, F), whisker_left(F, counit))
-    for x in E1.objects():
-        expect = E2.under.id_of(F.ob(x))
-        if t1.at(x) != expect:
-            col1.add("triangle-fwd", (x,), t1.at(x), expect)
-    col2 = Collector()
-    t2 = vcompose(whisker_left(L, unit), whisker_right(counit, L))
-    for y in E2.objects():
-        expect = E1.under.id_of(L.ob(y))
-        if t2.at(y) != expect:
-            col2.add("triangle-bwd", (y,), t2.at(y), expect)
-    return AdjointEquivalence(F, L, unit, counit, (col1.report(), col2.report()))
-
-
-def identity_glue(F: EnrichedFunctor) -> EnrichedTransformation:
-    """The identity-component 2-cell F.id => id.F."""
-    return EnrichedTransformation(
-        compose_functors(F, id_functor(F.cod)),
-        compose_functors(id_functor(F.dom), F),
-        {x: F.cod.under.id_of(F.ob(x)) for x in F.dom.objects()},
-        name="identity-glue",
-    )
+    counit = EnrichedTransformation(compose_functors(L, F), id_functor(E2), lower, name="lift-lower")
+    # triangle identities, componentwise: F(unit_x) ; counit_{F x} and
+    # unit_{L y} ; L(counit_y) are identities
+    fwd = {x: E2.under.compose(F.mor(unit.at(x)), counit.at(F.ob(x))) for x in E1.objects()}
+    bwd = {y: E1.under.compose(unit.at(L.ob(y)), L.mor(counit.at(y))) for y in E2.objects()}
+    reports = []
+    for law, cat, comp in (("triangle-fwd", E2.under, fwd), ("triangle-bwd", E1.under, bwd)):
+        bad = [Failure(law, (o,), f, cat.id_of(f.src)) for o, f in comp.items() if f != cat.id_of(f.src)]
+        reports.append(CheckReport.from_failures(bad))
+    return AdjointEquivalence(F, L, unit, counit, tuple(reports))

@@ -5,9 +5,10 @@ precomposition universal property.
 Skeletonization replaces the presheaf-image construction: with decidable
 equality and finite data the two agree up to weak equivalence, which the test
 suite cross-checks at micro scale against the image of the Yoneda embedding.
-The Rezk unit inverts the inclusion of the skeleton, and the extension along
-a weak equivalence inverts the equivalence, both by ``factor.invert_along``,
-the rule set of the diagonal lift.
+The Rezk unit inverts the inclusion of the skeleton by
+``factor.invert_along``, the rule set of the diagonal lift. The extension
+along a weak equivalence composes with its ``factor.weak_inverse``, and
+2-cells transport along an eso functor by the formula its witnesses force.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     compose_functors,
     enumerate_enriched_functors,
     enumerate_enriched_transformations,
+    find_inverse,
     invertible_2cell,
     postcompose_mor,
     precompose_mor,
@@ -44,7 +46,7 @@ from .factor import (
     is_essentially_surjective,
     is_fully_faithful,
     iso_arrows,
-    underlying_hom_inverse,
+    weak_inverse,
 )
 from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
 from .vbase import MorRef
@@ -207,42 +209,23 @@ def transport_transformation(
     tau: EnrichedTransformation,
 ) -> EnrichedTransformation:
     """Given eso F: E1 -> E2 and tau: F.G1 => F.G2, the unique theta: G1 => G2
-    with F whiskered into theta equal to tau. Uniqueness is verified by
-    scanning every candidate component."""
+    with F whiskered into theta equal to tau.
+
+    Naturality at the eso witness i: F w ~ x forces theta_x = G1(i)^-1 ;
+    tau_w ; G2(i). theta is re-checked natural and to whisker back to tau;
+    any natural theta' with that whisker satisfies G1(i) ; theta'_x =
+    tau_w ; G2(i), so with G1(i) invertible the re-checks make theta unique.
+    """
     eso = is_essentially_surjective(F)
     if not eso.ok:
         raise CapabilityError(f"transport needs an essentially surjective functor; missed {eso.missed}")
-    E2 = F.cod
-    E3 = G1.cod
-    cat2 = E2.under
-    cat3 = E3.under
+    cat3 = G1.cod.under
     comp = {}
-    for x in E2.objects():
-        candidates = []
-        blocking = None
-        for cand in cat3.hom(G1.ob(x), G2.ob(x)):
-            good = True
-            for w2 in F.dom.objects():
-                for i2 in iso_arrows(cat2, F.ob(w2), x):
-                    lhs = cat3.compose(tau.at(w2), G2.mor(i2))
-                    rhs = cat3.compose(G1.mor(i2), cand)
-                    if lhs != rhs:
-                        good = False
-                        blocking = (w2, i2)
-                        break
-                if not good:
-                    break
-            if good:
-                candidates.append(cand)
-        if not candidates:
-            raise StructuralError(
-                f"no transported component at {x}; incompatible at witness {blocking}"
-            )
-        if len(candidates) > 1:
-            raise StructuralError(
-                f"transport component at {x} is not unique: {len(candidates)} candidates"
-            )
-        comp[x] = candidates[0]
+    for x, (w, i) in eso.preimage.items():
+        g1_inv = find_inverse(cat3, G1.mor(i))
+        if g1_inv is None:
+            raise StructuralError(f"G1 does not invert the witness {i} at {x}")
+        comp[x] = cat3.compose(cat3.compose(g1_inv, tau.at(w)), G2.mor(i))
     theta = EnrichedTransformation(G1, G2, comp, name="transported")
     check_nat_trans_enrichment(theta).require("transported transformation fails enrichment")
     back = whisker_left(F, theta)
@@ -257,21 +240,16 @@ def extend_functor(
     """Extend G: E1 -> E3 along a weak equivalence F: E1 -> E2 to H: E2 -> E3
     with an invertible 2-cell F.H => G.
 
-    H is L ; G, where L: E2 -> E1 inverts F along its eso witnesses; the
-    2-cell's component at w is G of L's upper-triangle component, the
-    F-preimage of the witness at F w. H and the 2-cell are re-checked.
+    H is L ; G for the weak inverse L of F, and the 2-cell is G applied to
+    the components of F.L => id_E1. H and the 2-cell are re-checked.
     """
-    ffw = is_fully_faithful(F)
-    eso = is_essentially_surjective(F)
-    if not ffw.ok or not eso.ok:
-        raise CapabilityError("extension needs a weak equivalence")
-    L = invert_along(F, ffw, eso.preimage)
+    try:
+        L, upper, _ = weak_inverse(F)
+    except CapabilityError as exc:
+        raise CapabilityError("extension needs a weak equivalence") from exc
     H = replace(compose_functors(L, G), name="extension")
     check_functor_enrichment(H).require("extension fails enrichment")
-    comp = {}
-    for w in F.dom.objects():
-        w0, i0 = eso.preimage[F.ob(w)]
-        comp[w] = G.mor(underlying_hom_inverse(F, ffw, i0, w0, w))
+    comp = {w: G.mor(u) for w, u in upper.items()}
     cell = EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")
     check_nat_trans_enrichment(cell).require("extension 2-cell fails enrichment")
     if invertible_2cell(cell) is None:

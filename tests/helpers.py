@@ -17,19 +17,28 @@ from ecat.core import (
     Enrichment,
     EnrichedFunctor,
     EnrichedTransformation,
+    check_nat_trans_enrichment,
     compose_functors,
     find_inverse,
+    id_functor,
+    invertible_2cell,
     postcompose_mor,
     precompose_mor,
+    vcompose,
+    whisker_left,
+    whisker_right,
 )
 from ecat.dsl import _SCHEMA, NAME
 from ecat.factor import (
+    AdjointEquivalence,
+    LiftSquare,
     is_essentially_surjective,
     is_fully_faithful,
     iso_arrows,
+    orthogonal_lift,
     underlying_hom_inverse,
 )
-from ecat.report import CapabilityError, StructuralError
+from ecat.report import CapabilityError, Collector, StructuralError
 from ecat.vbase import FinCat, MorRef, require_mor_shape
 
 
@@ -571,8 +580,19 @@ def reference_to_json(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the reference Rezk unit and extension
+# the reference Rezk unit, extension, adjoint equivalence and transport
 # ---------------------------------------------------------------------------
+
+def identity_glue(F: EnrichedFunctor) -> EnrichedTransformation:
+    """The identity-component 2-cell F.id => id.F, the glue of F's identity
+    square."""
+    return EnrichedTransformation(
+        compose_functors(F, id_functor(F.cod)),
+        compose_functors(id_functor(F.dom), F),
+        {x: F.cod.under.id_of(F.ob(x)) for x in F.dom.objects()},
+        name="identity-glue",
+    )
+
 
 def reference_rezk_unit(E: Enrichment) -> tuple[Enrichment, EnrichedFunctor]:
     """The skeleton of E and the Rezk unit by their own rules: each object
@@ -665,3 +685,72 @@ def reference_extend_functor(
 
     comp = {w: find_inverse(cat3, phi(F.ob(w), w, cat2.id_of(F.ob(w)))) for w in E1.objects()}
     return H, EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")
+
+
+def reference_adjoint_equivalence(F: EnrichedFunctor) -> AdjointEquivalence:
+    """The adjoint equivalence of a weak equivalence F by lifting F's
+    identity square, with the triangle identities checked on whiskered
+    composites. The tables that
+    ``factor.weak_equivalence_to_adjoint_equivalence`` must reproduce."""
+    ffw = is_fully_faithful(F)
+    eso = is_essentially_surjective(F)
+    if not ffw.ok:
+        raise CapabilityError(f"not fully faithful at {ffw.failing}")
+    if not eso.ok:
+        raise CapabilityError(f"not essentially surjective at {eso.missed}")
+    E1, E2 = F.dom, F.cod
+    sq = LiftSquare(F, F, id_functor(E1), id_functor(E2), identity_glue(F))
+    L, upper, lower = orthogonal_lift(sq)
+    unit = invertible_2cell(upper)
+    if unit is None:
+        raise StructuralError("unit candidate is not invertible")
+    counit = lower
+    col1 = Collector()
+    t1 = vcompose(whisker_right(unit, F), whisker_left(F, counit))
+    for x in E1.objects():
+        expect = E2.under.id_of(F.ob(x))
+        if t1.at(x) != expect:
+            col1.add("triangle-fwd", (x,), t1.at(x), expect)
+    col2 = Collector()
+    t2 = vcompose(whisker_left(L, unit), whisker_right(counit, L))
+    for y in E2.objects():
+        expect = E1.under.id_of(L.ob(y))
+        if t2.at(y) != expect:
+            col2.add("triangle-bwd", (y,), t2.at(y), expect)
+    return AdjointEquivalence(F, L, unit, counit, (col1.report(), col2.report()))
+
+
+def reference_transport_transformation(
+    F: EnrichedFunctor,
+    G1: EnrichedFunctor,
+    G2: EnrichedFunctor,
+    tau: EnrichedTransformation,
+) -> EnrichedTransformation:
+    """The transport of tau: F.G1 => F.G2 along an eso F by scanning every
+    candidate component against every iso witness, refusing when none or
+    more than one fits. The components that ``rezk.transport_transformation``
+    must reproduce."""
+    eso = is_essentially_surjective(F)
+    if not eso.ok:
+        raise CapabilityError(f"transport needs an essentially surjective functor; missed {eso.missed}")
+    cat2, cat3 = F.cod.under, G1.cod.under
+    comp = {}
+    for x in F.cod.objects():
+        candidates = [
+            cand for cand in cat3.hom(G1.ob(x), G2.ob(x))
+            if all(
+                cat3.compose(tau.at(w), G2.mor(i)) == cat3.compose(G1.mor(i), cand)
+                for w in F.dom.objects()
+                for i in iso_arrows(cat2, F.ob(w), x)
+            )
+        ]
+        if not candidates:
+            raise StructuralError(f"no transported component at {x}")
+        if len(candidates) > 1:
+            raise StructuralError(f"transport component at {x} is not unique: {len(candidates)} candidates")
+        comp[x] = candidates[0]
+    theta = EnrichedTransformation(G1, G2, comp, name="transported")
+    check_nat_trans_enrichment(theta).require("transported transformation fails enrichment")
+    if whisker_left(F, theta).component != tau.component:
+        raise StructuralError("transported transformation does not whisker back to tau")
+    return theta

@@ -41,7 +41,6 @@ from ecat.dsl import parse, serialize
 from ecat.cli import run_cli
 from ecat.factor import (
     LiftSquare,
-    identity_glue,
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
@@ -86,6 +85,7 @@ from helpers import (
     Mutated,
     bool_functor_candidates,
     em_oracle,
+    identity_glue,
     kleisli_oracle,
     preorder_oracle,
     random_category,

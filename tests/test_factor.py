@@ -15,7 +15,6 @@ from ecat.core import (
 )
 from ecat.factor import (
     LiftSquare,
-    identity_glue,
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
@@ -27,7 +26,7 @@ from ecat.report import CapabilityError, Failure, StructuralError
 from ecat.rezk import univalence_report
 from ecat.vbase import MorRef
 
-from helpers import random_poset, random_preorder, thin_functor
+from helpers import identity_glue, random_poset, random_preorder, thin_functor
 
 
 def preorder(boolb, rel, n):

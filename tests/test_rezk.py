@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 
+import pytest
+
 from ecat.cli import run_cli
 from ecat.construct import (
     canonical_set_enrichment,
@@ -27,6 +29,7 @@ from ecat.factor import (
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
+    weak_equivalence_to_adjoint_equivalence,
 )
 from ecat.rezk import (
     check_precomp_equivalence,
@@ -40,10 +43,17 @@ from ecat.rezk import (
     yoneda,
 )
 from ecat.monad import fkleisli
+from ecat.report import StructuralError
 from ecat.vbase import FinCat, MorRef, builtin_base
 
 import construction_cases
-from helpers import random_preorder, reference_extend_functor, reference_rezk_unit
+from helpers import (
+    random_preorder,
+    reference_adjoint_equivalence,
+    reference_extend_functor,
+    reference_rezk_unit,
+    reference_transport_transformation,
+)
 
 
 def preorders_on(boolb, n):
@@ -287,8 +297,8 @@ def test_transport_identity(boolb):
 
 
 def test_transport_uniqueness_scan(boolb):
-    # a non-unique candidate space would raise; the codiscrete collapse has
-    # exactly one transported component per object
+    # the component each witness forces whiskers back to tau, which with the
+    # naturality re-check makes theta the unique transport
     E, C, F = collapse_functor(boolb)
     G = id_functor(C)
     tau = EnrichedTransformation(
@@ -361,9 +371,10 @@ def _tables(F):
 
 
 def test_rezk_unit_and_extension_match_their_references(boolb, cost3):
-    """The Rezk unit and the extension along it, tabulated by the inversion
-    rules of ``factor.invert_along``, equal the tables of their former
-    rules."""
+    """The Rezk unit, the extension and the adjoint equivalence along it,
+    and the transport of 2-cells along it equal the tables of their former
+    rules: the unit's own conjugation rules, the witness-family extension,
+    the lift of the identity square and the candidate scan."""
     count = 0
     for E in _differential_inputs(boolb, cost3):
         completion, unit = reference_rezk_unit(E)
@@ -374,6 +385,20 @@ def test_rezk_unit_and_extension_match_their_references(boolb, cost3):
         ref_H, ref_cell = reference_extend_functor(unit, id_functor(E))
         assert _tables(H) == _tables(ref_H) and H.name == ref_H.name
         assert cell.component == ref_cell.component
+        adj = weak_equivalence_to_adjoint_equivalence(res.unit_functor)
+        ref_adj = reference_adjoint_equivalence(unit)
+        assert _tables(adj.bwd) == _tables(ref_adj.bwd) and adj.bwd.name == ref_adj.bwd.name
+        for got, ref in ((adj.unit, ref_adj.unit), (adj.counit, ref_adj.counit)):
+            assert got.component == ref.component and got.name == ref.name
+        assert adj.triangle_reports == ref_adj.triangle_reports
+        # along the unit its witnesses are identities; along the lift they
+        # are the isos onto each object from its representative
+        for F in (res.unit_functor, adj.bwd):
+            G = id_functor(F.cod)
+            for theta in enumerate_enriched_transformations(G, G):
+                tau = whisker_left(F, theta)
+                got = transport_transformation(F, G, G, tau)
+                assert got.component == reference_transport_transformation(F, G, G, tau).component
         count += 1
     assert count == 1 + 1 + 4 + 29 + cost3.n_objects ** 2 + 4
 
@@ -484,3 +509,21 @@ def test_rezk_refuses_an_object_without_invertible_endomorphism(tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert run_cli(["--format", "json", "rezk", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": False, "error": error}
+
+
+def test_transport_refuses_a_2cell_that_is_no_whisker():
+    """Along the Z/2 groupoid's Rezk unit F, with G1 = G2 = id, a pair of
+    components transports only when it is F whiskered into a 2-cell: (e, e)
+    and (s, s) do, (e, s) does not."""
+    E = construction_cases._z2_groupoid(twisted=False)
+    F = rezk_completion(E).unit_functor
+    G = id_functor(F.cod)
+    e, s = F.cod.under.hom(0, 0)
+    for comp in ({0: e, 1: e}, {0: s, 1: s}):
+        tau = EnrichedTransformation(compose_functors(F, G), compose_functors(F, G), comp)
+        assert whisker_left(F, transport_transformation(F, G, G, tau)).component == comp
+    tau = EnrichedTransformation(compose_functors(F, G), compose_functors(F, G), {0: e, 1: s})
+    with pytest.raises(StructuralError):
+        transport_transformation(F, G, G, tau)
+    with pytest.raises(StructuralError):
+        reference_transport_transformation(F, G, G, tau)
