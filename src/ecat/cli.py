@@ -20,6 +20,7 @@ from .factor import (
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
+    weak_equivalence,
     weak_equivalence_to_adjoint_equivalence,
 )
 from .monad import (
@@ -29,7 +30,7 @@ from .monad import (
     kleisli_universal_extend,
     univalent_kleisli,
 )
-from .report import CheckReport, EcatError
+from .report import CapabilityError, CheckReport, EcatError
 from .rezk import (
     check_precomp_equivalence,
     check_yoneda_ff,
@@ -237,8 +238,8 @@ def _cmd_rezk(args) -> Verdict:
     rep = univalence_report(res.completion)
     reports = {
         "skeletal": rep.skeletal_report(),
-        "unit_fully_faithful": res.cert_ff.report(),
-        "unit_essentially_surjective": res.cert_eso.report(),
+        "unit_fully_faithful": res.unit.ff.report(),
+        "unit_essentially_surjective": res.unit.eso.report(),
     }
     facts = {"completion_objects": res.completion.n_objects, "gaunt": rep.gaunt}
     base_item = _base_item_for(doc, enr_item.value.base)
@@ -263,7 +264,11 @@ def _cmd_precomp_check(args) -> Verdict:
         if len(cands) != 1:
             raise _UsageError("precomp-check needs --target to pick the third enrichment")
         enr_item = cands[0]
-    rep = check_precomp_equivalence(fun_item.value, enr_item.value, cap=args.cap)
+    try:
+        W = weak_equivalence(fun_item.value)
+    except CapabilityError as exc:
+        raise EcatError(f"not a weak equivalence: {exc}") from exc
+    rep = check_precomp_equivalence(W, enr_item.value, cap=args.cap)
     return Verdict([(f"{fun_item.name}->{enr_item.name}", {"precomp": rep})])
 
 
@@ -281,8 +286,8 @@ def _cmd_kleisli(args) -> Verdict:
         reports = {
             "enrichment_ok": check_enrichment(enr),
             "skeletal": univalence_report(enr).skeletal_report(),
-            "comparison_fully_faithful": uk.cert_ff.report(),
-            "comparison_essentially_surjective": uk.cert_eso.report(),
+            "comparison_fully_faithful": uk.unit.ff.report(),
+            "comparison_essentially_surjective": uk.unit.eso.report(),
         }
     out_item = dsl.Item("enrichment", f"{monad_item.name}_kleisli", enr,
                         {"over": base_item.name}, monad_item.span)

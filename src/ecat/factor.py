@@ -4,18 +4,18 @@ Fully faithful means every hom-wise enrichment component has a two-sided
 inverse in the base; essentially surjective means every codomain object is
 isomorphic to a value, with the lexicographically least witness chosen.
 Orthogonality is implemented operationally: diagonal lifts of squares against
-(eso, ff) pairs and unique 2-cells between lifts. A functor that is both eso
-and ff has one weak inverse, ``weak_inverse``, with the components of its
-unit and counit; the adjoint equivalence here and the extension along a
-weak equivalence in ``rezk`` read it. One rule set, ``invert_along``,
-tabulates every inverse of a fully faithful functor along chosen isos: the
-diagonal lift and the weak inverse here, and the Rezk unit in ``rezk``.
-"""
+(eso, ff) pairs and unique 2-cells between lifts. A weak equivalence is one
+``WeakEquivalence`` value, decided once and read by the adjoint equivalence
+here and by the extension, transport and precomposition check in ``rezk``.
+One rule set, ``invert_along``, tabulates every inverse of a fully faithful
+functor along chosen isos: the diagonal lift, the weak inverse and the Rezk
+unit."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .construct import full_sub_enrichment
 from .core import (
@@ -252,7 +252,9 @@ def lift_2cell(
 ) -> EnrichedTransformation:
     """The unique 2-cell zeta: l1 => l2 with zeta whiskered by G equal to tau1
     and F whiskered into zeta equal to tau2; existence needs the two to be
-    compatible, uniqueness is verified by exhausting candidate components."""
+    compatible. Uniqueness needs no search: G is fully faithful, so G.mor
+    (its invertible hom components read through from_arr) is injective on
+    each hom, and only the G-preimage of tau1 at y whiskers to it."""
     F, G = sq.F, sq.G
     ff = is_fully_faithful(G)
     if not ff.ok:
@@ -267,46 +269,60 @@ def lift_2cell(
     got2 = whisker_left(F, zeta)
     if got2.component != tau2.component:
         raise StructuralError("incompatible 2-cell pair: F into zeta differs from tau2")
-    # uniqueness: any other component table satisfying the whisker equations
-    cod = l1.cod.under
-    for y in l1.dom.objects():
-        for cand in cod.hom(l1.ob(y), l2.ob(y)):
-            if cand == comp[y]:
-                continue
-            if G.mor(cand) == tau1.at(y):
-                raise StructuralError(f"2-cell component at {y} is not unique")
     return zeta
 
 
-def weak_inverse(F: EnrichedFunctor) -> tuple[EnrichedFunctor, dict, dict]:
-    """The inverse L: E2 -> E1 of a weak equivalence F: E1 -> E2, with the
-    components of its invertible 2-cells F.L => id_E1 and L.F => id_E2.
+@dataclass(frozen=True)
+class WeakEquivalence:
+    """A functor F: E1 -> E2 with its ff and eso certificates, refused when
+    either fails. Its weak inverse L inverts F along the eso witnesses
+    (w, i: F w ~ y) and is tabulated on first read; ``upper`` holds the
+    components of F.L => id_E1 (at x, the F-preimage of the witness at F x)
+    and ``lower`` those of L.F => id_E2 (at y, the witness at y)."""
 
-    L inverts F along its eso witnesses (w, i: F w ~ y); the component of
-    F.L => id_E1 at x is the F-preimage of the witness at F x, and the
-    component of L.F => id_E2 at y is the witness at y. ff and eso are
-    computed once."""
-    ff, eso = is_fully_faithful(F), is_essentially_surjective(F)
-    if not ff.ok:
-        raise CapabilityError(f"not fully faithful at {ff.failing}")
-    if not eso.ok:
-        raise CapabilityError(f"not essentially surjective at {eso.missed}")
-    wit = eso.preimage
-    L = invert_along(F, ff, wit)
-    upper = {x: underlying_hom_inverse(F, ff, wit[F.ob(x)][1], L.ob(F.ob(x)), x) for x in F.dom.objects()}
-    return L, upper, {y: i for y, (_, i) in wit.items()}
+    F: EnrichedFunctor
+    ff: FullyFaithfulWitness
+    eso: EsoWitness
+
+    def __post_init__(self):
+        if not self.ff.ok:
+            raise CapabilityError(f"not fully faithful at {self.ff.failing}")
+        if not self.eso.ok:
+            raise CapabilityError(f"not essentially surjective at {self.eso.missed}")
+
+    @cached_property
+    def L(self) -> EnrichedFunctor:
+        return invert_along(self.F, self.ff, self.eso.preimage)
+
+    @property
+    def upper(self) -> dict:
+        F, wit = self.F, self.eso.preimage
+        return {x: underlying_hom_inverse(F, self.ff, wit[F.ob(x)][1], wit[F.ob(x)][0], x) for x in F.dom.objects()}
+
+    @property
+    def lower(self) -> dict:
+        return {y: i for y, (_, i) in self.eso.preimage.items()}
 
 
-def weak_equivalence_to_adjoint_equivalence(F: EnrichedFunctor) -> AdjointEquivalence:
-    """Quasi-inverse of F by ``weak_inverse``: the unit inverts the cell
+def weak_equivalence(F: EnrichedFunctor | WeakEquivalence) -> WeakEquivalence:
+    """F as a ``WeakEquivalence``, deciding ff and eso once; a value that
+    already is one is returned unchanged."""
+    if isinstance(F, WeakEquivalence):
+        return F
+    return WeakEquivalence(F, is_fully_faithful(F), is_essentially_surjective(F))
+
+
+def weak_equivalence_to_adjoint_equivalence(F: EnrichedFunctor | WeakEquivalence) -> AdjointEquivalence:
+    """Quasi-inverse of F by its weak inverse L: the unit inverts the cell
     F.L => id and the counit is the cell L.F => id, with both triangle
     identities checked componentwise."""
-    L, upper, lower = weak_inverse(F)
+    W = weak_equivalence(F)
+    F, L = W.F, W.L
     E1, E2 = F.dom, F.cod
-    unit = invertible_2cell(EnrichedTransformation(compose_functors(F, L), id_functor(E1), upper, name="lift-upper"))
+    unit = invertible_2cell(EnrichedTransformation(compose_functors(F, L), id_functor(E1), W.upper, name="lift-upper"))
     if unit is None:
         raise StructuralError("unit candidate is not invertible")
-    counit = EnrichedTransformation(compose_functors(L, F), id_functor(E2), lower, name="lift-lower")
+    counit = EnrichedTransformation(compose_functors(L, F), id_functor(E2), W.lower, name="lift-lower")
     # triangle identities, componentwise: F(unit_x) ; counit_{F x} and
     # unit_{L y} ; L(counit_y) are identities
     fwd = {x: E2.under.compose(F.mor(unit.at(x)), counit.at(F.ob(x))) for x in E1.objects()}

@@ -270,8 +270,7 @@ def kleisli_universal_extend(
     E = T.carrier
     V = E.base
     uk = uk if uk is not None else univalent_kleisli(T)
-    kappa = uk.unit_functor
-    FK = kappa.dom
+    FK = uk.unit_functor.dom
     check_kleisli_cocone(T, q).require("invalid Kleisli cocone")
 
     # the cocone induces P : FK -> apex
@@ -285,8 +284,9 @@ def kleisli_universal_extend(
     )
     check_functor_enrichment(P).require("cocone-induced functor fails")
 
-    # extend P along the comparison weak equivalence
-    H, cell2 = extend_functor(kappa, P)
+    # extend P along the comparison weak equivalence, whose certificates
+    # the Rezk completion already decided
+    H, cell2 = extend_functor(uk.unit, P)
 
     # the mediating 2-cell against the transported canonical cocone
     canon = univalent_kleisli_cocone(T, uk)

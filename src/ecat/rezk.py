@@ -6,13 +6,14 @@ Skeletonization replaces the presheaf-image construction: with decidable
 equality and finite data the two agree up to weak equivalence, which the test
 suite cross-checks at micro scale against the image of the Yoneda embedding.
 The Rezk unit inverts the inclusion of the skeleton by
-``factor.invert_along``, the rule set of the diagonal lift. The extension
-along a weak equivalence composes with its ``factor.weak_inverse``, and
-2-cells transport along an eso functor by the formula its witnesses force.
+``factor.invert_along`` and is a ``factor.WeakEquivalence``. The extension,
+the transport of 2-cells and the precomposition check read one such value,
+whose certificates are decided once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -40,32 +41,16 @@ from .core import (
     whisker_left,
 )
 from .factor import (
-    EsoWitness,
     FullyFaithfulWitness,
+    WeakEquivalence,
     invert_along,
     is_essentially_surjective,
     is_fully_faithful,
     iso_arrows,
-    weak_inverse,
+    weak_equivalence,
 )
 from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
 from .vbase import MorRef
-
-__all__ = [
-    "UnivalenceReport",
-    "RezkResult",
-    "representable",
-    "representable_transformation",
-    "yoneda",
-    "check_yoneda_ff",
-    "univalence_report",
-    "rezk_completion",
-    "transport_transformation",
-    "extend_functor",
-    "check_precomp_equivalence",
-    "enumerate_enriched_functors",
-    "enumerate_enriched_transformations",
-]
 
 
 @dataclass
@@ -87,9 +72,10 @@ class UnivalenceReport:
 @dataclass
 class RezkResult:
     completion: Enrichment
-    unit_functor: EnrichedFunctor
-    cert_ff: FullyFaithfulWitness
-    cert_eso: EsoWitness
+    unit: WeakEquivalence
+    unit_functor = property(lambda self: self.unit.F)
+    cert_ff = property(lambda self: self.unit.ff)
+    cert_eso = property(lambda self: self.unit.eso)
 
 
 def representable(E: Enrichment, y: int, selfE: Enrichment | None = None,
@@ -181,8 +167,9 @@ def univalence_report(E: Enrichment) -> UnivalenceReport:
 def rezk_completion(E: Enrichment) -> RezkResult:
     """Skeletonize: keep the least object of each isomorphism class and send
     every object to its representative along the first iso found, by
-    inverting the inclusion of the representatives. Certificates that the
-    unit is a weak equivalence are computed, not assumed."""
+    inverting the inclusion of the representatives. The unit is a
+    ``WeakEquivalence``: its certificates are computed, not assumed, and its
+    weak inverse is tabulated only when read."""
     cat = E.under
     witness = {}
     for x in E.objects():  # the first iso r -> x from the least such r
@@ -195,7 +182,7 @@ def rezk_completion(E: Enrichment) -> RezkResult:
     # the inclusion's hom components are identities, their own inverses
     ff = FullyFaithfulWitness(True, inclusion.e_fun_t)
     unit = invert_along(inclusion, ff, {x: (new_of[r], i) for x, (r, i) in witness.items()}, name="rezk-unit")
-    return RezkResult(completion, unit, is_fully_faithful(unit), is_essentially_surjective(unit))
+    return RezkResult(completion, weak_equivalence(unit))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +190,7 @@ def rezk_completion(E: Enrichment) -> RezkResult:
 # ---------------------------------------------------------------------------
 
 def transport_transformation(
-    F: EnrichedFunctor,
+    F: EnrichedFunctor | WeakEquivalence,
     G1: EnrichedFunctor,
     G2: EnrichedFunctor,
     tau: EnrichedTransformation,
@@ -215,8 +202,13 @@ def transport_transformation(
     tau_w ; G2(i). theta is re-checked natural and to whisker back to tau;
     any natural theta' with that whisker satisfies G1(i) ; theta'_x =
     tau_w ; G2(i), so with G1(i) invertible the re-checks make theta unique.
+    A ``WeakEquivalence`` lends its eso witnesses; a bare F needs only eso,
+    which is computed.
     """
-    eso = is_essentially_surjective(F)
+    if isinstance(F, WeakEquivalence):
+        F, eso = F.F, F.eso
+    else:
+        eso = is_essentially_surjective(F)
     if not eso.ok:
         raise CapabilityError(f"transport needs an essentially surjective functor; missed {eso.missed}")
     cat3 = G1.cod.under
@@ -235,7 +227,7 @@ def transport_transformation(
 
 
 def extend_functor(
-    F: EnrichedFunctor, G: EnrichedFunctor
+    F: EnrichedFunctor | WeakEquivalence, G: EnrichedFunctor
 ) -> tuple[EnrichedFunctor, EnrichedTransformation]:
     """Extend G: E1 -> E3 along a weak equivalence F: E1 -> E2 to H: E2 -> E3
     with an invertible 2-cell F.H => G.
@@ -244,13 +236,13 @@ def extend_functor(
     the components of F.L => id_E1. H and the 2-cell are re-checked.
     """
     try:
-        L, upper, _ = weak_inverse(F)
+        W = weak_equivalence(F)
     except CapabilityError as exc:
         raise CapabilityError("extension needs a weak equivalence") from exc
-    H = replace(compose_functors(L, G), name="extension")
+    H = replace(compose_functors(W.L, G), name="extension")
     check_functor_enrichment(H).require("extension fails enrichment")
-    comp = {w: G.mor(u) for w, u in upper.items()}
-    cell = EnrichedTransformation(compose_functors(F, H), G, comp, name="extension-cell")
+    comp = {w: G.mor(u) for w, u in W.upper.items()}
+    cell = EnrichedTransformation(compose_functors(W.F, H), G, comp, name="extension-cell")
     check_nat_trans_enrichment(cell).require("extension 2-cell fails enrichment")
     if invertible_2cell(cell) is None:
         raise StructuralError("extension 2-cell is not invertible")
@@ -258,73 +250,58 @@ def extend_functor(
 
 
 def check_precomp_equivalence(
-    F: EnrichedFunctor, E3: Enrichment, cap: int = 10_000
+    F: EnrichedFunctor | WeakEquivalence, E3: Enrichment, cap: int = 10_000
 ) -> CheckReport:
-    """Precomposition with a weak equivalence is an equivalence of functor
-    categories: fully faithful and essentially surjective on the enumerated
-    underlying categories, cross-validated against the transport/extension
-    constructions."""
+    """Precomposition with a weak equivalence F: E1 -> E2 is an equivalence
+    [E2, E3] -> [E1, E3]: faithful, full and essentially surjective on the
+    enumerated underlying categories, cross-validated against the transport
+    and extension constructions. F is refused up front unless it is a weak
+    equivalence, and each transformation set between functors out of E1 is
+    enumerated at most once."""
+    W = weak_equivalence(F)
+    F = W.F
     col = Collector()
-    E1, E2 = F.dom, F.cod
-    fun2 = enumerate_enriched_functors(E2, E3, cap=cap)
-    fun1 = enumerate_enriched_functors(E1, E3, cap=cap)
+    fun2 = enumerate_enriched_functors(F.cod, E3, cap=cap)
+    fun1 = enumerate_enriched_functors(F.dom, E3, cap=cap)
     keys1 = {G.table_key(): i for i, G in enumerate(fun1)}
 
     def precomp(G: EnrichedFunctor) -> int:
-        got = compose_functors(F, G)
-        key = got.table_key()
+        key = compose_functors(F, G).table_key()
         if key not in keys1:
             raise StructuralError("precomposition leaves the enumerated functor category")
         return keys1[key]
+
+    @functools.cache  # one dict keyed by (k, j) for every reader below
+    def between(k: int, j: int) -> list:
+        return enumerate_enriched_transformations(fun1[k], fun1[j], cap=cap)
+
+    def has_iso(k: int, j: int) -> bool:
+        return any(invertible_2cell(tau) is not None for tau in between(k, j))
 
     images = [precomp(G) for G in fun2]
 
     # fully faithful: whiskering is a bijection on each transformation set
     for a, b in itertools.product(range(len(fun2)), repeat=2):
         src = enumerate_enriched_transformations(fun2[a], fun2[b], cap=cap)
-        tgt = enumerate_enriched_transformations(fun1[images[a]], fun1[images[b]], cap=cap)
-        whiskered = []
-        for tau in src:
-            w = whisker_left(F, tau)
-            whiskered.append(tuple(sorted(w.component.items())))
-        if len(set(whiskered)) != len(whiskered):
-            col.add("precomp-faithful", (a, b), len(set(whiskered)), len(whiskered))
-        if len(whiskered) != len(tgt):
-            col.add("precomp-full", (a, b), len(whiskered), len(tgt))
+        tgt = between(images[a], images[b])
+        whiskered = {tuple(sorted(whisker_left(F, tau).component.items())) for tau in src}
+        if len(whiskered) != len(src):
+            col.add("precomp-faithful", (a, b), len(whiskered), len(src))
+        if len(src) != len(tgt):
+            col.add("precomp-full", (a, b), len(src), len(tgt))
         else:
-            # cross-validate fullness via the transport construction
+            # cross-validate fullness: each target transports back along F,
+            # and the transport refuses unless it whiskers back to the target
             for tau1 in tgt:
-                glue = EnrichedTransformation(
-                    compose_functors(F, fun2[a]), compose_functors(F, fun2[b]), tau1.component
-                )
-                theta = transport_transformation(F, fun2[a], fun2[b], glue)
-                w = whisker_left(F, theta)
-                if w.component != tau1.component:
-                    col.add("precomp-transport-roundtrip", (a, b))
+                transport_transformation(W, fun2[a], fun2[b], tau1)
 
-    # essentially surjective: every functor out of E1 is isomorphic to a precomposite
+    # essentially surjective: every functor out of E1 is isomorphic to a
+    # precomposite, and to the precomposite of its extension along F
     for j, H in enumerate(fun1):
-        hit = False
-        for i, G in enumerate(fun2):
-            if images[i] == j:
-                hit = True
-                break
-            # isomorphism in the functor category suffices
-            for tau in enumerate_enriched_transformations(fun1[images[i]], H, cap=cap):
-                if invertible_2cell(tau) is not None:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+        if not any(k == j or has_iso(k, j) for k in images):
             col.add("precomp-eso", (j,))
             continue
-        ext, cell = extend_functor(F, H)
-        ei = precomp(ext)
-        iso_found = any(
-            invertible_2cell(tau) is not None
-            for tau in enumerate_enriched_transformations(fun1[ei], H, cap=cap)
-        )
-        if not iso_found:
+        ext, _ = extend_functor(W, H)
+        if not has_iso(precomp(ext), j):
             col.add("precomp-extension-isomorphic", (j,))
     return col.report()

@@ -17,8 +17,12 @@ from ecat.core import (
     Enrichment,
     EnrichedFunctor,
     EnrichedTransformation,
+    bool_preorder_enrichment,
     check_nat_trans_enrichment,
     compose_functors,
+    cost_space_enrichment,
+    enumerate_enriched_functors,
+    enumerate_enriched_transformations,
     find_inverse,
     id_functor,
     invertible_2cell,
@@ -38,7 +42,8 @@ from ecat.factor import (
     orthogonal_lift,
     underlying_hom_inverse,
 )
-from ecat.report import CapabilityError, Collector, StructuralError
+from ecat.report import CapabilityError, CheckReport, Collector, StructuralError
+from ecat.rezk import extend_functor, rezk_completion, transport_transformation
 from ecat.vbase import FinCat, MorRef, require_mor_shape
 
 
@@ -754,3 +759,143 @@ def reference_transport_transformation(
     if whisker_left(F, theta).component != tau.component:
         raise StructuralError("transported transformation does not whisker back to tau")
     return theta
+
+
+def reference_lift_2cell(
+    sq: LiftSquare,
+    l1: EnrichedFunctor,
+    l2: EnrichedFunctor,
+    tau1: EnrichedTransformation,
+    tau2: EnrichedTransformation,
+) -> EnrichedTransformation:
+    """The 2-cell zeta: l1 => l2 lifting tau1 through G, with its uniqueness
+    verified by exhausting the candidate components that G sends to tau1.
+    The components and refusals that ``factor.lift_2cell`` must reproduce."""
+    F, G = sq.F, sq.G
+    ff = is_fully_faithful(G)
+    if not ff.ok:
+        raise CapabilityError("lift_2cell needs a fully faithful right leg")
+    comp = {}
+    for y in l1.dom.objects():
+        comp[y] = underlying_hom_inverse(G, ff, tau1.at(y), l1.ob(y), l2.ob(y))
+    zeta = EnrichedTransformation(l1, l2, comp, name="lifted-2cell")
+    got1 = whisker_right(zeta, G)
+    if got1.component != tau1.component:
+        raise StructuralError("lifted 2-cell does not whisker to tau1")
+    got2 = whisker_left(F, zeta)
+    if got2.component != tau2.component:
+        raise StructuralError("incompatible 2-cell pair: F into zeta differs from tau2")
+    # uniqueness: any other component table satisfying the whisker equations
+    cod = l1.cod.under
+    for y in l1.dom.objects():
+        for cand in cod.hom(l1.ob(y), l2.ob(y)):
+            if cand == comp[y]:
+                continue
+            if G.mor(cand) == tau1.at(y):
+                raise StructuralError(f"2-cell component at {y} is not unique")
+    return zeta
+
+
+def reference_precomp_equivalence(
+    F: EnrichedFunctor, E3: Enrichment, cap: int = 10_000
+) -> CheckReport:
+    """Precomposition with F as an equivalence of functor categories, with
+    every transformation set enumerated where it is needed and F's
+    certificates re-derived by each transport and extension. The report
+    that ``rezk.check_precomp_equivalence`` must reproduce."""
+    col = Collector()
+    E1, E2 = F.dom, F.cod
+    fun2 = enumerate_enriched_functors(E2, E3, cap=cap)
+    fun1 = enumerate_enriched_functors(E1, E3, cap=cap)
+    keys1 = {G.table_key(): i for i, G in enumerate(fun1)}
+
+    def precomp(G: EnrichedFunctor) -> int:
+        got = compose_functors(F, G)
+        key = got.table_key()
+        if key not in keys1:
+            raise StructuralError("precomposition leaves the enumerated functor category")
+        return keys1[key]
+
+    images = [precomp(G) for G in fun2]
+
+    # fully faithful: whiskering is a bijection on each transformation set
+    for a, b in itertools.product(range(len(fun2)), repeat=2):
+        src = enumerate_enriched_transformations(fun2[a], fun2[b], cap=cap)
+        tgt = enumerate_enriched_transformations(fun1[images[a]], fun1[images[b]], cap=cap)
+        whiskered = []
+        for tau in src:
+            w = whisker_left(F, tau)
+            whiskered.append(tuple(sorted(w.component.items())))
+        if len(set(whiskered)) != len(whiskered):
+            col.add("precomp-faithful", (a, b), len(set(whiskered)), len(whiskered))
+        if len(whiskered) != len(tgt):
+            col.add("precomp-full", (a, b), len(whiskered), len(tgt))
+        else:
+            # cross-validate fullness via the transport construction
+            for tau1 in tgt:
+                glue = EnrichedTransformation(
+                    compose_functors(F, fun2[a]), compose_functors(F, fun2[b]), tau1.component
+                )
+                theta = transport_transformation(F, fun2[a], fun2[b], glue)
+                w = whisker_left(F, theta)
+                if w.component != tau1.component:
+                    col.add("precomp-transport-roundtrip", (a, b))
+
+    # essentially surjective: every functor out of E1 is isomorphic to a precomposite
+    for j, H in enumerate(fun1):
+        hit = False
+        for i, G in enumerate(fun2):
+            if images[i] == j:
+                hit = True
+                break
+            # isomorphism in the functor category suffices
+            for tau in enumerate_enriched_transformations(fun1[images[i]], H, cap=cap):
+                if invertible_2cell(tau) is not None:
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            col.add("precomp-eso", (j,))
+            continue
+        ext, cell = extend_functor(F, H)
+        ei = precomp(ext)
+        iso_found = any(
+            invertible_2cell(tau) is not None
+            for tau in enumerate_enriched_transformations(fun1[ei], H, cap=cap)
+        )
+        if not iso_found:
+            col.add("precomp-extension-isomorphic", (j,))
+    return col.report()
+
+
+def precomp_triples(boolb, cost3, rng: random.Random):
+    """The (weak equivalence, target) pairs on which precomposition is
+    checked to be an equivalence: the codiscrete Bool pair's Rezk unit into
+    the 3-chain and four small preorders, a zero-distance cost(3) pair's
+    unit into two cost spaces, then Rezk units of random Bool preorders into
+    those preorders, drawn from ``rng``, until there are ten."""
+    codisc = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
+    collapse = rezk_completion(codisc).unit_functor
+    chain3 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}, 3)
+    yield collapse, chain3
+    targets = [
+        bool_preorder_enrichment(boolb, rel, max((x for p in rel for x in p), default=-1) + 1)
+        for rel in [
+            {(0, 0)},
+            {(0, 0), (1, 1)},
+            {(0, 0), (1, 1), (0, 1)},
+            {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)},
+        ]
+    ]
+    for E3 in targets:
+        yield collapse, E3
+    Ec = cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): 0, (1, 0): 0}, 2)
+    Fc = rezk_completion(Ec).unit_functor
+    for d3 in ({(0, 0): 0}, {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}):
+        n3 = max(x for p in d3 for x in p) + 1
+        yield Fc, cost_space_enrichment(cost3, d3, n3)
+    for _ in range(10 - 1 - len(targets) - 2):
+        n = rng.randint(1, 2)
+        E = bool_preorder_enrichment(boolb, random_preorder(rng, n), n)
+        yield rezk_completion(E).unit_functor, rng.choice(targets)

@@ -87,6 +87,7 @@ from helpers import (
     em_oracle,
     identity_glue,
     kleisli_oracle,
+    precomp_triples,
     preorder_oracle,
     random_category,
     random_metric_table,
@@ -544,41 +545,10 @@ def test_criterion_6_rezk(boolb, cost3):
 
     # precomposition equivalence on >= 10 triples, including the collapse
     triples = 0
-    codisc = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
-    collapse = rezk_completion(codisc).unit_functor
-    chain3 = bool_preorder_enrichment(
-        boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}, 3
-    )
-    assert check_precomp_equivalence(collapse, chain3).ok
-    triples += 1
-    targets = [
-        bool_preorder_enrichment(boolb, rel, max((x for p in rel for x in p), default=-1) + 1)
-        for rel in [
-            {(0, 0)},
-            {(0, 0), (1, 1)},
-            {(0, 0), (1, 1), (0, 1)},
-            {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)},
-        ]
-    ]
-    for E3 in targets:
-        assert check_precomp_equivalence(collapse, E3).ok
-        triples += 1
-    # a couple of cost-valued triples: collapse a zero-distance pair
-    d = {(0, 0): 0, (1, 1): 0, (0, 1): 0, (1, 0): 0}
-    Ec = cost_space_enrichment(cost3, d, 2)
-    Fc = rezk_completion(Ec).unit_functor
-    for d3 in ({(0, 0): 0}, {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 2}):
-        n3 = max(x for p in d3 for x in p) + 1
-        E3c = cost_space_enrichment(cost3, d3, n3)
-        assert check_precomp_equivalence(Fc, E3c).ok
-        triples += 1
-    while triples < 10:
-        n = rng.randint(1, 2)
-        E = bool_preorder_enrichment(boolb, random_preorder(rng, n), n)
-        F = rezk_completion(E).unit_functor
-        E3 = rng.choice(targets)
+    for F, E3 in precomp_triples(boolb, cost3, rng):
         assert check_precomp_equivalence(F, E3).ok
         triples += 1
+    assert triples >= 10
 
     # cross-check: image of Yoneda vs skeleton, all Bool preorders on
     # <= 3 points and all Cost(3) two-point spaces

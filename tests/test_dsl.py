@@ -856,6 +856,8 @@ def test_cli_refusals_go_through_the_error_handler(tmp_path, capsys):
          "not a weak equivalence: not fully faithful at (1, 0)"),
         (["precomp-check", chain, "--functor", "F1"], 2,
          "precomp-check needs --target to pick the third enrichment"),
+        (["precomp-check", chain, "--functor", "F0", "--target", "E"], 1,
+         "not a weak equivalence: not fully faithful at (1, 0)"),
         (["enum-functors", str(GOLDEN / "base_bool.ecat")], 2,
          "enum-functors needs --dom and --cod"),
         (["kleisli-ump", str(cocone)], 1,

@@ -22,11 +22,12 @@ from ecat.factor import (
     orthogonal_lift,
     weak_equivalence_to_adjoint_equivalence,
 )
-from ecat.report import CapabilityError, Failure, StructuralError
-from ecat.rezk import univalence_report
+from ecat.report import CapabilityError, EcatError, Failure, StructuralError
+from ecat.rezk import rezk_completion, univalence_report
 from ecat.vbase import MorRef
 
-from helpers import identity_glue, random_poset, random_preorder, thin_functor
+import construction_cases
+from helpers import identity_glue, random_poset, random_preorder, reference_lift_2cell, thin_functor
 
 
 def preorder(boolb, rel, n):
@@ -288,6 +289,49 @@ def test_lift_2cell_incompatible_rejected(boolb):
     )
     with pytest.raises(StructuralError):
         lift_2cell(sq, F, F, t1, t2)
+
+
+def _component_tables(src, dst):
+    """Every table of components src => dst, natural or not."""
+    cat, objs = dst.cod.under, list(src.dom.objects())
+    for choice in itertools.product(*(cat.hom(src.ob(x), dst.ob(x)) for x in objs)):
+        yield EnrichedTransformation(src, dst, dict(zip(objs, choice)))
+
+
+def _lift_2cell_outcome(lift, sq, l, tau1, tau2):
+    try:
+        zeta = lift(sq, l, l, tau1, tau2)
+    except EcatError as exc:
+        return type(exc), str(exc)
+    return zeta.name, zeta.component
+
+
+def test_lift_2cell_matches_the_candidate_scan(boolb):
+    """Over the Bool collapse square, the codiscrete identity square with its
+    incompatible pair, and the Rezk units of the plain and twisted Z/2
+    groupoids, lift_2cell gives the components or the refusal of the scan
+    it replaced, for every table of components tau1 and tau2."""
+    E, P, F = collapse_pair(boolb)
+    collapse = LiftSquare(F, F, id_functor(E), id_functor(P), identity_glue(F))
+    I = id_functor(preorder(boolb, full_relation(2), 2))
+    identity = LiftSquare(I, I, I, I, identity_glue(I))
+    squares = [collapse, identity]
+    for twisted in (False, True):
+        Z = construction_cases._z2_groupoid(twisted)
+        U = rezk_completion(Z).unit_functor
+        squares.append(LiftSquare(U, U, id_functor(Z), id_functor(U.cod), identity_glue(U)))
+    seen = set()
+    for sq in squares:
+        l = I if sq is identity else orthogonal_lift(sq)[0]
+        lg, fl = compose_functors(l, sq.G), compose_functors(sq.F, l)
+        pairs = [(t1, t2) for t1 in _component_tables(lg, lg) for t2 in _component_tables(fl, fl)]
+        if sq is identity:
+            pairs.append((pairs[0][0], EnrichedTransformation(fl, fl, {0: MorRef(0, 0, 0), 1: MorRef(1, 0, 0)})))
+        for tau1, tau2 in pairs:
+            got = _lift_2cell_outcome(lift_2cell, sq, l, tau1, tau2)
+            assert got == _lift_2cell_outcome(reference_lift_2cell, sq, l, tau1, tau2)
+            seen.add(got[0])
+    assert seen == {"lifted-2cell", StructuralError}
 
 
 # ---------------------------------------------------------------------------

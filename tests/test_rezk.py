@@ -1,8 +1,12 @@
+import collections
 import itertools
 import json
 import random
 
 import pytest
+
+import ecat.factor
+import ecat.rezk
 
 from ecat.cli import run_cli
 from ecat.construct import (
@@ -29,6 +33,7 @@ from ecat.factor import (
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
+    weak_equivalence,
     weak_equivalence_to_adjoint_equivalence,
 )
 from ecat.rezk import (
@@ -42,17 +47,20 @@ from ecat.rezk import (
     univalence_report,
     yoneda,
 )
-from ecat.monad import fkleisli
-from ecat.report import StructuralError
+from ecat.monad import fkleisli, kleisli_universal_extend, univalent_kleisli
+from ecat.report import CapabilityError, StructuralError
 from ecat.vbase import FinCat, MorRef, builtin_base
 
 import construction_cases
 from helpers import (
+    precomp_triples,
     random_preorder,
     reference_adjoint_equivalence,
     reference_extend_functor,
+    reference_precomp_equivalence,
     reference_rezk_unit,
     reference_transport_transformation,
+    thin_functor,
 )
 
 
@@ -444,6 +452,69 @@ def test_precomp_collapse_to_chain(boolb):
     assert len(iso_classes(fun2)) == len(iso_classes(fun1))
 
 
+def test_precomp_check_matches_its_reference(boolb, cost3):
+    """On the acceptance suite's ten precomposition triples, on the identity
+    of the golden Z/2 set enrichment into itself, and on two targets with
+    distinct isomorphic objects (so that functors out of E1 are reached up to
+    isomorphism, not on the nose), the check that enumerates each
+    transformation set once reports what the check that re-enumerates and
+    re-derives the certificates reported."""
+    rng = random.Random(6)
+    for _ in range(10):  # the draws the acceptance suite makes before its triples
+        random_preorder(rng, rng.randint(1, 3))
+    pairs = list(precomp_triples(boolb, cost3, rng))
+    E = construction_cases._load("set_z2.ecat").get("E").value
+    pairs.append((id_functor(E), E))
+    codisc, C, collapse = collapse_functor(boolb)
+    pairs.append((collapse, codisc))
+    Ec = cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): 0, (1, 0): 0}, 2)
+    pairs.append((rezk_completion(Ec).unit_functor, Ec))
+    for F, E3 in pairs:
+        assert check_precomp_equivalence(F, E3) == reference_precomp_equivalence(F, E3)
+    assert len(pairs) == 13
+
+
+def test_a_weak_equivalence_is_decided_once(boolb, monkeypatch):
+    """On the codiscrete pair's Rezk unit into the 3-chain, the precomposition
+    check decides a bare functor's certificates once and enumerates 18
+    distinct transformation sets; handed the unit's WeakEquivalence it
+    decides nothing. The Kleisli extension reads the certificates of the
+    Rezk completion it is given, and the weak inverse is tabulated only when
+    read."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (ecat.factor, ecat.rezk):
+        for name in ("is_essentially_surjective", "is_fully_faithful"):
+            monkeypatch.setattr(module, name, counted(name, getattr(ecat.factor, name)))
+    name = "enumerate_enriched_transformations"
+    monkeypatch.setattr(ecat.rezk, name, counted(name, getattr(ecat.rezk, name)))
+
+    E, C, F = collapse_functor(boolb)
+    chain3 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}, 3)
+    W = rezk_completion(E).unit
+    assert "L" not in vars(W) and weak_equivalence(W) is W
+    for G, decided in ((F, 1), (W, 0)):
+        calls.clear()
+        assert check_precomp_equivalence(G, chain3).ok
+        assert calls["is_essentially_surjective"] == calls["is_fully_faithful"] == decided
+        assert calls[name] == 18
+    assert W.L is W.L and "L" in vars(W)
+
+    doc = construction_cases._load("cocone_toppoint.ecat")
+    T, q = doc.get("M").value, doc.get("Q").value
+    uk = univalent_kleisli(T)
+    for given, decided in ((uk, 0), (None, 1)):
+        calls.clear()
+        kleisli_universal_extend(T, q, given)
+        assert calls["is_essentially_surjective"] == calls["is_fully_faithful"] == decided
+
+
 def test_micro_cross_check_yoneda_image_vs_skeleton(boolb):
     # image of the Yoneda embedding is weakly equivalent to the skeleton:
     # extend the skeletonization along the corestricted embedding and verify
@@ -474,6 +545,24 @@ def test_transport_is_two_sided_inverse_to_whiskering(boolb):
                 tau = whisker_left(F, theta)
                 back = transport_transformation(F, G1, G2, tau)
                 assert back.component == theta.component
+
+
+def test_transport_along_an_eso_functor_that_is_not_fully_faithful(boolb):
+    """Transport needs only eso: along the identity-on-objects functor from
+    the discrete to the codiscrete Bool pair, which is no weak equivalence,
+    every theta: id => id of the codiscrete pair round-trips."""
+    disc = bool_preorder_enrichment(boolb, {(0, 0), (1, 1)}, 2)
+    codisc = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
+    F = thin_functor(disc, codisc, (0, 1))
+    assert not is_fully_faithful(F).ok and is_essentially_surjective(F).ok
+    with pytest.raises(CapabilityError, match=r"not fully faithful at \(0, 1\)"):
+        weak_equivalence(F)
+    G = id_functor(codisc)
+    thetas = enumerate_enriched_transformations(G, G)
+    assert len(thetas) == 1
+    for theta in thetas:
+        tau = whisker_left(F, theta)
+        assert transport_transformation(F, G, G, tau).component == theta.component
 
 
 # ---------------------------------------------------------------------------
