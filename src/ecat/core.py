@@ -21,9 +21,11 @@ or ``EnrichedFunctor.tabulate`` from one rule per table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .report import Collector, StructuralError, law_scan
 from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
@@ -31,14 +33,32 @@ from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
 
 @dataclass(eq=False)
 class Enrichment:
+    """An enrichment of ``under`` over ``base``. The constructor copies the
+    four tables, and ``hom_obj_t``, ``e_id_t``, ``e_comp_t`` and
+    ``from_arr_t`` are read-only views of the copies."""
+
     base: MonBase
     under: FinCat
-    hom_obj_t: dict
-    e_id_t: dict
-    e_comp_t: dict
-    from_arr_t: dict
+    hom_obj_t: Mapping
+    e_id_t: Mapping
+    e_comp_t: Mapping
+    from_arr_t: Mapping
     name: str = ""
     _to_arr: dict = field(default=None, repr=False)
+    #: The tables passed ``validate``, or ``tabulate`` checked them as it
+    #: stored them; being read-only, they cannot stop passing.
+    _checked: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self):
+        # lookups read the dicts: a view costs more per call
+        self._hom_obj = dict(self.hom_obj_t)
+        self._e_id = dict(self.e_id_t)
+        self._e_comp = dict(self.e_comp_t)
+        self._from_arr = dict(self.from_arr_t)
+        self.hom_obj_t = MappingProxyType(self._hom_obj)
+        self.e_id_t = MappingProxyType(self._e_id)
+        self.e_comp_t = MappingProxyType(self._e_comp)
+        self.from_arr_t = MappingProxyType(self._from_arr)
 
     @classmethod
     def tabulate(cls, base: MonBase, under: FinCat, hom_obj: Callable, eid: Callable, ecomp: Callable,
@@ -49,13 +69,27 @@ class Enrichment:
         report. The rules run in a fixed order, which numbers the objects a
         computed base registers: hom objects over (x, y), then eid over x,
         then ecomp over (x, y, z), then farr over ``under.mors()``. Every
-        constructed enrichment is built this way."""
+        constructed enrichment is built this way.
+
+        ``under`` is validated first, and each entry is shape-checked as it
+        is stored, against the hom objects already stored, so a malformed
+        entry raises StructuralError here and ``check_enrichment`` does not
+        check the result again."""
+        V, I = base, base.unit
+        under.validate()
         objs = under.objects()
         hom_obj_t = {(x, y): hom_obj(x, y) for x in objs for y in objs}
-        e_id_t = {x: m for x in objs if (m := eid(x)) is not None}
-        e_comp_t = {(x, y, z): m for x in objs for y in objs for z in objs if (m := ecomp(x, y, z)) is not None}
-        from_arr_t = {f: m for f in under.mors() if (m := farr(f)) is not None}
-        return cls(base, under, hom_obj_t, e_id_t, e_comp_t, from_arr_t, name=name)
+        for (x, y), h in hom_obj_t.items():
+            if not V.contains_obj(h):
+                raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
+        shaped, tensor = _entry_check(V), V.tensor_obj
+        e_id_t = {x: shaped(m, I, hom_obj_t[x, x]) for x in objs if (m := eid(x)) is not None}
+        e_comp_t = {(x, y, z): shaped(m, tensor(hom_obj_t[y, z], hom_obj_t[x, y]), hom_obj_t[x, z])
+                    for x in objs for y in objs for z in objs if (m := ecomp(x, y, z)) is not None}
+        from_arr_t = {f: shaped(m, I, hom_obj_t[f.src, f.dst]) for f in under.mors() if (m := farr(f)) is not None}
+        E = cls(base, under, hom_obj_t, e_id_t, e_comp_t, from_arr_t, name=name)
+        E._checked = True
+        return E
 
     @property
     def n_objects(self) -> int:
@@ -66,35 +100,46 @@ class Enrichment:
 
     def hom(self, x: int, y: int) -> int:
         try:
-            return self.hom_obj_t[(x, y)]
+            return self._hom_obj[(x, y)]
         except KeyError:
             raise StructuralError(f"missing hom object at ({x},{y})") from None
 
     def eid(self, x: int) -> MorRef | None:
-        return self.e_id_t.get(x)
+        return self._e_id.get(x)
 
     def ecomp(self, x: int, y: int, z: int) -> MorRef | None:
-        return self.e_comp_t.get((x, y, z))
+        return self._e_comp.get((x, y, z))
 
     def farr(self, f: MorRef) -> MorRef | None:
-        return self.from_arr_t.get(f)
+        return self._from_arr.get(f)
 
     def tarr(self, x: int, y: int, m: MorRef) -> MorRef | None:
         """Inverse of from_arr on the hom pair (x, y)."""
         if self._to_arr is None:
             inv = {}
-            for f, v in self.from_arr_t.items():
+            for f, v in self._from_arr.items():
                 inv.setdefault((f.src, f.dst), {})[v] = f
             object.__setattr__(self, "_to_arr", inv)
         return self._to_arr.get((x, y), {}).get(m)
 
+    def validate(self) -> None:
+        """Raise StructuralError if the underlying category is malformed or
+        an entry is not a base object or morphism of its shape. Tables that
+        ``tabulate`` checked as it stored them, or that passed here before,
+        are not checked again."""
+        if self._checked:
+            return
+        self.under.validate()
+        _shape_enrichment(self)
+        self._checked = True
+
     def data_equal(self, other: "Enrichment") -> bool:
         return (
             self.under == other.under
-            and self.hom_obj_t == other.hom_obj_t
-            and self.e_id_t == other.e_id_t
-            and self.e_comp_t == other.e_comp_t
-            and self.from_arr_t == other.from_arr_t
+            and self._hom_obj == other._hom_obj
+            and self._e_id == other._e_id
+            and self._e_comp == other._e_comp
+            and self._from_arr == other._from_arr
         )
 
     def __repr__(self):
@@ -255,8 +300,24 @@ def postcompose_mor(E: Enrichment, z: int, f: MorRef) -> MorRef:
 # enrichment checker
 # ---------------------------------------------------------------------------
 
+def _entry_check(V: MonBase) -> Callable[[MorRef, int, int], MorRef]:
+    """``shaped(m, src, dst)``: m when it is a morphism src -> dst of V,
+    else StructuralError. A morphism found in its hom once is remembered,
+    so a repeated entry costs one set lookup and the comparison of its
+    ends; a thin base's entries repeat its few morphisms."""
+    known = set()
+
+    def shaped(m, src, dst):
+        if m.__class__ is not MorRef or m not in known or m.src != src or m.dst != dst:
+            require_mor_shape(V, m, src, dst)
+            known.add(m)
+        return m
+    return shaped
+
+
 def _shape_enrichment(E: Enrichment) -> None:
-    """Structural pass: every present entry has the right shape."""
+    """Structural pass over raw tables: every present entry has the right
+    shape."""
     V = E.base
     I = V.unit
     for x in E.objects():
@@ -331,9 +392,16 @@ def check_enrichment(col: Collector, E: Enrichment) -> None:
     from_arr(id), and from_arr functoriality. Over a base certified thin
     (``V.thin``) the unit, associativity and functoriality diagrams hold
     once their data is present and well-shaped, and are not scanned.
+
+    Malformed tables raise StructuralError before any law is scanned. Each
+    table is checked once, where it enters: ``FinCat.tabulate`` and
+    ``Enrichment.tabulate`` build or shape-check their tables as they store
+    them, and raw tables (the DSL resolver, ``change_of_base``, direct
+    constructor calls) get the full structural pass on their first check.
+    The tables are read-only after construction, so a check that passed
+    still holds, and ``E.validate()`` does not repeat it.
     """
-    E.under.validate()
-    _shape_enrichment(E)
+    E.validate()
     V = E.base
     I = V.unit
     objs = list(E.objects())
@@ -367,7 +435,7 @@ def check_enrichment(col: Collector, E: Enrichment) -> None:
             col.add("identity-from-arr", (x,), ei, fa)
 
     # Over a certified-thin base each remaining diagram compares two
-    # parallel, well-shaped morphisms (the entries were shape-checked above)
+    # parallel, well-shaped morphisms (E.validate() holds for the entries)
     # in a hom with at most one element, so it commutes.
     if V.thin:
         return
@@ -657,17 +725,17 @@ def invertible_2cell(tau: EnrichedTransformation) -> EnrichedTransformation | No
 # ---------------------------------------------------------------------------
 
 def thin_under_category(n: int, arrows: set[tuple[int, int]]) -> FinCat:
-    """Thin category on the reflexive-transitive closure of the arrow set."""
-    rel = set(arrows) | {(x, x) for x in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return thin_category(n, rel)
+    """Thin category on the reflexive-transitive closure of a set of pairs
+    of objects 0..n-1, closed in one Warshall pass: once every path through
+    0..k-1 is an arrow, each object reaching k reaches what k reaches."""
+    reach = [{x} for x in range(n)]
+    for a, b in arrows:
+        reach[a].add(b)
+    for k in range(n):
+        for row in reach:
+            if k in row:
+                row |= reach[k]
+    return thin_category(n, {(a, b) for a in range(n) for b in reach[a]})
 
 
 def thin_enrichment(base: MonBase, n: int, hom_obj: dict, name: str = "") -> Enrichment:
@@ -684,15 +752,16 @@ def thin_enrichment(base: MonBase, n: int, hom_obj: dict, name: str = "") -> Enr
               if base.hom_size(I, h) > 0}
     arrows = {(x, y) for x in range(n) for y in range(n) if hom_obj[x, y] in points}
 
-    def ecomp(x, y, z):
-        src, dst = base.tensor_obj(hom_obj[y, z], hom_obj[x, y]), hom_obj[x, z]
-        return MorRef(src, dst, 0) if base.hom_size(src, dst) > 0 else None
+    @functools.cache
+    def arrow(h_yz, h_xy, h_xz):
+        src = base.tensor_obj(h_yz, h_xy)
+        return MorRef(src, h_xz, 0) if base.hom_size(src, h_xz) > 0 else None
 
     return Enrichment.tabulate(
         base, thin_under_category(n, arrows),
         lambda x, y: hom_obj[x, y],
         lambda x: points.get(hom_obj[x, x]),
-        ecomp,
+        lambda x, y, z: arrow(hom_obj[y, z], hom_obj[x, y], hom_obj[x, z]),
         lambda f: points.get(hom_obj[f.src, f.dst]),
         name=name,
     )

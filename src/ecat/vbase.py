@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
 from .report import CapabilityError, Collector, StructuralError, WindowExceeded, law_scan
@@ -48,21 +49,39 @@ class FinCat:
     """A finite category as explicit tables.
 
     ``then`` is keyed by composable pairs (f, g) in diagrammatic order and
-    must be total over them.
+    must be total over them. The constructor copies the tables, and
+    ``hom_size_t``, ``identity_t`` and ``then_t`` are read-only views of the
+    copies, so a verdict on them cannot go stale: ``validate`` checks a
+    category at most once, and ``tabulate`` builds one valid by construction.
     """
 
     def __init__(self, n_objects: int, hom_size: dict, identity: dict, then: dict):
         self.n_objects = n_objects
-        self.hom_size_t = dict(hom_size)
-        self.identity_t = dict(identity)
-        self.then_t = dict(then)
+        # lookups read the dicts: a view costs more per call
+        self._hom_size = dict(hom_size)
+        self._identity = dict(identity)
+        self._then = dict(then)
+        self.hom_size_t = MappingProxyType(self._hom_size)
+        self.identity_t = MappingProxyType(self._identity)
+        self.then_t = MappingProxyType(self._then)
+        self._homs: dict[tuple[int, int], tuple[MorRef, ...]] = {}
+        self._mors = None
+        self._valid = False
 
     @classmethod
     def tabulate(cls, n: int, homs: dict, identity: Callable, compose: Callable) -> "FinCat":
         """The category on 0..n-1 whose morphisms a -> b are the hashable
         labels ``homs[a, b]``: label k is ``MorRef(a, b, k)``. ``identity(a)``
         and ``compose(a, b, c, f, g)`` (f then g) answer in labels. Every
-        constructed category is numbered this way."""
+        constructed category is numbered this way.
+
+        The result is valid by construction, so ``validate`` does not scan
+        it: every hom key is checked to be a pair of objects, and every
+        identity and composite is the morphism of a label of its hom."""
+        objs = range(n)
+        for a, b in homs:
+            if a not in objs or b not in objs:
+                raise StructuralError(f"bad hom size entry ({a},{b})={len(homs[a, b])}")
         refs = label_refs(homs)
         identity_t = {a: label_ref(refs, a, a, identity(a)) for a in range(n)}
         then = {}
@@ -76,26 +95,35 @@ class FinCat:
                     for g, gm in gs.items():
                         h = compose(a, b, c, f, g)
                         then[fm, gm] = hs.get(h) or label_ref(refs, a, c, h)
-        return cls(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
+        C = cls(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
+        C._homs = {ab: tuple(refs[ab].values()) if labels else () for ab, labels in homs.items()}
+        C._valid = True
+        return C
 
     # -- category surface -------------------------------------------------
     def objects(self) -> range:
         return range(self.n_objects)
 
     def hom_size(self, x: int, y: int) -> int:
-        return self.hom_size_t.get((x, y), 0)
+        return self._hom_size.get((x, y), 0)
 
-    def hom(self, x: int, y: int) -> list[MorRef]:
-        return [MorRef(x, y, k) for k in range(self.hom_size(x, y))]
+    def hom(self, x: int, y: int) -> tuple[MorRef, ...]:
+        """The morphisms x -> y in index order, one stored tuple per pair."""
+        ms = self._homs.get((x, y))
+        if ms is None:
+            ms = self._homs[x, y] = tuple(MorRef(x, y, k) for k in range(self.hom_size(x, y)))
+        return ms
 
-    def mors(self) -> Iterable[MorRef]:
-        for x in self.objects():
-            for y in self.objects():
-                yield from self.hom(x, y)
+    def mors(self) -> tuple[MorRef, ...]:
+        """Every morphism, hom by hom in lexicographic (x, y) order."""
+        if self._mors is None:
+            objs = self.objects()
+            self._mors = tuple(m for x in objs for y in objs for m in self.hom(x, y))
+        return self._mors
 
     def id_of(self, x: int) -> MorRef:
         try:
-            return self.identity_t[x]
+            return self._identity[x]
         except KeyError:
             raise StructuralError(f"missing identity for object {x}") from None
 
@@ -103,7 +131,7 @@ class FinCat:
         if f.dst != g.src:
             raise StructuralError(f"non-composable pair {f} {g}")
         try:
-            return self.then_t[(f, g)]
+            return self._then[(f, g)]
         except KeyError:
             raise StructuralError(f"missing composition entry {f};{g}") from None
 
@@ -111,14 +139,18 @@ class FinCat:
         return isinstance(x, int) and 0 <= x < self.n_objects
 
     def validate(self) -> None:
-        """Raise StructuralError if any table is malformed or non-total."""
-        for (x, y), n in self.hom_size_t.items():
+        """Raise StructuralError if any table is malformed or non-total.
+        The tables are read-only, so a category that passed once, or that
+        ``tabulate`` built, is not scanned again."""
+        if self._valid:
+            return
+        for (x, y), n in self._hom_size.items():
             if not (self.contains_obj(x) and self.contains_obj(y)) or n < 0:
                 raise StructuralError(f"bad hom size entry ({x},{y})={n}")
         for x in self.objects():
             i = self.id_of(x)
             require_mor_shape(self, i, x, x)
-        for f, g in self.then_t:
+        for f, g in self._then:
             if f.dst != g.src:
                 raise StructuralError(f"composition defined on non-composable {f};{g}")
         # the composable pairs: the non-empty homs out of each object
@@ -132,17 +164,18 @@ class FinCat:
                         require_mor_shape(self, self.compose(f, g), x, z)
         # every composable pair is a key now, so a further key holds a
         # morphism outside its hom
-        if len(self.then_t) != composable:
-            f, g = next(key for key in self.then_t if not all(0 <= m.k < self.hom_size(m.src, m.dst) for m in key))
+        if len(self._then) != composable:
+            f, g = next(key for key in self._then if not all(0 <= m.k < self.hom_size(m.src, m.dst) for m in key))
             raise StructuralError(f"composition defined on {f};{g}, outside their homs")
+        self._valid = True
 
     def __eq__(self, other):
         return (
             isinstance(other, FinCat)
             and self.n_objects == other.n_objects
-            and self.hom_size_t == other.hom_size_t
-            and self.identity_t == other.identity_t
-            and self.then_t == other.then_t
+            and self._hom_size == other._hom_size
+            and self._identity == other._identity
+            and self._then == other._then
         )
 
 

@@ -44,7 +44,7 @@ from ecat.factor import (
 )
 from ecat.report import CapabilityError, CheckReport, Collector, StructuralError
 from ecat.rezk import extend_functor, rezk_completion, transport_transformation
-from ecat.vbase import FinCat, MorRef, require_mor_shape
+from ecat.vbase import FinCat, MorRef, require_mor_shape, thin_category
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,79 @@ def bool_functor_candidates(E1: Enrichment, E2: Enrichment) -> list[EnrichedFunc
         except ValueError:
             continue
     return out
+
+
+# ---------------------------------------------------------------------------
+# the reference structural pass and closure
+# ---------------------------------------------------------------------------
+
+def reference_validate_and_shape(E: Enrichment) -> None:
+    """The structural pass ``check_enrichment`` ran on every call before
+    tables were checked where they enter: the full ``FinCat.validate`` scan
+    of the underlying category, then the shape of every hom object and
+    present entry. It reads the public tables only, so it checks an object
+    whatever its record says. Raises StructuralError."""
+    C = E.under
+    for (x, y), n in C.hom_size_t.items():
+        if not (C.contains_obj(x) and C.contains_obj(y)) or n < 0:
+            raise StructuralError(f"bad hom size entry ({x},{y})={n}")
+    for x in C.objects():
+        require_mor_shape(C, C.id_of(x), x, x)
+    for f, g in C.then_t:
+        if f.dst != g.src:
+            raise StructuralError(f"composition defined on non-composable {f};{g}")
+    out = {x: [(y, C.hom(x, y)) for y in C.objects() if C.hom_size(x, y)] for x in C.objects()}
+    composable = 0
+    for x, row in out.items():
+        for y, fs in row:
+            for z, gs in out[y]:
+                composable += len(fs) * len(gs)
+                for f, g in itertools.product(fs, gs):
+                    require_mor_shape(C, C.compose(f, g), x, z)
+    if len(C.then_t) != composable:
+        f, g = next(key for key in C.then_t if not all(0 <= m.k < C.hom_size(m.src, m.dst) for m in key))
+        raise StructuralError(f"composition defined on {f};{g}, outside their homs")
+
+    V = E.base
+    I = V.unit
+    for x in E.objects():
+        for y in E.objects():
+            h = E.hom(x, y)
+            if not V.contains_obj(h):
+                raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
+    for x, m in E.e_id_t.items():
+        require_mor_shape(V, m, I, E.hom(x, x))
+    for (x, y, z), m in E.e_comp_t.items():
+        require_mor_shape(V, m, V.tensor_obj(E.hom(y, z), E.hom(x, y)), E.hom(x, z))
+    for f, m in E.from_arr_t.items():
+        require_mor_shape(V, m, I, E.hom(f.src, f.dst))
+
+
+def reference_thin_closure(n: int, arrows: set) -> FinCat:
+    """The thin category on the reflexive-transitive closure of ``arrows``,
+    by repeated sweeps over all pairs of related pairs until none adds one."""
+    rel = set(arrows) | {(x, x) for x in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return thin_category(n, rel)
+
+
+def enrichments_in(value) -> list[Enrichment]:
+    """The enrichments a construction result holds: itself, a functor's
+    domain and codomain, a transformation's functors' ones."""
+    if isinstance(value, Enrichment):
+        return [value]
+    if isinstance(value, EnrichedFunctor):
+        return [value.dom, value.cod]
+    if isinstance(value, EnrichedTransformation):
+        return [*enrichments_in(value.src), *enrichments_in(value.dst)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +947,11 @@ def precomp_triples(boolb, cost3, rng: random.Random):
     checked to be an equivalence: the codiscrete Bool pair's Rezk unit into
     the 3-chain and four small preorders, a zero-distance cost(3) pair's
     unit into two cost spaces, then Rezk units of random Bool preorders into
-    those preorders, drawn from ``rng``, until there are ten."""
+    those preorders, drawn from ``rng``, until there are ten. Last come the
+    two units into their own non-skeletal domains, the codiscrete pair and
+    the zero-distance pair: there a functor out of E1 is isomorphic to a
+    precomposite without being one, which only the iso branch of the check
+    finds."""
     codisc = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1), (1, 0)}, 2)
     collapse = rezk_completion(codisc).unit_functor
     chain3 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}, 3)
@@ -899,3 +976,5 @@ def precomp_triples(boolb, cost3, rng: random.Random):
         n = rng.randint(1, 2)
         E = bool_preorder_enrichment(boolb, random_preorder(rng, n), n)
         yield rezk_completion(E).unit_functor, rng.choice(targets)
+    yield collapse, codisc
+    yield Fc, Ec

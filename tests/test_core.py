@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ecat import core
 from ecat.construct import canonical_set_enrichment, opposite_enrichment, self_enrichment
 from ecat.core import (
     EnrichedTransformation,
@@ -25,6 +26,7 @@ from ecat.core import (
     kelly_round_trip_iso,
     postcompose_mor,
     precompose_mor,
+    thin_under_category,
     to_kelly,
     underlying_category,
     vcompose,
@@ -32,15 +34,21 @@ from ecat.core import (
     whisker_right,
 )
 from ecat.dsl import parse
+from ecat.report import StructuralError
 from ecat.rezk import yoneda
-from ecat.vbase import MorRef, builtin_base, thin_category
+from ecat.vbase import MorRef, builtin_base, cost_base, thin_category
 
+import construction_cases
 from helpers import (
+    cyclic_monoid_category,
+    enrichments_in,
     preorder_oracle,
     random_category,
     random_metric_table,
     random_preorder,
     random_relation,
+    reference_thin_closure,
+    reference_validate_and_shape,
     thin_functor,
     triangle_oracle,
 )
@@ -267,12 +275,154 @@ def test_kelly_round_trip_set_enrichment(finset3):
 
 
 def test_kelly_verdict_preserved_under_mutation(boolb):
-    # a broken enrichment stays broken through the Kelly presentation
+    # a broken enrichment stays broken through the Kelly presentation: the
+    # same tables without the composition entry at (0, 1, 0)
     rel = {(0, 0), (1, 1), (0, 1), (1, 0)}
     E = bool_preorder_enrichment(boolb, rel, 2)
-    E.e_comp_t.pop((0, 1, 0))
-    assert not check_enrichment(E).ok
-    assert not check_kelly(to_kelly(E)).ok
+    e_comp = {key: m for key, m in E.e_comp_t.items() if key != (0, 1, 0)}
+    broken = Enrichment(boolb, E.under, E.hom_obj_t, E.e_id_t, e_comp, E.from_arr_t)
+    assert check_enrichment(E).ok
+    assert not check_enrichment(broken).ok
+    assert not check_kelly(to_kelly(broken)).ok
+
+
+def test_tables_are_read_only_after_construction(boolb):
+    """Writing to a table in place raises TypeError, so a table checked
+    where it entered stays checked."""
+    E = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    for table, key in ((E.hom_obj_t, (0, 1)), (E.e_id_t, 0), (E.e_comp_t, (0, 1, 1)),
+                       (E.from_arr_t, MorRef(0, 1, 0)), (E.under.hom_size_t, (1, 0)),
+                       (E.under.identity_t, 0), (E.under.then_t, (MorRef(0, 0, 0), MorRef(0, 0, 0)))):
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    assert check_enrichment(E).ok
+
+
+# ---------------------------------------------------------------------------
+# tables checked where they enter
+# ---------------------------------------------------------------------------
+
+def _golden_enrichments() -> list[Enrichment]:
+    docs = [parse(path.read_text(encoding="utf-8"))[0]
+            for path in sorted((Path(__file__).parent / "golden").glob("*.ecat"))]
+    return [item.value for doc in docs if doc is not None for item in doc.of_kind("enrichment")]
+
+
+def test_checked_tables_pass_the_reference_pass(boolb):
+    """Every enrichment whose tables count as checked, so that
+    check_enrichment skips its structural pass, passes that pass as it ran
+    before: the results of the construction matrix, the golden corpus's
+    enrichments once checked with constructions on them, and a seeded
+    sample of the acceptance suite's criterion 2 inputs."""
+    made = []
+    for build in construction_cases.FIXTURES.values():
+        for results in build().values():
+            for value in results.values():
+                made += enrichments_in(value)
+    for E in _golden_enrichments():
+        check_enrichment(E)
+        made.append(E)
+        made.append(opposite_enrichment(E))
+        if E.e_id_t and len(E.e_comp_t) == E.n_objects ** 3:
+            made.append(from_kelly(to_kelly(E)))
+    # criterion 2: its first ten finset(4) categories, every 8th Bool
+    # relation on 3 points and its first 50 cost(5) tables
+    rng = random.Random(2)
+    fs4 = builtin_base("finset", k=4)
+    made += [canonical_set_enrichment(random_category(rng, max_objects=4, max_hom=3), fs4) for _ in range(10)]
+    pairs = list(itertools.product(range(3), repeat=2))
+    made += [bool_preorder_enrichment(boolb, {p for p, b in zip(pairs, bits) if b}, 3)
+             for bits in list(itertools.product((0, 1), repeat=9))[::8]]
+    c5 = cost_base(5)
+    made += [cost_space_enrichment(c5, {p: rng.randrange(7) for p in pairs}, 3) for _ in range(50)]
+    # the documents the matrix reads stay raw until something checks them
+    trusted = [E for E in made if E._checked]
+    assert len(trusted) >= 400
+    for E in trusted:
+        reference_validate_and_shape(E)
+
+
+def test_check_enrichment_skips_the_pass_only_for_checked_tables(boolb, monkeypatch):
+    """A tabulated enrichment never reaches the structural pass; raw tables
+    reach it on their first check and not after, and a FinCat validates at
+    most once."""
+    calls = []
+    shape = core._shape_enrichment
+    monkeypatch.setattr(core, "_shape_enrichment", lambda E: calls.append(E) or shape(E))
+    E = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    assert check_enrichment(E).ok and calls == []
+    raw = Enrichment(boolb, E.under, E.hom_obj_t, E.e_id_t, E.e_comp_t, E.from_arr_t)
+    assert check_enrichment(raw).ok and check_enrichment(raw, limit=1).ok
+    assert calls == [raw]
+    C = cyclic_monoid_category(3)
+    scans = []
+    validate = type(C).validate
+    monkeypatch.setattr(type(C), "validate", lambda self: scans.append(self._valid) or validate(self))
+    C.validate()
+    C.validate()
+    assert scans == [False, True]
+
+
+def _one_entry_off(E: Enrichment, table: str, key, m: MorRef):
+    """The four rules of E with one entry replaced by m, and the raw tables."""
+    tables = {"eid": dict(E.e_id_t), "ecomp": dict(E.e_comp_t), "farr": dict(E.from_arr_t)}
+    tables[table][key] = m
+    rules = (E.hom, lambda x: tables["eid"].get(x), lambda x, y, z: tables["ecomp"].get((x, y, z)),
+             tables["farr"].get)
+    raw = Enrichment(E.base, E.under, E.hom_obj_t, tables["eid"], tables["ecomp"], tables["farr"])
+    return rules, raw
+
+
+def test_malformed_entries_are_refused_where_they_enter(boolb, finset3):
+    """A rule that answers a morphism of the wrong shape, or one with an
+    index outside its hom, makes tabulate raise StructuralError as it stores
+    the entry, over a certified-thin base and a computed one alike, with the
+    message the full pass gives the same tables raw. Raw tables still get
+    that pass in check_enrichment, before any law scan."""
+    chain2 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    I = boolb.unit
+    c2 = canonical_set_enrichment(cyclic_monoid_category(2), finset3)
+    f = MorRef(0, 0, 1)
+    cases = [
+        (chain2, "eid", 0, MorRef(I, chain2.hom(0, 0), 1), r"index out of range"),
+        (chain2, "ecomp", (1, 1, 0), MorRef(boolb.tensor_obj(chain2.hom(1, 0), chain2.hom(1, 1)), chain2.hom(1, 0), 1),
+         r"index out of range"),
+        (chain2, "ecomp", (0, 0, 1), MorRef(0, 0, 0), r"does not have shape"),
+        (chain2, "farr", MorRef(0, 1, 0), MorRef(I, 0, 0), r"does not have shape"),
+        (chain2, "farr", MorRef(0, 1, 0), (I, chain2.hom(0, 1), 0), r"expected a morphism"),
+        (c2, "eid", 0, MorRef(1, 2, 2), r"index out of range"),
+        (c2, "ecomp", (0, 0, 0), MorRef(4, 2, 16), r"index out of range"),
+        (c2, "farr", f, MorRef(1, 3, 0), r"does not have shape"),
+    ]
+    for E, table, key, m, message in cases:
+        rules, raw = _one_entry_off(E, table, key, m)
+        with pytest.raises(StructuralError, match=message) as at_entry:
+            Enrichment.tabulate(E.base, E.under, *rules)
+        with pytest.raises(StructuralError) as at_check:
+            check_enrichment(raw)
+        assert str(at_entry.value) == str(at_check.value)
+    with pytest.raises(StructuralError, match=r"hom object 7 at \(0,1\) is not a base object"):
+        Enrichment.tabulate(boolb, chain2.under, lambda x, y: 7 if (x, y) == (0, 1) else 1,
+                            chain2.eid, chain2.ecomp, chain2.farr)
+
+
+def test_thin_closure_matches_the_repeated_sweeps():
+    """One Warshall pass gives the category the repeated sweeps gave, on
+    every relation on at most 3 points and on a seeded sample of 4-point
+    relations of every density."""
+    for n in range(4):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            rel = {p for p, b in zip(pairs, bits) if b}
+            assert thin_under_category(n, rel) == reference_thin_closure(n, rel)
+    rng = random.Random(4)
+    pairs = list(itertools.product(range(4), repeat=2))
+    for _ in range(200):
+        density = rng.random()
+        rel = {p for p in pairs if rng.random() < density}
+        assert thin_under_category(4, rel) == reference_thin_closure(4, rel)
 
 
 # ---------------------------------------------------------------------------

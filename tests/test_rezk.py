@@ -453,22 +453,18 @@ def test_precomp_collapse_to_chain(boolb):
 
 
 def test_precomp_check_matches_its_reference(boolb, cost3):
-    """On the acceptance suite's ten precomposition triples, on the identity
-    of the golden Z/2 set enrichment into itself, and on two targets with
-    distinct isomorphic objects (so that functors out of E1 are reached up to
-    isomorphism, not on the nose), the check that enumerates each
-    transformation set once reports what the check that re-enumerates and
-    re-derives the certificates reported."""
+    """On the acceptance suite's twelve precomposition triples, the last two
+    with targets with distinct isomorphic objects (so that functors out of
+    E1 are reached up to isomorphism, not on the nose), and on the identity
+    of the golden Z/2 set enrichment into itself, the check that enumerates
+    each transformation set once reports what the check that re-enumerates
+    and re-derives the certificates reported."""
     rng = random.Random(6)
     for _ in range(10):  # the draws the acceptance suite makes before its triples
         random_preorder(rng, rng.randint(1, 3))
     pairs = list(precomp_triples(boolb, cost3, rng))
     E = construction_cases._load("set_z2.ecat").get("E").value
     pairs.append((id_functor(E), E))
-    codisc, C, collapse = collapse_functor(boolb)
-    pairs.append((collapse, codisc))
-    Ec = cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): 0, (1, 0): 0}, 2)
-    pairs.append((rezk_completion(Ec).unit_functor, Ec))
     for F, E3 in pairs:
         assert check_precomp_equivalence(F, E3) == reference_precomp_equivalence(F, E3)
     assert len(pairs) == 13

@@ -76,6 +76,36 @@ def test_validate_rejects_composition_keys_outside_the_homs():
             FinCat(1, C.hom_size_t, C.identity_t, {**C.then_t, key: j}).validate()
 
 
+def test_hom_is_one_stored_tuple():
+    """Two calls of ``hom`` return the same immutable tuple, on raw tables
+    and on a tabulated category, for empty and inhabited homs."""
+    raw = discrete_category(2)
+    built = FinCat.tabulate(2, {(0, 0): ["i"], (0, 1): ["p", "q"], (1, 1): ["j"]},
+                            lambda a: "ij"[a], lambda a, b, c, f, g: g if f in "ij" else f)
+    for C in (raw, built):
+        for x, y in itertools.product(range(2), repeat=2):
+            first, second = C.hom(x, y), C.hom(x, y)
+            assert isinstance(first, tuple) and first is second
+            assert first == tuple(MorRef(x, y, k) for k in range(C.hom_size(x, y)))
+        assert C.mors() == tuple(m for x in range(2) for y in range(2) for m in C.hom(x, y))
+    assert built.hom(0, 1) == (MorRef(0, 1, 0), MorRef(0, 1, 1))
+
+
+def test_tabulate_refuses_hom_keys_outside_the_objects():
+    """A hom key that is not a pair of objects 0..n-1 raises StructuralError
+    in tabulate, with the message validate gives the same tables raw."""
+    for key in [(0, 2), (2, 0), (-1, 0)]:
+        homs = {(0, 0): ["i"], (1, 1): ["j"], key: ["p"]}
+        with pytest.raises(StructuralError, match=r"bad hom size entry") as at_entry:
+            FinCat.tabulate(2, homs, lambda a: "ij"[a], lambda a, b, c, f, g: f)
+        raw = FinCat(2, {ab: len(labels) for ab, labels in homs.items()},
+                     {0: MorRef(0, 0, 0), 1: MorRef(1, 1, 0)},
+                     {(MorRef(a, a, 0), MorRef(a, a, 0)): MorRef(a, a, 0) for a in range(2)})
+        with pytest.raises(StructuralError) as at_check:
+            raw.validate()
+        assert str(at_entry.value) == str(at_check.value)
+
+
 def test_tabulate_numbers_labels_in_order():
     # a walking arrow p, q : 0 -> 1 with identities i, j, labelled by strings
     homs = {(0, 0): ["i"], (0, 1): ["p", "q"], (1, 0): [], (1, 1): ["j"]}
