@@ -4,6 +4,7 @@ set-enrichment canonicity, and cartesian structure enrichments."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -462,14 +463,16 @@ def functor_category_on(
     )
 
     # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)];
-    # the hom rule records each product and equalizer for the later rules
+    # the hom rule records each product and equalizer for the later rules;
+    # homs share their products, so each distinct factor list is searched once
     pair_keys = list(itertools.product(objs1, repeat=2))
     prods = {}
     eqs = {}
+    product = functools.cache(lambda *factors: V.product(list(factors)))
 
     def hom_obj(a, b):
         F, G = functors[a], functors[b]
-        P = prods[a, b] = V.product([E2.hom(F.ob(x), G.ob(x)) for x in objs1])
+        P = prods[a, b] = product(*(E2.hom(F.ob(x), G.ob(x)) for x in objs1))
         legs_f = []
         legs_g = []
         for (x, y) in pair_keys:
@@ -492,9 +495,7 @@ def functor_category_on(
             )
             psi = V.lam(src_g, e1, tgt, chain_g)
             legs_g.append(V.compose(P.projections[x], psi))
-        Q = V.product(
-            [V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys]
-        )
+        Q = product(*(V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys))
         eqs[a, b] = V.equalizer(Q.pair(P.obj, legs_f), Q.pair(P.obj, legs_g))
         return eqs[a, b].obj
 

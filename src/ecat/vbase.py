@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
@@ -343,9 +344,13 @@ class MonBase:
 class FinMonCat(MonBase):
     """Table-backed finite monoidal category.
 
-    Optional components are the symmetry table, the closed-structure tables,
-    and the limit choosers (supplied by default via brute-force universal
-    search, which is adequate at table scale).
+    ``hom`` answers with the stored tuple of ``cat``. Optional components
+    are the symmetry table and the closed-structure tables. Products and
+    equalizers are chosen by universal search: a candidate cone is universal
+    iff, for every object c, the map that composes each u in hom(c, apex)
+    with the cone's legs is a bijection onto the cones from c, which one
+    pass over hom(c, apex) decides (``search_product``,
+    ``search_equalizer``).
     """
 
     def __init__(
@@ -392,6 +397,9 @@ class FinMonCat(MonBase):
 
     def hom_size(self, x, y):
         return self.cat.hom_size(x, y)
+
+    def hom(self, x, y):
+        return self.cat.hom(x, y)
 
     def id_of(self, x):
         return self.cat.id_of(x)
@@ -553,33 +561,47 @@ class ClosedData:
 # universal-property searches (choosers for table bases)
 # ---------------------------------------------------------------------------
 
-def _equalizing_cones(V, f, g):
-    for c in V.objects():
-        for h in V.hom(c, f.src):
-            if V.compose(h, f) == V.compose(h, g):
-                yield h
+def _bijection(us, leg, n: int) -> dict | None:
+    """The table leg(u) -> u of the hom ``us`` if u |-> leg(u) is a
+    bijection onto the n cones it lands in, else None. Equal sizes are
+    compared before any leg is computed; given them, injective means
+    bijective, so one pass over ``us`` decides."""
+    if len(us) != n:
+        return None
+    table = {}
+    for u in us:
+        h = leg(u)
+        if h in table:
+            return None
+        table[h] = u
+    return table
 
 
 def search_equalizer(V, f, g) -> EqualizerResult:
-    """Lexicographically first (object, inclusion) with the universal property."""
+    """Lexicographically first (object, inclusion) with the universal property.
+
+    The equalizing cones from each object c are counted once per call. An
+    inclusion inc: e -> f.src that equalizes the pair sends each u in
+    hom(c, e) to a cone u;inc, and it is universal iff for every c that map
+    is a bijection onto the cones from c. So each candidate costs one pass
+    over each hom(c, e), and the factor table is read off that pass."""
     if f.src != g.src or f.dst != g.dst:
         raise StructuralError(f"equalizer needs a parallel pair, got {f} {g}")
-    for e in V.objects():
+    objs = list(V.objects())
+    n_cones = {c: sum(V.compose(h, f) == V.compose(h, g) for h in V.hom(c, f.src)) for c in objs}
+    for e in objs:
         for inc in V.hom(e, f.src):
             if V.compose(inc, f) != V.compose(inc, g):
                 continue
-            table = {}
-            good = True
-            for h in _equalizing_cones(V, f, g):
-                us = [u for u in V.hom(h.src, e) if V.compose(u, inc) == h]
-                if len(us) != 1:
-                    good = False
+            tables = {}
+            for c in objs:
+                tables[c] = _bijection(V.hom(c, e), lambda u: V.compose(u, inc), n_cones[c])
+                if tables[c] is None:
                     break
-                table[h] = us[0]
-            if good:
-                def factor(h, _table=table):
+            else:
+                def factor(h, _tables=tables):
                     try:
-                        return _table[h]
+                        return _tables[h.src][h]
                     except KeyError:
                         raise StructuralError(f"{h} does not equalize the pair") from None
 
@@ -588,29 +610,33 @@ def search_equalizer(V, f, g) -> EqualizerResult:
 
 
 def search_product(V, objs: list[int]) -> ProductResult:
-    """Lexicographically first (object, projections) with the universal property."""
+    """Lexicographically first (object, projections) with the universal property.
+
+    A candidate (p, projs) sends each u in hom(c, p) to the cone
+    (u;pr_1, ..., u;pr_n), and it is universal iff for every object c that
+    map is a bijection onto the cones from c: |hom(c, p)| equals
+    prod_i |hom(c, x_i)| and the map is injective. An object p whose hom
+    sizes differ is passed over before any projection is tried, each
+    candidate costs one pass over each hom(c, p), and the pairing table is
+    read off that pass."""
     objs = list(objs)
-    for p in V.objects():
+    cs = list(V.objects())
+    n_cones = {c: math.prod(V.hom_size(c, x) for x in objs) for c in cs}
+    for p in cs:
+        if any(V.hom_size(c, p) != n_cones[c] for c in cs):
+            continue
         for projs in itertools.product(*(V.hom(p, x) for x in objs)):
-            table = {}
-            good = True
-            for c in V.objects():
-                for cone in itertools.product(*(V.hom(c, x) for x in objs)):
-                    us = [
-                        u
-                        for u in V.hom(c, p)
-                        if all(V.compose(u, pr) == h for pr, h in zip(projs, cone))
-                    ]
-                    if len(us) != 1:
-                        good = False
-                        break
-                    table[(c, cone)] = us[0]
-                if not good:
+            tables = {}
+            for c in cs:
+                tables[c] = _bijection(
+                    V.hom(c, p), lambda u: tuple(V.compose(u, pr) for pr in projs), n_cones[c]
+                )
+                if tables[c] is None:
                     break
-            if good:
-                def pair(src, cone, _table=table):
+            else:
+                def pair(src, cone, _tables=tables):
                     try:
-                        return _table[(src, tuple(cone))]
+                        return _tables[src][tuple(cone)]
                     except KeyError:
                         raise StructuralError("bad cone for product pairing") from None
 

@@ -44,7 +44,7 @@ from ecat.factor import (
 )
 from ecat.report import CapabilityError, CheckReport, Collector, StructuralError
 from ecat.rezk import extend_functor, rezk_completion, transport_transformation
-from ecat.vbase import FinCat, MorRef, require_mor_shape, thin_category
+from ecat.vbase import EqualizerResult, FinCat, MorRef, ProductResult, require_mor_shape, thin_category
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def bool_functor_candidates(E1: Enrichment, E2: Enrichment) -> list[EnrichedFunc
 
 
 # ---------------------------------------------------------------------------
-# the reference structural pass and closure
+# the reference structural pass, closure and limit searches
 # ---------------------------------------------------------------------------
 
 def reference_validate_and_shape(E: Enrichment) -> None:
@@ -482,6 +482,73 @@ def reference_thin_closure(n: int, arrows: set) -> FinCat:
                     rel.add((a, d))
                     changed = True
     return thin_category(n, rel)
+
+
+def reference_search_equalizer(V, f, g) -> EqualizerResult:
+    """The equalizer search before the hom-wise bijection test: for each
+    candidate inclusion, the equalizing cones are enumerated again and each
+    is factored by a scan of all of hom(c, e)."""
+    def equalizing_cones():
+        for c in V.objects():
+            for h in V.hom(c, f.src):
+                if V.compose(h, f) == V.compose(h, g):
+                    yield h
+
+    if f.src != g.src or f.dst != g.dst:
+        raise StructuralError(f"equalizer needs a parallel pair, got {f} {g}")
+    for e in V.objects():
+        for inc in V.hom(e, f.src):
+            if V.compose(inc, f) != V.compose(inc, g):
+                continue
+            table = {}
+            good = True
+            for h in equalizing_cones():
+                us = [u for u in V.hom(h.src, e) if V.compose(u, inc) == h]
+                if len(us) != 1:
+                    good = False
+                    break
+                table[h] = us[0]
+            if good:
+                def factor(h, _table=table):
+                    try:
+                        return _table[h]
+                    except KeyError:
+                        raise StructuralError(f"{h} does not equalize the pair") from None
+
+                return EqualizerResult(e, inc, factor)
+    raise CapabilityError(f"no equalizer found for {f}, {g}")
+
+
+def reference_search_product(V, objs: list[int]) -> ProductResult:
+    """The product search before the hom-wise bijection test: for each
+    candidate, every cone is paired by a scan of all of hom(c, p)."""
+    objs = list(objs)
+    for p in V.objects():
+        for projs in itertools.product(*(V.hom(p, x) for x in objs)):
+            table = {}
+            good = True
+            for c in V.objects():
+                for cone in itertools.product(*(V.hom(c, x) for x in objs)):
+                    us = [
+                        u
+                        for u in V.hom(c, p)
+                        if all(V.compose(u, pr) == h for pr, h in zip(projs, cone))
+                    ]
+                    if len(us) != 1:
+                        good = False
+                        break
+                    table[(c, cone)] = us[0]
+                if not good:
+                    break
+            if good:
+                def pair(src, cone, _table=table):
+                    try:
+                        return _table[(src, tuple(cone))]
+                    except KeyError:
+                        raise StructuralError("bad cone for product pairing") from None
+
+                return ProductResult(p, tuple(projs), pair)
+    raise CapabilityError(f"no product found for {objs}")
 
 
 def enrichments_in(value) -> list[Enrichment]:

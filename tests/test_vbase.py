@@ -23,11 +23,19 @@ from ecat.vbase import (
     equalizer,
     finite_product,
     require_mor_shape,
+    search_equalizer,
+    search_product,
     terminal_base,
     window_fincat,
 )
 
-from helpers import Mutated, assoc_oracle, identity_oracle
+from helpers import (
+    Mutated,
+    assoc_oracle,
+    identity_oracle,
+    reference_search_equalizer,
+    reference_search_product,
+)
 
 
 def terminal_category():
@@ -89,6 +97,19 @@ def test_hom_is_one_stored_tuple():
             assert first == tuple(MorRef(x, y, k) for k in range(C.hom_size(x, y)))
         assert C.mors() == tuple(m for x in range(2) for y in range(2) for m in C.hom(x, y))
     assert built.hom(0, 1) == (MorRef(0, 1, 0), MorRef(0, 1, 1))
+
+
+def test_table_base_hom_is_its_category_stored_tuple():
+    """A table base answers ``hom`` with the tuple its category stores, so
+    repeat calls return the very same object; ``mors()`` still lists every
+    morphism hom by hom, on bool, cost(0..6), the terminal base and every
+    golden table base."""
+    for V in [bool_base(), terminal_base(), *(cost_base(n) for n in range(7)), *_golden_table_bases()]:
+        objs = V.objects()
+        for x, y in itertools.product(objs, repeat=2):
+            first = V.hom(x, y)
+            assert first is V.cat.hom(x, y) and first is V.hom(x, y), (V.name, x, y)
+        assert list(V.mors()) == [MorRef(x, y, k) for x in objs for y in objs for k in range(V.hom_size(x, y))]
 
 
 def test_tabulate_refuses_hom_keys_outside_the_objects():
@@ -405,6 +426,67 @@ def test_mutation_smoke_all_tables():
             if bad:
                 caught += 1
     assert trials > 0 and caught == trials
+
+
+def _outcome(call, *args):
+    """What a call answers, or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (CapabilityError, StructuralError) as exc:
+        return type(exc), str(exc)
+
+
+def _limit_search_bases():
+    """The golden table bases, the finset(3) base of the set_* documents
+    and the Z/2 table base (neither thin: their homs hold up to 27 maps and
+    two), bool, cost(0..6) and the terminal base."""
+    sets = [item.value for name, item in _golden_bases() if name.startswith("set_")]
+    assert {(type(V).__name__, V.k) for V in sets} == {("FinSetCat", 3)}
+    return [*_golden_table_bases(), sets[0], _z2_base(), bool_base(), *(cost_base(n) for n in range(7)),
+            terminal_base()]
+
+
+def test_limit_searches_match_the_cone_by_cone_scans():
+    """``search_product`` and ``search_equalizer`` decide each candidate by
+    one pass per hom; ``helpers.reference_search_product`` and
+    ``reference_search_equalizer`` keep the scan of a whole hom per cone.
+    On every base of ``_limit_search_bases`` both choose the same object
+    and projections or inclusion, pair or factor every morphism into the
+    limit's diagram alike, and refuse alike where no limit exists: for every
+    list of at most two objects, a seeded sample of three-object lists and
+    every parallel pair."""
+    rng = random.Random(18)
+    products = refused = pairs = no_equalizer = 0
+    for V in _limit_search_bases():
+        objs = list(V.objects())
+        lists = [[]] + [[a] for a in objs] + [[a, b] for a in objs for b in objs]
+        lists += [[rng.choice(objs) for _ in range(3)] for _ in range(12)]
+        for ls in lists:
+            new, ref = _outcome(search_product, V, ls), _outcome(reference_search_product, V, ls)
+            if isinstance(ref, tuple):
+                assert new == ref, (V.name, ls)
+                refused += 1
+                continue
+            assert (new.obj, new.projections) == (ref.obj, ref.projections), (V.name, ls)
+            for c in objs:
+                # every cone, and one leg list that misses its factors
+                for cone in [*itertools.product(*(V.hom(c, x) for x in ls)), [MorRef(c, c, 0)] * len(ls)]:
+                    assert _outcome(new.pair, c, list(cone)) == _outcome(ref.pair, c, list(cone)), (V.name, ls, cone)
+            products += 1
+        for a in objs:
+            for b in objs:
+                for f, g in itertools.product(V.hom(a, b), repeat=2):
+                    new, ref = _outcome(search_equalizer, V, f, g), _outcome(reference_search_equalizer, V, f, g)
+                    if isinstance(ref, tuple):
+                        assert new == ref, (V.name, f, g)
+                        no_equalizer += 1
+                        continue
+                    assert (new.obj, new.include) == (ref.obj, ref.include), (V.name, f, g)
+                    for c in objs:
+                        for h in V.hom(c, a):
+                            assert _outcome(new.factor, h) == _outcome(ref.factor, h), (V.name, f, g, h)
+                    pairs += 1
+    assert products > 1000 and refused > 0 and pairs > 1000 and no_equalizer > 0
 
 
 def test_nary_products_thin_exhaustive(boolb, cost3):
