@@ -615,16 +615,13 @@ def search_product(V, objs: list[int]) -> ProductResult:
     A candidate (p, projs) sends each u in hom(c, p) to the cone
     (u;pr_1, ..., u;pr_n), and it is universal iff for every object c that
     map is a bijection onto the cones from c: |hom(c, p)| equals
-    prod_i |hom(c, x_i)| and the map is injective. An object p whose hom
-    sizes differ is passed over before any projection is tried, each
-    candidate costs one pass over each hom(c, p), and the pairing table is
-    read off that pass."""
+    prod_i |hom(c, x_i)| and the map is injective. So each candidate costs
+    one pass over each hom(c, p), and the pairing table is read off that
+    pass."""
     objs = list(objs)
     cs = list(V.objects())
     n_cones = {c: math.prod(V.hom_size(c, x) for x in objs) for c in cs}
     for p in cs:
-        if any(V.hom_size(c, p) != n_cones[c] for c in cs):
-            continue
         for projs in itertools.product(*(V.hom(p, x) for x in objs)):
             tables = {}
             for c in cs:
