@@ -4,7 +4,6 @@ set-enrichment canonicity, and cartesian structure enrichments."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +20,7 @@ from .core import (
 )
 from .report import CapabilityError, Collector, StructuralError, law_scan
 from .structures import StructCat
-from .vbase import FinCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
+from .vbase import FinCat, FinMonCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +197,22 @@ def change_of_base(F: LaxMonoidalFunctor, E: Enrichment) -> Enrichment:
 def self_enrichment(V: MonBase) -> Enrichment:
     """The enrichment of a symmetric monoidal closed base in itself:
     hom objects are internal homs, composition is the transpose of the
-    associator/evaluation chain."""
+    associator/evaluation chain. A table base's tables are read-only, so
+    its self-enrichment is built on the first call and kept on the base;
+    later calls return that same object. Any other base, and any view of
+    one, builds it afresh."""
     if not V.closed:
         raise CapabilityError("self-enrichment needs a closed base")
     if not V.symmetric:
         raise CapabilityError("self-enrichment needs a symmetric base")
+    if not isinstance(V, FinMonCat):
+        return _tabulate_self_enrichment(V)
+    if V._self_enrichment is None:
+        V._self_enrichment = _tabulate_self_enrichment(V)
+    return V._self_enrichment
 
+
+def _tabulate_self_enrichment(V: MonBase) -> Enrichment:
     def ecomp(x, y, z):
         hyz, hxy = V.hom_obj(y, z), V.hom_obj(x, y)
         src = V.tensor_obj(hyz, hxy)
@@ -463,16 +472,14 @@ def functor_category_on(
     )
 
     # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)];
-    # the hom rule records each product and equalizer for the later rules;
-    # homs share their products, so each distinct factor list is searched once
+    # the hom rule records each product and equalizer for the later rules
     pair_keys = list(itertools.product(objs1, repeat=2))
     prods = {}
     eqs = {}
-    product = functools.cache(lambda *factors: V.product(list(factors)))
 
     def hom_obj(a, b):
         F, G = functors[a], functors[b]
-        P = prods[a, b] = product(*(E2.hom(F.ob(x), G.ob(x)) for x in objs1))
+        P = prods[a, b] = V.product([E2.hom(F.ob(x), G.ob(x)) for x in objs1])
         legs_f = []
         legs_g = []
         for (x, y) in pair_keys:
@@ -495,7 +502,7 @@ def functor_category_on(
             )
             psi = V.lam(src_g, e1, tgt, chain_g)
             legs_g.append(V.compose(P.projections[x], psi))
-        Q = product(*(V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys))
+        Q = V.product([V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys])
         eqs[a, b] = V.equalizer(Q.pair(P.obj, legs_f), Q.pair(P.obj, legs_g))
         return eqs[a, b].obj
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .report import CapabilityError, Collector, StructuralError, WindowExceeded, law_scan
 
@@ -345,12 +345,18 @@ class FinMonCat(MonBase):
     """Table-backed finite monoidal category.
 
     ``hom`` answers with the stored tuple of ``cat``. Optional components
-    are the symmetry table and the closed-structure tables. Products and
-    equalizers are chosen by universal search: a candidate cone is universal
-    iff, for every object c, the map that composes each u in hom(c, apex)
-    with the cone's legs is a bijection onto the cones from c, which one
-    pass over hom(c, apex) decides (``search_product``,
-    ``search_equalizer``).
+    are the symmetry table and the closed-structure tables. The constructor
+    copies the monoidal and symmetry tables, and each ``*_t`` attribute is
+    a read-only view of its copy, as the tables of ``cat`` and
+    ``closed_data`` are.
+
+    Products and equalizers are chosen by universal search: a candidate
+    cone is universal iff, for every object c, the map that composes each u
+    in hom(c, apex) with the cone's legs is a bijection onto the cones from
+    c, which one pass over hom(c, apex) decides (``search_product``,
+    ``search_equalizer``). The tables cannot change, so each distinct
+    product or equalizer is searched once and kept on the base, and
+    ``construct.self_enrichment`` keeps the base's self-enrichment on it.
     """
 
     def __init__(
@@ -371,18 +377,32 @@ class FinMonCat(MonBase):
     ):
         self.cat = cat
         self.unit = unit
-        self.tensor_obj_t = dict(tensor_obj_t)
-        self.tensor_mor_t = dict(tensor_mor_t)
-        self.lunitor_t = dict(lunitor_t)
-        self.lunitor_inv_t = dict(lunitor_inv_t)
-        self.runitor_t = dict(runitor_t)
-        self.runitor_inv_t = dict(runitor_inv_t)
-        self.associator_t = dict(associator_t)
-        self.associator_inv_t = dict(associator_inv_t)
-        self.symmetry_t = dict(symmetry_t) if symmetry_t is not None else None
+        # lookups read the dicts: a view costs more per call
+        self._tensor_obj = dict(tensor_obj_t)
+        self._tensor_mor = dict(tensor_mor_t)
+        self._lunitor = dict(lunitor_t)
+        self._lunitor_inv = dict(lunitor_inv_t)
+        self._runitor = dict(runitor_t)
+        self._runitor_inv = dict(runitor_inv_t)
+        self._associator = dict(associator_t)
+        self._associator_inv = dict(associator_inv_t)
+        self._symmetry = dict(symmetry_t) if symmetry_t is not None else None
+        self.tensor_obj_t = MappingProxyType(self._tensor_obj)
+        self.tensor_mor_t = MappingProxyType(self._tensor_mor)
+        self.lunitor_t = MappingProxyType(self._lunitor)
+        self.lunitor_inv_t = MappingProxyType(self._lunitor_inv)
+        self.runitor_t = MappingProxyType(self._runitor)
+        self.runitor_inv_t = MappingProxyType(self._runitor_inv)
+        self.associator_t = MappingProxyType(self._associator)
+        self.associator_inv_t = MappingProxyType(self._associator_inv)
+        self.symmetry_t = MappingProxyType(self._symmetry) if symmetry_t is not None else None
         self.closed_data = closed_data
         self.name = name
         self.has_equalizers = True
+        # what the read-only tables determine, computed on first request
+        self._products: dict[tuple[int, ...], ProductResult] = {}
+        self._equalizers: dict[tuple[MorRef, MorRef], EqualizerResult] = {}
+        self._self_enrichment = None
 
     # category delegation --------------------------------------------------
     @property
@@ -415,28 +435,28 @@ class FinMonCat(MonBase):
             raise StructuralError(f"missing {what} entry at {key}") from None
 
     def tensor_obj(self, x, y):
-        return self._entry(self.tensor_obj_t, (x, y), "tensor_obj")
+        return self._entry(self._tensor_obj, (x, y), "tensor_obj")
 
     def tensor_mor(self, f, g):
-        return self._entry(self.tensor_mor_t, (f, g), "tensor_mor")
+        return self._entry(self._tensor_mor, (f, g), "tensor_mor")
 
     def lunitor(self, x):
-        return self._entry(self.lunitor_t, x, "lunitor")
+        return self._entry(self._lunitor, x, "lunitor")
 
     def lunitor_inv(self, x):
-        return self._entry(self.lunitor_inv_t, x, "lunitor_inv")
+        return self._entry(self._lunitor_inv, x, "lunitor_inv")
 
     def runitor(self, x):
-        return self._entry(self.runitor_t, x, "runitor")
+        return self._entry(self._runitor, x, "runitor")
 
     def runitor_inv(self, x):
-        return self._entry(self.runitor_inv_t, x, "runitor_inv")
+        return self._entry(self._runitor_inv, x, "runitor_inv")
 
     def associator(self, x, y, z):
-        return self._entry(self.associator_t, (x, y, z), "associator")
+        return self._entry(self._associator, (x, y, z), "associator")
 
     def associator_inv(self, x, y, z):
-        return self._entry(self.associator_inv_t, (x, y, z), "associator_inv")
+        return self._entry(self._associator_inv, (x, y, z), "associator_inv")
 
     @property
     def symmetric(self):
@@ -445,7 +465,7 @@ class FinMonCat(MonBase):
     def symmetry(self, x, y):
         if self.symmetry_t is None:
             raise CapabilityError("base has no symmetry")
-        return self._entry(self.symmetry_t, (x, y), "symmetry")
+        return self._entry(self._symmetry, (x, y), "symmetry")
 
     @property
     def closed(self):
@@ -518,12 +538,19 @@ class FinMonCat(MonBase):
                     for f in self.hom(t[x, y], z):
                         require_mor_shape(self, self.lam(x, y, z, f), x, h)
 
-    # limits by universal search --------------------------------------------
+    # limits by universal search, each searched once -----------------------
     def equalizer(self, f, g):
-        return search_equalizer(self, f, g)
+        eq = self._equalizers.get((f, g))
+        if eq is None:
+            eq = self._equalizers[f, g] = search_equalizer(self, f, g)
+        return eq
 
     def product(self, objs):
-        return search_product(self, objs)
+        key = tuple(objs)
+        p = self._products.get(key)
+        if p is None:
+            p = self._products[key] = search_product(self, key)
+        return p
 
 
 @dataclass
@@ -531,28 +558,38 @@ class ClosedData:
     """Closed structure tables: internal hom objects, evaluation, abstraction.
 
     ``lam_t`` is keyed by (x, y, z, f) because the tensor source of f does not
-    determine its factors.
+    determine its factors. The constructor copies the three tables, and
+    ``hom_obj_t``, ``eval_t`` and ``lam_t`` are read-only views of the copies.
     """
 
-    hom_obj_t: dict
-    eval_t: dict
-    lam_t: dict
+    hom_obj_t: Mapping
+    eval_t: Mapping
+    lam_t: Mapping
+
+    def __post_init__(self):
+        # lookups read the dicts: a view costs more per call
+        self._hom_obj = dict(self.hom_obj_t)
+        self._eval = dict(self.eval_t)
+        self._lam = dict(self.lam_t)
+        self.hom_obj_t = MappingProxyType(self._hom_obj)
+        self.eval_t = MappingProxyType(self._eval)
+        self.lam_t = MappingProxyType(self._lam)
 
     def hom_obj(self, y, z):
         try:
-            return self.hom_obj_t[(y, z)]
+            return self._hom_obj[(y, z)]
         except KeyError:
             raise StructuralError(f"missing hom_obj entry at ({y},{z})") from None
 
     def ev(self, y, z):
         try:
-            return self.eval_t[(y, z)]
+            return self._eval[(y, z)]
         except KeyError:
             raise StructuralError(f"missing eval entry at ({y},{z})") from None
 
     def lam(self, x, y, z, f):
         try:
-            return self.lam_t[(x, y, z, f)]
+            return self._lam[(x, y, z, f)]
         except KeyError:
             raise StructuralError(f"missing lam entry at ({x},{y},{z},{f})") from None
 

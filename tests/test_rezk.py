@@ -7,6 +7,7 @@ import pytest
 
 import ecat.factor
 import ecat.rezk
+import ecat.vbase
 
 from ecat.cli import run_cli
 from ecat.construct import (
@@ -16,6 +17,7 @@ from ecat.construct import (
     self_enrichment,
 )
 from ecat.core import (
+    Enrichment,
     EnrichedTransformation,
     bool_preorder_enrichment,
     check_enrichment,
@@ -49,10 +51,11 @@ from ecat.rezk import (
 )
 from ecat.monad import fkleisli, kleisli_universal_extend, univalent_kleisli
 from ecat.report import CapabilityError, StructuralError
-from ecat.vbase import FinCat, MorRef, builtin_base
+from ecat.vbase import FinCat, MorRef, bool_base, builtin_base, cost_base
 
 import construction_cases
 from helpers import (
+    Mutated,
     precomp_triples,
     random_preorder,
     reference_adjoint_equivalence,
@@ -191,6 +194,52 @@ def test_yoneda_on_representables_matches_eager_functor_category(boolb, cost3):
         assert {y: m[a] for y, a in emb.ob_map.items()} == ob_ref
         assert {f: moved(g) for f, g in emb.mor_map.items()} == mor_ref
         assert emb.e_fun_t == e_fun_ref
+
+
+def test_yoneda_builds_self_and_each_limit_once_per_base(monkeypatch):
+    """On one Bool and one cost(3) base, ``yoneda`` of all 35 Bool preorders
+    on at most 3 points and all 25 2-point cost(3) spaces builds self(V)
+    once per base and searches each distinct product and equalizer once:
+    27 products and 2 equalizers of Bool, 18 products and 5 equalizers of
+    cost(3). A ``Mutated`` view of a base builds its own self-enrichment."""
+    built, products, equalizers = [], [], []
+    search_product, search_equalizer = ecat.vbase.search_product, ecat.vbase.search_equalizer
+    tabulate = Enrichment.tabulate
+
+    def counted_tabulate(base, *args, **kwargs):
+        if kwargs.get("name") == "self":
+            built.append(base.name)
+        return tabulate(base, *args, **kwargs)
+
+    monkeypatch.setattr(Enrichment, "tabulate", counted_tabulate)
+    monkeypatch.setattr(ecat.vbase, "search_product",
+                        lambda V, objs: products.append((V.name, tuple(objs))) or search_product(V, objs))
+    monkeypatch.setattr(ecat.vbase, "search_equalizer",
+                        lambda V, f, g: equalizers.append((V.name, f, g)) or search_equalizer(V, f, g))
+    boolb, cost3 = bool_base(), cost_base(3)
+    inputs = [bool_preorder_enrichment(boolb, rel, n) for n in range(4) for rel in preorders_on(boolb, n)]
+    inputs += [cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): a, (1, 0): b}, 2)
+               for a, b in itertools.product(range(5), repeat=2)]
+    assert len(inputs) == 35 + 25
+    for E in inputs:
+        yoneda(E)
+    assert collections.Counter(built) == {"bool": 1, "cost(3)": 1}
+    assert len(set(products)) == len(products) and len(set(equalizers)) == len(equalizers)
+    assert collections.Counter(name for name, _ in products) == {"bool": 27, "cost(3)": 18}
+    assert collections.Counter(name for name, *_ in equalizers) == {"bool": 2, "cost(3)": 5}
+
+    # bool's unit is 1 and its lam entries are keyed by arrows min(x, y) -> z
+    stored = self_enrichment(boolb)
+    read = (1, 0, 0, boolb.lunitor(0))  # the entry eid(0) reads
+    with pytest.raises(StructuralError, match="does not have shape"):
+        self_enrichment(Mutated(boolb, "lam", read, MorRef(0, 1, 0)))
+    unread = (1, 1, 0, MorRef(1, 0, 0))  # no arrow 1 -> 0, so no entry
+    M = Mutated(boolb, "lam", unread, MorRef(1, 1, 0))
+    S = self_enrichment(M)
+    assert S is not stored and S.base is M and self_enrichment(M) is not S
+    assert (S.hom_obj_t, S.e_id_t, S.e_comp_t, S.from_arr_t) == (
+        stored.hom_obj_t, stored.e_id_t, stored.e_comp_t, stored.from_arr_t)
+    assert self_enrichment(boolb) is stored and len(built) == 2 + 3
 
 
 def test_yoneda_ff_three_and_four_point_cost_spaces(cost3):

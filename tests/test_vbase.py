@@ -112,6 +112,33 @@ def test_table_base_hom_is_its_category_stored_tuple():
         assert list(V.mors()) == [MorRef(x, y, k) for x in objs for y in objs for k in range(V.hom_size(x, y))]
 
 
+def test_table_base_tables_are_read_only():
+    """Every table of a table base, its closed structure's included, refuses
+    item assignment and ``del`` with TypeError, and the base keeps its own
+    copies of the dicts it was built from; the limits and the
+    self-enrichment it keeps are sound only because of this."""
+    V = bool_base()
+    tables = _tables(V)
+    assert set(tables) >= {"tensor_obj", "tensor_mor", "lunitor", "lunitor_inv", "runitor", "runitor_inv",
+                           "associator", "associator_inv", "symmetry", "hom_obj", "ev", "lam"}
+    for table in tables.values():
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    raw = {name: dict(table) for name, table in tables.items()}
+    closed = ClosedData(raw["hom_obj"], raw["ev"], raw["lam"])
+    W = FinMonCat(V.cat, V.unit, raw["tensor_obj"], raw["tensor_mor"], raw["lunitor"], raw["lunitor_inv"],
+                  raw["runitor"], raw["runitor_inv"], raw["associator"], raw["associator_inv"],
+                  raw["symmetry"], closed)
+    for table in raw.values():
+        table.clear()
+    assert _tables(W) == tables
+    key, value = next(iter(tables["lam"].items()))
+    assert W.lam(*key) == value and W.tensor_obj(0, 1) == V.tensor_obj(0, 1)
+
+
 def test_tabulate_refuses_hom_keys_outside_the_objects():
     """A hom key that is not a pair of objects 0..n-1 raises StructuralError
     in tabulate, with the message validate gives the same tables raw."""
@@ -446,6 +473,18 @@ def _limit_search_bases():
             terminal_base()]
 
 
+def _asked_twice(V, search, method, *args):
+    """The second answer to a limit asked for twice. A table base answers
+    through its method, and its second answer must be the very object of
+    the first (or the same error); the finset base is asked through the
+    search itself, once."""
+    if not isinstance(V, FinMonCat):
+        return _outcome(search, V, *args)
+    first, again = _outcome(method, *args), _outcome(method, *args)
+    assert again is first or (isinstance(first, tuple) and again == first), (V.name, args)
+    return again
+
+
 def test_limit_searches_match_the_cone_by_cone_scans():
     """``search_product`` and ``search_equalizer`` decide each candidate by
     one pass per hom; ``helpers.reference_search_product`` and
@@ -454,7 +493,8 @@ def test_limit_searches_match_the_cone_by_cone_scans():
     and projections or inclusion, pair or factor every morphism into the
     limit's diagram alike, and refuse alike where no limit exists: for every
     list of at most two objects, a seeded sample of three-object lists and
-    every parallel pair."""
+    every parallel pair. A table base is asked twice through ``product`` and
+    ``equalizer``: the second answer is the one it kept from the first."""
     rng = random.Random(18)
     products = refused = pairs = no_equalizer = 0
     for V in _limit_search_bases():
@@ -462,7 +502,7 @@ def test_limit_searches_match_the_cone_by_cone_scans():
         lists = [[]] + [[a] for a in objs] + [[a, b] for a in objs for b in objs]
         lists += [[rng.choice(objs) for _ in range(3)] for _ in range(12)]
         for ls in lists:
-            new, ref = _outcome(search_product, V, ls), _outcome(reference_search_product, V, ls)
+            new, ref = _asked_twice(V, search_product, V.product, ls), _outcome(reference_search_product, V, ls)
             if isinstance(ref, tuple):
                 assert new == ref, (V.name, ls)
                 refused += 1
@@ -476,7 +516,8 @@ def test_limit_searches_match_the_cone_by_cone_scans():
         for a in objs:
             for b in objs:
                 for f, g in itertools.product(V.hom(a, b), repeat=2):
-                    new, ref = _outcome(search_equalizer, V, f, g), _outcome(reference_search_equalizer, V, f, g)
+                    new = _asked_twice(V, search_equalizer, V.equalizer, f, g)
+                    ref = _outcome(reference_search_equalizer, V, f, g)
                     if isinstance(ref, tuple):
                         assert new == ref, (V.name, f, g)
                         no_equalizer += 1
