@@ -4,6 +4,7 @@ set-enrichment canonicity, and cartesian structure enrichments."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,7 @@ from .core import (
 )
 from .report import CapabilityError, Collector, StructuralError, law_scan
 from .structures import StructCat
-from .vbase import FinCat, FinMonCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
+from .vbase import FinCat, MonBase, MorRef, label_ref, label_refs, require_mor_shape, window_fincat
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +198,12 @@ def change_of_base(F: LaxMonoidalFunctor, E: Enrichment) -> Enrichment:
 def self_enrichment(V: MonBase) -> Enrichment:
     """The enrichment of a symmetric monoidal closed base in itself:
     hom objects are internal homs, composition is the transpose of the
-    associator/evaluation chain. A table base's tables are read-only, so
-    its self-enrichment is built on the first call and kept on the base;
-    later calls return that same object. Any other base, and any view of
-    one, builds it afresh."""
+    associator/evaluation chain."""
     if not V.closed:
         raise CapabilityError("self-enrichment needs a closed base")
     if not V.symmetric:
         raise CapabilityError("self-enrichment needs a symmetric base")
-    if not isinstance(V, FinMonCat):
-        return _tabulate_self_enrichment(V)
-    if V._self_enrichment is None:
-        V._self_enrichment = _tabulate_self_enrichment(V)
-    return V._self_enrichment
 
-
-def _tabulate_self_enrichment(V: MonBase) -> Enrichment:
     def ecomp(x, y, z):
         hyz, hxy = V.hom_obj(y, z), V.hom_obj(x, y)
         src = V.tensor_obj(hyz, hxy)
@@ -472,38 +463,45 @@ def functor_category_on(
     )
 
     # hom object: equalizer of f, g : prod_x E2(Fx, Gx) => prod_(x,y) [E1(x,y), E2(Fx, Gy)];
-    # the hom rule records each product and equalizer for the later rules
+    # the hom rule records each product and equalizer for the later rules;
+    # homs share their limits, so each distinct factor list and each distinct
+    # parallel pair is searched once per call
     pair_keys = list(itertools.product(objs1, repeat=2))
     prods = {}
     eqs = {}
+    product = functools.cache(lambda *factors: V.product(list(factors)))
+    equalizer = functools.cache(V.equalizer)
+    compose, compose_all, tensor_mor, id_of, lam = V.compose, V.compose_all, V.tensor_mor, V.id_of, V.lam
+    hom1, hom2 = E1.hom, E2.hom
 
     def hom_obj(a, b):
         F, G = functors[a], functors[b]
-        P = prods[a, b] = V.product([E2.hom(F.ob(x), G.ob(x)) for x in objs1])
+        Fo, Go = [F.ob(x) for x in objs1], [G.ob(x) for x in objs1]
+        P = prods[a, b] = product(*(hom2(Fo[x], Go[x]) for x in objs1))
         legs_f = []
         legs_g = []
         for (x, y) in pair_keys:
-            e1 = E1.hom(x, y)
-            tgt = E2.hom(F.ob(x), G.ob(y))
+            e1 = hom1(x, y)
+            tgt = hom2(Fo[x], Go[y])
             # phi: E2(Fy, Gy) -> [E1(x,y), E2(Fx, Gy)]
-            src_f = E2.hom(F.ob(y), G.ob(y))
-            chain_f = V.compose(
-                V.tensor_mor(V.id_of(src_f), F.e_fun(x, y)),
-                required_ecomp(E2, F.ob(x), F.ob(y), G.ob(y)),
+            src_f = hom2(Fo[y], Go[y])
+            chain_f = compose(
+                tensor_mor(id_of(src_f), F.e_fun(x, y)),
+                required_ecomp(E2, Fo[x], Fo[y], Go[y]),
             )
-            phi = V.lam(src_f, e1, tgt, chain_f)
-            legs_f.append(V.compose(P.projections[y], phi))
+            phi = lam(src_f, e1, tgt, chain_f)
+            legs_f.append(compose(P.projections[y], phi))
             # psi: E2(Fx, Gx) -> [E1(x,y), E2(Fx, Gy)]
-            src_g = E2.hom(F.ob(x), G.ob(x))
-            chain_g = V.compose_all(
-                V.tensor_mor(V.id_of(src_g), G.e_fun(x, y)),
-                V.symmetry(src_g, E2.hom(G.ob(x), G.ob(y))),
-                required_ecomp(E2, F.ob(x), G.ob(x), G.ob(y)),
+            src_g = hom2(Fo[x], Go[x])
+            chain_g = compose_all(
+                tensor_mor(id_of(src_g), G.e_fun(x, y)),
+                V.symmetry(src_g, hom2(Go[x], Go[y])),
+                required_ecomp(E2, Fo[x], Go[x], Go[y]),
             )
-            psi = V.lam(src_g, e1, tgt, chain_g)
-            legs_g.append(V.compose(P.projections[x], psi))
-        Q = V.product([V.hom_obj(E1.hom(x, y), E2.hom(F.ob(x), G.ob(y))) for (x, y) in pair_keys])
-        eqs[a, b] = V.equalizer(Q.pair(P.obj, legs_f), Q.pair(P.obj, legs_g))
+            psi = lam(src_g, e1, tgt, chain_g)
+            legs_g.append(compose(P.projections[x], psi))
+        Q = product(*(V.hom_obj(hom1(x, y), hom2(Fo[x], Go[y])) for (x, y) in pair_keys))
+        eqs[a, b] = equalizer(Q.pair(P.obj, legs_f), Q.pair(P.obj, legs_g))
         return eqs[a, b].obj
 
     def cone(a, b, src, legs):

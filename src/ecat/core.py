@@ -534,19 +534,22 @@ def check_functor_enrichment(col: Collector, F: EnrichedFunctor) -> None:
     E1, E2 = F.dom, F.cod
     V = E1.base
 
-    for x in E1.objects():
+    objs = E1.objects()
+    ob = []  # the object map, read once per object
+    for x in objs:
         fx = F.ob(x)
         if not (0 <= fx < E2.n_objects):
             raise StructuralError(f"functor maps {x} outside the codomain")
+        ob.append(fx)
     for f in E1.under.mors():
         ff = F.mor(f)
-        require_mor_shape(E2.under, ff, F.ob(f.src), F.ob(f.dst))
-    for x, y in itertools.product(E1.objects(), repeat=2):
-        require_mor_shape(V, F.e_fun(x, y), E1.hom(x, y), E2.hom(F.ob(x), F.ob(y)))
+        require_mor_shape(E2.under, ff, ob[f.src], ob[f.dst])
+    for x, y in itertools.product(objs, repeat=2):
+        require_mor_shape(V, F.e_fun(x, y), E1.hom(x, y), E2.hom(ob[x], ob[y]))
 
-    for x in E1.objects():
-        if F.mor(E1.under.id_of(x)) != E2.under.id_of(F.ob(x)):
-            col.add("underlying-identity", (x,), F.mor(E1.under.id_of(x)), E2.under.id_of(F.ob(x)))
+    for x in objs:
+        if F.mor(E1.under.id_of(x)) != E2.under.id_of(ob[x]):
+            col.add("underlying-identity", (x,), F.mor(E1.under.id_of(x)), E2.under.id_of(ob[x]))
     for f in E1.under.mors():
         for g in E1.under.mors():
             if f.dst != g.src:
@@ -556,18 +559,18 @@ def check_functor_enrichment(col: Collector, F: EnrichedFunctor) -> None:
             if lhs != rhs:
                 col.add("underlying-composition", (f, g), lhs, rhs)
 
-    for x in E1.objects():
+    for x in objs:
         e1 = E1.eid(x)
-        e2 = E2.eid(F.ob(x))
+        e2 = E2.eid(ob[x])
         if e1 is None or e2 is None:
             continue
         lhs = V.compose(e1, F.e_fun(x, x))
         if lhs != e2:
             col.add("functor-identity", (x,), lhs, e2)
 
-    for x, y, z in itertools.product(E1.objects(), repeat=3):
+    for x, y, z in itertools.product(objs, repeat=3):
         c1 = E1.ecomp(x, y, z)
-        c2 = E2.ecomp(F.ob(x), F.ob(y), F.ob(z))
+        c2 = E2.ecomp(ob[x], ob[y], ob[z])
         if c1 is None or c2 is None:
             continue
         lhs = V.compose(c1, F.e_fun(x, z))
@@ -598,38 +601,41 @@ def check_nat_trans_enrichment(col: Collector, tau: EnrichedTransformation) -> N
     if F2.cod is not E2 and not F2.cod.data_equal(E2):
         raise StructuralError("transformation endpoints have different codomains")
 
-    for x in E1.objects():
+    objs = E1.objects()
+    for x in objs:
         require_mor_shape(E2.under, tau.at(x), F1.ob(x), F2.ob(x))
+    # every component and object image exists now: the scans below read them
+    # from lists, once per object
+    comp = [tau.at(x) for x in objs]
 
     for f in E1.under.mors():
-        lhs = E2.under.compose(F1.mor(f), tau.at(f.dst))
-        rhs = E2.under.compose(tau.at(f.src), F2.mor(f))
+        lhs = E2.under.compose(F1.mor(f), comp[f.dst])
+        rhs = E2.under.compose(comp[f.src], F2.mor(f))
         if lhs != rhs:
             col.add("naturality", (f,), lhs, rhs)
 
-    for x, y in itertools.product(E1.objects(), repeat=2):
+    ob1, ob2, fa = [F1.ob(x) for x in objs], [F2.ob(x) for x in objs], [E2.farr(m) for m in comp]
+    for x, y in itertools.product(objs, repeat=2):
         e1 = E1.hom(x, y)
-        fa_x = E2.farr(tau.at(x))
-        fa_y = E2.farr(tau.at(y))
-        c_right = E2.ecomp(F1.ob(x), F2.ob(x), F2.ob(y))
-        c_left = E2.ecomp(F1.ob(x), F1.ob(y), F2.ob(y))
-        if None in (fa_x, fa_y, c_right, c_left):
+        c_right = E2.ecomp(ob1[x], ob2[x], ob2[y])
+        c_left = E2.ecomp(ob1[x], ob1[y], ob2[y])
+        if None in (fa[x], fa[y], c_right, c_left):
             continue
         hex_lhs = V.compose_all(
             V.runitor_inv(e1),
-            V.tensor_mor(F2.e_fun(x, y), fa_x),
+            V.tensor_mor(F2.e_fun(x, y), fa[x]),
             c_right,
         )
         hex_rhs = V.compose_all(
             V.lunitor_inv(e1),
-            V.tensor_mor(fa_y, F1.e_fun(x, y)),
+            V.tensor_mor(fa[y], F1.e_fun(x, y)),
             c_left,
         )
         if hex_lhs != hex_rhs:
             col.add("nat-trans-hexagon", (x, y), hex_lhs, hex_rhs)
 
-        sq_lhs = V.compose(F1.e_fun(x, y), precompose_mor(E2, F1.ob(x), tau.at(y)))
-        sq_rhs = V.compose(F2.e_fun(x, y), postcompose_mor(E2, F2.ob(y), tau.at(x)))
+        sq_lhs = V.compose(F1.e_fun(x, y), precompose_mor(E2, ob1[x], comp[y]))
+        sq_rhs = V.compose(F2.e_fun(x, y), postcompose_mor(E2, ob2[y], comp[x]))
         if sq_lhs != sq_rhs:
             col.add("nat-trans-square", (x, y), sq_lhs, sq_rhs)
 

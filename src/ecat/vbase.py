@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .report import CapabilityError, Collector, StructuralError, WindowExceeded, law_scan
 
@@ -285,9 +285,10 @@ class MonBase:
         raise NotImplementedError
 
     def compose_all(self, *ms: MorRef) -> MorRef:
+        compose = self.compose
         out = ms[0]
         for m in ms[1:]:
-            out = self.compose(out, m)
+            out = compose(out, m)
         return out
 
     # monoidal part --------------------------------------------------------
@@ -344,19 +345,15 @@ class MonBase:
 class FinMonCat(MonBase):
     """Table-backed finite monoidal category.
 
-    ``hom`` answers with the stored tuple of ``cat``. Optional components
-    are the symmetry table and the closed-structure tables. The constructor
-    copies the monoidal and symmetry tables, and each ``*_t`` attribute is
-    a read-only view of its copy, as the tables of ``cat`` and
-    ``closed_data`` are.
-
-    Products and equalizers are chosen by universal search: a candidate
-    cone is universal iff, for every object c, the map that composes each u
-    in hom(c, apex) with the cone's legs is a bijection onto the cones from
-    c, which one pass over hom(c, apex) decides (``search_product``,
-    ``search_equalizer``). The tables cannot change, so each distinct
-    product or equalizer is searched once and kept on the base, and
-    ``construct.self_enrichment`` keeps the base's self-enrichment on it.
+    ``hom``, ``hom_size``, ``id_of`` and ``compose`` are the methods of
+    ``cat``, bound at construction, so ``hom`` answers with the stored
+    tuple of ``cat``. Optional components are the symmetry table and the
+    closed-structure tables. Products and
+    equalizers are chosen by universal search: a candidate cone is universal
+    iff, for every object c, the map that composes each u in hom(c, apex)
+    with the cone's legs is a bijection onto the cones from c, which one
+    pass over hom(c, apex) decides (``search_product``,
+    ``search_equalizer``).
     """
 
     def __init__(
@@ -376,33 +373,22 @@ class FinMonCat(MonBase):
         name: str = "",
     ):
         self.cat = cat
+        # the category's own methods answer hom, hom_size, id_of and compose:
+        # a delegating method would add a frame to every composite
+        self.hom, self.hom_size, self.id_of, self.compose = cat.hom, cat.hom_size, cat.id_of, cat.compose
         self.unit = unit
-        # lookups read the dicts: a view costs more per call
-        self._tensor_obj = dict(tensor_obj_t)
-        self._tensor_mor = dict(tensor_mor_t)
-        self._lunitor = dict(lunitor_t)
-        self._lunitor_inv = dict(lunitor_inv_t)
-        self._runitor = dict(runitor_t)
-        self._runitor_inv = dict(runitor_inv_t)
-        self._associator = dict(associator_t)
-        self._associator_inv = dict(associator_inv_t)
-        self._symmetry = dict(symmetry_t) if symmetry_t is not None else None
-        self.tensor_obj_t = MappingProxyType(self._tensor_obj)
-        self.tensor_mor_t = MappingProxyType(self._tensor_mor)
-        self.lunitor_t = MappingProxyType(self._lunitor)
-        self.lunitor_inv_t = MappingProxyType(self._lunitor_inv)
-        self.runitor_t = MappingProxyType(self._runitor)
-        self.runitor_inv_t = MappingProxyType(self._runitor_inv)
-        self.associator_t = MappingProxyType(self._associator)
-        self.associator_inv_t = MappingProxyType(self._associator_inv)
-        self.symmetry_t = MappingProxyType(self._symmetry) if symmetry_t is not None else None
+        self.tensor_obj_t = dict(tensor_obj_t)
+        self.tensor_mor_t = dict(tensor_mor_t)
+        self.lunitor_t = dict(lunitor_t)
+        self.lunitor_inv_t = dict(lunitor_inv_t)
+        self.runitor_t = dict(runitor_t)
+        self.runitor_inv_t = dict(runitor_inv_t)
+        self.associator_t = dict(associator_t)
+        self.associator_inv_t = dict(associator_inv_t)
+        self.symmetry_t = dict(symmetry_t) if symmetry_t is not None else None
         self.closed_data = closed_data
         self.name = name
         self.has_equalizers = True
-        # what the read-only tables determine, computed on first request
-        self._products: dict[tuple[int, ...], ProductResult] = {}
-        self._equalizers: dict[tuple[MorRef, MorRef], EqualizerResult] = {}
-        self._self_enrichment = None
 
     # category delegation --------------------------------------------------
     @property
@@ -415,48 +401,59 @@ class FinMonCat(MonBase):
     def contains_obj(self, x) -> bool:
         return self.cat.contains_obj(x)
 
-    def hom_size(self, x, y):
-        return self.cat.hom_size(x, y)
-
-    def hom(self, x, y):
-        return self.cat.hom(x, y)
-
-    def id_of(self, x):
-        return self.cat.id_of(x)
-
-    def compose(self, f, g):
-        return self.cat.compose(f, g)
-
     # monoidal tables --------------------------------------------------------
-    def _entry(self, table: dict, key, what: str):
-        try:
-            return table[key]
-        except KeyError:
-            raise StructuralError(f"missing {what} entry at {key}") from None
+    # each lookup is inline: a helper call would add a frame to every read
+    @staticmethod
+    def _missing(what: str, key) -> StructuralError:
+        return StructuralError(f"missing {what} entry at {key}")
 
     def tensor_obj(self, x, y):
-        return self._entry(self._tensor_obj, (x, y), "tensor_obj")
+        try:
+            return self.tensor_obj_t[x, y]
+        except KeyError:
+            raise self._missing("tensor_obj", (x, y)) from None
 
     def tensor_mor(self, f, g):
-        return self._entry(self._tensor_mor, (f, g), "tensor_mor")
+        try:
+            return self.tensor_mor_t[f, g]
+        except KeyError:
+            raise self._missing("tensor_mor", (f, g)) from None
 
     def lunitor(self, x):
-        return self._entry(self._lunitor, x, "lunitor")
+        try:
+            return self.lunitor_t[x]
+        except KeyError:
+            raise self._missing("lunitor", x) from None
 
     def lunitor_inv(self, x):
-        return self._entry(self._lunitor_inv, x, "lunitor_inv")
+        try:
+            return self.lunitor_inv_t[x]
+        except KeyError:
+            raise self._missing("lunitor_inv", x) from None
 
     def runitor(self, x):
-        return self._entry(self._runitor, x, "runitor")
+        try:
+            return self.runitor_t[x]
+        except KeyError:
+            raise self._missing("runitor", x) from None
 
     def runitor_inv(self, x):
-        return self._entry(self._runitor_inv, x, "runitor_inv")
+        try:
+            return self.runitor_inv_t[x]
+        except KeyError:
+            raise self._missing("runitor_inv", x) from None
 
     def associator(self, x, y, z):
-        return self._entry(self._associator, (x, y, z), "associator")
+        try:
+            return self.associator_t[x, y, z]
+        except KeyError:
+            raise self._missing("associator", (x, y, z)) from None
 
     def associator_inv(self, x, y, z):
-        return self._entry(self._associator_inv, (x, y, z), "associator_inv")
+        try:
+            return self.associator_inv_t[x, y, z]
+        except KeyError:
+            raise self._missing("associator_inv", (x, y, z)) from None
 
     @property
     def symmetric(self):
@@ -465,26 +462,41 @@ class FinMonCat(MonBase):
     def symmetry(self, x, y):
         if self.symmetry_t is None:
             raise CapabilityError("base has no symmetry")
-        return self._entry(self._symmetry, (x, y), "symmetry")
+        try:
+            return self.symmetry_t[x, y]
+        except KeyError:
+            raise self._missing("symmetry", (x, y)) from None
 
     @property
     def closed(self):
         return self.closed_data is not None
 
     def hom_obj(self, y, z):
-        if self.closed_data is None:
+        closed = self.closed_data
+        if closed is None:
             raise CapabilityError("base has no closed structure")
-        return self.closed_data.hom_obj(y, z)
+        try:
+            return closed.hom_obj_t[y, z]
+        except KeyError:
+            return closed.hom_obj(y, z)  # raises with the table's message
 
     def ev(self, y, z):
-        if self.closed_data is None:
+        closed = self.closed_data
+        if closed is None:
             raise CapabilityError("base has no closed structure")
-        return self.closed_data.ev(y, z)
+        try:
+            return closed.eval_t[y, z]
+        except KeyError:
+            return closed.ev(y, z)  # raises with the table's message
 
     def lam(self, x, y, z, f):
-        if self.closed_data is None:
+        closed = self.closed_data
+        if closed is None:
             raise CapabilityError("base has no closed structure")
-        return self.closed_data.lam(x, y, z, f)
+        try:
+            return closed.lam_t[x, y, z, f]
+        except KeyError:
+            return closed.lam(x, y, z, f)  # raises with the table's message
 
     # thin certificate -------------------------------------------------------
     @functools.cached_property
@@ -538,19 +550,12 @@ class FinMonCat(MonBase):
                     for f in self.hom(t[x, y], z):
                         require_mor_shape(self, self.lam(x, y, z, f), x, h)
 
-    # limits by universal search, each searched once -----------------------
+    # limits by universal search --------------------------------------------
     def equalizer(self, f, g):
-        eq = self._equalizers.get((f, g))
-        if eq is None:
-            eq = self._equalizers[f, g] = search_equalizer(self, f, g)
-        return eq
+        return search_equalizer(self, f, g)
 
     def product(self, objs):
-        key = tuple(objs)
-        p = self._products.get(key)
-        if p is None:
-            p = self._products[key] = search_product(self, key)
-        return p
+        return search_product(self, objs)
 
 
 @dataclass
@@ -558,38 +563,28 @@ class ClosedData:
     """Closed structure tables: internal hom objects, evaluation, abstraction.
 
     ``lam_t`` is keyed by (x, y, z, f) because the tensor source of f does not
-    determine its factors. The constructor copies the three tables, and
-    ``hom_obj_t``, ``eval_t`` and ``lam_t`` are read-only views of the copies.
+    determine its factors.
     """
 
-    hom_obj_t: Mapping
-    eval_t: Mapping
-    lam_t: Mapping
-
-    def __post_init__(self):
-        # lookups read the dicts: a view costs more per call
-        self._hom_obj = dict(self.hom_obj_t)
-        self._eval = dict(self.eval_t)
-        self._lam = dict(self.lam_t)
-        self.hom_obj_t = MappingProxyType(self._hom_obj)
-        self.eval_t = MappingProxyType(self._eval)
-        self.lam_t = MappingProxyType(self._lam)
+    hom_obj_t: dict
+    eval_t: dict
+    lam_t: dict
 
     def hom_obj(self, y, z):
         try:
-            return self._hom_obj[(y, z)]
+            return self.hom_obj_t[(y, z)]
         except KeyError:
             raise StructuralError(f"missing hom_obj entry at ({y},{z})") from None
 
     def ev(self, y, z):
         try:
-            return self._eval[(y, z)]
+            return self.eval_t[(y, z)]
         except KeyError:
             raise StructuralError(f"missing eval entry at ({y},{z})") from None
 
     def lam(self, x, y, z, f):
         try:
-            return self._lam[(x, y, z, f)]
+            return self.lam_t[(x, y, z, f)]
         except KeyError:
             raise StructuralError(f"missing lam entry at ({x},{y},{z},{f})") from None
 

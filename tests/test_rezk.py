@@ -55,7 +55,6 @@ from ecat.vbase import FinCat, MorRef, bool_base, builtin_base, cost_base
 
 import construction_cases
 from helpers import (
-    Mutated,
     precomp_triples,
     random_preorder,
     reference_adjoint_equivalence,
@@ -196,12 +195,13 @@ def test_yoneda_on_representables_matches_eager_functor_category(boolb, cost3):
         assert emb.e_fun_t == e_fun_ref
 
 
-def test_yoneda_builds_self_and_each_limit_once_per_base(monkeypatch):
-    """On one Bool and one cost(3) base, ``yoneda`` of all 35 Bool preorders
-    on at most 3 points and all 25 2-point cost(3) spaces builds self(V)
-    once per base and searches each distinct product and equalizer once:
-    27 products and 2 equalizers of Bool, 18 products and 5 equalizers of
-    cost(3). A ``Mutated`` view of a base builds its own self-enrichment."""
+def test_yoneda_builds_self_and_each_limit_once_per_call(monkeypatch):
+    """Each ``yoneda`` call builds self(V) once and searches each distinct
+    product and equalizer once. Over all 35 Bool preorders on at most 3
+    points and all 25 2-point cost(3) spaces, on one Bool and one cost(3)
+    base, that is 225 products and 65 equalizers of Bool and 130 products
+    and 61 equalizers of cost(3). Nothing is kept between calls, so every
+    call builds self(V) again."""
     built, products, equalizers = [], [], []
     search_product, search_equalizer = ecat.vbase.search_product, ecat.vbase.search_equalizer
     tabulate = Enrichment.tabulate
@@ -221,25 +221,16 @@ def test_yoneda_builds_self_and_each_limit_once_per_base(monkeypatch):
     inputs += [cost_space_enrichment(cost3, {(0, 0): 0, (1, 1): 0, (0, 1): a, (1, 0): b}, 2)
                for a, b in itertools.product(range(5), repeat=2)]
     assert len(inputs) == 35 + 25
+    searched = collections.Counter()
     for E in inputs:
+        for log in (built, products, equalizers):
+            log.clear()
         yoneda(E)
-    assert collections.Counter(built) == {"bool": 1, "cost(3)": 1}
-    assert len(set(products)) == len(products) and len(set(equalizers)) == len(equalizers)
-    assert collections.Counter(name for name, _ in products) == {"bool": 27, "cost(3)": 18}
-    assert collections.Counter(name for name, *_ in equalizers) == {"bool": 2, "cost(3)": 5}
-
-    # bool's unit is 1 and its lam entries are keyed by arrows min(x, y) -> z
-    stored = self_enrichment(boolb)
-    read = (1, 0, 0, boolb.lunitor(0))  # the entry eid(0) reads
-    with pytest.raises(StructuralError, match="does not have shape"):
-        self_enrichment(Mutated(boolb, "lam", read, MorRef(0, 1, 0)))
-    unread = (1, 1, 0, MorRef(1, 0, 0))  # no arrow 1 -> 0, so no entry
-    M = Mutated(boolb, "lam", unread, MorRef(1, 1, 0))
-    S = self_enrichment(M)
-    assert S is not stored and S.base is M and self_enrichment(M) is not S
-    assert (S.hom_obj_t, S.e_id_t, S.e_comp_t, S.from_arr_t) == (
-        stored.hom_obj_t, stored.e_id_t, stored.e_comp_t, stored.from_arr_t)
-    assert self_enrichment(boolb) is stored and len(built) == 2 + 3
+        assert built == [E.base.name]
+        assert len(set(products)) == len(products) and len(set(equalizers)) == len(equalizers)
+        searched.update([("product", E.base.name)] * len(products) + [("equalizer", E.base.name)] * len(equalizers))
+    assert searched == {("product", "bool"): 225, ("equalizer", "bool"): 65,
+                        ("product", "cost(3)"): 130, ("equalizer", "cost(3)"): 61}
 
 
 def test_yoneda_ff_three_and_four_point_cost_spaces(cost3):
