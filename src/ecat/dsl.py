@@ -10,19 +10,25 @@ parse time, and a non-bijective ``fromarr`` is a resolve-time diagnostic.
 The JSON format carries the same tables as ``[key, value]`` rows. One schema
 (``_SCHEMA``) lists each kind's entries; the text line patterns, the text
 serializer and both JSON directions are generated from it, and both readers
-hand the same tables to one resolver. The JSON writer fills each table row
-into a template that the schema generates once per entry, at the fixed depth
-of an item table; only item-level strings and scalars go through
-``json.dumps``, so the bytes are those of ``json.dumps(indent=2,
-sort_keys=True)`` on the same data. The readers decode a row by its shape's
-nesting and keep only where it was read (a line number or a JSON row index);
-a row's ``Span`` is built when a diagnostic names it.
+hand the same tables to one resolver. Both directions work a table at a
+time on its integer columns (``_Shape.columns`` and ``_columns_of``). The
+text reader matches each run of consecutive rows with one keyword by one
+``findall``; the JSON reader checks a table's nesting at once. A run or
+table that is malformed or repeats a key stores nothing and is read again a
+row at a time, to name each bad row. Readers keep where each row was read
+and build its ``Span`` only when a diagnostic names it. The writers fill
+``%`` row templates that the schema generates once per entry; the JSON
+writer sorts rows by their key's ``repr`` and uses ``json.dumps`` only for
+item-level strings and scalars, so its bytes are those of
+``json.dumps(indent=2, sort_keys=True)`` on the same data.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -116,20 +122,13 @@ def _nesting(x):
     return [_nesting(e) for e in x] if isinstance(x, tuple) else x
 
 
-def _paths(nesting, prefix: str = "") -> list[str]:
-    """Index paths of the integers in a nesting, in order: ``[3][0]`` etc."""
-    if type(nesting) is list:
-        return [p for i, n in enumerate(nesting) for p in _paths(n, f"{prefix}[{i}]")]
-    return [prefix]
-
-
-def _layout(nesting, indent: str, fields) -> str:
+def _layout(nesting, indent: str) -> str:
     """How ``json.dumps(indent=2)`` lays out a value nested like ``nesting``
-    that starts at ``indent``, with the next of ``fields`` at each integer."""
+    that starts at ``indent``, with a ``%s`` field at each integer."""
     if type(nesting) is not list:
-        return next(fields)
+        return "%s"
     inner = indent + "  "
-    return "[\n" + ",\n".join(inner + _layout(n, inner, fields) for n in nesting) + f"\n{indent}]"
+    return "[\n" + ",\n".join(inner + _layout(n, inner) for n in nesting) + f"\n{indent}]"
 
 
 def _none(values):
@@ -141,69 +140,59 @@ def _same(values):
 
 
 _flat = itertools.chain.from_iterable
-_INT_TYPE = {int}
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+# a MorRef from a (src, dst, k) tuple, without running a Python frame
+_mor = functools.partial(tuple.__new__, MorRef)
+_INT_TYPE, _LIST_TYPE = {int}, {list}
+
+
+def _columns_of(nesting: list, values, check: bool = False) -> list:
+    """The integer columns of a table's ``values``, nested like ``nesting``,
+    in the order their integers are written (none for no values). With
+    ``check`` the values are JSON forms, and a ValueError is raised unless
+    each is nested like ``nesting`` in non-negative integers (a ``bool`` is
+    not one)."""
+    if check and (set(map(type, values)) != _LIST_TYPE or set(map(len, values)) != {len(nesting)}):
+        raise ValueError(values)
+    columns = []
+    for n, column in zip(nesting, zip(*values)):
+        if type(n) is list:
+            columns += _columns_of(n, column, check)
+        elif check and (set(map(type, column)) != _INT_TYPE or min(column) < 0):
+            raise ValueError(values)
+        else:
+            columns.append(column)
+    return columns
 
 
 class _Shape:
     """How a table key or value is written: a text pattern with one group per
-    integer, a text template with one ``{}`` per integer, and ``build`` from
-    those integers to the Python value. The JSON form nests the integers as
-    the value nests tuples (``nesting``); ``objects`` and ``morphisms`` map
-    values of the shape to the objects and the morphisms they name."""
+    integer, a ``%s`` template of its text and one of its ``repr``.
+    ``columns`` builds a table's values from their integer columns, which
+    ``_columns_of`` takes apart again by the JSON form's ``nesting``.
+    ``objects`` and ``morphisms`` map values of the shape to the objects and
+    the morphisms they name."""
 
-    def __init__(self, regex: str, template: str, build: Callable, objects=_none, morphisms=_none):
-        self.regex = regex
-        self.template = template
-        self.build = build
+    def __init__(self, regex: str, template: str, columns: Callable, objects=_none, morphisms=_none):
+        self.regex, self.template, self.columns = regex, template, columns
         self.objects, self.morphisms = objects, morphisms
-        self.size = re.compile(regex).groups
-        self.nesting = _nesting(build(list(range(self.size))))
-        # the length of each inner list of the JSON form, None for an integer
-        self.parts = None if type(self.nesting) is not list else [
-            len(n) if type(n) is list else None for n in self.nesting]
-
-    def fields(self, arg: int) -> list[str]:
-        """``str.format`` fields reading the integers of the value passed as
-        argument ``arg``, e.g. ``{1[0]}``, ``{1[1]}``, ``{1[2]}`` for a morphism."""
-        return [f"{{{arg}{p}}}" for p in _paths(self.nesting)]
-
-    def text(self, arg: int) -> str:
-        """The text template with the fields of argument ``arg``."""
-        return self.template.format(*self.fields(arg))
-
-    def from_json(self, v):
-        """The value of a JSON form nested like ``nesting``; ValueError if it
-        is not. A nesting is at most two lists deep, so one pass over the
-        outer list gathers the integers."""
-        if self.parts is None:
-            ints = [v]
-        elif type(v) is not list or len(v) != len(self.parts):
-            raise ValueError(v)
-        elif not any(self.parts):
-            ints = v
-        else:
-            ints = []
-            for part, x in zip(self.parts, v):
-                if part is None:
-                    ints.append(x)
-                elif type(x) is list and len(x) == part:
-                    ints += x
-                else:
-                    raise ValueError(x)
-        if set(map(type, ints)) != _INT_TYPE or min(ints) < 0:
-            raise ValueError(v)
-        return self.build(ints)
+        self.size = template.count("%s")  # one per group of the pattern
+        sample = [*columns([[i] for i in range(self.size)])][0]
+        self.nesting = _nesting(sample)
+        self.repr = re.sub("[0-9]+", "%s", repr(sample))
 
 
-_N = r"(\d+)"
-_T = r"\((\d+),(\d+),(\d+)\)"
-INT = _Shape(_N, "{}", lambda a: a[0], objects=_same)
-NAME = _Shape(r"(\w+)", "{}", lambda a: a[0])
-PAIR = _Shape(rf"\({_N},{_N}\)", "({},{})", tuple, objects=_flat)
-TRIPLE = _Shape(_T, "({},{},{})", tuple, objects=_flat)
-MOR = _Shape(_T, "({},{},{})", lambda a: MorRef(*a), morphisms=_same)
-MOR_PAIR = _Shape(_T + _T, "({},{},{})({},{},{})", lambda a: (MorRef(*a[:3]), MorRef(*a[3:])), morphisms=_flat)
-LAM = _Shape(_T + r"\s*" + _T, "({},{},{}) ({},{},{})", lambda a: (*a[:3], MorRef(*a[3:])),
+_S = r"[^\S\n]"  # whitespace within one line of a joined run of lines
+_N = r"([0-9]+)"
+_T = r"\(([0-9]+),([0-9]+),([0-9]+)\)"
+INT = _Shape(_N, "%s", _first, objects=_same)
+NAME = _Shape(r"(\w+)", "%s", _first)
+PAIR = _Shape(rf"\({_N},{_N}\)", "(%s,%s)", lambda c: zip(*c), objects=_flat)
+TRIPLE = _Shape(_T, "(%s,%s,%s)", lambda c: zip(*c), objects=_flat)
+MOR = _Shape(_T, "(%s,%s,%s)", lambda c: map(_mor, zip(*c)), morphisms=_same)
+MOR_PAIR = _Shape(_T + _T, "(%s,%s,%s)(%s,%s,%s)", lambda c: zip(map(_mor, zip(*c[:3])), map(_mor, zip(*c[3:]))),
+                  morphisms=_flat)
+LAM = _Shape(_T + _S + "*" + _T, "(%s,%s,%s) (%s,%s,%s)", lambda c: zip(*c[:3], map(_mor, zip(*c[3:]))),
              objects=lambda vs: _flat(v[:3] for v in vs), morphisms=lambda vs: (v[3] for v in vs))
 
 # an item table's rows sit at items[i].tables.<keyword>[j] of the JSON layout
@@ -214,20 +203,29 @@ class _Entry:
     """One body entry of a kind. Without a key shape it is a single value
     (``objects 3``; a NAME value is a reference such as ``endo T``);
     otherwise it is a table of ``keyword key = value`` rows. ``get`` reads the
-    entry off a resolved value; ``pattern`` and ``row`` are its text forms and
-    ``json_row`` the layout of one JSON row, all filled by ``str.format``
-    with the key and the value."""
+    entry off a resolved value. ``pattern`` matches a row, alone or in a run
+    of rows joined by newlines; ``row`` is its text form and ``json_row`` the
+    layout of one JSON row, both filled by ``%`` with the row's integers."""
 
     def __init__(self, keyword: str, key: _Shape | None, value: _Shape, get: Callable | None = None):
         self.keyword, self.key, self.value, self.get = keyword, key, value, get
         if key is None:
-            self.pattern = re.compile(rf"^{keyword}\s+{value.regex}$")
-            self.row = f"  {keyword} {value.text(0)}"
+            self.pattern = re.compile(rf"^{keyword}{_S}+{value.regex}$", re.M)
+            self.row = f"  {keyword} {value.template}"
         else:
-            self.pattern = re.compile(rf"^{keyword}\s+{key.regex}\s*=\s*{value.regex}$")
-            self.row = f"  {keyword} {key.text(0)} = {value.text(1)}"
-            fields = iter(key.fields(0) + value.fields(1))
-            self.json_row = _ROW_INDENT + _layout([key.nesting, value.nesting], _ROW_INDENT, fields)
+            # findall returns a tuple per row only for two or more groups
+            assert key.size + value.size >= 2, keyword
+            self.pattern = re.compile(rf"^{keyword}{_S}+{key.regex}{_S}*={_S}*{value.regex}$", re.M)
+            self.row = f"  {keyword} {key.template} = {value.template}"
+            # the JSON form of a row, and of a table's (key, value) items
+            self.nesting = [key.nesting, value.nesting]
+            self.json_row = _ROW_INDENT + _layout(self.nesting, _ROW_INDENT)
+
+    def decode(self, columns: list) -> tuple[list, object]:
+        """The keys and the values of a table from the integer columns of its
+        rows: the key's columns, then the value's."""
+        size = self.key.size
+        return [*self.key.columns(columns[:size])], self.value.columns(columns[size:])
 
 
 class _Kind:
@@ -312,7 +310,7 @@ _SCHEMA = {
 # the kind of declaration each reference names
 _REF_KINDS = {"over": "base", "dom": "enrichment", "cod": "enrichment", "src": "functor", "dst": "functor",
               "on": "enrichment", "endo": "functor", "for": "monad", "apex": "enrichment", "leg": "functor"}
-_BUILTIN_HEADER = re.compile(r"^base\s+(\w+)\s*=\s*builtin\(\s*(\w+)\s*((?:,\s*\w+\s*=\s*\d+\s*)*)\)$")
+_BUILTIN_HEADER = re.compile(r"^base\s+(\w+)\s*=\s*builtin\(\s*(\w+)\s*((?:,\s*\w+\s*=\s*[0-9]+\s*)*)\)$")
 _NAME_RE = re.compile(r"\w+")
 
 
@@ -324,9 +322,9 @@ _NAME_RE = re.compile(r"\w+")
 class _Decl:
     """A declaration as read from either format, before resolution: its
     references, its single values and tables by keyword, and where each
-    table row was read (``rows``: a line number in text, an index into the
-    JSON table). ``where(keyword, location)`` makes the Span of a row, only
-    when a diagnostic names it."""
+    table row was read (``rows``, by keyword and key: a line number in text,
+    an index into the JSON table). ``where(keyword, location)`` makes the
+    Span of a row, only when a diagnostic names it."""
 
     kind: str
     name: str
@@ -341,16 +339,27 @@ class _Decl:
 
     def span_of(self, keyword: str, key) -> Span:
         """The span of the ``keyword`` row at ``key``."""
-        return self.where(keyword, self.rows[keyword, key])
+        return self.where(keyword, self.rows[keyword][key])
 
-    def put_row(self, res: "_Resolver", keyword: str, key, value, location) -> None:
-        """Add a table row; a repeated key is a diagnostic at the repeat."""
-        table = self.values.setdefault(keyword, {})
-        if key in table:
-            res.error(self.where(keyword, location), f"repeated {keyword!r} entry at {key}")
-        else:
-            table[key] = value
-            self.rows[keyword, key] = location
+    def put_rows(self, entry: "_Entry", columns: list, locations) -> bool:
+        """Add the rows of a table from their integer columns, at once. Adds
+        no row and returns False if a key repeats, among the rows or against
+        the rows already added, so that they can be read one at a time."""
+        keys, values = entry.decode(columns)
+        rows = dict(zip(keys, values))
+        table = self.values.setdefault(entry.keyword, {})
+        if len(rows) < len(keys) or not table.keys().isdisjoint(rows):
+            return False
+        table.update(rows)
+        self.rows.setdefault(entry.keyword, {}).update(zip(keys, locations))
+        return True
+
+    def put_row(self, res: "_Resolver", entry: "_Entry", columns: list, location) -> None:
+        """Add one table row from its integer columns; a repeated key is a
+        diagnostic at the repeat."""
+        if not self.put_rows(entry, columns, (location,)):
+            (key,), _ = entry.decode(columns)
+            res.error(self.where(entry.keyword, location), f"repeated {entry.keyword!r} entry at {key}")
 
 
 class _Resolver:
@@ -387,11 +396,18 @@ class _Resolver:
             return None
         return item
 
-    def builtin(self, name: str, builtin_name: str, params: dict, span: Span):
+    def builtin(self, name: str, builtin_name: str, params: list, span: Span):
+        """Build a builtin base from its (name, integer) parameter pairs."""
         if builtin_name not in BUILTIN_NAMES:
             self.error(span, f"unknown builtin base {builtin_name!r}",
                        f"one of {', '.join(BUILTIN_NAMES)}")
             return
+        repeated = [k for i, (k, _) in enumerate(params) if k in dict(params[:i])]
+        for k in dict.fromkeys(repeated):
+            self.error(span, f"repeated {k!r} parameter")
+        if repeated:
+            return
+        params = dict(params)
         try:
             base = builtin_base(builtin_name, **params)
         except (ValueError, TypeError, EcatError) as exc:
@@ -658,31 +674,38 @@ def _fincat_mor_ok(cat: FinCat, m: MorRef) -> bool:
 # readers
 # ---------------------------------------------------------------------------
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def _span(line_no: int, raw: str, path: str | None) -> Span:
     stripped = raw.rstrip()
     lead = len(raw) - len(raw.lstrip())
     return Span(line_no, lead + 1, max(len(stripped), lead + 1) + 1, path)
 
 
+_KEYWORD = re.compile(r"^\S+", re.M)
+
+
+class _Numerals(dict):
+    """The integer of each numeral read so far from one document."""
+
+    def __missing__(self, numeral: str) -> int:
+        self[numeral] = n = int(numeral)
+        return n
+
+
 def _read_text(text: str, path: str | None, res: _Resolver) -> None:
     lines = text.splitlines()
+    # each line without its comment and its surrounding whitespace
+    stripped = [line[: line.index("#")].strip() if "#" in line else line.strip() for line in lines]
+    numerals = _Numerals()
     i = 0
     while i < len(lines):
-        raw = lines[i]
-        line = _strip(raw)
+        line = stripped[i]
         i += 1
         if not line:
             continue
-        span = _span(i, raw, path)
+        span = _span(i, lines[i - 1], path)
         m = _BUILTIN_HEADER.match(line)
         if m:
-            params = {k: int(v) for k, v in re.findall(r"(\w+)\s*=\s*(\d+)", m.group(3) or "")}
+            params = [(k, int(v)) for k, v in re.findall(r"(\w+)\s*=\s*([0-9]+)", m.group(3))]
             res.builtin(m.group(1), m.group(2), params, span)
             continue
         for kind, schema in _SCHEMA.items():
@@ -693,25 +716,41 @@ def _read_text(text: str, path: str | None, res: _Resolver) -> None:
             res.error(span, f"unrecognized declaration: {line!r}",
                       "expected base/enrichment/functor/transformation/monad/cocone")
             continue
-        body = []
-        while i < len(lines):
-            line = _strip(lines[i])
-            i += 1
-            if line == "}":
-                break
-            if line:
-                body.append((i, line))
-        else:
+        try:
+            end = stripped.index("}", i)
+        except ValueError:
             res.error(span, "unterminated block (missing '}')")
-            continue
+            return
         d = _Decl(kind, m.group(1), span, dict(zip(schema.header_refs, m.groups()[1:])),
                   lambda keyword, line_no: _span(line_no, lines[line_no - 1], path))
-        for line_no, line in body:
-            _read_text_row(schema.by_keyword, d, res, line_no, line)
+        # the body's non-empty lines and their line numbers
+        line_nos = [j + 1 for j in range(i, end) if stripped[j]]
+        body = [stripped[j - 1] for j in line_nos]
+        start = 0
+        for keyword, run in itertools.groupby(_KEYWORD.findall("\n".join(body))):
+            stop = start + len([*run])
+            entry = schema.by_keyword.get(keyword)
+            if entry is None or entry.key is None or not _read_text_run(
+                    d, entry, body[start:stop], line_nos[start:stop], numerals):
+                for j in range(start, stop):
+                    _read_text_row(schema.by_keyword, d, res, line_nos[j], body[j])
+            start = stop
+        i = end + 1
         res.resolve(d)
 
 
+def _read_text_run(d: _Decl, entry: _Entry, lines: list, line_nos: list, numerals: _Numerals) -> bool:
+    """Add a run of consecutive rows of one table, decoded at once; False,
+    adding nothing, if a row is malformed or a key repeats."""
+    rows = entry.pattern.findall("\n".join(lines))
+    if len(rows) < len(lines):
+        return False
+    ints, size = [*map(numerals.__getitem__, _flat(rows))], len(rows[0])
+    return d.put_rows(entry, [ints[i::size] for i in range(size)], line_nos)
+
+
 def _read_text_row(entries: dict, d: _Decl, res: _Resolver, line_no: int, line: str) -> None:
+    """Read one body line, reporting at it what is wrong with it."""
     keyword = line.split()[0]
     entry = entries.get(keyword)
     if entry is None:
@@ -721,9 +760,7 @@ def _read_text_row(entries: dict, d: _Decl, res: _Resolver, line_no: int, line: 
     if not m:
         res.error(d.where(keyword, line_no), f"malformed {keyword!r} entry: {line!r}")
     elif entry.key is not None:
-        ints = [*map(int, m.groups())]
-        size = entry.key.size
-        d.put_row(res, keyword, entry.key.build(ints[:size]), entry.value.build(ints[size:]), line_no)
+        d.put_row(res, entry, [[int(g)] for g in m.groups()], line_no)
     elif keyword in d.refs or keyword in d.values:
         res.error(d.where(keyword, line_no), f"repeated {keyword!r} entry")
     elif entry.value is NAME:
@@ -790,7 +827,7 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
                 and all(isinstance(p, list) and len(p) == 2 and _is_name(p[0])
                         and type(p[1]) is int and p[1] >= 0 for p in params)):
             return fail(at, "a builtin base needs a builtin name and [name, integer] params")
-        res.builtin(name, entry["builtin"], dict(params), span)
+        res.builtin(name, entry["builtin"], params, span)
         return None
     schema = _SCHEMA[kind]
     refs = {}
@@ -818,15 +855,21 @@ def _json_decl(entry, at: str, path: str | None, res: _Resolver) -> _Decl | None
                 fail(where, f"malformed {keyword!r} entry: {json.dumps(rows)}")
         elif not isinstance(rows, list):
             fail(where, f"malformed {keyword!r} table: expected a list of [key, value] rows")
-        else:
+        elif rows:
+            try:
+                columns = _columns_of(entry_schema.nesting, rows, True)
+            except ValueError:
+                columns = None
+            if columns is not None and d.put_rows(entry_schema, columns, range(len(rows))):
+                continue
+            # read again one row at a time, to report each bad row
             for j, row in enumerate(rows):
                 try:
-                    k, v = row
-                    key, value = entry_schema.key.from_json(k), entry_schema.value.from_json(v)
-                except (TypeError, ValueError):
+                    columns = _columns_of(entry_schema.nesting, [row], True)
+                except ValueError:
                     res.error(d.where(keyword, j), f"malformed {keyword!r} entry: {json.dumps(row)}")
                 else:
-                    d.put_row(res, keyword, key, value, j)
+                    d.put_row(res, entry_schema, columns, j)
     return d
 
 
@@ -866,13 +909,14 @@ def _serialize_item(item: Item) -> str:
         return f"base {item.name} = builtin({refs['builtin']}{params})\n"
     out = [_SCHEMA[item.kind].header.format(name=item.name, **refs) + " {"]
     for entry in _SCHEMA[item.kind].entries:
-        row = entry.row
         if entry.value is NAME:
-            out.append(row.format(refs[entry.keyword]))
+            out.append(entry.row % refs[entry.keyword])
         elif entry.key is None:
-            out.append(row.format(entry.get(item.value)))
+            out.append(entry.row % entry.get(item.value))
         else:
-            out.extend(itertools.starmap(row.format, sorted((entry.get(item.value) or {}).items())))
+            # a row's integers, key first, sort as its key does
+            rows = zip(*_columns_of(entry.nesting, [*(entry.get(item.value) or {}).items()]))
+            out.extend(map(entry.row.__mod__, sorted(rows)))
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -895,8 +939,9 @@ def _json_entry(entry: _Entry, v) -> str:
         return json.dumps(v)
     if not v:
         return "[]"
-    rows = sorted(v.items(), key=lambda kv: repr(kv[0]))
-    return "[\n" + ",\n".join(itertools.starmap(entry.json_row.format, rows)) + "\n        ]"
+    columns = _columns_of(entry.nesting, [*v.items()])
+    rows = sorted(zip(map(entry.key.repr.__mod__, zip(*columns[:entry.key.size])), zip(*columns)))
+    return "[\n" + ",\n".join(map(entry.json_row.__mod__, map(_second, rows))) + "\n        ]"
 
 
 def _json_item(item: Item) -> str:

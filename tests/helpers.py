@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
+from ecat import dsl
 from ecat.construct import full_sub_enrichment
 from ecat.core import (
     Enrichment,
@@ -690,6 +692,246 @@ class Mutated:
         if self._table == "lam" and (x, y, z, f) == self._key:
             return self._value
         return self._base.lam(x, y, z, f)
+
+
+# ---------------------------------------------------------------------------
+# the reference row-at-a-time readers and text writer
+# ---------------------------------------------------------------------------
+
+# each shape's value from the integers of one row, as the readers built it
+# before they decoded a table at a time
+_REFERENCE_BUILD = {
+    dsl.INT: lambda a: a[0],
+    dsl.PAIR: tuple,
+    dsl.TRIPLE: tuple,
+    dsl.MOR: lambda a: MorRef(*a),
+    dsl.MOR_PAIR: lambda a: (MorRef(*a[:3]), MorRef(*a[3:])),
+    dsl.LAM: lambda a: (*a[:3], MorRef(*a[3:])),
+}
+
+
+def _reference_value(shape, v):
+    """The value of a shape's JSON form ``v``; ValueError if ``v`` is not
+    nested like ``shape.nesting`` in non-negative integers."""
+    parts = None if type(shape.nesting) is not list else [
+        len(n) if type(n) is list else None for n in shape.nesting]
+    if parts is None:
+        ints = [v]
+    elif type(v) is not list or len(v) != len(parts):
+        raise ValueError(v)
+    else:
+        ints = []
+        for part, x in zip(parts, v):
+            if part is None:
+                ints.append(x)
+            elif type(x) is list and len(x) == part:
+                ints += x
+            else:
+                raise ValueError(x)
+    if any(type(i) is not int for i in ints) or min(ints) < 0:
+        raise ValueError(v)
+    return _REFERENCE_BUILD[shape](ints)
+
+
+def _reference_put_row(d, res, keyword: str, key, value, location) -> None:
+    table = d.values.setdefault(keyword, {})
+    if key in table:
+        res.error(d.where(keyword, location), f"repeated {keyword!r} entry at {key}")
+    else:
+        table[key] = value
+        d.rows.setdefault(keyword, {})[key] = location
+
+
+def _reference_strip(line: str) -> str:
+    if "#" in line:
+        line = line[: line.index("#")]
+    return line.strip()
+
+
+def reference_parse(text: str):
+    """``dsl.parse`` reading one body line at a time, each matched alone by
+    its entry's pattern and its integers read by ``int``: the Document and
+    the diagnostics that ``dsl.parse`` must reproduce."""
+    res = dsl._Resolver()
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        raw = lines[i]
+        line = _reference_strip(raw)
+        i += 1
+        if not line:
+            continue
+        span = dsl._span(i, raw, None)
+        m = dsl._BUILTIN_HEADER.match(line)
+        if m:
+            params = [(k, int(v)) for k, v in re.findall(r"(\w+)\s*=\s*([0-9]+)", m.group(3))]
+            res.builtin(m.group(1), m.group(2), params, span)
+            continue
+        for kind, schema in _SCHEMA.items():
+            m = schema.header_re.match(line)
+            if m:
+                break
+        else:
+            res.error(span, f"unrecognized declaration: {line!r}",
+                      "expected base/enrichment/functor/transformation/monad/cocone")
+            continue
+        body = []
+        while i < len(lines):
+            line = _reference_strip(lines[i])
+            i += 1
+            if line == "}":
+                break
+            if line:
+                body.append((i, line))
+        else:
+            res.error(span, "unterminated block (missing '}')")
+            continue
+        d = dsl._Decl(kind, m.group(1), span, dict(zip(schema.header_refs, m.groups()[1:])),
+                      lambda keyword, line_no: dsl._span(line_no, lines[line_no - 1], None))
+        for line_no, line in body:
+            keyword = line.split()[0]
+            entry = schema.by_keyword.get(keyword)
+            if entry is None:
+                res.error(d.where(keyword, line_no), f"unexpected entry {keyword!r} in this block")
+                continue
+            m = entry.pattern.match(line)
+            if not m:
+                res.error(d.where(keyword, line_no), f"malformed {keyword!r} entry: {line!r}")
+            elif entry.key is not None:
+                ints = [*map(int, m.groups())]
+                size = entry.key.size
+                key, value = _REFERENCE_BUILD[entry.key](ints[:size]), _REFERENCE_BUILD[entry.value](ints[size:])
+                _reference_put_row(d, res, keyword, key, value, line_no)
+            elif keyword in d.refs or keyword in d.values:
+                res.error(d.where(keyword, line_no), f"repeated {keyword!r} entry")
+            elif entry.value is NAME:
+                d.refs[keyword] = m.group(1)
+            else:
+                d.values[keyword] = int(m.group(1))
+        res.resolve(d)
+    return res.result()
+
+
+def reference_from_json(text: str):
+    """``dsl.from_json`` reading each table one row at a time: the Document
+    and the diagnostics that ``dsl.from_json`` must reproduce."""
+    res = dsl._Resolver()
+    try:
+        payload = json.loads(text, object_pairs_hook=dsl._JsonObject)
+    except json.JSONDecodeError as exc:
+        col = max(exc.colno, 1)
+        res.error(dsl.Span(exc.lineno, col, col + 1), f"invalid JSON: {exc}")
+        return res.result()
+    items = payload.get("items") if isinstance(payload, dict) else None
+    if not isinstance(items, list):
+        res.error(dsl.Span(pointer="items"), "machine format needs an items list")
+        return res.result()
+    for key in payload.repeated:
+        res.error(dsl.Span(pointer=key), f"repeated {key!r} entry")
+    for i, entry in enumerate(items):
+        d = _reference_json_decl(entry, f"items[{i}]", res)
+        if d is not None:
+            res.resolve(d)
+    return res.result()
+
+
+def _reference_json_decl(entry, at: str, res):
+    def fail(where: str, message: str) -> None:
+        res.error(dsl.Span(pointer=where), message)
+
+    if not isinstance(entry, dict):
+        return fail(at, "an item must be a JSON object")
+    for key in entry.repeated:
+        fail(f"{at}.{key}", f"repeated {key!r} entry")
+    kind, name = entry.get("kind"), entry.get("name")
+    if kind not in _SCHEMA:
+        return fail(f"{at}.kind", f"unknown item kind {kind!r}")
+    if not dsl._is_name(name):
+        return fail(f"{at}.name", f"invalid name {name!r}")
+    span = dsl.Span(pointer=at)
+    if kind == "base" and "builtin" in entry:
+        params = entry.get("params", [])
+        if not (dsl._is_name(entry["builtin"]) and isinstance(params, list)
+                and all(isinstance(p, list) and len(p) == 2 and dsl._is_name(p[0])
+                        and type(p[1]) is int and p[1] >= 0 for p in params)):
+            return fail(at, "a builtin base needs a builtin name and [name, integer] params")
+        res.builtin(name, entry["builtin"], params, span)
+        return None
+    schema = _SCHEMA[kind]
+    refs = {}
+    for ref in schema.refs:
+        if not dsl._is_name(entry.get(ref)):
+            return fail(f"{at}.{ref}", f"a {kind} needs a {ref!r} reference")
+        refs[ref] = entry[ref]
+    tables = entry.get("tables")
+    if not isinstance(tables, dict):
+        return fail(f"{at}.tables", f"a {kind} needs a tables object")
+    for keyword in tables.repeated:
+        fail(f"{at}.tables.{keyword}", f"repeated {keyword!r} entry")
+    d = dsl._Decl(kind, name, span, refs, lambda keyword, j: dsl.Span(pointer=f"{at}.tables.{keyword}[{j}]"))
+    for keyword, rows in tables.items():
+        where = f"{at}.tables.{keyword}"
+        entry_schema = schema.by_keyword.get(keyword)
+        if entry_schema is None or entry_schema.value is NAME:
+            fail(where, f"unexpected entry {keyword!r} in this block")
+        elif rows is None:
+            continue
+        elif entry_schema.key is None:
+            if type(rows) is int and rows >= 0:
+                d.values[keyword] = rows
+            else:
+                fail(where, f"malformed {keyword!r} entry: {json.dumps(rows)}")
+        elif not isinstance(rows, list):
+            fail(where, f"malformed {keyword!r} table: expected a list of [key, value] rows")
+        else:
+            for j, row in enumerate(rows):
+                try:
+                    k, v = row
+                    key, value = _reference_value(entry_schema.key, k), _reference_value(entry_schema.value, v)
+                except (TypeError, ValueError):
+                    res.error(d.where(keyword, j), f"malformed {keyword!r} entry: {json.dumps(row)}")
+                else:
+                    _reference_put_row(d, res, keyword, key, value, j)
+    return d
+
+
+def _paths(nesting, prefix: str = "") -> list[str]:
+    """Index paths of the integers in a nesting, in order: ``[3][0]`` etc."""
+    if type(nesting) is list:
+        return [p for i, n in enumerate(nesting) for p in _paths(n, f"{prefix}[{i}]")]
+    return [prefix]
+
+
+def _reference_row(entry) -> str:
+    """A table entry's text row as a ``str.format`` template whose fields
+    read the key (argument 0) and the value (argument 1): ``{0[1]}`` etc."""
+    fields = [f"{{0{p}}}" for p in _paths(entry.key.nesting)] + [f"{{1{p}}}" for p in _paths(entry.value.nesting)]
+    return f"  {entry.keyword} {entry.key.template} = {entry.value.template}".replace("%s", "{}").format(*fields)
+
+
+def reference_serialize(doc) -> str:
+    """``dsl.serialize`` filling one row at a time into ``str.format``
+    templates, rows sorted by ``(key, value)``: the bytes that
+    ``dsl.serialize`` must reproduce."""
+    out = []
+    for item in doc.items:
+        refs = item.refs
+        if "builtin" in refs:
+            params = "".join(f", {k}={v}" for k, v in refs["params"])
+            out.append(f"base {item.name} = builtin({refs['builtin']}{params})\n")
+            continue
+        lines = [_SCHEMA[item.kind].header.format(name=item.name, **refs) + " {"]
+        for entry in _SCHEMA[item.kind].entries:
+            if entry.value is NAME:
+                lines.append(f"  {entry.keyword} {refs[entry.keyword]}")
+            elif entry.key is None:
+                lines.append(f"  {entry.keyword} {entry.get(item.value)}")
+            else:
+                table = sorted((entry.get(item.value) or {}).items())
+                lines.extend(itertools.starmap(_reference_row(entry).format, table))
+        lines.append("}")
+        out.append("\n".join(lines) + "\n")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

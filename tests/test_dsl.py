@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import re
 from argparse import Namespace
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import cli_corpus
-from helpers import reference_to_json
+from helpers import reference_from_json, reference_parse, reference_serialize, reference_to_json
+from ecat import dsl
 from ecat.cli import Verdict, _emit, run_cli
 from ecat.core import EnrichedFunctor, check_enrichment, id_functor, id_transformation, thin_enrichment
 from ecat.dsl import Diagnostic, Document, Item, Span, from_json, load, parse, serialize, to_json
@@ -893,6 +896,15 @@ LOCATED_ROW_CASES = [
 ]
 
 
+def _located_edit(case) -> str:
+    """The text of a LOCATED_ROW_CASES golden file with its row edited."""
+    source, i, keyword, before, after = case[:5]
+    text = (GOLDEN / source).read_text(encoding="utf-8")
+    row = f"  {keyword} {before}\n"
+    at = text.index(row, [m.start() for m in re.finditer(r"^\w", text, re.M)][i])
+    return text[:at] + f"  {keyword} {after}\n" + text[at + len(row):]
+
+
 @pytest.mark.parametrize("case", LOCATED_ROW_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
 def test_row_diagnostics_are_located_in_both_formats(case, tmp_path, capsys):
     """The range check of a base's tables (mixed, pair and morphism-pair
@@ -901,10 +913,8 @@ def test_row_diagnostics_are_located_in_both_formats(case, tmp_path, capsys):
     line in text, its JSON path in a machine file."""
     source, i, keyword, before, after, json_key, json_row, line, j, message = case
     text = (GOLDEN / source).read_text(encoding="utf-8")
-    row = f"  {keyword} {before}\n"
-    at = text.index(row, [m.start() for m in re.finditer(r"^\w", text, re.M)][i])
     path = tmp_path / source
-    path.write_text(text[:at] + f"  {keyword} {after}\n" + text[at + len(row):], encoding="utf-8")
+    path.write_text(_located_edit(case), encoding="utf-8")
     assert run_cli(["check", str(path)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"{path}:{line}:3: error: {message}"
 
@@ -966,3 +976,218 @@ def test_writer_edge_cases_are_what_they_claim():
     assert [k for k, _ in json.loads(to_json(cases["11 objects"]))["items"][1]["tables"]["hom"][:3]] == [
         [0, 0], [0, 1], [0, 10]]
     assert '"name": "\\u00cb_\\u00fc"' in to_json(cases["non-ASCII names"])
+
+
+def test_serialize_matches_the_reference_writer():
+    for name, doc in _writer_cases():
+        assert serialize(doc) == reference_serialize(doc), name
+
+
+@pytest.mark.parametrize("shape", ["INT", "PAIR", "TRIPLE", "MOR", "MOR_PAIR", "LAM"])
+def test_shape_repr_template_is_the_repr_of_its_value(shape):
+    """The JSON writer sorts rows by a shape's ``repr`` template filled with
+    the key's integers; it must be ``repr`` of the key, so that (0,10,1)
+    sorts before (0,2,1) as its text does."""
+    shape = getattr(dsl, shape)
+    rng = random.Random(20)
+    cases = [[0, 10, 1, 0, 2, 1], [0, 2, 1, 0, 10, 1]] + [[rng.randrange(1000) for _ in range(6)] for _ in range(50)]
+    filled = []
+    for ints in cases:
+        ints = tuple(ints[:shape.size])
+        (value,) = shape.columns([[i] for i in ints])
+        assert shape.repr % ints == repr(value)
+        filled.append((shape.repr % ints, value))
+    assert [v for _, v in sorted(filled)] == sorted((v for _, v in filled), key=repr)
+
+
+# ---------------------------------------------------------------------------
+# table-at-a-time readers against the row-at-a-time reference
+# ---------------------------------------------------------------------------
+
+DOCUMENTS = sorted(p for d in (GOLDEN, GOLDEN / "constructed") for p in d.glob("*.ecat"))
+
+
+def _same_reading(text: str, machine: bool = False) -> tuple:
+    """Read ``text`` by the reader and by its reference; both must give
+    structurally equal Documents and equal diagnostics, in order."""
+    read, reference = (from_json, reference_from_json) if machine else (parse, reference_parse)
+    (doc, diags), (ref_doc, ref_diags) = read(text), reference(text)
+    assert diags == ref_diags
+    assert (doc is None) == (ref_doc is None)
+    assert doc is None or doc.structurally_equal(ref_doc)
+    return doc, diags
+
+
+def test_readers_match_the_reference_on_the_golden_corpus(monkeypatch):
+    """Every golden document reads as the reference reads it, in both
+    formats, and no table of one is read a row at a time."""
+    per_row = []
+    put_row = dsl._Decl.put_row
+    monkeypatch.setattr(dsl._Decl, "put_row", lambda d, res, entry, columns, location: (
+        per_row.append(entry.keyword), put_row(d, res, entry, columns, location)))
+    for path in DOCUMENTS:
+        doc, _ = _same_reading(path.read_text(encoding="utf-8"))
+        if doc is not None:
+            _same_reading(to_json(doc), machine=True)
+    for path in sorted((GOLDEN / "json").glob("*.json")):
+        _same_reading(path.read_text(encoding="utf-8"), machine=True)
+    assert per_row == []
+    # a repeated row is read a row at a time, to name the repeat
+    _same_reading(_ONE_POINT.format(id="(0,0,0)", extra="  eid 0 = (1,1,0)\n"))
+    assert per_row == ["eid"]
+
+
+@pytest.mark.parametrize("case", LOCATED_ROW_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+def test_readers_match_the_reference_on_located_row_edits(case):
+    source, i, keyword = case[:3]
+    json_row, j = case[6], case[8]
+    assert _same_reading(_located_edit(case))[1]
+    payload = json.loads(to_json(parse((GOLDEN / source).read_text(encoding="utf-8"))[0]))
+    payload["items"][i]["tables"][keyword][j] = json_row
+    assert _same_reading(json.dumps(payload), machine=True)[1]
+
+
+def _runs(lines: list) -> list:
+    """The runs of a text document: (start, stop) of each maximal stretch of
+    consecutive table rows with one keyword."""
+    runs, start = [], None
+    for k, line in enumerate(lines + [""]):
+        keyword = line.split()[0] if line.startswith("  ") and "=" in line else None
+        if start is not None and keyword != lines[start].split()[0]:
+            runs.append((start, k))
+            start = None
+        if keyword is not None and start is None:
+            start = k
+    return runs
+
+
+def _mid_run_row(rng, lines) -> int:
+    """A row with a row of its run before it and after it."""
+    return rng.choice([k for start, stop in _runs(lines) for k in range(start + 1, stop - 1)])
+
+
+def _shuffle_run(rng, lines):
+    start, stop = rng.choice([r for r in _runs(lines) if r[1] - r[0] > 1])
+    lines[start:stop] = rng.sample(lines[start:stop], stop - start)
+
+
+def _interleave_runs(rng, lines):
+    pairs = [(a, b) for a, b in zip(_runs(lines), _runs(lines)[1:]) if a[1] == b[0]]
+    (start, mid), (_, stop) = rng.choice(pairs)
+    first, second = lines[start:mid], lines[mid:stop]
+    merged = [row for pair in itertools.zip_longest(first, second) for row in pair if row is not None]
+    lines[start:stop] = merged
+
+
+def _repeat_in_run(rng, lines):
+    start, stop = rng.choice(_runs(lines))
+    lines.insert(rng.randrange(start, stop) + 1, lines[rng.randrange(start, stop)])
+
+
+def _repeat_across_runs(rng, lines):
+    pairs = [(a, b) for a, b in zip(_runs(lines), _runs(lines)[1:]) if a[1] == b[0]]
+    (start, mid), (_, stop) = rng.choice(pairs)
+    lines.insert(stop, lines[rng.randrange(start, mid)])
+
+
+def _edit_row(edit):
+    def apply(rng, lines):
+        k = _mid_run_row(rng, lines)
+        lines[k] = edit(rng, lines[k])
+    return apply
+
+
+TEXT_EDITS = {
+    "shuffled rows": _shuffle_run,
+    "interleaved keywords": _interleave_runs,
+    "repeat in a run": _repeat_in_run,
+    "repeat across runs": _repeat_across_runs,
+    "bad numeral": _edit_row(lambda rng, row: re.sub(r"\d+", lambda m: rng.choice(["x", "1.5", "٣", "-1", ""]),
+                                                     row, count=1)),
+    "missing paren": _edit_row(lambda rng, row: row.replace(rng.choice("()"), "", 1)),
+    "tab": _edit_row(lambda rng, row: row[:2] + row[2:].replace(" ", "\t", rng.randrange(1, 4))),
+    "trailing comment": _edit_row(lambda rng, row: row + "  # (0,0,0) = 1"),
+}
+
+
+@pytest.mark.parametrize("edit", TEXT_EDITS)
+def test_readers_match_the_reference_on_seeded_text_edits(edit):
+    """Each golden document, edited at seeded places, reads as the reference
+    reads it; a reordered or respaced document reads as the original."""
+    for seed, path in enumerate(p for p in DOCUMENTS if not p.name.startswith("base_finset")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        if not any(stop - start > 2 for start, stop in _runs(lines)):
+            continue
+        TEXT_EDITS[edit](random.Random(seed), lines)
+        doc, diags = _same_reading("\n".join(lines) + "\n")
+        if edit in ("shuffled rows", "interleaved keywords", "tab", "trailing comment"):
+            original, _ = parse(text)
+            assert (doc is None) == (original is None) and (doc is None or doc.structurally_equal(original))
+        else:
+            assert diags, (path.name, edit)
+
+
+def _leaves(x, path=()):
+    if type(x) is list:
+        return [leaf for i, e in enumerate(x) for leaf in _leaves(e, path + (i,))]
+    return [path]
+
+
+JSON_EDITS = {
+    "true": lambda rng, row: _set_leaf(rng, row, True),
+    "-1": lambda rng, row: _set_leaf(rng, row, -1),
+    "1.0": lambda rng, row: _set_leaf(rng, row, 1.0),
+    "wrong length": lambda rng, row: row + [0] if rng.random() < 0.5 else row[:1],
+    "not a list": lambda rng, row: rng.choice(["ab", 0, {"0": row}, None]),
+    "repeated": None,
+}
+
+
+def _set_leaf(rng, row, value):
+    *path, last = rng.choice(_leaves(row))
+    target = row
+    for i in path:
+        target = target[i]
+    target[last] = value
+    return row
+
+
+@pytest.mark.parametrize("edit", JSON_EDITS)
+def test_readers_match_the_reference_on_seeded_json_edits(edit):
+    for seed, path in enumerate(p for p in DOCUMENTS if not p.name.startswith("base_finset")):
+        doc, _ = parse(path.read_text(encoding="utf-8"))
+        if doc is None:
+            continue
+        payload = json.loads(to_json(doc))
+        tables = [rows for item in payload["items"] for rows in item.get("tables", {}).values()
+                  if type(rows) is list and len(rows) > 2]
+        if not tables:
+            continue
+        rng = random.Random(seed)
+        rows = rng.choice(tables)
+        j = rng.randrange(1, len(rows) - 1)
+        if edit == "repeated":
+            rows.insert(rng.randrange(len(rows)), rows[j])
+        else:
+            rows[j] = JSON_EDITS[edit](rng, rows[j])
+        assert _same_reading(json.dumps(payload), machine=True)[1]
+
+
+def test_repeated_builtin_parameter_is_a_diagnostic_in_both_formats():
+    doc, diags = parse("base V = builtin(cost, n=2, n=3)\n")
+    assert doc is None and [d.describe() for d in diags] == ["1:1: error: repeated 'n' parameter"]
+    payload = {"items": [{"kind": "base", "name": "V", "builtin": "cost", "params": [["n", 2], ["n", 3]]}]}
+    doc, diags = from_json(json.dumps(payload))
+    assert doc is None and [d.describe() for d in diags] == ["items[0]: error: repeated 'n' parameter"]
+
+
+def test_text_integers_are_ascii_digits_as_in_json():
+    header = "base V = builtin(cost, n=٣)"
+    doc, diags = parse(header + "\n")
+    assert doc is None and [d.message for d in diags] == [f"unrecognized declaration: {header!r}"]
+    text = (GOLDEN / "bool_chain2.ecat").read_text(encoding="utf-8").replace("  hom (0,0) = 1\n", "  hom (0,0) = ١\n", 1)
+    doc, diags = parse(text)
+    assert doc is None and diags[0].describe() == "4:3: error: malformed 'hom' entry: 'hom (0,0) = ١'"
+    payload = {"items": [{"kind": "base", "name": "V", "builtin": "cost", "params": [["n", "٣"]]}]}
+    assert from_json(json.dumps(payload))[1][0].message == "a builtin base needs a builtin name and [name, integer] params"
