@@ -1,12 +1,17 @@
 """The cartesian graph kernel of the computed bases, and skeletal finite sets.
 
-A morphism of a computed base is a function between finite carriers, held as
-its graph tuple. ``GraphBase`` is the one kernel that ``FinSetCat`` and
-``structures.StructCat`` share: composition, the tensor under the pairing code
-(i, j) -> i*|Y| + j (which makes unitors and associators identity graphs), the
-transposition symmetry, ``ev`` as concatenation, ``lam`` as row slicing,
-equalizers and products. A base supplies object sizes, ``tensor_obj``,
-``hom_obj`` and a numbering of its homs: graph to ``MorRef`` index and back.
+A morphism of a computed base is a function between finite carriers. The
+kernel keeps its graph in the form ``as_graph`` picks from the size of the
+target carrier: ``bytes`` into a carrier of at most 256 elements, where
+``bytes.translate`` composes two graphs in one C call, and a tuple into a
+larger one. Only the private memos hold that form; ``graph``,
+``hom_graphs`` and ``mor`` take and return tuples. ``GraphBase`` is the one
+kernel that ``FinSetCat`` and ``structures.StructCat`` share: composition,
+the tensor under the pairing code (i, j) -> i*|Y| + j (which makes unitors
+and associators identity graphs), the transposition symmetry, ``ev`` as
+concatenation, ``lam`` as row slicing, equalizers and products. A base
+supplies object sizes, ``tensor_obj``, ``hom_obj`` and a numbering of its
+homs: graph to ``MorRef`` index and back.
 
 There are two numberings. ``graph_rank``/``graph_unrank`` rank a graph in
 lexicographic order (first coordinate most significant) among all graphs of
@@ -30,7 +35,20 @@ from .report import CapabilityError, StructuralError
 from .vbase import EqualizerResult, MonBase, MorRef, ProductResult
 
 
-def graph_rank(graph: tuple[int, ...], dst: int) -> int:
+#: The largest carrier whose graphs the kernel holds as ``bytes``.
+BYTES_CARRIER = 256
+# _SHIFT[s] maps each byte b to b + s (mod 256); row v of a byte tensor graph
+# is the right factor's graph shifted by v * |right target|
+_SHIFT = [bytes(range(s, 256)) + bytes(range(s)) for s in range(256)]
+
+
+def as_graph(values, n: int) -> bytes | tuple[int, ...]:
+    """The kernel's form of a graph into a carrier of n elements, whose
+    values all lie in range(n): bytes when n <= 256, else a tuple."""
+    return bytes(values) if n <= BYTES_CARRIER else tuple(values)
+
+
+def graph_rank(graph, dst: int) -> int:
     r = 0
     for v in graph:
         r = r * dst + v
@@ -47,11 +65,12 @@ def graph_unrank(k: int, src: int, dst: int) -> tuple[int, ...]:
 
 
 class GraphBase(MonBase):
-    """Cartesian monoidal algebra on graph tuples, shared by the computed bases.
+    """Cartesian monoidal algebra on graphs, shared by the computed bases.
 
     A base supplies ``obj_size``, ``tensor_obj``, ``hom_obj``,
     ``_subobject`` (the equalizer object on a subset of a carrier) and, when
-    some homs are constrained, ``_numbering`` and ``_rank``.
+    some homs are constrained, ``_numbering`` and ``_rank``. Every graph the
+    kernel builds or memoises is in the form ``as_graph`` gives its target.
     """
 
     symmetric = True
@@ -60,7 +79,7 @@ class GraphBase(MonBase):
     memo_limit = 1 << 17
 
     def __init__(self):
-        self._graph_of: dict[MorRef, tuple[int, ...]] = {}
+        self._graph_of: dict[MorRef, bytes | tuple[int, ...]] = {}
         self._mor_of: dict[tuple, MorRef] = {}
         self._identities: dict[tuple[int, int], MorRef] = {}
         self._ev: dict[tuple[int, int], MorRef] = {}
@@ -71,16 +90,16 @@ class GraphBase(MonBase):
         which holds every graph and is numbered by ``graph_rank``."""
         return None
 
-    def _rank(self, src: int, dst: int, graph: tuple[int, ...]) -> int:
+    def _rank(self, src: int, dst: int, graph) -> int:
+        """The index in hom(src, dst) of a graph in the kernel's form."""
         return graph_rank(graph, self.obj_size(dst))
 
-    def _unrank(self, m: MorRef) -> tuple[int, ...]:
+    def _unrank(self, m: MorRef):
         listed = self._numbering(m.src, m.dst)
         if not (0 <= m.k < self.hom_size(m.src, m.dst)):
             raise StructuralError(f"morphism index out of range: {m}")
-        if listed is None:
-            return graph_unrank(m.k, self.obj_size(m.src), self.obj_size(m.dst))
-        return listed[m.k]
+        n = self.obj_size(m.dst)
+        return as_graph(graph_unrank(m.k, self.obj_size(m.src), n) if listed is None else listed[m.k], n)
 
     def hom_size(self, x, y):
         listed = self._numbering(x, y)
@@ -95,6 +114,10 @@ class GraphBase(MonBase):
 
     # -- graph <-> MorRef, memoised ------------------------------------------------
     def graph(self, m: MorRef) -> tuple[int, ...]:
+        return tuple(self._graph(m))
+
+    def _graph(self, m: MorRef):
+        """m's graph in the kernel's form."""
         g = self._graph_of.get(m)
         if g is None:
             self._bound_memos()
@@ -102,7 +125,11 @@ class GraphBase(MonBase):
         return g
 
     def mor(self, src: int, dst: int, graph) -> MorRef:
-        key = (src, dst, tuple(graph))
+        graph = tuple(graph)
+        n = self.obj_size(dst)
+        if len(graph) != self.obj_size(src) or not all(0 <= v < n for v in graph):
+            raise StructuralError(f"graph {graph} is not structure-preserving {src} -> {dst}")
+        key = (src, dst, as_graph(graph, n))
         return self._mor_of.get(key) or self._ranked(key)
 
     def _ranked(self, key: tuple) -> MorRef:
@@ -110,9 +137,10 @@ class GraphBase(MonBase):
         m = self._mor_of[key] = MorRef(key[0], key[1], self._rank(*key))
         return m
 
-    def _built(self, src: int, dst: int, graph: tuple[int, ...]) -> MorRef:
-        """The morphism of a graph the kernel built from valid graphs; its
-        graph is remembered with it, so it is never unranked."""
+    def _built(self, src: int, dst: int, graph) -> MorRef:
+        """The morphism of a graph the kernel built from valid graphs, in the
+        form of its target; its graph is remembered with it, so it is never
+        unranked."""
         key = (src, dst, graph)
         m = self._mor_of.get(key)
         if m is None:
@@ -129,7 +157,8 @@ class GraphBase(MonBase):
         """The morphism src -> dst whose graph is the identity of the carrier."""
         m = self._identities.get((src, dst))
         if m is None:
-            m = self._identities[(src, dst)] = self._built(src, dst, tuple(range(self.obj_size(src))))
+            graph = as_graph(range(self.obj_size(src)), self.obj_size(dst))
+            m = self._identities[(src, dst)] = self._built(src, dst, graph)
         return m
 
     # -- category ----------------------------------------------------------
@@ -139,22 +168,33 @@ class GraphBase(MonBase):
     def compose(self, f, g):
         if f.dst != g.src:
             raise StructuralError(f"non-composable pair {f} {g}")
-        # the hottest call of every law scan: _built and graph are inlined
+        # the hottest call of every law scan: _built and _graph are inlined
         graph_of = self._graph_of
-        gf = graph_of.get(f) or self.graph(f)
-        gg = graph_of.get(g) or self.graph(g)
-        key = (f.src, g.dst, tuple(map(gg.__getitem__, gf)))
+        gf = graph_of.get(f) or self._graph(f)
+        gg = graph_of.get(g) or self._graph(g)
+        # the composite has g's target, so it takes gg's form; two byte graphs
+        # compose in one C call, gg padded to a full translation table
+        if type(gg) is tuple:
+            graph = tuple(map(gg.__getitem__, gf))
+        elif type(gf) is bytes:
+            graph = gf.translate(gg.ljust(256, b"\0"))
+        else:
+            graph = bytes(map(gg.__getitem__, gf))
+        key = (f.src, g.dst, graph)
         m = self._mor_of.get(key)
         if m is None:
             m = self._ranked(key)
-            graph_of[m] = key[2]
+            graph_of[m] = graph
         return m
 
     # -- monoidal ------------------------------------------------------------
     def tensor_mor(self, f, g):
-        gf, gg = self.graph(f), self.graph(g)
+        gf, gg = self._graph(f), self._graph(g)
         n = self.obj_size(g.dst)
-        graph = tuple([a + b for a in [v * n for v in gf] for b in gg])
+        if self.obj_size(f.dst) * n <= BYTES_CARRIER:
+            graph = b"".join([gg.translate(_SHIFT[v * n]) for v in gf])
+        else:
+            graph = tuple([a + b for a in [v * n for v in gf] for b in gg])
         return self._built(self.tensor_obj(f.src, g.src), self.tensor_obj(f.dst, g.dst), graph)
 
     def lunitor(self, x):
@@ -179,7 +219,7 @@ class GraphBase(MonBase):
 
     def symmetry(self, x, y):
         nx, ny = self.obj_size(x), self.obj_size(y)
-        graph = tuple((idx % ny) * nx + (idx // ny) for idx in range(nx * ny))
+        graph = as_graph(((idx % ny) * nx + (idx // ny) for idx in range(nx * ny)), nx * ny)
         return self._built(self.tensor_obj(x, y), self.tensor_obj(y, x), graph)
 
     # -- closed --------------------------------------------------------------
@@ -187,7 +227,7 @@ class GraphBase(MonBase):
         m = self._ev.get((y, z))
         if m is None:
             h = self.hom_obj(y, z)
-            graph = tuple(itertools.chain.from_iterable(self.hom_graphs(y, z)))
+            graph = as_graph(itertools.chain.from_iterable(self.hom_graphs(y, z)), self.obj_size(z))
             m = self._ev[(y, z)] = self._built(self.tensor_obj(h, y), z, graph)
         return m
 
@@ -195,27 +235,27 @@ class GraphBase(MonBase):
         h = self.hom_obj(y, z)
         if f.src != self.tensor_obj(x, y) or f.dst != z:
             raise StructuralError(f"lam argument {f} is not {x}*{y} -> {z}")
-        gf = self.graph(f)
+        gf = self._graph(f)
         ny = self.obj_size(y)
         # a row is a point of [y, z], which is numbered as hom(y, z)
-        rows = tuple(self._built(y, z, gf[i * ny:(i + 1) * ny]).k for i in range(self.obj_size(x)))
-        return self._built(x, h, rows)
+        rows = [self._built(y, z, gf[i * ny:(i + 1) * ny]).k for i in range(self.obj_size(x))]
+        return self._built(x, h, as_graph(rows, self.obj_size(h)))
 
     # -- limits ----------------------------------------------------------------
     def equalizer(self, f, g):
         if not self.has_equalizers:
             raise CapabilityError(f"{self.name} has no equalizers")
-        gf, gg = self.graph(f), self.graph(g)
+        gf, gg = self._graph(f), self._graph(g)
         fixed = [i for i in range(self.obj_size(f.src)) if gf[i] == gg[i]]
         obj = self._subobject(f.src, fixed)
-        inc = self._built(obj, f.src, tuple(fixed))
+        inc = self._built(obj, f.src, as_graph(fixed, self.obj_size(f.src)))
         positions = {v: i for i, v in enumerate(fixed)}
 
         def factor(h: MorRef) -> MorRef:
-            gh = self.graph(h)
+            gh = self._graph(h)
             if any(v not in positions for v in gh):
                 raise StructuralError(f"{h} does not equalize the pair")
-            return self._built(h.src, obj, tuple(positions[v] for v in gh))
+            return self._built(h.src, obj, as_graph([positions[v] for v in gh], len(fixed)))
 
         return EqualizerResult(obj, inc, factor)
 
@@ -228,7 +268,7 @@ class GraphBase(MonBase):
         total = self.obj_size(obj)
         strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
         projections = tuple(
-            self._built(obj, o, tuple((idx // strides[i]) % sizes[i] for idx in range(total)))
+            self._built(obj, o, as_graph([(idx // strides[i]) % sizes[i] for idx in range(total)], sizes[i]))
             for i, o in enumerate(objs)
         )
 
@@ -240,14 +280,14 @@ class GraphBase(MonBase):
                 raise StructuralError("cone legs do not share the stated source")
             if any(h.dst != o for h, o in zip(cone, objs)):
                 raise StructuralError("cone legs do not land in their factors")
-            graphs = [self.graph(h) for h in cone]
+            graphs = [self._graph(h) for h in cone]
             out = []
             for t in range(self.obj_size(src)):
                 idx = 0
                 for gr, stride in zip(graphs, strides):
                     idx += gr[t] * stride
                 out.append(idx)
-            return self.mor(src, obj, tuple(out))
+            return self._built(src, obj, as_graph(out, total))
 
         return ProductResult(obj, projections, pair)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finset import GraphBase, graph_rank
+from .finset import GraphBase, as_graph
 from .report import CapabilityError, CheckReport, Collector, StructuralError, WindowExceeded
 
 
@@ -133,22 +133,30 @@ def _is_poset(n: int, rel: frozenset) -> bool:
 def _monotone_maps(nx: int, rx, ny: int, ry) -> list[tuple[int, ...]]:
     """The graphs g: nx -> ny with (g[i], g[j]) in ry for every (i, j) in rx,
     in lexicographic order. Prefixes grow one position at a time: position i
-    takes the values that satisfy the pairs of rx whose larger end is i
-    (diagonal included), cached per tuple of the earlier positions they name."""
+    takes the values that satisfy the pairs of rx whose larger end is i. As
+    bitmasks over range(ny), that is the AND of ry's up-set of g[a] for each
+    pair (a, i), its down-set of g[b] for each pair (i, b), and its reflexive
+    points when (i, i) is a pair."""
+    up = [sum(1 << v for v in range(ny) if (w, v) in ry) for w in range(ny)]
+    down = [sum(1 << v for v in range(ny) if (v, w) in ry) for w in range(ny)]
+    reflexive = sum(1 << v for v in range(ny) if (v, v) in ry)
+    values_of: dict[int, list[int]] = {}
     prefixes: list[tuple[int, ...]] = [()]
     for i in range(nx):
-        pairs = [(a, b) for a, b in rx if max(a, b) == i]
-        earlier = sorted({p for pair in pairs for p in pair} - {i})
-        allowed: dict[tuple, list[int]] = {}
+        above = [a for a, b in rx if b == i and a < i]
+        below = [b for a, b in rx if a == i and b < i]
+        start = reflexive if (i, i) in rx else (1 << ny) - 1
         grown = []
         for g in prefixes:
-            key = tuple(map(g.__getitem__, earlier))
-            if key not in allowed:
-                allowed[key] = [
-                    v for v in range(ny)
-                    if all((t[a], t[b]) in ry for t in [g + (v,)] for a, b in pairs)
-                ]
-            grown += [g + (v,) for v in allowed[key]]
+            mask = start
+            for a in above:
+                mask &= up[g[a]]
+            for b in below:
+                mask &= down[g[b]]
+            values = values_of.get(mask)
+            if values is None:
+                values = values_of[mask] = [v for v in range(ny) if mask >> v & 1]
+            grown += [g + (v,) for v in values]
         prefixes = grown
     return prefixes
 
@@ -381,20 +389,17 @@ class StructCat(GraphBase):
         got = None
         if not self.struct.is_free(nx, sx, ny, sy):
             got = self.struct.maps(nx, sx, ny, sy)
-            self._hom_index[key] = {g: i for i, g in enumerate(got)}
+            self._hom_index[key] = {as_graph(g, ny): i for i, g in enumerate(got)}
         self._homs[key] = got
         return got
 
-    def _rank(self, src: int, dst: int, graph: tuple[int, ...]) -> int:
+    def _rank(self, src: int, dst: int, graph) -> int:
         if self._numbering(src, dst) is None:
-            nx, ny = self.obj_size(src), self.obj_size(dst)
-            if len(graph) == nx and all(0 <= v < ny for v in graph):
-                return graph_rank(graph, ny)
-        else:
-            idx = self._hom_index[(src, dst)].get(graph)
-            if idx is not None:
-                return idx
-        raise StructuralError(f"graph {graph} is not structure-preserving {src} -> {dst}")
+            return super()._rank(src, dst, graph)
+        idx = self._hom_index[(src, dst)].get(graph)
+        if idx is None:
+            raise StructuralError(f"graph {tuple(graph)} is not structure-preserving {src} -> {dst}")
+        return idx
 
     def _subobject(self, x: int, positions: list[int]) -> int:
         n, s = self._objs[x]

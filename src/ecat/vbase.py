@@ -1055,6 +1055,15 @@ def check_closed(col: Collector, V: MonBase) -> None:
     if V.thin:
         return
     objs, _ = _window_homs(V)
+    # lam of one argument recurs across the round trips and the naturality
+    # instances; memoize it, through V.lam so that a mutated view is read
+    _lam: dict = {}
+
+    def lam(x, y, z, f):
+        m = _lam.get((x, y, z, f))
+        if m is None:
+            m = _lam[(x, y, z, f)] = V.lam(x, y, z, f)
+        return m
 
     for x, y, z in itertools.product(objs, repeat=3):
         try:
@@ -1071,14 +1080,14 @@ def check_closed(col: Collector, V: MonBase) -> None:
                 continue  # deterministically skipped: enumeration beyond the cap
             for k in range(n_src):
                 f = MorRef(xy, z, k)
-                lf = V.lam(x, y, z, f)
+                lf = lam(x, y, z, f)
                 require_mor_shape(V, lf, x, h)
                 back = V.unlam(x, y, z, lf)
                 if back != f:
                     col.add("lam-beta", (x, y, z, f), back, f)
             for k in range(n_dst):
                 g = MorRef(x, h, k)
-                forth = V.lam(x, y, z, V.unlam(x, y, z, g))
+                forth = lam(x, y, z, V.unlam(x, y, z, g))
                 if forth != g:
                     col.add("lam-eta", (x, y, z, g), forth, g)
         except WindowExceeded:
@@ -1098,10 +1107,10 @@ def check_closed(col: Collector, V: MonBase) -> None:
             ]
             for fk in range(n_f):
                 f = MorRef(xy, z, fk)
-                lam_f = V.lam(x, y, z, f)
+                lam_f = lam(x, y, z, f)
                 for hk in range(n_h):
                     h = MorRef(x2, x, hk)
-                    lhs = V.lam(x2, y, z, V.compose(whiskers[hk], f))
+                    lhs = lam(x2, y, z, V.compose(whiskers[hk], f))
                     rhs = V.compose(h, lam_f)
                     if lhs != rhs:
                         col.add("lam-natural", (h, f), lhs, rhs)

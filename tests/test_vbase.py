@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -295,6 +296,90 @@ def test_finset_kernel_matches_rank_formulas():
         for f in itertools.islice(V.hom(x * y, z), 500):
             graph = tuple(graph_rank(g(f)[i * y:(i + 1) * y], z) for i in range(x))
             assert V.lam(x, y, z, f) == ref(x, h, graph)
+
+    # finset(4) reaches carriers past the 256 elements a byte graph holds:
+    # [4,4] has 256 and [4,4]*4 has 1024, so each call below mixes the two forms
+    V = builtin_base("finset", k=4)
+    rng = random.Random(21)
+
+    def some(src, dst, n=3):
+        return [MorRef(src, dst, rng.randrange(dst ** src)) for _ in range(n)]
+
+    for a, b, c in [(2, 1024, 4), (3, 4, 1024), (2, 1024, 1024), (2, 256, 256), (3, 256, 4), (2, 4, 256), (0, 300, 2)]:
+        for f, h in zip(some(a, b), some(b, c)):
+            assert V.compose(f, h) == ref(a, c, tuple(g(h)[v] for v in g(f)))
+    for (a, b), (c, d) in [((1, 64), (2, 4)), ((2, 256), (1, 4)), ((1, 4), (2, 256)), ((1, 1024), (1, 1)),
+                           ((2, 1), (1, 256)), ((0, 0), (2, 1024)), ((1, 16), (1, 17))]:
+        for f, h in zip(some(a, b), some(c, d)):
+            graph = tuple(g(f)[i] * d + g(h)[j] for i in range(a) for j in range(c))
+            assert V.tensor_mor(f, h) == ref(a * c, b * d, graph)
+    for x, y, z in [(2, 4, 4), (2, 5, 4), (1, 2, 16)]:
+        h = V.hom_obj(y, z)
+        graph = tuple(v for k in range(h) for v in graph_unrank(k, y, z))
+        assert V.ev(y, z) == ref(h * y, z, graph)
+        for f in some(x * y, z):
+            lam_f = V.lam(x, y, z, f)
+            assert lam_f == ref(x, h, tuple(graph_rank(g(f)[i * y:(i + 1) * y], z) for i in range(x)))
+            assert V.unlam(x, y, z, lam_f) == f
+    for n, m in [(1024, 4), (256, 2), (300, 3)]:
+        f, = some(n, m, 1)
+        graph = list(g(f))
+        for i in rng.sample(range(n), n // 3):
+            graph[i] = (graph[i] + 1) % m
+        eq = V.equalizer(f, ref(n, m, tuple(graph)))
+        fixed = tuple(i for i in range(n) if graph[i] == g(f)[i])
+        assert (eq.obj, eq.include) == (len(fixed), ref(len(fixed), n, fixed))
+        for u in some(2, len(fixed)):
+            assert eq.factor(ref(2, n, tuple(fixed[i] for i in g(u)))) == u
+    for sizes in [(256, 4), (4, 64), (2, 2, 300)]:
+        pr = V.product(sizes)
+        total = math.prod(sizes)
+        strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        for p, s, stride in zip(pr.projections, sizes, strides):
+            assert p == ref(total, s, tuple(idx // stride % s for idx in range(total)))
+        cone = [some(3, s, 1)[0] for s in sizes]
+        graph = tuple(sum(g(leg)[t] * st for leg, st in zip(cone, strides)) for t in range(3))
+        assert pr.pair(3, cone) == ref(3, total, graph)
+    _assert_memos_in_target_form(V)
+
+
+def _assert_memos_in_target_form(V):
+    """Every graph a computed base memoises, and every graph in its MorRef
+    memo's keys, is bytes into a carrier of at most 256 elements and a tuple
+    into a larger one; the public graph accessors return tuples."""
+    def form(dst):
+        return bytes if V.obj_size(dst) <= 256 else tuple
+
+    assert V._graph_of and V._mor_of
+    assert all(type(gr) is form(m.dst) for m, gr in V._graph_of.items())
+    assert all(type(gr) is form(dst) for _, dst, gr in V._mor_of)
+    assert all(type(V.graph(m)) is tuple for m in itertools.islice(V._graph_of, 200))
+    for (x, y), index in getattr(V, "_hom_index", {}).items():
+        assert all(type(gr) is form(y) for gr in index)
+        assert all(type(gr) is tuple for gr in V.hom_graphs(x, y))
+    assert all(type(gr) is tuple for gr in V.hom_graphs(2, 2))
+
+
+@pytest.mark.parametrize("name, params, family", [
+    ("finset", {"k": 3}, check_monoidal),
+    ("finset", {"k": 2}, check_closed),
+    ("finposet_struct", {"max_size": 2}, check_closed),
+    ("finpointedposet_struct", {"max_size": 2}, check_symmetric),
+])
+def test_computed_base_memos_hold_the_form_of_their_target(name, params, family):
+    """A builder that returns a graph in the wrong form still gives correct
+    verdicts, only slower; this is the test that sees it."""
+    V = builtin_base(name, **params)
+    assert family(V).ok
+    _assert_memos_in_target_form(V)
+
+
+@pytest.mark.parametrize("graph", [(5, 0), (1,), (-1, 1), (0, 1, 0)])
+def test_finset_mor_refuses_malformed_graphs(graph):
+    V = builtin_base("finset", k=3)
+    with pytest.raises(StructuralError, match=re.escape(f"graph {graph} is not structure-preserving 2 -> 2")):
+        V.mor(2, 2, graph)
+    assert V.mor(2, 2, (1, 0)) == MorRef(2, 2, 2)
 
 
 def test_finset_equalizer_subset():
