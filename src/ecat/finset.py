@@ -125,6 +125,8 @@ class GraphBase(MonBase):
         return g
 
     def mor(self, src: int, dst: int, graph) -> MorRef:
+        """The morphism src -> dst with this graph; StructuralError when the
+        graph is not one of hom(src, dst)."""
         graph = tuple(graph)
         n = self.obj_size(dst)
         if len(graph) != self.obj_size(src) or not all(0 <= v < n for v in graph):
