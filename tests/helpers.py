@@ -471,6 +471,45 @@ def reference_validate_and_shape(E: Enrichment) -> None:
         require_mor_shape(V, m, I, E.hom(f.src, f.dst))
 
 
+def reference_scan_unit_assoc(K, objs, col: Collector) -> None:
+    """The unit and associativity scan ``check_enrichment`` and
+    ``check_kelly`` ran before it memoized: every diagram evaluated afresh
+    at every instance whose data is present, in the same order."""
+    V = K.base
+    for x, y in itertools.product(objs, repeat=2):
+        e_xy = K.hom(x, y)
+        ei_y, ei_x = K.eid(y), K.eid(x)
+        ec_l = K.ecomp(x, y, y)
+        ec_r = K.ecomp(x, x, y)
+        if ei_y is not None and ec_l is not None:
+            lhs = V.compose(V.tensor_mor(ei_y, V.id_of(e_xy)), ec_l)
+            rhs = V.lunitor(e_xy)
+            if lhs != rhs:
+                col.add("left-unit", (x, y), lhs, rhs)
+        if ei_x is not None and ec_r is not None:
+            lhs = V.compose(V.tensor_mor(V.id_of(e_xy), ei_x), ec_r)
+            rhs = V.runitor(e_xy)
+            if lhs != rhs:
+                col.add("right-unit", (x, y), lhs, rhs)
+
+    for w, x, y, z in itertools.product(objs, repeat=4):
+        c_wxy = K.ecomp(w, x, y)
+        c_wyz = K.ecomp(w, y, z)
+        c_xyz = K.ecomp(x, y, z)
+        c_wxz = K.ecomp(w, x, z)
+        if None in (c_wxy, c_wyz, c_xyz, c_wxz):
+            continue
+        e_yz, e_xy, e_wx = K.hom(y, z), K.hom(x, y), K.hom(w, x)
+        lhs = V.compose_all(
+            V.associator(e_yz, e_xy, e_wx),
+            V.tensor_mor(V.id_of(e_yz), c_wxy),
+            c_wyz,
+        )
+        rhs = V.compose(V.tensor_mor(c_xyz, V.id_of(e_wx)), c_wxz)
+        if lhs != rhs:
+            col.add("associativity", (w, x, y, z), lhs, rhs)
+
+
 def reference_thin_closure(n: int, arrows: set) -> FinCat:
     """The thin category on the reflexive-transitive closure of ``arrows``,
     by repeated sweeps over all pairs of related pairs until none adds one."""

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -34,12 +35,13 @@ from ecat.core import (
     whisker_right,
 )
 from ecat.dsl import parse
-from ecat.report import StructuralError
+from ecat.report import Collector, StructuralError, _ScanStop
 from ecat.rezk import yoneda
 from ecat.vbase import MorRef, builtin_base, cost_base, thin_category
 
 import construction_cases
 from helpers import (
+    Mutated,
     cyclic_monoid_category,
     enrichments_in,
     preorder_oracle,
@@ -47,6 +49,7 @@ from helpers import (
     random_metric_table,
     random_preorder,
     random_relation,
+    reference_scan_unit_assoc,
     reference_thin_closure,
     reference_validate_and_shape,
     thin_functor,
@@ -284,6 +287,134 @@ def test_kelly_verdict_preserved_under_mutation(boolb):
     assert check_enrichment(E).ok
     assert not check_enrichment(broken).ok
     assert not check_kelly(to_kelly(broken)).ok
+
+
+def test_check_kelly_refuses_malformed_tables(boolb):
+    """check_kelly shape-checks the hom, e_id and e_comp tables before it
+    scans: a missing hom object, a composition entry of the wrong shape and
+    an entry that is no morphism each raise StructuralError naming it."""
+    E = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    assert check_kelly(to_kelly(E)).ok
+    for table, key, value, message in (
+        ("hom_obj_t", (1, 0), None, "missing hom object at (1,0)"),
+        ("e_comp_t", (0, 0, 1), MorRef(0, 1, 0), "morphism (0,1,0) does not have shape"),
+        ("e_comp_t", (0, 0, 1), "junk", "expected a morphism, got 'junk'"),
+    ):
+        K = to_kelly(E)
+        if value is None:
+            del getattr(K, table)[key]
+        else:
+            getattr(K, table)[key] = value
+        for limit in (None, 1):
+            with pytest.raises(StructuralError, match=re.escape(message)):
+                check_kelly(K, limit=limit)
+    K = to_kelly(E)
+    del K.hom_obj_t[1, 0]
+    with pytest.raises(StructuralError, match=re.escape("missing hom object at (1,0)")):
+        K.hom(1, 0)
+
+
+def _scan_outcome(scan, K, limit) -> tuple[list, str | None]:
+    """The failures a unit/associativity scan of K adds, in scan order, and
+    the StructuralError it raised, if any."""
+    col = Collector(limit=limit)
+    try:
+        scan(K, range(K.n_objects), col)
+    except _ScanStop:
+        pass
+    except StructuralError as exc:
+        return col.failures, str(exc)
+    return col.failures, None
+
+
+def _other_mor(rng, V, m: MorRef) -> MorRef:
+    """A morphism of m's hom other than m; an identity of another shape when
+    m is alone in its hom."""
+    n = V.hom_size(m.src, m.dst)
+    if n > 1:
+        k = rng.randrange(n - 1)
+        return MorRef(m.src, m.dst, k + (k >= m.k))
+    return rng.choice([i for o in V.objects() if (i := V.id_of(o)) != m])
+
+
+def _swapped_entry_mutants(rng, V, max_objects: int, count: int) -> list[Enrichment]:
+    """Canonical set enrichments over V with one e_comp or e_id entry
+    replaced by another morphism of its hom."""
+    out = []
+    while len(out) < count:
+        C = random_category(rng, max_objects=max_objects, max_hom=3)
+        E = canonical_set_enrichment(C, V)
+        entries = [(E.e_comp_t, key) for key in E.e_comp_t] + [(E.e_id_t, key) for key in E.e_id_t]
+        entries = [(t, key) for t, key in entries if V.hom_size(t[key].src, t[key].dst) > 1]
+        if not entries:
+            continue
+        table, key = rng.choice(entries)
+        e_id, e_comp = dict(E.e_id_t), dict(E.e_comp_t)
+        (e_comp if table is E.e_comp_t else e_id)[key] = _other_mor(rng, V, table[key])
+        out.append(Enrichment(V, C, E.hom_obj_t, e_id, e_comp, E.from_arr_t))
+    return out
+
+
+def _mutated_base_enrichments(rng, V, count: int) -> list[Enrichment]:
+    """Canonical set enrichments re-based on a Mutated view of V whose
+    associator, or whose whisker of an e_comp entry, is changed at the
+    argument one associativity instance reads. Most instances are drawn
+    where a hom object that a read entry's source is a tensor with is
+    empty: there, instances that differ in another hom object read the same
+    entries, so a memo key that leaves that hom object out is caught."""
+    out = []
+    while len(out) < count:
+        E = canonical_set_enrichment(random_category(rng, max_objects=3, max_hom=3), V)
+        reading = rng.choice(("associator", "whisker of c_wxy", "whisker of c_xyz"))
+        instances = list(itertools.product(E.objects(), repeat=4))
+        if rng.random() < 0.8:
+            empty = {(a, b) for a, b in itertools.product(E.objects(), repeat=2) if E.hom(a, b) == 0}
+            instances = [(w, x, y, z) for w, x, y, z in instances
+                         if ({(x, z)} if reading == "whisker of c_xyz" else {(w, x), (x, y), (w, y)}) & empty]
+            if not instances:
+                continue
+        w, x, y, z = rng.choice(instances)
+        e_yz, e_xy, e_wx = E.hom(y, z), E.hom(x, y), E.hom(w, x)
+        if reading == "associator":
+            table, key = "associator", (e_yz, e_xy, e_wx)
+        elif reading == "whisker of c_wxy":
+            table, key = "tensor_mor", (V.id_of(e_yz), E.ecomp(w, x, y))
+        else:
+            table, key = "tensor_mor", (E.ecomp(x, y, z), V.id_of(e_wx))
+        M = Mutated(V, table, key, _other_mor(rng, V, getattr(V, table)(*key)))
+        out.append(Enrichment(M, E.under, E.hom_obj_t, E.e_id_t, E.e_comp_t, E.from_arr_t))
+    return out
+
+
+def test_unit_assoc_scan_matches_reference(finset3):
+    """The memoized unit/associativity scan adds the failures the reference
+    scan adds (law, instance, lhs, rhs, in scan order), and raises where it
+    raises, with and without a limit: on criterion 2's lawful finset(4)
+    enrichments, on mutants with one entry swapped, on their Kelly
+    presentations, and over mutated bases."""
+    fs4 = builtin_base("finset", k=4)
+    crit = random.Random(2)
+    lawful = [canonical_set_enrichment(random_category(crit, max_objects=4, max_hom=3), fs4) for _ in range(50)]
+    rng = random.Random(22)
+    mutants = _swapped_entry_mutants(rng, finset3, 3, 150) + _swapped_entry_mutants(rng, fs4, 4, 150)
+    rebased = _mutated_base_enrichments(rng, finset3, 150)
+    outcomes = {"mutants": [], "rebased": []}
+    for group, Es in (("lawful", lawful), ("mutants", mutants), ("rebased", rebased)):
+        for E in Es:
+            for K in (E, to_kelly(E)):
+                for limit in (None, 1):
+                    assert _scan_outcome(core._scan_unit_assoc, K, limit) == _scan_outcome(
+                        reference_scan_unit_assoc, K, limit), (group, E, limit)
+            failures, raised = _scan_outcome(core._scan_unit_assoc, E, None)
+            if group == "lawful":
+                assert not failures and raised is None
+            else:
+                outcomes[group].append((E, bool(failures), raised is not None))
+    assert len(mutants) >= 300 and sum(failed for _, failed, _ in outcomes["mutants"]) >= 100
+    # each mutated table is read: it changes a verdict, and it breaks an evaluation
+    for table in ("associator", "tensor_mor"):
+        seen = [(failed, raised) for E, failed, raised in outcomes["rebased"] if E.base._table == table]
+        assert any(failed for failed, _ in seen) and any(raised for _, raised in seen)
 
 
 def test_tables_are_read_only_after_construction(boolb):
