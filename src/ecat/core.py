@@ -34,8 +34,9 @@ from .vbase import FinCat, MonBase, MorRef, require_mor_shape, thin_category
 @dataclass(eq=False)
 class Enrichment:
     """An enrichment of ``under`` over ``base``. The constructor copies the
-    four tables, and ``hom_obj_t``, ``e_id_t``, ``e_comp_t`` and
-    ``from_arr_t`` are read-only views of the copies."""
+    four tables it is given, ``tabulate`` keeps the tables it has just
+    built, and ``hom_obj_t``, ``e_id_t``, ``e_comp_t`` and ``from_arr_t``
+    are read-only views of the stored dicts."""
 
     base: MonBase
     under: FinCat
@@ -50,15 +51,16 @@ class Enrichment:
     _checked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
+        self._store(dict(self.hom_obj_t), dict(self.e_id_t), dict(self.e_comp_t), dict(self.from_arr_t))
+
+    def _store(self, hom_obj: dict, e_id: dict, e_comp: dict, from_arr: dict) -> None:
+        """Keep the dicts themselves: no other reference to them may remain."""
         # lookups read the dicts: a view costs more per call
-        self._hom_obj = dict(self.hom_obj_t)
-        self._e_id = dict(self.e_id_t)
-        self._e_comp = dict(self.e_comp_t)
-        self._from_arr = dict(self.from_arr_t)
-        self.hom_obj_t = MappingProxyType(self._hom_obj)
-        self.e_id_t = MappingProxyType(self._e_id)
-        self.e_comp_t = MappingProxyType(self._e_comp)
-        self.from_arr_t = MappingProxyType(self._from_arr)
+        self._hom_obj, self._e_id, self._e_comp, self._from_arr = hom_obj, e_id, e_comp, from_arr
+        self.hom_obj_t = MappingProxyType(hom_obj)
+        self.e_id_t = MappingProxyType(e_id)
+        self.e_comp_t = MappingProxyType(e_comp)
+        self.from_arr_t = MappingProxyType(from_arr)
 
     @classmethod
     def tabulate(cls, base: MonBase, under: FinCat, hom_obj: Callable, eid: Callable, ecomp: Callable,
@@ -74,20 +76,54 @@ class Enrichment:
         ``under`` is validated first, and each entry is shape-checked as it
         is stored, against the hom objects already stored, so a malformed
         entry raises StructuralError here and ``check_enrichment`` does not
-        check the result again."""
+        check the result again. The check is ``require_mor_shape``, except
+        that a ``MorRef`` it already passed in this call is accepted again
+        wherever both of its ends match."""
         V, I = base, base.unit
         under.validate()
         objs = under.objects()
-        hom_obj_t = {(x, y): hom_obj(x, y) for x in objs for y in objs}
-        for (x, y), h in hom_obj_t.items():
-            if not V.contains_obj(h):
-                raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
-        shaped, tensor = _entry_check(V), V.tensor_obj
-        e_id_t = {x: shaped(m, I, hom_obj_t[x, x]) for x in objs if (m := eid(x)) is not None}
-        e_comp_t = {(x, y, z): shaped(m, tensor(hom_obj_t[y, z], hom_obj_t[x, y]), hom_obj_t[x, z])
-                    for x in objs for y in objs for z in objs if (m := ecomp(x, y, z)) is not None}
-        from_arr_t = {f: shaped(m, I, hom_obj_t[f.src, f.dst]) for f in under.mors() if (m := farr(f)) is not None}
-        E = cls(base, under, hom_obj_t, e_id_t, e_comp_t, from_arr_t, name=name)
+        rows = [[hom_obj(x, y) for y in objs] for x in objs]
+        for x, row in zip(objs, rows):
+            for y, h in zip(objs, row):
+                if not V.contains_obj(h):
+                    raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
+        known = set()
+
+        def shaped(m, src, dst):
+            if m.__class__ is not MorRef or m not in known or m.src != src or m.dst != dst:
+                require_mor_shape(V, m, src, dst)
+                known.add(m)
+            return m
+
+        e_id_t = {x: shaped(m, I, rows[x][x]) for x in objs if (m := eid(x)) is not None}
+        # n^3 entries: the tensor of each hom pair is computed once, and
+        # shaped's test runs inline rather than in a frame per entry
+        e_comp_t = {}
+        tensors = {}
+        for x in objs:
+            row_x = rows[x]
+            for y in objs:
+                row_y, h_xy = rows[y], row_x[y]
+                tensor = tensors.get(h_xy)
+                if tensor is None:
+                    tensor = tensors[h_xy] = {}
+                for z in objs:
+                    m = ecomp(x, y, z)
+                    if m is None:
+                        continue
+                    h_yz = row_y[z]
+                    src = tensor.get(h_yz)
+                    if src is None:
+                        src = tensor[h_yz] = V.tensor_obj(h_yz, h_xy)
+                    if m.__class__ is not MorRef or m not in known or m.src != src or m.dst != row_x[z]:
+                        require_mor_shape(V, m, src, row_x[z])
+                        known.add(m)
+                    e_comp_t[x, y, z] = m
+        from_arr_t = {f: shaped(m, I, rows[f.src][f.dst]) for f in under.mors() if (m := farr(f)) is not None}
+        hom_obj_t = {(x, y): h for x, row in zip(objs, rows) for y, h in zip(objs, row)}
+        E = cls.__new__(cls)
+        E.base, E.under, E.name, E._to_arr = base, under, name, None
+        E._store(hom_obj_t, e_id_t, e_comp_t, from_arr_t)
         E._checked = True
         return E
 
@@ -303,21 +339,6 @@ def postcompose_mor(E: Enrichment, z: int, f: MorRef) -> MorRef:
 # enrichment checker
 # ---------------------------------------------------------------------------
 
-def _entry_check(V: MonBase) -> Callable[[MorRef, int, int], MorRef]:
-    """``shaped(m, src, dst)``: m when it is a morphism src -> dst of V,
-    else StructuralError. A morphism found in its hom once is remembered,
-    so a repeated entry costs one set lookup and the comparison of its
-    ends; a thin base's entries repeat its few morphisms."""
-    known = set()
-
-    def shaped(m, src, dst):
-        if m.__class__ is not MorRef or m not in known or m.src != src or m.dst != dst:
-            require_mor_shape(V, m, src, dst)
-            known.add(m)
-        return m
-    return shaped
-
-
 def _shape_hom_tables(K, objs) -> None:
     """Structural pass over the hom objects and the present ``e_id`` and
     ``e_comp`` entries of an enrichment or a Kelly presentation."""
@@ -345,13 +366,12 @@ def _shape_enrichment(E: Enrichment) -> None:
 
 def _scan_data_present(K, objs, col: Collector) -> None:
     """Report each absent enriched identity and composition of an enrichment
-    or a Kelly presentation."""
-    for x in objs:
-        if K.eid(x) is None:
-            col.add("identity", (x,))
-    for x, y, z in itertools.product(objs, repeat=3):
-        if K.ecomp(x, y, z) is None:
-            col.add("composition", (x, y, z))
+    or a Kelly presentation. The shape pass has run, and it refuses a None
+    entry, so an entry is absent iff its key is not in the table."""
+    for x in itertools.filterfalse(K.e_id_t.__contains__, objs):
+        col.add("identity", (x,))
+    for key in itertools.filterfalse(K.e_comp_t.__contains__, itertools.product(objs, repeat=3)):
+        col.add("composition", key)
 
 
 def _scan_unit_assoc(K, objs, col: Collector) -> None:
@@ -442,17 +462,18 @@ def check_enrichment(col: Collector, E: Enrichment) -> None:
     I = V.unit
     objs = list(E.objects())
 
+    # the tables are read directly: the structural pass refused None entries
+    farr, hom_obj = E._from_arr.get, E._hom_obj
     _scan_data_present(E, objs, col)
-    for f in E.under.mors():
-        if E.farr(f) is None:
-            col.add("from-arr-total", (f,))
+    for f in itertools.filterfalse(E._from_arr.__contains__, E.under.mors()):
+        col.add("from-arr-total", (f,))
 
     # from_arr bijectivity onto base(I, E(x,y)), per hom pair
     for x, y in itertools.product(objs, repeat=2):
         seen = {}
         fine = True
         for f in E.under.hom(x, y):
-            v = E.farr(f)
+            v = farr(f)
             if v is None:
                 fine = False
                 continue
@@ -460,13 +481,13 @@ def check_enrichment(col: Collector, E: Enrichment) -> None:
                 col.add("from-arr-injective", (x, y), seen[v], f)
                 fine = False
             seen[v] = f
-        if fine and len(seen) != V.hom_size(I, E.hom(x, y)):
-            col.add("from-arr-bijective", (x, y), len(seen), V.hom_size(I, E.hom(x, y)))
+        if fine and len(seen) != (points := V.hom_size(I, hom_obj[x, y])):
+            col.add("from-arr-bijective", (x, y), len(seen), points)
 
     # e_id is from_arr of the identity
     for x in objs:
-        ei = E.eid(x)
-        fa = E.farr(E.under.id_of(x))
+        ei = E._e_id.get(x)
+        fa = farr(E.under.id_of(x))
         if ei is not None and fa is not None and ei != fa:
             col.add("identity-from-arr", (x,), ei, fa)
 
@@ -798,22 +819,25 @@ def thin_enrichment(base: MonBase, n: int, hom_obj: dict, name: str = "") -> Enr
     identities/compositions are left absent for the checker to report.
     """
     I = base.unit
+    objs = range(n)
+    rows = [[hom_obj[x, y] for y in objs] for x in objs]
     # the point I -> h of each hom object h that has one
-    points = {h: MorRef(I, h, 0) for h in {hom_obj[x, y] for x in range(n) for y in range(n)}
-              if base.hom_size(I, h) > 0}
-    arrows = {(x, y) for x in range(n) for y in range(n) if hom_obj[x, y] in points}
+    points = {h: base.hom(I, h)[0] for h in {h for row in rows for h in row} if base.hom_size(I, h) > 0}
+    arrows = {(x, y) for x in objs for y in objs if rows[x][y] in points}
 
+    # the rules stay lazy: a hom object that is not a base object must be
+    # refused before any tensor of it is asked for
     @functools.cache
     def arrow(h_yz, h_xy, h_xz):
-        src = base.tensor_obj(h_yz, h_xy)
-        return MorRef(src, h_xz, 0) if base.hom_size(src, h_xz) > 0 else None
+        ms = base.hom(base.tensor_obj(h_yz, h_xy), h_xz)
+        return ms[0] if ms else None
 
     return Enrichment.tabulate(
         base, thin_under_category(n, arrows),
-        lambda x, y: hom_obj[x, y],
-        lambda x: points.get(hom_obj[x, x]),
-        lambda x, y, z: arrow(hom_obj[y, z], hom_obj[x, y], hom_obj[x, z]),
-        lambda f: points.get(hom_obj[f.src, f.dst]),
+        lambda x, y: rows[x][y],
+        lambda x: points.get(rows[x][x]),
+        lambda x, y, z: arrow(rows[y][z], rows[x][y], rows[x][z]),
+        lambda f: points.get(rows[f.src][f.dst]),
         name=name,
     )
 

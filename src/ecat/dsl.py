@@ -25,7 +25,6 @@ item-level strings and scalars, so its bytes are those of
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -36,7 +35,7 @@ from typing import Callable
 from .core import Enrichment, EnrichedFunctor, EnrichedTransformation, compose_functors, id_functor
 from .monad import EnrichedMonad, KleisliCocone
 from .report import EcatError
-from .vbase import ClosedData, FinCat, FinMonCat, MorRef, builtin_base
+from .vbase import ClosedData, FinCat, FinMonCat, MorRef, builtin_base, new_mor
 
 BUILTIN_NAMES = ("bool", "cost", "finset", "finposet_struct", "finpointedposet_struct")
 
@@ -141,8 +140,6 @@ def _same(values):
 
 _flat = itertools.chain.from_iterable
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
-# a MorRef from a (src, dst, k) tuple, without running a Python frame
-_mor = functools.partial(tuple.__new__, MorRef)
 _INT_TYPE, _LIST_TYPE = {int}, {list}
 
 
@@ -189,10 +186,10 @@ INT = _Shape(_N, "%s", _first, objects=_same)
 NAME = _Shape(r"(\w+)", "%s", _first)
 PAIR = _Shape(rf"\({_N},{_N}\)", "(%s,%s)", lambda c: zip(*c), objects=_flat)
 TRIPLE = _Shape(_T, "(%s,%s,%s)", lambda c: zip(*c), objects=_flat)
-MOR = _Shape(_T, "(%s,%s,%s)", lambda c: map(_mor, zip(*c)), morphisms=_same)
-MOR_PAIR = _Shape(_T + _T, "(%s,%s,%s)(%s,%s,%s)", lambda c: zip(map(_mor, zip(*c[:3])), map(_mor, zip(*c[3:]))),
+MOR = _Shape(_T, "(%s,%s,%s)", lambda c: map(new_mor, zip(*c)), morphisms=_same)
+MOR_PAIR = _Shape(_T + _T, "(%s,%s,%s)(%s,%s,%s)", lambda c: zip(map(new_mor, zip(*c[:3])), map(new_mor, zip(*c[3:]))),
                   morphisms=_flat)
-LAM = _Shape(_T + _S + "*" + _T, "(%s,%s,%s) (%s,%s,%s)", lambda c: zip(*c[:3], map(_mor, zip(*c[3:]))),
+LAM = _Shape(_T + _S + "*" + _T, "(%s,%s,%s) (%s,%s,%s)", lambda c: zip(*c[:3], map(new_mor, zip(*c[3:]))),
              objects=lambda vs: _flat(v[:3] for v in vs), morphisms=lambda vs: (v[3] for v in vs))
 
 # an item table's rows sit at items[i].tables.<keyword>[j] of the JSON layout

@@ -46,25 +46,35 @@ class MorRef(NamedTuple):
         return f"({self.src},{self.dst},{self.k})"
 
 
+#: a MorRef from a (src, dst, k) tuple, without running a Python frame
+new_mor = functools.partial(tuple.__new__, MorRef)
+
+
 class FinCat:
     """A finite category as explicit tables.
 
     ``then`` is keyed by composable pairs (f, g) in diagrammatic order and
-    must be total over them. The constructor copies the tables, and
-    ``hom_size_t``, ``identity_t`` and ``then_t`` are read-only views of the
-    copies, so a verdict on them cannot go stale: ``validate`` checks a
-    category at most once, and ``tabulate`` builds one valid by construction.
+    must be total over them. The constructor copies the tables it is
+    given, ``tabulate`` keeps the tables it has just built, and
+    ``hom_size_t``, ``identity_t`` and ``then_t`` are read-only views of
+    the stored dicts, so a verdict on them cannot go stale: ``validate``
+    checks a category at most once, and ``tabulate`` builds one valid by
+    construction.
     """
 
     def __init__(self, n_objects: int, hom_size: dict, identity: dict, then: dict):
+        self._store(n_objects, dict(hom_size), dict(identity), dict(then))
+
+    def _store(self, n_objects: int, hom_size: dict, identity: dict, then: dict) -> None:
+        """Keep the dicts themselves: no other reference to them may remain."""
         self.n_objects = n_objects
         # lookups read the dicts: a view costs more per call
-        self._hom_size = dict(hom_size)
-        self._identity = dict(identity)
-        self._then = dict(then)
-        self.hom_size_t = MappingProxyType(self._hom_size)
-        self.identity_t = MappingProxyType(self._identity)
-        self.then_t = MappingProxyType(self._then)
+        self._hom_size = hom_size
+        self._identity = identity
+        self._then = then
+        self.hom_size_t = MappingProxyType(hom_size)
+        self.identity_t = MappingProxyType(identity)
+        self.then_t = MappingProxyType(then)
         self._homs: dict[tuple[int, int], tuple[MorRef, ...]] = {}
         self._mors = None
         self._valid = False
@@ -84,19 +94,21 @@ class FinCat:
             if a not in objs or b not in objs:
                 raise StructuralError(f"bad hom size entry ({a},{b})={len(homs[a, b])}")
         refs = label_refs(homs)
-        identity_t = {a: label_ref(refs, a, a, identity(a)) for a in range(n)}
-        then = {}
-        for (a, b), fs in refs.items():
-            for c in range(n):
-                gs = refs.get((b, c))
-                if gs is None:
-                    continue
-                hs = refs.get((a, c), {})
-                for f, fm in fs.items():
-                    for g, gm in gs.items():
+        identity_t = {a: label_ref(refs, a, a, identity(a)) for a in objs}
+        # each non-empty hom's (label, morphism) pairs, and the non-empty
+        # homs out of each object in target order, listed once
+        pairs = {ab: tuple(row.items()) for ab, row in refs.items()}
+        out = [[(c, pairs[b, c]) for c in objs if (b, c) in pairs] for b in objs]
+        then, none = {}, {}
+        for (a, b), fs in pairs.items():
+            for c, gs in out[b]:
+                hs = refs.get((a, c), none)
+                for f, fm in fs:
+                    for g, gm in gs:
                         h = compose(a, b, c, f, g)
                         then[fm, gm] = hs.get(h) or label_ref(refs, a, c, h)
-        C = cls(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
+        C = cls.__new__(cls)
+        C._store(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
         C._homs = {ab: tuple(refs[ab].values()) if labels else () for ab, labels in homs.items()}
         C._valid = True
         return C
@@ -129,11 +141,13 @@ class FinCat:
             raise StructuralError(f"missing identity for object {x}") from None
 
     def compose(self, f: MorRef, g: MorRef) -> MorRef:
-        if f.dst != g.src:
-            raise StructuralError(f"non-composable pair {f} {g}")
         try:
             return self._then[(f, g)]
         except KeyError:
+            # a valid category keys only composable pairs, so the lookup
+            # alone decides the common case
+            if f.dst != g.src:
+                raise StructuralError(f"non-composable pair {f} {g}") from None
             raise StructuralError(f"missing composition entry {f};{g}") from None
 
     def contains_obj(self, x) -> bool:
@@ -186,7 +200,7 @@ def label_refs(homs: dict) -> dict:
     refs = {}
     for (a, b), labels in homs.items():
         if labels:
-            refs[a, b] = row = {label: MorRef(a, b, k) for k, label in enumerate(labels)}
+            refs[a, b] = row = {label: new_mor((a, b, k)) for k, label in enumerate(labels)}
             if len(row) != len(labels):
                 raise StructuralError(f"repeated morphism label in hom({a},{b})")
     return refs
@@ -345,10 +359,10 @@ class MonBase:
 class FinMonCat(MonBase):
     """Table-backed finite monoidal category.
 
-    ``hom``, ``hom_size``, ``id_of`` and ``compose`` are the methods of
-    ``cat``, bound at construction, so ``hom`` answers with the stored
-    tuple of ``cat``. Optional components are the symmetry table and the
-    closed-structure tables. Products and
+    ``hom``, ``hom_size``, ``id_of``, ``compose`` and ``contains_obj`` are
+    the methods of ``cat``, bound at construction, so ``hom`` answers with
+    the stored tuple of ``cat``. Optional components are the symmetry table
+    and the closed-structure tables. Products and
     equalizers are chosen by universal search: a candidate cone is universal
     iff, for every object c, the map that composes each u in hom(c, apex)
     with the cone's legs is a bijection onto the cones from c, which one
@@ -373,9 +387,10 @@ class FinMonCat(MonBase):
         name: str = "",
     ):
         self.cat = cat
-        # the category's own methods answer hom, hom_size, id_of and compose:
-        # a delegating method would add a frame to every composite
+        # the category's own methods answer hom, hom_size, id_of, compose and
+        # contains_obj: a delegating method would add a frame to every call
         self.hom, self.hom_size, self.id_of, self.compose = cat.hom, cat.hom_size, cat.id_of, cat.compose
+        self.contains_obj = cat.contains_obj
         self.unit = unit
         self.tensor_obj_t = dict(tensor_obj_t)
         self.tensor_mor_t = dict(tensor_mor_t)
@@ -397,9 +412,6 @@ class FinMonCat(MonBase):
 
     def objects(self):
         return self.cat.objects()
-
-    def contains_obj(self, x) -> bool:
-        return self.cat.contains_obj(x)
 
     # monoidal tables --------------------------------------------------------
     # each lookup is inline: a helper call would add a frame to every read

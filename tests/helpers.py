@@ -8,6 +8,7 @@ triple-loop oracle where a test calls for one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -30,6 +31,7 @@ from ecat.core import (
     invertible_2cell,
     postcompose_mor,
     precompose_mor,
+    thin_under_category,
     vcompose,
     whisker_left,
     whisker_right,
@@ -46,7 +48,16 @@ from ecat.factor import (
 )
 from ecat.report import CapabilityError, CheckReport, Collector, StructuralError
 from ecat.rezk import extend_functor, rezk_completion, transport_transformation
-from ecat.vbase import EqualizerResult, FinCat, MorRef, ProductResult, require_mor_shape, thin_category
+from ecat.vbase import (
+    EqualizerResult,
+    FinCat,
+    MorRef,
+    ProductResult,
+    label_ref,
+    label_refs,
+    require_mor_shape,
+    thin_category,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +601,87 @@ def reference_search_product(V, objs: list[int]) -> ProductResult:
 
                 return ProductResult(p, tuple(projs), pair)
     raise CapabilityError(f"no product found for {objs}")
+
+
+def reference_fincat_tabulate(n: int, homs: dict, identity, compose) -> FinCat:
+    """``FinCat.tabulate`` as it was before it paired each hom with the homs
+    out of its target once: every hom probes all n targets, and the
+    constructor copies the tables it built."""
+    objs = range(n)
+    for a, b in homs:
+        if a not in objs or b not in objs:
+            raise StructuralError(f"bad hom size entry ({a},{b})={len(homs[a, b])}")
+    refs = label_refs(homs)
+    identity_t = {a: label_ref(refs, a, a, identity(a)) for a in range(n)}
+    then = {}
+    for (a, b), fs in refs.items():
+        for c in range(n):
+            gs = refs.get((b, c))
+            if gs is None:
+                continue
+            hs = refs.get((a, c), {})
+            for f, fm in fs.items():
+                for g, gm in gs.items():
+                    h = compose(a, b, c, f, g)
+                    then[fm, gm] = hs.get(h) or label_ref(refs, a, c, h)
+    C = FinCat(n, {ab: len(labels) for ab, labels in homs.items()}, identity_t, then)
+    C._homs = {ab: tuple(refs[ab].values()) if labels else () for ab, labels in homs.items()}
+    C._valid = True
+    return C
+
+
+def reference_tabulate(base, under: FinCat, hom_obj, eid, ecomp, farr, name: str = "") -> Enrichment:
+    """``Enrichment.tabulate`` as it was before it checked the composition
+    entries inline: one checking frame per entry, the tensor of the hom pair
+    computed again for every composition entry, and the constructor copying
+    the tables it built. The rules run in the same order."""
+    V, I = base, base.unit
+    under.validate()
+    objs = under.objects()
+    hom_obj_t = {(x, y): hom_obj(x, y) for x in objs for y in objs}
+    for (x, y), h in hom_obj_t.items():
+        if not V.contains_obj(h):
+            raise StructuralError(f"hom object {h} at ({x},{y}) is not a base object")
+    known = set()
+
+    def shaped(m, src, dst):
+        if m.__class__ is not MorRef or m not in known or m.src != src or m.dst != dst:
+            require_mor_shape(V, m, src, dst)
+            known.add(m)
+        return m
+
+    tensor = V.tensor_obj
+    e_id_t = {x: shaped(m, I, hom_obj_t[x, x]) for x in objs if (m := eid(x)) is not None}
+    e_comp_t = {(x, y, z): shaped(m, tensor(hom_obj_t[y, z], hom_obj_t[x, y]), hom_obj_t[x, z])
+                for x in objs for y in objs for z in objs if (m := ecomp(x, y, z)) is not None}
+    from_arr_t = {f: shaped(m, I, hom_obj_t[f.src, f.dst]) for f in under.mors() if (m := farr(f)) is not None}
+    E = Enrichment(base, under, hom_obj_t, e_id_t, e_comp_t, from_arr_t, name=name)
+    E._checked = True
+    return E
+
+
+def reference_thin_enrichment(base, n: int, hom_obj: dict, name: str = "") -> Enrichment:
+    """``core.thin_enrichment`` as it was before it read hom objects from row
+    lists: each point and arrow a new MorRef after a ``hom_size`` test, built
+    through ``reference_tabulate``."""
+    I = base.unit
+    points = {h: MorRef(I, h, 0) for h in {hom_obj[x, y] for x in range(n) for y in range(n)}
+              if base.hom_size(I, h) > 0}
+    arrows = {(x, y) for x in range(n) for y in range(n) if hom_obj[x, y] in points}
+
+    @functools.cache
+    def arrow(h_yz, h_xy, h_xz):
+        src = base.tensor_obj(h_yz, h_xy)
+        return MorRef(src, h_xz, 0) if base.hom_size(src, h_xz) > 0 else None
+
+    return reference_tabulate(
+        base, thin_under_category(n, arrows),
+        lambda x, y: hom_obj[x, y],
+        lambda x: points.get(hom_obj[x, x]),
+        lambda x, y, z: arrow(hom_obj[y, z], hom_obj[x, y], hom_obj[x, z]),
+        lambda f: points.get(hom_obj[f.src, f.dst]),
+        name=name,
+    )
 
 
 def enrichments_in(value) -> list[Enrichment]:

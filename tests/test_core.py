@@ -27,6 +27,7 @@ from ecat.core import (
     kelly_round_trip_iso,
     postcompose_mor,
     precompose_mor,
+    thin_enrichment,
     thin_under_category,
     to_kelly,
     underlying_category,
@@ -49,8 +50,11 @@ from helpers import (
     random_metric_table,
     random_preorder,
     random_relation,
+    reference_fincat_tabulate,
     reference_scan_unit_assoc,
+    reference_tabulate,
     reference_thin_closure,
+    reference_thin_enrichment,
     reference_validate_and_shape,
     thin_functor,
     triangle_oracle,
@@ -527,6 +531,20 @@ def test_malformed_entries_are_refused_where_they_enter(boolb, finset3):
         (c2, "ecomp", (0, 0, 0), MorRef(4, 2, 16), r"index out of range"),
         (c2, "farr", f, MorRef(1, 3, 0), r"does not have shape"),
     ]
+    # a morphism tabulate has already accepted is accepted again only as a
+    # MorRef with both ends right: (0,0,0) holds (1,1,0) in chain2 and in
+    # gap3, where 0 -> 1 -> 2 but hom(0,2) is 0, so (0,1,2) must be 1 -> 0
+    gap3 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}, 3)
+    accepted = chain2.ecomp(0, 0, 0)
+    assert accepted == gap3.ecomp(0, 0, 0) == MorRef(1, 1, 0) and gap3.ecomp(0, 1, 2) is None
+    cases += [
+        # an equal plain tuple, after the MorRef was accepted
+        (chain2, "ecomp", (0, 0, 1), tuple(accepted), r"expected a morphism, got \(1, 1, 0\)"),
+        # the accepted MorRef where its source is wrong, its target, or both
+        (chain2, "ecomp", (0, 1, 0), accepted, r"morphism \(1,1,0\) does not have shape 0 -> 1"),
+        (gap3, "ecomp", (0, 1, 2), accepted, r"morphism \(1,1,0\) does not have shape 1 -> 0"),
+        (chain2, "ecomp", (1, 0, 0), accepted, r"morphism \(1,1,0\) does not have shape 0 -> 0"),
+    ]
     for E, table, key, m, message in cases:
         rules, raw = _one_entry_off(E, table, key, m)
         with pytest.raises(StructuralError, match=message) as at_entry:
@@ -534,9 +552,105 @@ def test_malformed_entries_are_refused_where_they_enter(boolb, finset3):
         with pytest.raises(StructuralError) as at_check:
             check_enrichment(raw)
         assert str(at_entry.value) == str(at_check.value)
+    # two malformed entries: the first in (x, y, z) order is the one named
+    rules, raw = _one_entry_off(chain2, "ecomp", (1, 0, 0), accepted)
+    rules, raw = _one_entry_off(raw, "ecomp", (0, 1, 1), MorRef(1, 1, 1))
+    with pytest.raises(StructuralError, match=r"index out of range: \(1,1,1\)") as at_entry:
+        Enrichment.tabulate(chain2.base, chain2.under, *rules)
+    with pytest.raises(StructuralError) as at_check:
+        check_enrichment(raw)
+    assert str(at_entry.value) == str(at_check.value)
     with pytest.raises(StructuralError, match=r"hom object 7 at \(0,1\) is not a base object"):
         Enrichment.tabulate(boolb, chain2.under, lambda x, y: 7 if (x, y) == (0, 1) else 1,
                             chain2.eid, chain2.ecomp, chain2.farr)
+
+
+def _same_build(build, reference) -> None:
+    """Both builders give data_equal checked enrichments, or both refuse
+    with the same message."""
+    try:
+        want = reference()
+    except StructuralError as refused:
+        with pytest.raises(StructuralError) as got:
+            build()
+        assert str(got.value) == str(refused)
+        return
+    got = build()
+    assert got._checked and got.data_equal(want)
+
+
+def test_thin_builds_match_the_frame_per_entry_reference(boolb, cost5):
+    """thin_enrichment builds what the frame-per-entry builder it replaced
+    builds (``reference_thin_enrichment``), and refuses with its message:
+    every relation on at most 3 points, seeded 4-point relations, seeded
+    lawful and perturbed cost(5)/cost(6) tables on 3-5 points, and hom
+    tables holding a value that is not a base object."""
+    cases = []
+    for n in range(4):
+        pairs = list(itertools.product(range(n), repeat=2))
+        cases += [(boolb, n, dict(zip(pairs, bits))) for bits in itertools.product((0, 1), repeat=len(pairs))]
+    rng = random.Random(23)
+    pairs = list(itertools.product(range(4), repeat=2))
+    for _ in range(200):
+        density = rng.random()
+        cases.append((boolb, 4, {p: int(rng.random() < density) for p in pairs}))
+    for V in (cost5, cost_base(6)):
+        for n in (3, 4, 5):
+            for _ in range(15):
+                d = random_metric_table(rng, V, n)
+                cases.append((V, n, d))
+                cases.append((V, n, {**d, (rng.randrange(n), rng.randrange(n)): rng.randrange(V.n_objects)}))
+    seven = {(0, 0): 1, (0, 1): 7, (1, 0): 0, (1, 1): 1}
+    cases += [(boolb, 2, seven), (boolb, 2, {**seven, (0, 1): 1, (1, 0): -1}),
+              (cost5, 3, {(x, y): 9 if (x, y) == (2, 1) else 0 for x in range(3) for y in range(3)})]
+    assert len(cases) >= 900
+    for V, n, hom_obj in cases:
+        _same_build(lambda: thin_enrichment(V, n, hom_obj), lambda: reference_thin_enrichment(V, n, hom_obj))
+    with pytest.raises(StructuralError, match=r"hom object 7 at \(0,1\) is not a base object"):
+        thin_enrichment(boolb, 2, seven)
+
+
+def test_tabulate_matches_the_frame_per_entry_reference(boolb, monkeypatch):
+    """Enrichment.tabulate builds what the frame-per-entry tabulation it
+    replaced builds (``reference_tabulate``), with the rules run in the same
+    order: on criterion 2's canonical set-enrichments over finset(4) and
+    finset(3), and on the finposet_struct(2) constructions, whose computed
+    base numbers its objects in the order the rules ask for them; each side
+    builds its own bases. Malformed entries give the same refusals, and
+    FinCat.tabulate builds every thin category on at most 3 points as its
+    reference does."""
+    rng = random.Random(2)
+    cats = [random_category(rng, max_objects=4, max_hom=3) for _ in range(50)]
+    monoids = [cyclic_monoid_category(2), cyclic_monoid_category(3)]
+
+    def built():
+        fs4, fs3 = builtin_base("finset", k=4), builtin_base("finset", k=3)
+        sets = [canonical_set_enrichment(C, fs4) for C in cats] + [canonical_set_enrichment(C, fs3) for C in monoids]
+        struct = construction_cases.FIXTURES["finposet_struct2"]()
+        return sets, {name: construction_cases.pinned_text(results) for name, results in struct.items()}
+
+    sets, pinned = built()
+    with monkeypatch.context() as m:
+        m.setattr(Enrichment, "tabulate", classmethod(lambda cls, *args, **kw: reference_tabulate(*args, **kw)))
+        ref_sets, ref_pinned = built()
+    assert all(E._checked and E.data_equal(R) for E, R in zip(sets, ref_sets))
+    assert pinned == ref_pinned
+
+    chain2 = bool_preorder_enrichment(boolb, {(0, 0), (1, 1), (0, 1)}, 2)
+    accepted = chain2.ecomp(0, 0, 0)
+    for table, key, value in [("eid", 0, MorRef(1, 1, 1)), ("ecomp", (0, 0, 1), tuple(accepted)),
+                              ("ecomp", (1, 0, 0), accepted), ("farr", MorRef(0, 1, 0), MorRef(1, 0, 0))]:
+        rules, _ = _one_entry_off(chain2, table, key, value)
+        _same_build(lambda: Enrichment.tabulate(boolb, chain2.under, *rules),
+                    lambda: reference_tabulate(boolb, chain2.under, *rules))
+
+    for n in range(4):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            C = thin_under_category(n, {p for p, b in zip(pairs, bits) if b})
+            homs = {(a, b): [0] if C.hom_size(a, b) else [] for a, b in pairs}
+            R = reference_fincat_tabulate(n, homs, lambda a: 0, lambda a, b, c, f, g: 0)
+            assert C == R and all(C.hom(a, b) == R.hom(a, b) for a, b in pairs)
 
 
 def test_thin_closure_matches_the_repeated_sweeps():

@@ -86,6 +86,23 @@ def test_validate_rejects_composition_keys_outside_the_homs():
             FinCat(1, C.hom_size_t, C.identity_t, {**C.then_t, key: j}).validate()
 
 
+def test_compose_refuses_a_non_composable_pair():
+    """compose names a pair whose ends do not meet "non-composable pair" on a
+    validated category, a tabulated one and a table base, and a composable
+    pair without an entry "missing composition entry" on raw tables."""
+    raw = discrete_category(2)
+    raw.validate()
+    built = FinCat.tabulate(2, {(0, 0): ["i"], (0, 1): ["p"], (1, 1): ["j"]},
+                            lambda a: "ij"[a], lambda a, b, c, f, g: g if f in "ij" else f)
+    i0, i1, p = MorRef(0, 0, 0), MorRef(1, 1, 0), MorRef(0, 1, 0)
+    for C, f, g in [(raw, i0, i1), (raw, i1, i0), (built, p, i0), (built, i1, p), (bool_base(), p, p)]:
+        with pytest.raises(StructuralError, match=re.escape(f"non-composable pair {f} {g}")):
+            C.compose(f, g)
+    assert built.compose(i0, p) == p == built.compose(p, i1)
+    with pytest.raises(StructuralError, match=re.escape(f"missing composition entry {i1};{i1}")):
+        FinCat(2, raw.hom_size_t, raw.identity_t, {(i0, i0): i0}).compose(i1, i1)
+
+
 def test_hom_is_one_stored_tuple():
     """Two calls of ``hom`` return the same immutable tuple, on raw tables
     and on a tabulated category, for empty and inhabited homs."""
