@@ -13,6 +13,14 @@ concatenation, ``lam`` as row slicing, equalizers and products. A base
 supplies object sizes, ``tensor_obj``, ``hom_obj`` and a numbering of its
 homs: graph to ``MorRef`` index and back.
 
+The coherence scans evaluate a row of instances at a time, one fixed
+morphism against a list drawn from one hom, through the batched calls
+``compose_each``, ``each_compose``, ``tensor_each`` and ``each_tensor``.
+Each runs the per-entry loop of ``compose`` or ``tensor_mor`` with the fixed
+side's graph, its padded translation table or its shifted rows, and the
+result's ends looked up once per call, and interns each result as
+``compose`` does. ``compose`` and ``tensor_mor`` stay the per-entry calls.
+
 There are two numberings. ``graph_rank``/``graph_unrank`` rank a graph in
 lexicographic order (first coordinate most significant) among all graphs of
 its shape; they number every ``FinSetCat`` hom and every free ``StructCat``
@@ -32,7 +40,7 @@ import itertools
 import math
 
 from .report import CapabilityError, StructuralError
-from .vbase import EqualizerResult, MonBase, MorRef, ProductResult
+from .vbase import EqualizerResult, MonBase, MorRef, ProductResult, new_mor
 
 
 #: The largest carrier whose graphs the kernel holds as ``bytes``.
@@ -40,6 +48,10 @@ BYTES_CARRIER = 256
 # _SHIFT[s] maps each byte b to b + s (mod 256); row v of a byte tensor graph
 # is the right factor's graph shifted by v * |right target|
 _SHIFT = [bytes(range(s, 256)) + bytes(range(s)) for s in range(256)]
+
+
+def _chain_tuple(parts) -> tuple[int, ...]:
+    return tuple(itertools.chain.from_iterable(parts))
 
 
 def as_graph(values, n: int) -> bytes | tuple[int, ...]:
@@ -136,7 +148,7 @@ class GraphBase(MonBase):
 
     def _ranked(self, key: tuple) -> MorRef:
         self._bound_memos()
-        m = self._mor_of[key] = MorRef(key[0], key[1], self._rank(*key))
+        m = self._mor_of[key] = new_mor((key[0], key[1], self._rank(*key)))
         return m
 
     def _built(self, src: int, dst: int, graph) -> MorRef:
@@ -189,6 +201,59 @@ class GraphBase(MonBase):
             graph_of[m] = graph
         return m
 
+    # the batched calls (see the module docstring); a list that leaves its
+    # hom raises StructuralError
+    def compose_each(self, f, gs):
+        graph_of, mor_of, ranked = self._graph_of, self._mor_of, self._ranked
+        gf = self._graph(f)
+        src, mid = f.src, f.dst
+        out = []
+        for g in gs:
+            if g.src != mid:
+                raise StructuralError(f"non-composable pair {f} {g}")
+            gg = graph_of.get(g)
+            if gg is None:
+                gg = self._graph(g)
+            if type(gg) is tuple:
+                graph = tuple(map(gg.__getitem__, gf))
+            elif type(gf) is bytes:
+                graph = gf.translate(gg.ljust(256, b"\0"))
+            else:
+                graph = bytes(map(gg.__getitem__, gf))
+            key = (src, g.dst, graph)
+            m = mor_of.get(key)
+            if m is None:
+                m = ranked(key)
+                graph_of[m] = graph
+            out.append(m)
+        return out
+
+    def each_compose(self, fs, g):
+        graph_of, mor_of, ranked = self._graph_of, self._mor_of, self._ranked
+        gg = self._graph(g)
+        table = gg.ljust(256, b"\0") if type(gg) is bytes else None
+        mid, dst = g.src, g.dst
+        out = []
+        for f in fs:
+            if f.dst != mid:
+                raise StructuralError(f"non-composable pair {f} {g}")
+            gf = graph_of.get(f)
+            if gf is None:
+                gf = self._graph(f)
+            if table is None:
+                graph = tuple(map(gg.__getitem__, gf))
+            elif type(gf) is bytes:
+                graph = gf.translate(table)
+            else:
+                graph = bytes(map(gg.__getitem__, gf))
+            key = (f.src, dst, graph)
+            m = mor_of.get(key)
+            if m is None:
+                m = ranked(key)
+                graph_of[m] = graph
+            out.append(m)
+        return out
+
     # -- monoidal ------------------------------------------------------------
     def tensor_mor(self, f, g):
         gf, gg = self._graph(f), self._graph(g)
@@ -198,6 +263,71 @@ class GraphBase(MonBase):
         else:
             graph = tuple([a + b for a in [v * n for v in gf] for b in gg])
         return self._built(self.tensor_obj(f.src, g.src), self.tensor_obj(f.dst, g.dst), graph)
+
+    def tensor_each(self, f, gs):
+        if not gs:
+            return []
+        graph_of, mor_of, ranked = self._graph_of, self._mor_of, self._ranked
+        c, d = gs[0].src, gs[0].dst
+        gf = self._graph(f)
+        n = self.obj_size(d)
+        src, dst = self.tensor_obj(f.src, c), self.tensor_obj(f.dst, d)
+        # block v of f (x) g is g's graph shifted by f(v) * |d|
+        if self.obj_size(f.dst) * n <= BYTES_CARRIER:
+            shifts, offsets = [_SHIFT[v * n] for v in gf], None
+        else:
+            shifts, offsets = None, [v * n for v in gf]
+        out = []
+        for g in gs:
+            if g.src != c or g.dst != d:
+                raise StructuralError(f"{g} leaves hom({c},{d})")
+            gg = graph_of.get(g)
+            if gg is None:
+                gg = self._graph(g)
+            if shifts is None:
+                graph = tuple([a + b for a in offsets for b in gg])
+            elif shifts:
+                graph = b"".join(map(gg.translate, shifts))
+            else:
+                graph = b""  # f's source is empty, so the tensor's is
+            key = (src, dst, graph)
+            m = mor_of.get(key)
+            if m is None:
+                m = ranked(key)
+                graph_of[m] = graph
+            out.append(m)
+        return out
+
+    def each_tensor(self, fs, g):
+        if not fs:
+            return []
+        graph_of, mor_of, ranked = self._graph_of, self._mor_of, self._ranked
+        a, b = fs[0].src, fs[0].dst
+        gg = self._graph(g)
+        n, nb = self.obj_size(g.dst), self.obj_size(b)
+        src, dst = self.tensor_obj(a, g.src), self.tensor_obj(b, g.dst)
+        # row v is block v of every f (x) g with f(i) = v: g's graph shifted by v * |g.dst|
+        if nb * n <= BYTES_CARRIER:
+            rows = [gg.translate(_SHIFT[v * n]) for v in range(nb)]
+            join = b"".join
+        else:
+            rows = [tuple([v * n + w for w in gg]) for v in range(nb)]
+            join = _chain_tuple
+        out = []
+        for f in fs:
+            if f.src != a or f.dst != b:
+                raise StructuralError(f"{f} leaves hom({a},{b})")
+            gf = graph_of.get(f)
+            if gf is None:
+                gf = self._graph(f)
+            graph = join(map(rows.__getitem__, gf))
+            key = (src, dst, graph)
+            m = mor_of.get(key)
+            if m is None:
+                m = ranked(key)
+                graph_of[m] = graph
+            out.append(m)
+        return out
 
     def lunitor(self, x):
         return self._identity_shaped(self.tensor_obj(self.unit, x), x)

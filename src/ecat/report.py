@@ -8,9 +8,11 @@ law name and flattened instance tuple, independent of scan order.
 A checker is a scan over a :class:`Collector`, wrapped by :func:`law_scan`.
 The collector is the one place where a scan stops: given ``limit=k``, it ends
 the scan once it holds k failures, so the report holds the first k failures in
-scan order (``limit=None`` scans everything). A construction that re-checks
-what it built refuses through :meth:`CheckReport.require`, which raises
-:class:`StructuralError` naming the first failure.
+scan order (``limit=None`` scans everything). It also counts, per law, the
+instances a scan skips because an evaluation left a computed base's window;
+the report carries the counts and prints nothing of them. A construction
+that re-checks what it built refuses through :meth:`CheckReport.require`,
+which raises :class:`StructuralError` naming the first failure.
 """
 
 from __future__ import annotations
@@ -93,15 +95,19 @@ class Failure:
 
 @dataclass
 class CheckReport:
-    """Verdict of a law scan; ok iff failures is empty."""
+    """Verdict of a law scan; ok iff failures is empty. ``skipped`` counts,
+    per law, the instances the scan skipped because an evaluation left the
+    base's window (``WindowExceeded``); neither ``describe`` nor ``to_json``
+    shows it."""
 
     ok: bool
     failures: list[Failure] = field(default_factory=list)
+    skipped: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def from_failures(cls, failures: list[Failure]) -> "CheckReport":
+    def from_failures(cls, failures: list[Failure], skipped: dict[str, int] | None = None) -> "CheckReport":
         ordered = sorted(failures, key=Failure.sort_key)
-        return cls(ok=not ordered, failures=ordered)
+        return cls(ok=not ordered, failures=ordered, skipped=dict(skipped or {}))
 
     def require(self, what: str) -> None:
         """Refuse a failed re-check: raise StructuralError naming ``what`` and
@@ -149,11 +155,12 @@ class _ScanStop(Exception):
 
 
 class Collector:
-    """Accumulates the failures of one scan; ``add`` ends the scan once
-    ``limit`` failures are held."""
+    """Accumulates the failures of one scan, and the instances it skips;
+    ``add`` ends the scan once ``limit`` failures are held."""
 
     def __init__(self, limit: int | None = None):
         self.failures: list[Failure] = []
+        self.skipped: dict[str, int] = {}
         self.limit = limit
 
     def add(self, law: str, instance: tuple, lhs=None, rhs=None) -> None:
@@ -161,13 +168,22 @@ class Collector:
         if self.limit is not None and len(self.failures) >= self.limit:
             raise _ScanStop(self)
 
+    def skip(self, law: str, n: int = 1) -> None:
+        """Count n instances of ``law`` skipped because an evaluation left the
+        window. ``law`` names the law, or the group of laws one instance
+        checks together (``tensor-decomp`` for both whisker decompositions)."""
+        self.skipped[law] = self.skipped.get(law, 0) + n
+
     def include(self, prefix: str, report: CheckReport) -> None:
-        """Add a nested check's failures, each law renamed ``prefix/law``."""
+        """Add a nested check's failures and skips, each law renamed
+        ``prefix/law``."""
+        for law, n in report.skipped.items():
+            self.skip(f"{prefix}/{law}", n)
         for f in report.failures:
             self.add(f"{prefix}/{f.law}", f.instance, f.lhs, f.rhs)
 
     def report(self) -> CheckReport:
-        return CheckReport.from_failures(self.failures)
+        return CheckReport.from_failures(self.failures, self.skipped)
 
 
 def law_scan(scan):

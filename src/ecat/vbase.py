@@ -305,12 +305,31 @@ class MonBase:
             out = compose(out, m)
         return out
 
+    # batched calls: one fixed morphism against a list drawn from one hom. A
+    # law scan makes one call per row of instances; a kernel answers a row
+    # in one loop, and these defaults map the per-entry method over it.
+    def compose_each(self, f: MorRef, gs: list[MorRef]) -> list[MorRef]:
+        """[f;g for g in gs]."""
+        return list(map(self.compose, itertools.repeat(f), gs))
+
+    def each_compose(self, fs: list[MorRef], g: MorRef) -> list[MorRef]:
+        """[f;g for f in fs]."""
+        return list(map(self.compose, fs, itertools.repeat(g)))
+
     # monoidal part --------------------------------------------------------
     def tensor_obj(self, x: int, y: int) -> int:
         raise NotImplementedError
 
     def tensor_mor(self, f: MorRef, g: MorRef) -> MorRef:
         raise NotImplementedError
+
+    def tensor_each(self, f: MorRef, gs: list[MorRef]) -> list[MorRef]:
+        """[f (x) g for g in gs]."""
+        return list(map(self.tensor_mor, itertools.repeat(f), gs))
+
+    def each_tensor(self, fs: list[MorRef], g: MorRef) -> list[MorRef]:
+        """[f (x) g for f in fs]."""
+        return list(map(self.tensor_mor, fs, itertools.repeat(g)))
 
     def lunitor(self, x: int) -> MorRef:
         raise NotImplementedError
@@ -809,6 +828,41 @@ def check_category(col: Collector, C) -> None:
                             )
 
 
+class _Memo(dict):
+    """A dict that builds a missing value from the parts of its key, once;
+    a build that raises stores nothing."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(*key)
+        return value
+
+
+def _require_row_shape(V, row: list, src: int, dst: int) -> None:
+    """require_mor_shape on each morphism of a row, reading hom(src, dst)'s
+    size once."""
+    n = None
+    for m in row:
+        if type(m) is not MorRef or m.src != src or m.dst != dst:
+            require_mor_shape(V, m, src, dst)
+        if n is None:
+            n = V.hom_size(src, dst)
+        if not 0 <= m.k < n:
+            require_mor_shape(V, m, src, dst)
+
+
+def _add_row(col: Collector, law: str, lhs: list, rhs: list, ms: list, before: tuple = (), after: tuple = ()) -> None:
+    """Report each position j where two rows of a batched scan differ, at
+    the instance (*before, ms[j], *after)."""
+    if lhs != rhs:
+        for m, l, r in zip(ms, lhs, rhs):
+            if l != r:
+                col.add(law, (*before, m, *after), l, r)
+
+
 def _check_iso_pair(V, col, law, instance, fwd, inv, src, dst):
     require_mor_shape(V, fwd, src, dst)
     require_mor_shape(V, inv, dst, src)
@@ -828,31 +882,48 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
     is equivalent to full interchange and quadratically cheaper. A base
     certified thin (``V.thin``) is not scanned: each diagram compares two
     parallel, well-shaped morphisms in a hom with at most one element.
+
+    The whisker decompositions, slotwise functoriality and unitor and
+    associator naturality run a row at a time: one fixed morphism against a
+    list drawn from one hom, evaluated by the base's batched calls
+    (``compose_each``, ``each_compose``, ``tensor_each``, ``each_tensor``).
+    So the scan order, which ``limit`` reads, is hom-major there; an
+    unlimited report is sorted and does not depend on it. Every instance of
+    a row has the same shape, so a row that leaves the window raises
+    WindowExceeded for all of them and is skipped as a unit, and the
+    collector counts its instances.
     """
     if V.thin:
         return
     objs, homs = _window_homs(V)
     I = V.unit
 
-    def windowed(ab):
-        fs = homs.get(ab)
-        return fs if fs is not None else []
+    # the whiskers of a whole window hom by one object recur in every law
+    # family, as rows memoised within the call, each built by one batched
+    # call: right[ab, y] is [f (x) id_y for f in hom ab] and left[y, ab] is
+    # [id_y (x) f for f in hom ab]. A row whose shape leaves the window
+    # raises WindowExceeded, and the instances that read it are skipped.
+    right = _Memo(lambda ab, y: V.each_tensor(homs[ab], V.id_of(y)))
+    left = _Memo(lambda y, ab: V.tensor_each(V.id_of(y), homs[ab]))
+    # the same rows as tables keyed by morphism
+    right_table = _Memo(lambda ab, y: dict(zip(homs[ab], right[ab, y])))
+    left_table = _Memo(lambda y, ab: dict(zip(homs[ab], left[y, ab])))
 
-    # tensor-with-identity whiskers recur in every law family; memoize them
-    _tr: dict = {}
-    _tl: dict = {}
-
-    def t_right(f, y):
-        m = _tr.get((f, y))
-        if m is None:
-            m = _tr[(f, y)] = V.tensor_mor(f, V.id_of(y))
-        return m
-
-    def t_left(y, f):
-        m = _tl.get((y, f))
-        if m is None:
-            m = _tl[(y, f)] = V.tensor_mor(V.id_of(y), f)
-        return m
+    def whiskered(ms, y, on_right):
+        """The whiskers of ms, a list drawn from one hom. When that is a
+        window hom they are read off its table, as many lists share their
+        morphisms; else, or for a list the table does not cover, they are
+        one batched call."""
+        if ms:
+            ab = (ms[0].src, ms[0].dst)
+            if homs.get(ab) is not None:
+                table = right_table[ab, y] if on_right else left_table[y, ab]
+                try:
+                    return list(map(table.__getitem__, ms))
+                except KeyError:
+                    pass
+        i = V.id_of(y)
+        return V.each_tensor(ms, i) if on_right else V.tensor_each(i, ms)
 
     # tensor preserves identities
     for x, y in itertools.product(objs, repeat=2):
@@ -863,42 +934,44 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             if t != V.id_of(xy):
                 col.add("tensor-id", (x, y), t, V.id_of(xy))
         except WindowExceeded:
+            col.skip("tensor-id")
+
+    # whisker decompositions over all window pairs, a row per f over hom(c, d)
+    for (a, b), fs in homs.items():
+        if not fs:
             continue
+        for i, f in enumerate(fs):
+            for (c, d), gs in homs.items():
+                if not gs:
+                    continue
+                try:
+                    fgs = V.tensor_each(f, gs)
+                    _require_row_shape(V, fgs, V.tensor_obj(a, c), V.tensor_obj(b, d))
+                    split = V.compose_each(right[(a, b), c][i], left[b, (c, d)])
+                    _add_row(col, "tensor-left-decomp", fgs, split, gs, (f,))
+                    split = V.each_compose(left[a, (c, d)], right[(a, b), d][i])
+                    _add_row(col, "tensor-right-decomp", fgs, split, gs, (f,))
+                except WindowExceeded:
+                    col.skip("tensor-decomp", len(gs))
 
-    # whisker decompositions over all window pairs
-    for a, b in itertools.product(objs, repeat=2):
-        for f in windowed((a, b)):
-            for c, d in itertools.product(objs, repeat=2):
-                for g in windowed((c, d)):
-                    try:
-                        fg = V.tensor_mor(f, g)
-                        require_mor_shape(V, fg, V.tensor_obj(a, c), V.tensor_obj(b, d))
-                        left = V.compose(t_right(f, c), t_left(b, g))
-                        if fg != left:
-                            col.add("tensor-left-decomp", (f, g), fg, left)
-                        right = V.compose(t_left(a, g), t_right(f, d))
-                        if fg != right:
-                            col.add("tensor-right-decomp", (f, g), fg, right)
-                    except WindowExceeded:
-                        continue
-
-    # slotwise functoriality over composable pairs and window objects
+    # slotwise functoriality over composable pairs and window objects, a row
+    # per (f, y) over hom(b, c)
     for a, b, c in itertools.product(objs, repeat=3):
-        for f in windowed((a, b)):
-            for f2 in windowed((b, c)):
-                ff2 = V.compose(f, f2)
-                for y in objs:
-                    try:
-                        lhs = t_right(ff2, y)
-                        rhs = V.compose(t_right(f, y), t_right(f2, y))
-                        if lhs != rhs:
-                            col.add("tensor-left-funct", (f, f2, y), lhs, rhs)
-                        lhs = t_left(y, ff2)
-                        rhs = V.compose(t_left(y, f), t_left(y, f2))
-                        if lhs != rhs:
-                            col.add("tensor-right-funct", (f, f2, y), lhs, rhs)
-                    except WindowExceeded:
-                        continue
+        fs, f2s = homs[a, b], homs[b, c]
+        if not fs or not f2s:
+            continue
+        for i, f in enumerate(fs):
+            ff2s = V.compose_each(f, f2s)
+            for y in objs:
+                try:
+                    lhs = whiskered(ff2s, y, True)
+                    rhs = V.compose_each(right[(a, b), y][i], right[(b, c), y])
+                    _add_row(col, "tensor-left-funct", lhs, rhs, f2s, (f,), (y,))
+                    lhs = whiskered(ff2s, y, False)
+                    rhs = V.compose_each(left[y, (a, b)][i], left[y, (b, c)])
+                    _add_row(col, "tensor-right-funct", lhs, rhs, f2s, (f,), (y,))
+                except WindowExceeded:
+                    col.skip("tensor-funct", len(f2s))
 
     # unitor and associator invertibility
     for x in objs:
@@ -906,7 +979,7 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             _check_iso_pair(V, col, "lunitor-iso", (x,), V.lunitor(x), V.lunitor_inv(x), V.tensor_obj(I, x), x)
             _check_iso_pair(V, col, "runitor-iso", (x,), V.runitor(x), V.runitor_inv(x), V.tensor_obj(x, I), x)
         except WindowExceeded:
-            continue
+            col.skip("unitor-iso")
     for x, y, z in itertools.product(objs, repeat=3):
         try:
             _check_iso_pair(
@@ -915,47 +988,40 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
                 V.tensor_obj(V.tensor_obj(x, y), z), V.tensor_obj(x, V.tensor_obj(y, z)),
             )
         except WindowExceeded:
-            continue
+            col.skip("associator-iso")
 
-    # unitor naturality
+    # unitor naturality, a hom at a time
     for (a, b), fs in homs.items():
-        if fs is None:
+        if not fs:
             continue
-        for f in fs:
+        try:
+            lhs = V.each_compose(left[I, (a, b)], V.lunitor(b))
+            rhs = V.compose_each(V.lunitor(a), fs)
+            _add_row(col, "lunitor-natural", lhs, rhs, fs)
+            lhs = V.each_compose(right[(a, b), I], V.runitor(b))
+            rhs = V.compose_each(V.runitor(a), fs)
+            _add_row(col, "runitor-natural", lhs, rhs, fs)
+        except WindowExceeded:
+            col.skip("unitor-natural", len(fs))
+
+    # associator naturality, one slot at a time, a hom at a time
+    for (a, b), fs in homs.items():
+        if not fs:
+            continue
+        for y, z in itertools.product(objs, repeat=2):
             try:
-                lhs = V.compose(t_left(I, f), V.lunitor(b))
-                rhs = V.compose(V.lunitor(a), f)
-                if lhs != rhs:
-                    col.add("lunitor-natural", (f,), lhs, rhs)
-                lhs = V.compose(t_right(f, I), V.runitor(b))
-                rhs = V.compose(V.runitor(a), f)
-                if lhs != rhs:
-                    col.add("runitor-natural", (f,), lhs, rhs)
+                yz = V.tensor_obj(y, z)
+                lhs = V.each_compose(whiskered(right[(a, b), y], z, True), V.associator(b, y, z))
+                rhs = V.compose_each(V.associator(a, y, z), right[(a, b), yz])
+                _add_row(col, "associator-natural-1", lhs, rhs, fs, (), (y, z))
+                lhs = V.each_compose(whiskered(left[y, (a, b)], z, True), V.associator(y, b, z))
+                rhs = V.compose_each(V.associator(y, a, z), whiskered(right[(a, b), z], y, False))
+                _add_row(col, "associator-natural-2", lhs, rhs, fs, (y,), (z,))
+                lhs = V.each_compose(left[yz, (a, b)], V.associator(y, z, b))
+                rhs = V.compose_each(V.associator(y, z, a), whiskered(left[z, (a, b)], y, False))
+                _add_row(col, "associator-natural-3", lhs, rhs, fs, (y, z))
             except WindowExceeded:
-                continue
-
-    # associator naturality, one slot at a time
-    for (a, b), fs in homs.items():
-        if fs is None:
-            continue
-        for f in fs:
-            for y, z in itertools.product(objs, repeat=2):
-                try:
-                    yz = V.tensor_obj(y, z)
-                    lhs = V.compose(t_right(t_right(f, y), z), V.associator(b, y, z))
-                    rhs = V.compose(V.associator(a, y, z), t_right(f, yz))
-                    if lhs != rhs:
-                        col.add("associator-natural-1", (f, y, z), lhs, rhs)
-                    lhs = V.compose(t_right(t_left(y, f), z), V.associator(y, b, z))
-                    rhs = V.compose(V.associator(y, a, z), t_left(y, t_right(f, z)))
-                    if lhs != rhs:
-                        col.add("associator-natural-2", (y, f, z), lhs, rhs)
-                    lhs = V.compose(t_left(yz, f), V.associator(y, z, b))
-                    rhs = V.compose(V.associator(y, z, a), t_left(y, t_left(z, f)))
-                    if lhs != rhs:
-                        col.add("associator-natural-3", (y, z, f), lhs, rhs)
-                except WindowExceeded:
-                    continue
+                col.skip("associator-natural", len(fs))
 
     # triangle
     for x, y in itertools.product(objs, repeat=2):
@@ -965,7 +1031,7 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             if lhs != rhs:
                 col.add("triangle", (x, y), lhs, rhs)
         except WindowExceeded:
-            continue
+            col.skip("triangle")
 
     # pentagon
     for w, x, y, z in itertools.product(objs, repeat=4):
@@ -982,14 +1048,14 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             if lhs != rhs:
                 col.add("pentagon", (w, x, y, z), lhs, rhs)
         except WindowExceeded:
-            continue
-
+            col.skip("pentagon")
 
 
 @law_scan
 def check_symmetric(col: Collector, V: MonBase) -> None:
     """Symmetry involution, naturality, and the hexagon, over the window. A
-    base certified thin (``V.thin``) is not scanned, as in check_monoidal."""
+    base certified thin (``V.thin``) is not scanned, as in check_monoidal;
+    naturality runs a row at a time, as there."""
     if not V.symmetric:
         raise CapabilityError("base has no symmetry")
     if V.thin:
@@ -1013,23 +1079,22 @@ def check_symmetric(col: Collector, V: MonBase) -> None:
             if roundtrip != V.id_of(V.tensor_obj(x, y)):
                 col.add("symmetry-inverse", (x, y), roundtrip, V.id_of(V.tensor_obj(x, y)))
         except WindowExceeded:
-            continue
+            col.skip("symmetry-inverse")
 
+    # naturality, a row per f over hom(c, d)
     for (a, b), fs in homs.items():
-        if fs is None:
+        if not fs:
             continue
         for f in fs:
             for (c, d), gs in homs.items():
-                if gs is None:
+                if not gs:
                     continue
-                for g in gs:
-                    try:
-                        lhs = V.compose(V.tensor_mor(f, g), sym(b, d))
-                        rhs = V.compose(sym(a, c), V.tensor_mor(g, f))
-                        if lhs != rhs:
-                            col.add("symmetry-natural", (f, g), lhs, rhs)
-                    except WindowExceeded:
-                        continue
+                try:
+                    lhs = V.each_compose(V.tensor_each(f, gs), sym(b, d))
+                    rhs = V.compose_each(sym(a, c), V.each_tensor(gs, f))
+                    _add_row(col, "symmetry-natural", lhs, rhs, gs, (f,))
+                except WindowExceeded:
+                    col.skip("symmetry-natural", len(gs))
 
     for x, y, z in itertools.product(objs, repeat=3):
         try:
@@ -1046,7 +1111,7 @@ def check_symmetric(col: Collector, V: MonBase) -> None:
             if lhs != rhs:
                 col.add("hexagon", (x, y, z), lhs, rhs)
         except WindowExceeded:
-            continue
+            col.skip("hexagon")
 
 
 @law_scan
@@ -1061,6 +1126,11 @@ def check_closed(col: Collector, V: MonBase) -> None:
     ``tensor_mor(g, id_y)`` and ``ev(y, z)`` is a map x (x) y -> z. So the
     sizes agree, and every round trip and naturality square lies in a hom
     with at most one morphism.
+
+    Naturality composes each f with the whiskers of a whole hom in one
+    batched call. An (x, y, z) or (x, x2, y, z) block that leaves the window
+    is skipped and counted as one instance: the hom it would enumerate
+    cannot be numbered.
     """
     if not V.closed:
         raise CapabilityError("base has no closed structure")
@@ -1114,12 +1184,13 @@ def check_closed(col: Collector, V: MonBase) -> None:
                 if forth != g:
                     col.add("lam-eta", (x, y, z, g), forth, g)
         except WindowExceeded:
-            continue
+            col.skip("lam-bijection")
 
     # naturality of the bijection in the abstraction variable; the instance
     # space is the product of two homs, so the cap bounds the product. The
-    # whiskers h (x) id_y do not depend on z: build them once per (x, x2, y),
-    # at the first z within the cap
+    # whiskers h (x) id_y do not depend on z: build them in one batched call
+    # per (x, x2, y), at the first z within the cap; each f composes with
+    # all of them in one more
     for x, x2, y in itertools.product(objs, repeat=3):
         whiskers = None
         for z in objs:
@@ -1130,20 +1201,16 @@ def check_closed(col: Collector, V: MonBase) -> None:
                 if n_h * n_f > DEFAULT_HOM_CAP:
                     continue
                 if whiskers is None:
-                    whiskers = [
-                        V.tensor_mor(MorRef(x2, x, hk), V.id_of(y)) for hk in range(n_h)
-                    ]
+                    hs = [MorRef(x2, x, hk) for hk in range(n_h)]
+                    whiskers = V.each_tensor(hs, V.id_of(y))
                 for fk in range(n_f):
                     f = MorRef(xy, z, fk)
                     lam_f = lam(x, y, z, f)
-                    for hk in range(n_h):
-                        h = MorRef(x2, x, hk)
-                        lhs = lam(x2, y, z, V.compose(whiskers[hk], f))
-                        rhs = V.compose(h, lam_f)
-                        if lhs != rhs:
-                            col.add("lam-natural", (h, f), lhs, rhs)
+                    lhs = [lam(x2, y, z, m) for m in V.each_compose(whiskers, f)]
+                    rhs = V.each_compose(hs, lam_f)
+                    _add_row(col, "lam-natural", lhs, rhs, hs, (), (f,))
             except WindowExceeded:
-                continue
+                col.skip("lam-natural")
 
 
 def base_law_checks(V: MonBase):

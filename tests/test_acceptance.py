@@ -82,7 +82,6 @@ from ecat.vbase import (
 )
 
 from helpers import (
-    Mutated,
     bool_functor_candidates,
     em_oracle,
     identity_glue,
@@ -91,6 +90,7 @@ from helpers import (
     preorder_oracle,
     random_category,
     random_metric_table,
+    random_mutation,
     random_poset,
     random_preorder,
     thin_functor,
@@ -107,91 +107,6 @@ def report(line):
 # ---------------------------------------------------------------------------
 # criterion 1: coherence suite
 # ---------------------------------------------------------------------------
-
-MUTATION_TABLES = (
-    "hom_size", "compose", "tensor_obj", "tensor_mor",
-    "lunitor", "runitor", "associator", "symmetry", "hom_obj", "ev",
-)
-
-
-def random_mutation(rng, V):
-    """A random single-entry mutation of a law-relevant window table.
-
-    Rolls that cannot produce a different in-window value (or that would need
-    an oversized halo enumeration just to read the current entry) are
-    re-rolled.
-    """
-    from ecat.report import WindowExceeded
-
-    objs = list(V.objects())
-    mors = [m for m in V.mors()]
-    for _ in range(500):
-        table = rng.choice(MUTATION_TABLES)
-        try:
-            mut = _mutation_for(rng, V, table, objs, mors)
-        except WindowExceeded:
-            continue
-        if mut is not None:
-            return mut
-    raise AssertionError("could not build a mutation")
-
-
-def _mutation_for(rng, V, table, objs, mors):
-    if table == "hom_size":
-        x, y = rng.choice(objs), rng.choice(objs)
-        n = V.hom_size(x, y)
-        return Mutated(V, table, (x, y), n + 1 if n == 0 or rng.random() < 0.5 else n - 1)
-    if table == "compose":
-        f = rng.choice(mors)
-        gs = [g for g in mors if g.src == f.dst]
-        if not gs:
-            return None
-        g = rng.choice(gs)
-        wrong = _wrong_mor(rng, V, mors, V.compose(f, g))
-        return Mutated(V, table, (f, g), wrong) if wrong else None
-    if table == "tensor_obj":
-        x, y = rng.choice(objs), rng.choice(objs)
-        right = V.tensor_obj(x, y)
-        others = [o for o in objs if o != right]
-        return Mutated(V, table, (x, y), rng.choice(others)) if others else None
-    if table == "tensor_mor":
-        f, g = rng.choice(mors), rng.choice(mors)
-        wrong = _wrong_mor(rng, V, mors, V.tensor_mor(f, g))
-        return Mutated(V, table, (f, g), wrong) if wrong else None
-    if table in ("lunitor", "runitor"):
-        x = rng.choice(objs)
-        wrong = _wrong_mor(rng, V, mors, getattr(V, table)(x))
-        return Mutated(V, table, (x,), wrong) if wrong else None
-    if table == "associator":
-        x, y, z = rng.choice(objs), rng.choice(objs), rng.choice(objs)
-        wrong = _wrong_mor(rng, V, mors, V.associator(x, y, z))
-        return Mutated(V, table, (x, y, z), wrong) if wrong else None
-    if table == "symmetry" and V.symmetric:
-        x, y = rng.choice(objs), rng.choice(objs)
-        wrong = _wrong_mor(rng, V, mors, V.symmetry(x, y))
-        return Mutated(V, table, (x, y), wrong) if wrong else None
-    if table == "hom_obj" and V.closed:
-        y, z = rng.choice(objs), rng.choice(objs)
-        right = V.hom_obj(y, z)
-        others = [o for o in objs if o != right]
-        return Mutated(V, table, (y, z), rng.choice(others)) if others else None
-    if table == "ev" and V.closed:
-        y, z = rng.choice(objs), rng.choice(objs)
-        wrong = _wrong_mor(rng, V, mors, V.ev(y, z))
-        return Mutated(V, table, (y, z), wrong) if wrong else None
-    return None
-
-
-def _wrong_mor(rng, V, mors, right):
-    n = V.hom_size(right.src, right.dst)
-    if n >= 2:
-        k = rng.randrange(n - 1)
-        if k >= right.k:
-            k += 1
-        return MorRef(right.src, right.dst, k)
-    others = [m for m in mors if m != right]
-    return rng.choice(others) if others else None
-
 
 def mutation_caught(M):
     try:

@@ -109,3 +109,28 @@ def test_checker_signature_and_require():
     col.add("law", (1, 2), "a", "b")
     with pytest.raises(StructuralError, match=r"^what fails: law at \(1, 2\): lhs=a rhs=b$"):
         col.report().require("what fails")
+
+
+def test_skipped_instances_are_counted_outside_the_output():
+    """The collector counts skipped instances per law, a nested check's
+    under its prefix; the report carries the counts, and neither
+    ``describe`` nor ``to_json`` shows them."""
+    @law_scan
+    def inner(col):
+        col.skip("far", 3)
+        col.skip("far")
+        col.add("inner", (0,))
+
+    @law_scan
+    def outer(col):
+        col.include("nested", inner())
+        col.skip("near", 2)
+        col.add("outer", (1,))
+
+    rep = outer()
+    assert rep.skipped == {"nested/far": 4, "near": 2}
+    # a nested report's counts are kept when its failures stop the scan
+    assert outer(limit=1).skipped == {"nested/far": 4}
+    bare = CheckReport.from_failures(rep.failures)
+    assert rep.describe() == bare.describe() and rep.to_json() == bare.to_json()
+    assert bare.skipped == {} and rep != bare
