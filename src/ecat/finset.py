@@ -184,8 +184,12 @@ class GraphBase(MonBase):
             raise StructuralError(f"non-composable pair {f} {g}")
         # the hottest call of every law scan: _built and _graph are inlined
         graph_of = self._graph_of
-        gf = graph_of.get(f) or self._graph(f)
-        gg = graph_of.get(g) or self._graph(g)
+        gf = graph_of.get(f)
+        if gf is None:
+            gf = self._graph(f)
+        gg = graph_of.get(g)
+        if gg is None:
+            gg = self._graph(g)
         # the composite has g's target, so it takes gg's form; two byte graphs
         # compose in one C call, gg padded to a full translation table
         if type(gg) is tuple:

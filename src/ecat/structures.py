@@ -300,9 +300,15 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
     }
     # a composite preserves the structure iff it is one of the maps x -> z
     preserving = {key: set(maps_xy) for key, maps_xy in maps.items()}
+    # the product structure of each carrier pair, formed once
+    prods = {
+        (x, y): S.prod(nx, sx, ny, sy)
+        for x, (nx, sx) in enumerate(carriers)
+        for y, (ny, sy) in enumerate(carriers)
+    }
     for (x, y), maps_xy in maps.items():
         (nx, sx), (ny, sy) = carriers[x], carriers[y]
-        prod = S.prod(nx, sx, ny, sy)
+        prod = prods[x, y]
         p1 = tuple(idx // ny for idx in range(nx * ny))
         p2 = tuple(idx % ny for idx in range(nx * ny))
         if not S.is_map(nx * ny, prod, nx, sx, p1):
@@ -316,7 +322,7 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
                     if tuple(map(h.__getitem__, g)) not in preserving_xz:
                         col.add("composition-closure", (nx, ny, nz, g, h))
             # pairing from X into Y x Z
-            prod_yz = S.prod(ny, sy, nz, sz)
+            prod_yz = prods[y, z]
             for g2 in maps[x, z]:
                 for g1 in maps_xy:
                     paired = tuple([a * nz + b for a, b in zip(g1, g2)])

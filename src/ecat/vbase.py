@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
@@ -50,7 +51,22 @@ class MorRef(NamedTuple):
 new_mor = functools.partial(tuple.__new__, MorRef)
 
 
-class FinCat:
+class BatchedCompose:
+    """The batched composition calls: one fixed morphism against a list drawn
+    from one hom. A law scan makes one call per row of instances; a kernel
+    answers a row in one loop, and this default, which ``FinCat`` and
+    ``MonBase`` share, maps the per-entry ``compose`` over it."""
+
+    def compose_each(self, f: MorRef, gs: list[MorRef]) -> list[MorRef]:
+        """[f;g for g in gs]."""
+        return list(map(self.compose, itertools.repeat(f), gs))
+
+    def each_compose(self, fs: list[MorRef], g: MorRef) -> list[MorRef]:
+        """[f;g for f in fs]."""
+        return list(map(self.compose, fs, itertools.repeat(g)))
+
+
+class FinCat(BatchedCompose):
     """A finite category as explicit tables.
 
     ``then`` is keyed by composable pairs (f, g) in diagrammatic order and
@@ -258,7 +274,7 @@ class ProductResult:
     pair: Callable[[int, list[MorRef]], MorRef]
 
 
-class MonBase:
+class MonBase(BatchedCompose):
     """Shared surface for monoidal bases; subclasses fill in the data access.
 
     The category operations (objects/hom_size/id_of/compose) plus the monoidal
@@ -304,17 +320,6 @@ class MonBase:
         for m in ms[1:]:
             out = compose(out, m)
         return out
-
-    # batched calls: one fixed morphism against a list drawn from one hom. A
-    # law scan makes one call per row of instances; a kernel answers a row
-    # in one loop, and these defaults map the per-entry method over it.
-    def compose_each(self, f: MorRef, gs: list[MorRef]) -> list[MorRef]:
-        """[f;g for g in gs]."""
-        return list(map(self.compose, itertools.repeat(f), gs))
-
-    def each_compose(self, fs: list[MorRef], g: MorRef) -> list[MorRef]:
-        """[f;g for f in fs]."""
-        return list(map(self.compose, fs, itertools.repeat(g)))
 
     # monoidal part --------------------------------------------------------
     def tensor_obj(self, x: int, y: int) -> int:
@@ -751,6 +756,12 @@ def _window_homs(C):
     return objs, homs
 
 
+#: The largest hom whose index rows check_category holds as ``bytes``.
+BYTES_ROW = 256
+#: a MorRef's index within its hom, as a C-level getter
+_index = operator.itemgetter(2)
+
+
 @law_scan
 def check_category(col: Collector, C) -> None:
     """Exhaustive identity and associativity scan over the window.
@@ -759,6 +770,20 @@ def check_category(col: Collector, C) -> None:
     StructuralError; law violations are reported. A base certified thin
     (``C.thin``) is not scanned: each law compares two composites in a hom
     with at most one morphism.
+
+    The identity laws and the composition tables run a hom at a time through
+    the batched calls ``compose_each`` and ``each_compose``, so the scan
+    order, which ``limit`` reads, is hom-major there; an unlimited report is
+    sorted and does not depend on it. The table ``comp[a, b, c]`` holds, for
+    each f in hom(a, b), the row of indices of f;g over g in hom(b, c): bytes
+    when hom(a, c) has at most 256 morphisms, else a list. Associativity at
+    (a, b, c, d) with byte rows into hom(b, d) and hom(a, d) is one
+    comparison per f = i in hom(a, b): the rows of T2 = comp[a, c, d] at the
+    entries of T1 = comp[a, b, c] row i, joined, against the rows of
+    U1 = comp[b, c, d], joined once per table and translated through row i
+    of U2 = comp[a, b, d], padded once per table. Only an f whose rows differ,
+    and every f of a list table, runs the instance loop, which names each
+    failing (f, g, h) in scan order.
     """
     if isinstance(C, FinCat):
         C.validate()
@@ -771,61 +796,77 @@ def check_category(col: Collector, C) -> None:
         i = C.id_of(x)
         require_mor_shape(C, i, x, x)
     for (a, b), fs in homs.items():
-        if fs is None:
+        if not fs:
             continue
-        ida, idb = C.id_of(a), C.id_of(b)
-        for f in fs:
-            lhs = C.compose(ida, f)
-            require_mor_shape(C, lhs, a, b)
-            if lhs != f:
-                col.add("identity-left", (f,), lhs, f)
-            rhs = C.compose(f, idb)
-            require_mor_shape(C, rhs, a, b)
-            if rhs != f:
-                col.add("identity-right", (f,), rhs, f)
+        lhs = C.compose_each(C.id_of(a), fs)
+        _require_row_shape(C, lhs, a, b)
+        rhs = C.each_compose(fs, C.id_of(b))
+        _require_row_shape(C, rhs, a, b)
+        _add_row(col, "identity-left", lhs, fs, fs)
+        _add_row(col, "identity-right", rhs, fs, fs)
 
-    # memoized composition index tables: comp[(a,b,c)][i][j] = k index in hom(a,c)
+    # composition index tables: comp[a, b, c][i][j] = k, the index of
+    # hom(a, b)[i] ; hom(b, c)[j] in hom(a, c)
     comp: dict = {}
     for a, b, c in itertools.product(objs, repeat=3):
-        fs, gs = homs[(a, b)], homs[(b, c)]
-        if fs is None or gs is None or not fs or not gs:
+        fs, gs = homs[a, b], homs[b, c]
+        if not fs or not gs:
             continue
+        hs = homs[a, c]
+        index_row = bytes if hs is not None and len(hs) <= BYTES_ROW else list
         rows = []
         for f in fs:
-            row = []
-            for g in gs:
-                h = C.compose(f, g)
-                require_mor_shape(C, h, a, c)
-                row.append(h.k)
-            rows.append(row)
-        comp[(a, b, c)] = rows
+            fgs = C.compose_each(f, gs)
+            _require_row_shape(C, fgs, a, c)
+            rows.append(index_row(map(_index, fgs)))
+        comp[a, b, c] = rows
+    # per byte table: its rows joined, and each row padded to a translation
+    # table; and per (b, c), the tables comp[b, c, d] in the order of d
+    joined, padded, after = {}, {}, {}
+    for (b, c, d), rows in comp.items():
+        if type(rows[0]) is bytes:
+            joined[b, c, d] = b"".join(rows)
+            padded[b, c, d] = [row.ljust(256, b"\0") for row in rows]
+        after.setdefault((b, c), []).append((d, rows))
 
-    for a, b, c, d in itertools.product(objs, repeat=4):
-        T1 = comp.get((a, b, c))
-        U1 = comp.get((b, c, d))
-        if T1 is None or U1 is None:
-            continue
-        T2 = comp.get((a, c, d))
-        U2 = comp.get((a, b, d))
-        if T2 is None or U2 is None:
-            continue
-        for i, T1_i in enumerate(T1):
-            U2_i = U2[i]
-            for j, t in enumerate(T1_i):
-                lhs_row = T2[t]
-                rhs_row = list(map(U2_i.__getitem__, U1[j]))
-                if lhs_row != rhs_row:
-                    for k, (l, r) in enumerate(zip(lhs_row, rhs_row)):
-                        if l != r:
-                            f = MorRef(a, b, i)
-                            g = MorRef(b, c, j)
-                            h = MorRef(c, d, k)
-                            col.add(
-                                "associativity",
-                                (f, g, h),
-                                MorRef(a, d, l),
-                                MorRef(a, d, r),
-                            )
+    # every (a, b, c, d) whose four tables exist, in lexicographic order
+    join = b"".join
+    for (a, b, c), T1 in comp.items():
+        for d, U1 in after.get((b, c), ()):
+            T2 = comp.get((a, c, d))
+            U2 = comp.get((a, b, d))
+            if T2 is None or U2 is None:
+                continue
+            U1_joined = joined.get((b, c, d))
+            U2_padded = padded.get((a, b, d))
+            if U1_joined is None or U2_padded is None:
+                for i, T1_i in enumerate(T1):
+                    _check_associativity_at(col, (a, b, c, d), i, T1_i, T2, U1, U2[i])
+                continue
+            take = T2.__getitem__
+            for i, rhs in enumerate(map(U1_joined.translate, U2_padded)):
+                T1_i = T1[i]
+                if join(map(take, T1_i)) != rhs:
+                    _check_associativity_at(col, (a, b, c, d), i, T1_i, T2, U1, U2[i])
+
+
+def _check_associativity_at(col: Collector, objs: tuple, i: int, T1_i, T2: list, U1: list, U2_i) -> None:
+    """Report each (f, g, h) with f = hom(a, b)[i] whose two composites
+    differ, g- then h-major, from check_category's index tables."""
+    a, b, c, d = objs
+    index_row = type(U2_i)
+    for j, t in enumerate(T1_i):
+        lhs_row = T2[t]
+        rhs_row = index_row(map(U2_i.__getitem__, U1[j]))
+        if lhs_row != rhs_row:
+            for k, (l, r) in enumerate(zip(lhs_row, rhs_row)):
+                if l != r:
+                    col.add(
+                        "associativity",
+                        (MorRef(a, b, i), MorRef(b, c, j), MorRef(c, d, k)),
+                        MorRef(a, d, l),
+                        MorRef(a, d, r),
+                    )
 
 
 class _Memo(dict):

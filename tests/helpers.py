@@ -1530,11 +1530,88 @@ def precomp_triples(boolb, cost3, rng: random.Random):
 # the reference law scans: one instance at a time
 # ---------------------------------------------------------------------------
 
-# check_monoidal, check_symmetric and check_closed as they scanned before the
-# base's batched calls: every instance is evaluated entry by entry, and each
-# instance an evaluation outside the window skips counts once, under the label
-# the batched scans use. The differential tests hold the batched scans to
-# these reports.
+# check_category, check_monoidal, check_symmetric and check_closed as they
+# scanned before the base's batched calls: every instance is evaluated entry
+# by entry, and each instance an evaluation outside the window skips counts
+# once, under the label the batched scans use. The differential tests hold
+# the batched scans to these reports.
+
+@law_scan
+def reference_check_category(col: Collector, C) -> None:
+    """Exhaustive identity and associativity scan over the window, one
+    composite at a time, with the composition tables held as index lists.
+
+    Malformed tables (out-of-range indices, non-composable entries) raise
+    StructuralError; law violations are reported. A base certified thin
+    (``C.thin``) is not scanned.
+    """
+    if isinstance(C, FinCat):
+        C.validate()
+    elif C.thin:
+        return
+    objs, homs = _window_homs(C)
+
+    # identity laws, plus shape validation of every identity component
+    for x in objs:
+        i = C.id_of(x)
+        require_mor_shape(C, i, x, x)
+    for (a, b), fs in homs.items():
+        if fs is None:
+            continue
+        ida, idb = C.id_of(a), C.id_of(b)
+        for f in fs:
+            lhs = C.compose(ida, f)
+            require_mor_shape(C, lhs, a, b)
+            if lhs != f:
+                col.add("identity-left", (f,), lhs, f)
+            rhs = C.compose(f, idb)
+            require_mor_shape(C, rhs, a, b)
+            if rhs != f:
+                col.add("identity-right", (f,), rhs, f)
+
+    # memoized composition index tables: comp[(a,b,c)][i][j] = k index in hom(a,c)
+    comp: dict = {}
+    for a, b, c in itertools.product(objs, repeat=3):
+        fs, gs = homs[(a, b)], homs[(b, c)]
+        if fs is None or gs is None or not fs or not gs:
+            continue
+        rows = []
+        for f in fs:
+            row = []
+            for g in gs:
+                h = C.compose(f, g)
+                require_mor_shape(C, h, a, c)
+                row.append(h.k)
+            rows.append(row)
+        comp[(a, b, c)] = rows
+
+    for a, b, c, d in itertools.product(objs, repeat=4):
+        T1 = comp.get((a, b, c))
+        U1 = comp.get((b, c, d))
+        if T1 is None or U1 is None:
+            continue
+        T2 = comp.get((a, c, d))
+        U2 = comp.get((a, b, d))
+        if T2 is None or U2 is None:
+            continue
+        for i, T1_i in enumerate(T1):
+            U2_i = U2[i]
+            for j, t in enumerate(T1_i):
+                lhs_row = T2[t]
+                rhs_row = list(map(U2_i.__getitem__, U1[j]))
+                if lhs_row != rhs_row:
+                    for k, (l, r) in enumerate(zip(lhs_row, rhs_row)):
+                        if l != r:
+                            f = MorRef(a, b, i)
+                            g = MorRef(b, c, j)
+                            h = MorRef(c, d, k)
+                            col.add(
+                                "associativity",
+                                (f, g, h),
+                                MorRef(a, d, l),
+                                MorRef(a, d, r),
+                            )
+
 
 @law_scan
 def reference_check_monoidal(col: Collector, V: MonBase) -> None:

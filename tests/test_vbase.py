@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import math
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from ecat.dsl import from_json, parse
-from ecat.report import CapabilityError, StructuralError, WindowExceeded
+from ecat.report import CapabilityError, CheckReport, EcatError, Failure, StructuralError, WindowExceeded
+from ecat.structures import PointedPosetStructure, PosetStructure, check_structure
 from ecat.vbase import (
+    BYTES_ROW,
+    BatchedCompose,
     ClosedData,
     FinCat,
     FinMonCat,
@@ -36,6 +40,7 @@ from helpers import (
     assoc_oracle,
     identity_oracle,
     random_mutation,
+    reference_check_category,
     reference_check_closed,
     reference_check_monoidal,
     reference_check_symmetric,
@@ -853,21 +858,25 @@ def test_thin_scans_match_the_full_scans():
 #: Public callables of MonBase and GraphBase that read no mutable table entry:
 #: capability predicates, the limit choosers and the graph numbering.
 _NON_TABLE_METHODS = {"contains_obj", "equalizer", "product", "graph", "hom_graphs", "mor"}
+#: FinCat's own table check, which check_category runs on a FinCat itself and
+#: never through a view of one.
+_FINCAT_OWN_METHODS = {"validate"}
 
 
 def test_mutated_intercepts_every_table_entry_point():
-    """Every public callable that MonBase or GraphBase defines is overridden
-    on Mutated or named as reading no table entry, so no entry point, a
-    batched call included, hands a scan the wrapped base's unmutated entry."""
+    """Every public callable that MonBase, GraphBase, FinCat or their shared
+    batched composition defines is overridden on Mutated or named as reading
+    no table entry, so no entry point, a batched call included, hands a scan
+    the wrapped base's unmutated entry."""
     from ecat.finset import GraphBase
     from ecat.vbase import MonBase
 
     defined = {
-        name for cls in (MonBase, GraphBase) for name, value in vars(cls).items()
+        name for cls in (BatchedCompose, MonBase, GraphBase, FinCat) for name, value in vars(cls).items()
         if not name.startswith("_") and callable(value)
     }
     overridden = {name for name, value in vars(Mutated).items() if callable(value) or isinstance(value, property)}
-    assert defined - overridden == _NON_TABLE_METHODS
+    assert defined - overridden == _NON_TABLE_METHODS | _FINCAT_OWN_METHODS
     V = builtin_base("finset", k=2)
     f, g = MorRef(2, 2, 1), MorRef(2, 2, 2)
     wrong = MorRef(2, 2, 0)
@@ -1035,3 +1044,195 @@ def test_batched_scans_match_the_reference_on_criterion_1_mutations():
         for i in range(100):
             M = random_mutation(rng, V)
             _assert_scans_match_the_reference(M, (V.name, i, M._table, M._key))
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time category scan
+# ---------------------------------------------------------------------------
+
+class _Reads:
+    """A view that counts the attributes a scan reads from the base it wraps."""
+
+    def __init__(self, base):
+        self._base = base
+        self.read = collections.Counter()
+
+    def __getattr__(self, name):
+        self.read[name] += 1
+        return getattr(self._base, name)
+
+
+def test_mutated_intercepts_every_call_check_category_makes():
+    """Each attribute check_category reads from a base is one that Mutated
+    intercepts, and the composites arrive through the batched calls alone."""
+    for V in (builtin_base("finset", k=2), builtin_base("finposet_struct", max_size=2),
+              Mutated(cost_base(6), "lunitor", (0,), cost_base(6).lunitor(0))):
+        view = _Reads(V)
+        assert check_category(view).ok
+        assert set(view.read) <= set(vars(Mutated)), V
+        assert view.read["compose_each"] and view.read["each_compose"] and not view.read["compose"]
+
+
+def _report_or_error(scan, C, limit=None):
+    """The scan's report, or the type and message of the error it raises."""
+    try:
+        return scan(C, limit=limit)
+    except EcatError as e:
+        return type(e), str(e)
+
+
+def _fails(result) -> bool:
+    return not isinstance(result, CheckReport) or not result.ok
+
+
+def _assert_category_matches_the_reference(C, label):
+    """check_category reports what the reference scan reports, failures and
+    skip counts alike, or raises the same error; under limit=1 it fails or
+    raises exactly when the reference does."""
+    got, want = _report_or_error(check_category, C), _report_or_error(reference_check_category, C)
+    assert got == want, label
+    if _fails(want):
+        limited = _report_or_error(check_category, C, limit=1)
+        assert _fails(limited) == _fails(_report_or_error(reference_check_category, C, limit=1)), label
+    return got
+
+
+def test_category_scan_matches_the_reference_on_the_window_bases():
+    """finset(0..4), both structure bases at cap 2, and cost(6) with its
+    thin certificate off: every hom there holds at most 256 morphisms, so
+    each associativity group is decided on byte rows."""
+    bases = [builtin_base("finset", k=k) for k in range(5)]
+    bases += [builtin_base("finposet_struct", max_size=2), builtin_base("finpointedposet_struct", max_size=2)]
+    bases += [bool_base(), cost_base(6), Mutated(cost_base(6), "lunitor", (0,), cost_base(6).lunitor(0))]
+    for V in bases:
+        assert _assert_category_matches_the_reference(V, V.name).ok
+
+
+def _long_hom_category(swap_identity: bool = False) -> FinCat:
+    """0 -u-> 1 with 300 arrows g_k: 1 -> 2 and u;g_k = h_(k mod 3) in the
+    three arrows 0 -> 2. With ``swap_identity``, g_0;id_2 is g_1 instead, which
+    breaks the right identity law at g_0 and associativity at (u, g_0, id_2)."""
+    homs = {(a, b): [] for a in range(3) for b in range(3)}
+    homs.update({(0, 0): ["id"], (1, 1): ["id"], (2, 2): ["id"], (0, 1): ["u"],
+                 (1, 2): list(range(300)), (0, 2): list(range(3))})
+
+    def compose(a, b, c, f, g):
+        if f == "id":
+            return g
+        if g == "id":
+            return f
+        return g % 3
+
+    C = FinCat.tabulate(3, homs, lambda a: "id", compose)
+    if swap_identity:
+        then = dict(C.then_t)
+        then[MorRef(1, 2, 0), MorRef(2, 2, 0)] = MorRef(1, 2, 1)
+        C = FinCat(3, dict(C.hom_size_t), dict(C.identity_t), then)
+    return C
+
+
+def test_category_scan_matches_the_reference_past_byte_rows():
+    """hom(1, 2) holds more than 256 morphisms, so the tables whose rows index
+    it are lists and every group that reads them runs the instance loop; a
+    group reading rows of both forms (byte rows into hom(0, 2), a list row
+    into hom(1, 2)) compares them alike."""
+    C = _long_hom_category()
+    assert C.hom_size(1, 2) > BYTES_ROW >= C.hom_size(0, 2)
+    assert _assert_category_matches_the_reference(C, "long hom").ok
+    rep = _assert_category_matches_the_reference(_long_hom_category(swap_identity=True), "long hom, swapped")
+    assert {f.law for f in rep.failures} == {"identity-right", "associativity"}
+    assert Failure("associativity", (MorRef(0, 1, 0), MorRef(1, 2, 0), MorRef(2, 2, 0)),
+                   MorRef(0, 2, 0), MorRef(0, 2, 1)) in rep.failures
+
+
+def test_category_scan_matches_the_reference_on_swapped_then_entries():
+    """finset(2)'s window as a FinCat with the values of two composition
+    entries in one hom exchanged: the byte comparison of each group that
+    reads them differs, and the instance loop names the same failures as the
+    reference, in full."""
+    W = window_fincat(builtin_base("finset", k=2))
+    rng = random.Random(25)
+    by_hom = collections.defaultdict(list)
+    for key, h in W.then_t.items():
+        by_hom[h.src, h.dst].append(key)
+    failing = 0
+    for _ in range(40):
+        keys = by_hom[rng.choice(sorted(ab for ab, ks in by_hom.items() if len({W.then_t[k] for k in ks}) > 1))]
+        k1, k2 = rng.sample(keys, 2)
+        if W.then_t[k1] == W.then_t[k2]:
+            continue
+        then = dict(W.then_t)
+        then[k1], then[k2] = then[k2], then[k1]
+        C = FinCat(W.n_objects, dict(W.hom_size_t), dict(W.identity_t), then)
+        rep = _assert_category_matches_the_reference(C, (k1, k2))
+        failing += any(f.law == "associativity" for f in rep.failures)
+    assert failing >= 20
+
+
+def test_category_scan_matches_the_reference_on_criterion_1_mutations():
+    """The same comparison on each of criterion 1's 500 seeded mutations."""
+    rng = random.Random(20240817)
+    for V in (builtin_base("finset", k=2), bool_base(), cost_base(6),
+              builtin_base("finposet_struct", max_size=2), builtin_base("finpointedposet_struct", max_size=2)):
+        for i in range(100):
+            M = random_mutation(rng, V)
+            _assert_category_matches_the_reference(M, (V.name, i, M._table, M._key))
+
+
+def test_a_mutated_composite_reaches_the_category_scan_through_the_batched_calls():
+    """A wrong composite in a Mutated view is read by the batched calls the
+    category scan makes: on cost(6), whose homs hold at most one morphism,
+    the wrong entry lies in another hom and the scan raises; on finset(2) it
+    lies in its own hom and the scan names the failing instances."""
+    V = cost_base(6)
+    f = next(m for m in V.mors() if m.src != m.dst)
+    g = V.id_of(f.dst)
+    wrong = V.id_of(f.src)
+    view = _Reads(Mutated(V, "compose", (f, g), wrong))
+    with pytest.raises(StructuralError, match="does not have shape"):
+        check_category(view)
+    assert view.read["each_compose"] and not view.read["compose"]
+    assert _report_or_error(check_category, view) == _report_or_error(reference_check_category, view._base)
+
+    V = builtin_base("finset", k=2)
+    f, g = MorRef(1, 2, 0), MorRef(2, 2, 2)  # g swaps the two points
+    right = V.compose(f, g)
+    view = _Reads(Mutated(V, "compose", (f, g), MorRef(1, 2, (right.k + 1) % 2)))
+    rep = check_category(view)
+    assert not rep.ok and {x.law for x in rep.failures} == {"associativity"}
+    assert view.read["compose_each"] and not view.read["compose"]
+    assert rep == reference_check_category(view._base)
+
+
+def test_graph_compose_memoises_a_graph_out_of_the_empty_carrier():
+    """The graph of a morphism out of the empty carrier is b"", which the
+    compose memo still finds: 100 composes unrank each side once."""
+    V = builtin_base("finset", k=3)
+    calls = collections.Counter()
+    graph = V._graph
+
+    def counted(m):
+        calls[m] += 1
+        return graph(m)
+
+    V._graph = counted
+    f, g = MorRef(0, 2, 0), MorRef(2, 3, 5)
+    for _ in range(100):
+        assert V.compose(f, g) == MorRef(0, 3, 0)
+    assert sum(calls.values()) <= 2
+
+
+@pytest.mark.parametrize("S, pairs", [(PosetStructure(), 25), (PointedPosetStructure(), 9)])
+def test_check_structure_forms_each_product_structure_once(S, pairs):
+    """check_structure forms the product structure of each carrier pair once
+    at cap 2, not once per third carrier, and its verdict holds."""
+    calls = []
+    prod = S.prod
+
+    def counted(*args):
+        calls.append(args)
+        return prod(*args)
+
+    S.prod = counted
+    assert check_structure(S, 2).ok
+    assert len(calls) == pairs
