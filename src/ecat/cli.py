@@ -335,13 +335,23 @@ def _indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of object indices: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+        if n >= 1:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The root parser and its subparsers, built once per process; parsing
     leaves it unchanged, and no option has a mutable default."""
     parser = argparse.ArgumentParser(prog="ecat", description="finite enriched category workbench")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--cap", type=int, default=10_000)
+    parser.add_argument("--cap", type=_positive_int, default=10_000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, fn, help: str, *flags: str, operations=None) -> argparse.ArgumentParser:

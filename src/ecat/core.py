@@ -377,31 +377,21 @@ def _scan_data_present(K, objs, col: Collector) -> None:
 def _scan_unit_assoc(K, objs, col: Collector) -> None:
     """The left and right unit and the associativity diagrams of an
     enrichment or a Kelly presentation, at every instance whose data is
-    present. The hom objects must be present (the shape pass ran)."""
+    present. The hom objects must be present (the shape pass ran).
+
+    Each side of a diagram reads a few hom objects and entries, and the same
+    arguments recur across instances. The whiskers and both associativity
+    sides are memoised within the call by ``functools.cache``, each keyed by
+    every argument it reads and nothing else, and each computed through V so
+    that a mutated view is read."""
     V = K.base
     hom = {(x, y): K.hom(x, y) for x, y in itertools.product(objs, repeat=2)}
     ecomp = {(x, y, z): K.ecomp(x, y, z) for x, y, z in itertools.product(objs, repeat=3)}
-    # Each side of a diagram reads a few hom objects and entries, and the
-    # same arguments recur across instances: memoize the whiskers and both
-    # associativity sides, each keyed by every argument it reads and nothing
-    # else, and compute each value through V so that a mutated view is read.
-    # The memos die with the call.
-    _tl: dict = {}
-    _tr: dict = {}
-    _lhs: dict = {}
-    _rhs: dict = {}
-
-    def t_left(e, c):
-        m = _tl.get((e, c))
-        if m is None:
-            m = _tl[(e, c)] = V.tensor_mor(V.id_of(e), c)
-        return m
-
-    def t_right(c, e):
-        m = _tr.get((c, e))
-        if m is None:
-            m = _tr[(c, e)] = V.tensor_mor(c, V.id_of(e))
-        return m
+    t_left = functools.cache(lambda e, c: V.tensor_mor(V.id_of(e), c))
+    t_right = functools.cache(lambda c, e: V.tensor_mor(c, V.id_of(e)))
+    assoc_lhs = functools.cache(lambda e_yz, e_xy, e_wx, c_wxy, c_wyz: V.compose_all(
+        V.associator(e_yz, e_xy, e_wx), t_left(e_yz, c_wxy), c_wyz))
+    assoc_rhs = functools.cache(lambda c_xyz, e_wx, c_wxz: V.compose(t_right(c_xyz, e_wx), c_wxz))
 
     for x, y in itertools.product(objs, repeat=2):
         e_xy = hom[x, y]
@@ -426,15 +416,9 @@ def _scan_unit_assoc(K, objs, col: Collector) -> None:
         c_wxz = ecomp[w, x, z]
         if None in (c_wxy, c_wyz, c_xyz, c_wxz):
             continue
-        e_yz, e_xy, e_wx = hom[y, z], hom[x, y], hom[w, x]
-        key = (e_yz, e_xy, e_wx, c_wxy, c_wyz)
-        lhs = _lhs.get(key)
-        if lhs is None:
-            lhs = _lhs[key] = V.compose_all(V.associator(e_yz, e_xy, e_wx), t_left(e_yz, c_wxy), c_wyz)
-        key = (c_xyz, e_wx, c_wxz)
-        rhs = _rhs.get(key)
-        if rhs is None:
-            rhs = _rhs[key] = V.compose(t_right(c_xyz, e_wx), c_wxz)
+        e_wx = hom[w, x]
+        lhs = assoc_lhs(hom[y, z], hom[x, y], e_wx, c_wxy, c_wyz)
+        rhs = assoc_rhs(c_xyz, e_wx, c_wxz)
         if lhs != rhs:
             col.add("associativity", (w, x, y, z), lhs, rhs)
 

@@ -101,13 +101,26 @@ def iso_arrows(cat, x: int, y: int) -> list[MorRef]:
     return [f for f in cat.hom(x, y) if find_inverse(cat, f) is not None]
 
 
+def iso_witness(cat, x: int, y: int) -> MorRef | None:
+    """The iso x -> y a witness takes: id_x when x == y, else the first iso
+    in hom order; None when there is none. So a construction on an input
+    that needs no transport returns identities, whatever the hom order. An
+    identity that is not invertible (a malformed category) is no witness."""
+    isos = iso_arrows(cat, x, y)
+    if x == y and cat.id_of(x) in isos:
+        return cat.id_of(x)
+    return isos[0] if isos else None
+
+
 def is_essentially_surjective(F: EnrichedFunctor) -> EsoWitness:
-    """For every codomain object the lexicographically first (x, iso F x -> y)."""
+    """For every codomain object y the witness (x, iso F x -> y) of the least
+    x with F x = y, else of the least x with F x ~ y (``iso_witness``)."""
     cod = F.cod.under
     preimage = {}
     missed = []
     for y in F.cod.objects():
-        found = next(((x, i) for x in F.dom.objects() for i in iso_arrows(cod, F.ob(x), y)), None)
+        xs = sorted(F.dom.objects(), key=lambda x: F.ob(x) != y)  # exact preimages first, in order
+        found = next(((x, i) for x in xs if (i := iso_witness(cod, F.ob(x), y)) is not None), None)
         if found is None:
             missed.append(y)
         else:

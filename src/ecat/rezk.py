@@ -47,6 +47,7 @@ from .factor import (
     is_essentially_surjective,
     is_fully_faithful,
     iso_arrows,
+    iso_witness,
     weak_equivalence,
 )
 from .report import CapabilityError, CheckReport, Collector, Failure, StructuralError
@@ -166,14 +167,14 @@ def univalence_report(E: Enrichment) -> UnivalenceReport:
 
 def rezk_completion(E: Enrichment) -> RezkResult:
     """Skeletonize: keep the least object of each isomorphism class and send
-    every object to its representative along the first iso found, by
-    inverting the inclusion of the representatives. The unit is a
-    ``WeakEquivalence``: its certificates are computed, not assumed, and its
-    weak inverse is tabulated only when read."""
+    every object to its representative along its ``iso_witness`` (the
+    identity at a representative), by inverting the inclusion of the
+    representatives. The unit is a ``WeakEquivalence``: its certificates are
+    computed, not assumed, and its weak inverse is tabulated only when read."""
     cat = E.under
     witness = {}
-    for x in E.objects():  # the first iso r -> x from the least such r
-        found = next(((r, isos[0]) for r in range(x + 1) if (isos := iso_arrows(cat, r, x))), None)
+    for x in E.objects():  # the least r iso to x, with its witness iso r -> x
+        found = next(((r, i) for r in range(x + 1) if (i := iso_witness(cat, r, x)) is not None), None)
         if found is None:
             raise StructuralError(f"object {x} has no invertible endomorphism, so no Rezk representative")
         witness[x] = found

@@ -869,19 +869,6 @@ def _check_associativity_at(col: Collector, objs: tuple, i: int, T1_i, T2: list,
                     )
 
 
-class _Memo(dict):
-    """A dict that builds a missing value from the parts of its key, once;
-    a build that raises stores nothing."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(*key)
-        return value
-
-
 def _require_row_shape(V, row: list, src: int, dst: int) -> None:
     """require_mor_shape on each morphism of a row, reading hom(src, dst)'s
     size once."""
@@ -941,14 +928,14 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
 
     # the whiskers of a whole window hom by one object recur in every law
     # family, as rows memoised within the call, each built by one batched
-    # call: right[ab, y] is [f (x) id_y for f in hom ab] and left[y, ab] is
+    # call: right(ab, y) is [f (x) id_y for f in hom ab] and left(y, ab) is
     # [id_y (x) f for f in hom ab]. A row whose shape leaves the window
     # raises WindowExceeded, and the instances that read it are skipped.
-    right = _Memo(lambda ab, y: V.each_tensor(homs[ab], V.id_of(y)))
-    left = _Memo(lambda y, ab: V.tensor_each(V.id_of(y), homs[ab]))
+    right = functools.cache(lambda ab, y: V.each_tensor(homs[ab], V.id_of(y)))
+    left = functools.cache(lambda y, ab: V.tensor_each(V.id_of(y), homs[ab]))
     # the same rows as tables keyed by morphism
-    right_table = _Memo(lambda ab, y: dict(zip(homs[ab], right[ab, y])))
-    left_table = _Memo(lambda y, ab: dict(zip(homs[ab], left[y, ab])))
+    right_table = functools.cache(lambda ab, y: dict(zip(homs[ab], right(ab, y))))
+    left_table = functools.cache(lambda y, ab: dict(zip(homs[ab], left(y, ab))))
 
     def whiskered(ms, y, on_right):
         """The whiskers of ms, a list drawn from one hom. When that is a
@@ -958,7 +945,7 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         if ms:
             ab = (ms[0].src, ms[0].dst)
             if homs.get(ab) is not None:
-                table = right_table[ab, y] if on_right else left_table[y, ab]
+                table = right_table(ab, y) if on_right else left_table(y, ab)
                 try:
                     return list(map(table.__getitem__, ms))
                 except KeyError:
@@ -988,9 +975,9 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
                 try:
                     fgs = V.tensor_each(f, gs)
                     _require_row_shape(V, fgs, V.tensor_obj(a, c), V.tensor_obj(b, d))
-                    split = V.compose_each(right[(a, b), c][i], left[b, (c, d)])
+                    split = V.compose_each(right((a, b), c)[i], left(b, (c, d)))
                     _add_row(col, "tensor-left-decomp", fgs, split, gs, (f,))
-                    split = V.each_compose(left[a, (c, d)], right[(a, b), d][i])
+                    split = V.each_compose(left(a, (c, d)), right((a, b), d)[i])
                     _add_row(col, "tensor-right-decomp", fgs, split, gs, (f,))
                 except WindowExceeded:
                     col.skip("tensor-decomp", len(gs))
@@ -1006,10 +993,10 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             for y in objs:
                 try:
                     lhs = whiskered(ff2s, y, True)
-                    rhs = V.compose_each(right[(a, b), y][i], right[(b, c), y])
+                    rhs = V.compose_each(right((a, b), y)[i], right((b, c), y))
                     _add_row(col, "tensor-left-funct", lhs, rhs, f2s, (f,), (y,))
                     lhs = whiskered(ff2s, y, False)
-                    rhs = V.compose_each(left[y, (a, b)][i], left[y, (b, c)])
+                    rhs = V.compose_each(left(y, (a, b))[i], left(y, (b, c)))
                     _add_row(col, "tensor-right-funct", lhs, rhs, f2s, (f,), (y,))
                 except WindowExceeded:
                     col.skip("tensor-funct", len(f2s))
@@ -1036,10 +1023,10 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         if not fs:
             continue
         try:
-            lhs = V.each_compose(left[I, (a, b)], V.lunitor(b))
+            lhs = V.each_compose(left(I, (a, b)), V.lunitor(b))
             rhs = V.compose_each(V.lunitor(a), fs)
             _add_row(col, "lunitor-natural", lhs, rhs, fs)
-            lhs = V.each_compose(right[(a, b), I], V.runitor(b))
+            lhs = V.each_compose(right((a, b), I), V.runitor(b))
             rhs = V.compose_each(V.runitor(a), fs)
             _add_row(col, "runitor-natural", lhs, rhs, fs)
         except WindowExceeded:
@@ -1052,14 +1039,14 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         for y, z in itertools.product(objs, repeat=2):
             try:
                 yz = V.tensor_obj(y, z)
-                lhs = V.each_compose(whiskered(right[(a, b), y], z, True), V.associator(b, y, z))
-                rhs = V.compose_each(V.associator(a, y, z), right[(a, b), yz])
+                lhs = V.each_compose(whiskered(right((a, b), y), z, True), V.associator(b, y, z))
+                rhs = V.compose_each(V.associator(a, y, z), right((a, b), yz))
                 _add_row(col, "associator-natural-1", lhs, rhs, fs, (), (y, z))
-                lhs = V.each_compose(whiskered(left[y, (a, b)], z, True), V.associator(y, b, z))
-                rhs = V.compose_each(V.associator(y, a, z), whiskered(right[(a, b), z], y, False))
+                lhs = V.each_compose(whiskered(left(y, (a, b)), z, True), V.associator(y, b, z))
+                rhs = V.compose_each(V.associator(y, a, z), whiskered(right((a, b), z), y, False))
                 _add_row(col, "associator-natural-2", lhs, rhs, fs, (y,), (z,))
-                lhs = V.each_compose(left[yz, (a, b)], V.associator(y, z, b))
-                rhs = V.compose_each(V.associator(y, z, a), whiskered(left[z, (a, b)], y, False))
+                lhs = V.each_compose(left(yz, (a, b)), V.associator(y, z, b))
+                rhs = V.compose_each(V.associator(y, z, a), whiskered(left(z, (a, b)), y, False))
                 _add_row(col, "associator-natural-3", lhs, rhs, fs, (y, z))
             except WindowExceeded:
                 col.skip("associator-natural", len(fs))
@@ -1102,14 +1089,7 @@ def check_symmetric(col: Collector, V: MonBase) -> None:
     if V.thin:
         return
     objs, homs = _window_homs(V)
-
-    _sym: dict = {}
-
-    def sym(x, y):
-        s = _sym.get((x, y))
-        if s is None:
-            s = _sym[(x, y)] = V.symmetry(x, y)
-        return s
+    sym = functools.cache(V.symmetry)
 
     for x, y in itertools.product(objs, repeat=2):
         try:
@@ -1168,25 +1148,25 @@ def check_closed(col: Collector, V: MonBase) -> None:
     sizes agree, and every round trip and naturality square lies in a hom
     with at most one morphism.
 
-    Naturality composes each f with the whiskers of a whole hom in one
-    batched call. An (x, y, z) or (x, x2, y, z) block that leaves the window
-    is skipped and counted as one instance: the hom it would enumerate
-    cannot be numbered.
+    The round trips run a row at a time. For each (x, y, z), lam of every f
+    in hom(x (x) y, z) forms one row, shape-checked once. unlam is computed
+    as ``(g (x) id_y);ev``, the definition in ``MonBase.unlam``, by one
+    ``each_tensor`` and one ``each_compose`` per row: beta compares the
+    unlam of the lam row with hom(x (x) y, z), and eta compares lam of the
+    unlam of hom(x, [y,z]) with that hom. Failures are reported at (x, y,
+    z, f) and (x, y, z, g) in hom order, beta before eta. Naturality
+    composes each f with the whiskers of a whole hom in one batched call.
+    An (x, y, z) or (x, x2, y, z) block that leaves the window is skipped
+    and counted as one instance: the hom it would enumerate cannot be
+    numbered. lam is memoised per argument within the call
+    (``functools.cache``), through ``V.lam`` so that a mutated view is read.
     """
     if not V.closed:
         raise CapabilityError("base has no closed structure")
     if V.thin:
         return
     objs, _ = _window_homs(V)
-    # lam of one argument recurs across the round trips and the naturality
-    # instances; memoize it, through V.lam so that a mutated view is read
-    _lam: dict = {}
-
-    def lam(x, y, z, f):
-        m = _lam.get((x, y, z, f))
-        if m is None:
-            m = _lam[(x, y, z, f)] = V.lam(x, y, z, f)
-        return m
+    lam = functools.cache(V.lam)
 
     for x, y, z in itertools.product(objs, repeat=3):
         try:
@@ -1201,29 +1181,15 @@ def check_closed(col: Collector, V: MonBase) -> None:
                 continue
             if n_src > DEFAULT_HOM_CAP:
                 continue  # deterministically skipped: enumeration beyond the cap
-            # the beta round trips unlam every lam(f), which for a bijective
-            # lam are the g the eta round trips unlam again: memoize unlam
-            # within the instance, through V.unlam so a mutated view is read
-            _unlam: dict = {}
-
-            def unlam(g):
-                m = _unlam.get(g)
-                if m is None:
-                    m = _unlam[g] = V.unlam(x, y, z, g)
-                return m
-
-            for k in range(n_src):
-                f = MorRef(xy, z, k)
-                lf = lam(x, y, z, f)
-                require_mor_shape(V, lf, x, h)
-                back = unlam(lf)
-                if back != f:
-                    col.add("lam-beta", (x, y, z, f), back, f)
-            for k in range(n_dst):
-                g = MorRef(x, h, k)
-                forth = lam(x, y, z, unlam(g))
-                if forth != g:
-                    col.add("lam-eta", (x, y, z, g), forth, g)
+            i = V.id_of(y)
+            fs = [MorRef(xy, z, k) for k in range(n_src)]
+            lfs = [lam(x, y, z, f) for f in fs]
+            _require_row_shape(V, lfs, x, h)
+            backs = V.each_compose(V.each_tensor(lfs, i), e)
+            _add_row(col, "lam-beta", backs, fs, fs, (x, y, z))
+            gs = [MorRef(x, h, k) for k in range(n_dst)]
+            forths = [lam(x, y, z, u) for u in V.each_compose(V.each_tensor(gs, i), e)]
+            _add_row(col, "lam-eta", forths, gs, gs, (x, y, z))
         except WindowExceeded:
             col.skip("lam-bijection")
 

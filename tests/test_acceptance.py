@@ -608,3 +608,13 @@ def test_criterion_8_dsl(capsys):
     assert run_cli(["nonsense"]) == 2
     capsys.readouterr()
     report("8 DSL suite: PASS")
+
+
+def test_cap_must_be_a_positive_integer(capsys):
+    """A --cap that is not a positive integer is a usage error (exit 2),
+    refused before any file is read; a positive one is accepted."""
+    doc = str(GOLDEN / "bool_chain2.ecat")
+    for cap in ("0", "-5", "x", "1.5"):
+        assert run_cli(["--cap", cap, "yoneda-check", doc]) == 2, cap
+        assert "--cap" in capsys.readouterr().err
+    assert run_cli(["--cap", "100", "yoneda-check", doc]) == 0

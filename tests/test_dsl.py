@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -1007,6 +1008,16 @@ def test_shape_repr_template_is_the_repr_of_its_value(shape):
 DOCUMENTS = sorted(p for d in (GOLDEN, GOLDEN / "constructed") for p in d.glob("*.ecat"))
 
 
+@functools.cache
+def _golden(path: Path) -> tuple:
+    """A golden document's text, its parsed Document (None when it does not
+    parse) and that Document's ``to_json`` text, read once per session. The
+    seeded edit tests edit copies and never the Document."""
+    text = path.read_text(encoding="utf-8")
+    doc, _ = parse(text)
+    return text, doc, None if doc is None else to_json(doc)
+
+
 def _same_reading(text: str, machine: bool = False) -> tuple:
     """Read ``text`` by the reader and by its reference; both must give
     structurally equal Documents and equal diagnostics, in order."""
@@ -1115,14 +1126,13 @@ def test_readers_match_the_reference_on_seeded_text_edits(edit):
     """Each golden document, edited at seeded places, reads as the reference
     reads it; a reordered or respaced document reads as the original."""
     for seed, path in enumerate(p for p in DOCUMENTS if not p.name.startswith("base_finset")):
-        text = path.read_text(encoding="utf-8")
+        text, original, _ = _golden(path)
         lines = text.splitlines()
         if not any(stop - start > 2 for start, stop in _runs(lines)):
             continue
         TEXT_EDITS[edit](random.Random(seed), lines)
         doc, diags = _same_reading("\n".join(lines) + "\n")
         if edit in ("shuffled rows", "interleaved keywords", "tab", "trailing comment"):
-            original, _ = parse(text)
             assert (doc is None) == (original is None) and (doc is None or doc.structurally_equal(original))
         else:
             assert diags, (path.name, edit)
@@ -1156,10 +1166,10 @@ def _set_leaf(rng, row, value):
 @pytest.mark.parametrize("edit", JSON_EDITS)
 def test_readers_match_the_reference_on_seeded_json_edits(edit):
     for seed, path in enumerate(p for p in DOCUMENTS if not p.name.startswith("base_finset")):
-        doc, _ = parse(path.read_text(encoding="utf-8"))
-        if doc is None:
+        machine = _golden(path)[2]
+        if machine is None:
             continue
-        payload = json.loads(to_json(doc))
+        payload = json.loads(machine)
         tables = [rows for item in payload["items"] for rows in item.get("tables", {}).values()
                   if type(rows) is list and len(rows) > 2]
         if not tables:

@@ -323,6 +323,32 @@ def test_rezk_on_set_enrichment_with_isos(finset3):
     assert rep.skeletal and not rep.gaunt  # Z/2 automorphisms survive
 
 
+def test_rezk_unit_of_a_skeletal_group_is_the_identity_whatever_the_hom_order():
+    """A one-object S3 over finset(6) whose hom lists the identity last is
+    skeletal, so its Rezk unit is the identity functor, not conjugation by
+    the automorphism listed first."""
+    perms = sorted(itertools.permutations(range(3)), reverse=True)  # the identity last
+    index = {p: k for k, p in enumerate(perms)}
+    then = {(MorRef(0, 0, index[p]), MorRef(0, 0, index[q])): MorRef(0, 0, index[tuple(q[i] for i in p)])
+            for p in perms for q in perms}
+    C = FinCat(1, {(0, 0): 6}, {0: MorRef(0, 0, 5)}, then)
+    res = rezk_completion(canonical_set_enrichment(C, builtin_base("finset", k=6)))
+    F = res.unit_functor
+    assert F.ob_map == {0: 0}
+    assert [F.mor(f) for f in C.hom(0, 0)] == list(C.hom(0, 0))
+
+
+def test_identity_functor_inverts_to_identities_whatever_the_hom_order(finset3):
+    """On a one-object Z/2 whose hom lists the identity second, the identity
+    functor's weak inverse is the identity, and its unit and counit are
+    identities."""
+    then = {(MorRef(0, 0, a), MorRef(0, 0, b)): MorRef(0, 0, int(a == b)) for a in range(2) for b in range(2)}
+    E = canonical_set_enrichment(FinCat(1, {(0, 0): 2}, {0: MorRef(0, 0, 1)}, then), finset3)
+    adj = weak_equivalence_to_adjoint_equivalence(id_functor(E))
+    assert adj.unit.at(0) == adj.counit.at(0) == E.under.id_of(0) == MorRef(0, 0, 1)
+    assert [adj.bwd.mor(f) for f in E.under.hom(0, 0)] == list(E.under.hom(0, 0))
+
+
 # ---------------------------------------------------------------------------
 # transport and extension
 # ---------------------------------------------------------------------------

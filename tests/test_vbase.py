@@ -1046,6 +1046,34 @@ def test_batched_scans_match_the_reference_on_criterion_1_mutations():
             _assert_scans_match_the_reference(M, (V.name, i, M._table, M._key))
 
 
+def test_closed_scan_matches_the_reference_on_lam_mutations():
+    """check_closed reports what the reference reports when one lam entry is
+    replaced by another morphism of its hom, or both raise StructuralError;
+    every such mutation is caught, and under limit=1 the scan fails exactly
+    when the reference does. Bool and cost homs hold at most one morphism,
+    so they have no wrong lam value to draw."""
+    rng = random.Random(20261020)
+    for V in (builtin_base("finset", k=2), builtin_base("finposet_struct", max_size=2),
+              builtin_base("finpointedposet_struct", max_size=2)):
+        wrong_values = []
+        for x, y, z in itertools.product(V.objects(), repeat=3):
+            try:
+                fs, gs = V.hom(V.tensor_obj(x, y), z), V.hom(x, V.hom_obj(y, z))
+            except WindowExceeded:
+                continue
+            wrong_values += [((x, y, z, f), gs) for f in fs if len(gs) > 1]
+        for i in range(40):
+            key, gs = rng.choice(wrong_values)
+            right = V.lam(*key)
+            M = Mutated(V, "lam", key, rng.choice([g for g in gs if g != right]))
+            label = (V.name, i, key, M._value)
+            got, want = _report_or_raise(check_closed, M), _report_or_raise(reference_check_closed, M)
+            assert got == want, label
+            assert _fails(want), label
+            limited = _report_or_raise(check_closed, M, limit=1)
+            assert _fails(limited) == _fails(_report_or_raise(reference_check_closed, M, limit=1)), label
+
+
 # ---------------------------------------------------------------------------
 # the row-at-a-time category scan
 # ---------------------------------------------------------------------------
