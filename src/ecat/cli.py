@@ -171,9 +171,17 @@ def _cmd_check(args) -> Verdict:
     return verdict
 
 
+#: The flags each construct operation reads, beside --name and --out; setting another is a usage error.
+_CONSTRUCT_READS = {"self": ("base",), "opposite": ("enrichment",), "full-sub": ("enrichment", "keep"),
+                    "functor-category": ("enrichment", "cod")}
+
+
 def _cmd_construct(args) -> Verdict:
-    doc = _load(args.files)
     op = args.operation
+    for flag in ("base", "enrichment", "cod", "keep"):
+        if flag not in _CONSTRUCT_READS[op] and getattr(args, flag) not in (None, ()):
+            raise _UsageError(f"construct {op} does not read --{flag}")
+    doc = _load(args.files)
     if op == "self":
         base_item = _single(doc, "base", args.base, "construct self")
         enr = construct_mod.self_enrichment(base_item.value)

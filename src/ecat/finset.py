@@ -381,6 +381,8 @@ class GraphBase(MonBase):
     def equalizer(self, f, g):
         if not self.has_equalizers:
             raise CapabilityError(f"{self.name} has no equalizers")
+        if f.src != g.src or f.dst != g.dst:
+            raise StructuralError(f"equalizer needs a parallel pair, got {f} {g}")
         gf, gg = self._graph(f), self._graph(g)
         fixed = [i for i in range(self.obj_size(f.src)) if gf[i] == gg[i]]
         obj = self._subobject(f.src, fixed)

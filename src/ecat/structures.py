@@ -19,6 +19,11 @@ The materialized category quantifies checks over the canonical structures on
 carriers up to the size cap; products of window objects are registered lazily
 in an object halo. A hom of more than ``mor_bound`` candidate graphs (ny**nx),
 free or not, raises WindowExceeded.
+
+A structure's axioms depend only on its class: ``check_structure`` decides
+them, and the test suite runs it on each structure here. A base does not
+re-decide them when it is built; the kernel refuses, with StructuralError, any
+graph it builds that is not one of its hom's listed maps.
 """
 
 from __future__ import annotations
@@ -332,13 +337,17 @@ def check_structure(S: CartesianStructure, cap: int) -> CheckReport:
 
 
 class StructCat(GraphBase):
-    """Monoidal category of structured sets, windowed at a carrier-size cap."""
+    """Monoidal category of structured sets, windowed at a carrier-size cap.
+
+    Construction does not run ``check_structure``: every graph enters a hom
+    through ``_rank``, which refuses one that is not a listed map, so an
+    identity, composite, tensor, projection or pairing that breaks the
+    axioms is refused where it is built."""
 
     #: The most candidate graphs (ny**nx) a hom may have; a larger hom raises WindowExceeded.
     mor_bound = 200_000
 
     def __init__(self, struct: CartesianStructure, size_cap: int):
-        check_structure(struct, size_cap).require("structure axioms fail")
         super().__init__()
         self.struct = struct
         self.size_cap = size_cap

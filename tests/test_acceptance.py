@@ -618,3 +618,33 @@ def test_cap_must_be_a_positive_integer(capsys):
         assert run_cli(["--cap", cap, "yoneda-check", doc]) == 2, cap
         assert "--cap" in capsys.readouterr().err
     assert run_cli(["--cap", "100", "yoneda-check", doc]) == 0
+
+
+#: The flags each construct operation reads beside --name and --out, with a
+#: value that names an item of bool_chain2.ecat.
+CONSTRUCT_READS = {
+    "self": {"--base": "V"},
+    "opposite": {"--enrichment": "E"},
+    "full-sub": {"--enrichment": "E", "--keep": "0"},
+    "functor-category": {"--enrichment": "E", "--cod": "E"},
+}
+
+
+def test_construct_refuses_flags_its_operation_does_not_read(capsys):
+    """Each construct operation accepts the flags it reads. Setting any other
+    construct flag, even to an empty list, is a usage error (exit 2) that
+    names the flag and the operation, refused before any file is read."""
+    doc = str(GOLDEN / "bool_chain2.ecat")
+    every = {"--base": "V", "--enrichment": "E", "--cod": "E", "--keep": "0"}
+    for op, reads in CONSTRUCT_READS.items():
+        read = list(itertools.chain(*reads.items()))
+        assert run_cli(["construct", op, doc, "--name", "R", *read]) == 0, op
+        capsys.readouterr()
+        for flag, value in every.items():
+            if flag not in reads:
+                for argv in ([doc, flag, value], ["missing.ecat", flag, value], [doc, *read, flag, value]):
+                    assert run_cli(["construct", op, *argv]) == 2, (op, argv)
+                    err = capsys.readouterr().err
+                    assert f"construct {op} does not read {flag}" in err, err
+    assert run_cli(["construct", "self", doc, "--keep", ""]) == 2
+    assert run_cli(["construct", "self", doc, "--keep", "0", "--cod", "x", "--enrichment", "nope"]) == 2

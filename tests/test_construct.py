@@ -41,7 +41,7 @@ from ecat.structures import (
     TrivialStructure,
     check_structure,
 )
-from ecat.vbase import MorRef, base_law_checks, bool_base, builtin_base, terminal_base
+from ecat.vbase import MorRef, base_law_checks, bool_base, builtin_base, check_closed, check_monoidal, terminal_base
 
 from helpers import random_preorder
 
@@ -407,6 +407,51 @@ def test_structure_axioms():
     assert check_structure(PosetStructure(), 2).ok
     assert check_structure(PointedPosetStructure(), 2).ok
     assert check_structure(PointedPosetStructure(), 3).ok
+
+
+CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
+
+
+class _NoChainIdentity(PosetStructure):
+    """Monotone maps, less the identity of the 2-chain: identities break."""
+
+    def maps(self, nx, sx, ny, sy):
+        return [g for g in super().maps(nx, sx, ny, sy) if not (sx == sy == CHAIN2 and g == (0, 1))]
+
+
+class _DiscreteProduct(PosetStructure):
+    """Posets whose product carries the discrete order: the projections and
+    pairings break."""
+
+    def prod(self, nx, sx, ny, sy):
+        return frozenset((i, i) for i in range(nx * ny))
+
+
+def test_broken_structure_is_refused_where_it_is_used():
+    """A base built on a structure that breaks an axiom is not refused when
+    it is built, but each scan that meets a non-preserving graph raises
+    StructuralError."""
+    assert not check_structure(_NoChainIdentity(), 2).ok
+    assert not check_structure(_DiscreteProduct(), 2).ok
+    families = list(base_law_checks(StructCat(_NoChainIdentity(), 2)))
+    assert [family for family, _ in families] == ["category", "monoidal", "symmetric", "closed"]
+    for _, check in families:
+        with pytest.raises(StructuralError):
+            check(StructCat(_NoChainIdentity(), 2))
+    for check in (check_monoidal, check_closed):
+        with pytest.raises(StructuralError):
+            check(StructCat(_DiscreteProduct(), 2))
+
+
+def test_struct_cat_does_not_decide_the_structure_axioms(monkeypatch):
+    """Building a structure base runs no check_structure, and the base scans
+    lawful without it."""
+    def refuse(*args):
+        raise AssertionError("check_structure ran")
+
+    monkeypatch.setattr("ecat.structures.check_structure", refuse)
+    V = StructCat(PosetStructure(), 2)
+    assert all(check(V).ok for _, check in base_law_checks(V))
 
 
 @pytest.mark.parametrize("struct, skips", [

@@ -26,8 +26,6 @@ from ecat.vbase import (
     check_monoidal,
     check_symmetric,
     cost_base,
-    equalizer,
-    finite_product,
     require_mor_shape,
     search_equalizer,
     search_product,
@@ -278,15 +276,21 @@ def test_cost_closed_is_truncated_subtraction():
 
 def test_equalizer_of_equal_pair_is_identity_like(boolb):
     f = MorRef(0, 1, 0)
-    eq = equalizer(boolb, f, f)
+    eq = boolb.equalizer(f, f)
     assert eq.obj == 0
     assert eq.include == boolb.id_of(0)
     assert eq.factor(boolb.id_of(0)) == boolb.id_of(0)
 
 
-def test_equalizer_rejects_non_parallel(boolb):
-    with pytest.raises(StructuralError):
-        equalizer(boolb, MorRef(0, 1, 0), MorRef(0, 0, 0))
+@pytest.mark.parametrize("name, params, f, g", [
+    ("bool", {}, MorRef(0, 1, 0), MorRef(0, 0, 0)),
+    ("finset", {"k": 3}, MorRef(2, 3, 5), MorRef(3, 3, 0)),
+    ("finposet_struct", {"max_size": 2}, MorRef(1, 2, 0), MorRef(2, 2, 0)),
+], ids=["bool", "finset3", "finposet_struct2"])
+def test_equalizer_rejects_non_parallel(name, params, f, g):
+    """Every base refuses a pair whose ends differ, table and computed alike."""
+    with pytest.raises(StructuralError, match="parallel pair"):
+        builtin_base(name, **params).equalizer(f, g)
 
 
 def test_finset_kernel_matches_rank_formulas():
@@ -426,15 +430,15 @@ def test_finset_equalizer_subset():
 
 
 def test_product_empty_is_terminal(boolb, cost5):
-    pr = finite_product(boolb, [])
+    pr = boolb.product([])
     assert pr.obj == 1  # unit = true is terminal in the meet order
-    pr = finite_product(cost5, [])
+    pr = cost5.product([])
     assert pr.obj == 0  # unit = 0 is terminal under the >= order
 
 
 def test_bool_product_is_meet(boolb):
     for a, b in itertools.product(range(2), repeat=2):
-        pr = finite_product(boolb, [a, b])
+        pr = boolb.product([a, b])
         assert pr.obj == min(a, b)
 
 
@@ -442,7 +446,7 @@ def test_cost_product_is_max():
     V = cost_base(4)
     inf = 5
     for a, b in itertools.product(range(6), repeat=2):
-        pr = finite_product(V, [a, b])
+        pr = V.product([a, b])
         expect = inf if inf in (a, b) else max(a, b)
         assert pr.obj == expect
 
@@ -463,7 +467,7 @@ def test_thin_equalizer_universal_exhaustive(boolb, cost3):
     for V in (boolb, cost3):
         for f in V.mors():
             for g in V.hom(f.src, f.dst):
-                eq = equalizer(V, f, g)
+                eq = V.equalizer(f, g)
                 assert V.compose(eq.include, f) == V.compose(eq.include, g)
                 for c in V.objects():
                     for h in V.hom(c, f.src):
@@ -608,7 +612,7 @@ def test_nary_products_thin_exhaustive(boolb, cost3):
             [a, b] for a in objs for b in objs
         ] + [[a, b, c] for a in objs for b in objs for c in objs][:20]
         for ls in lists:
-            pr = finite_product(V, ls)
+            pr = V.product(ls)
             for c in objs:
                 import itertools as it
 
@@ -1072,6 +1076,22 @@ def test_closed_scan_matches_the_reference_on_lam_mutations():
             assert _fails(want), label
             limited = _report_or_raise(check_closed, M, limit=1)
             assert _fails(limited) == _fails(_report_or_raise(reference_check_closed, M, limit=1)), label
+
+
+def test_closed_scan_builds_no_eta_row_where_beta_holds():
+    """On a lawful base every beta row holds, so check_closed builds no eta
+    row: a fresh finset(2) scan passes 479 elements to ``each_compose`` and
+    78 to ``each_tensor``, where building the eta rows too would pass 524
+    and 123 (45 more each, one per morphism of a hom(x, [y,z]))."""
+    V = builtin_base("finset", k=2)
+    passed = collections.Counter()
+    for name in ("each_compose", "each_tensor"):
+        def counted(fs, g, _name=name, _call=getattr(V, name)):
+            passed[_name] += len(fs)
+            return _call(fs, g)
+        setattr(V, name, counted)
+    assert check_closed(V).ok
+    assert passed == {"each_compose": 479, "each_tensor": 78}
 
 
 # ---------------------------------------------------------------------------
