@@ -39,7 +39,6 @@ class LaxMonoidalFunctor:
     unit_cell: MorRef
     mult_cell: dict
     name: str = ""
-    _change: dict = None
 
     def ob(self, x: int) -> int:
         try:
@@ -58,16 +57,6 @@ class LaxMonoidalFunctor:
             return self.mult_cell[(x, y)]
         except KeyError:
             raise StructuralError(f"lax functor missing mult cell at ({x},{y})") from None
-
-    def change(self, x: int, m: MorRef) -> MorRef:
-        """Inverse of u |-> unit_cell ; F(u) at the object x; requires a prior
-        passing check_preserves_underlying."""
-        if self._change is None:
-            raise CapabilityError("preservation of underlying categories not verified")
-        try:
-            return self._change[(x, m)]
-        except KeyError:
-            raise StructuralError(f"no underlying preimage for {m} at {x}") from None
 
 
 @law_scan
@@ -144,42 +133,33 @@ def check_lax_monoidal(col: Collector, F: LaxMonoidalFunctor) -> None:
 @law_scan
 def check_preserves_underlying(col: Collector, F: LaxMonoidalFunctor) -> None:
     """For every domain object x, the map u |-> unit_cell ; F(u) from
-    dom(I1, x) to cod(I2, F x) must be a bijection. On success the inverse
-    table is materialized on F for change-of-base."""
+    dom(I1, x) to cod(I2, F x) must be a bijection. The scan reads F and
+    writes nothing on it: ``change_of_base`` runs it on every call."""
     V, W = F.dom, F.cod
     I1 = V.unit
-    change = {}
     for x in V.objects():
         fx = F.ob(x)
         image = {}
-        fine = True
         for u in V.hom(I1, x):
             v = W.compose(F.unit_cell, F.mor(u))
             if v in image:
                 col.add("underlying-injective", (x,), image[v], u)
-                fine = False
             image[v] = u
         if len(image) != W.hom_size(W.unit, fx):
             col.add("underlying-bijective", (x,), len(image), W.hom_size(W.unit, fx))
-            fine = False
-        if fine:
-            for v, u in image.items():
-                change[(x, v)] = u
-    if not col.failures:
-        F._change = change
 
 
 def change_of_base(F: LaxMonoidalFunctor, E: Enrichment) -> Enrichment:
     """Transport an enrichment along a lax monoidal functor that preserves
     underlying categories; refuses otherwise (the underlying category must
-    survive unchanged)."""
-    if F._change is None:
-        rep = check_preserves_underlying(F)
-        if not rep.ok:
-            raise CapabilityError(
-                f"change of base refused: underlying categories not preserved at "
-                f"{rep.failures[0].instance}"
-            )
+    survive unchanged). F's tables may have changed since any earlier
+    check, so the check runs on every call."""
+    rep = check_preserves_underlying(F)
+    if not rep.ok:
+        raise CapabilityError(
+            f"change of base refused: underlying categories not preserved at "
+            f"{rep.failures[0].instance}"
+        )
     W = F.cod
     hom_obj = {k: F.ob(v) for k, v in E.hom_obj_t.items()}
     e_id = {x: W.compose(F.unit_cell, F.mor(m)) for x, m in E.e_id_t.items()}
@@ -313,7 +293,7 @@ def dialgebra_objects(F1: EnrichedFunctor, F2: EnrichedFunctor) -> list[tuple[in
 @dataclass(eq=False)
 class DialgebraResult:
     """Dialgebra enrichment with the projection functor and the equalizer
-    presentation of each hom object; unpacks like (enrichment, projection)."""
+    presentation of each hom object."""
 
     enrichment: Enrichment
     projection: EnrichedFunctor
@@ -323,9 +303,6 @@ class DialgebraResult:
 
     def __post_init__(self):
         self._refs = label_refs(self.mors)
-
-    def __iter__(self):
-        return iter((self.enrichment, self.projection))
 
     def mor_over(self, a: int, b: int, h: MorRef) -> MorRef:
         """The dialgebra morphism a -> b whose underlying morphism is h."""

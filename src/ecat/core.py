@@ -255,9 +255,6 @@ class EnrichedTransformation:
         except KeyError:
             raise StructuralError(f"transformation missing component at {x}") from None
 
-    def data_equal(self, other: "EnrichedTransformation") -> bool:
-        return self.component == other.component
-
     def __repr__(self):
         label = self.name or "transformation"
         comps = dict(sorted(self.component.items()))

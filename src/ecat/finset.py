@@ -18,8 +18,14 @@ morphism against a list drawn from one hom, through the batched calls
 ``compose_each``, ``each_compose``, ``tensor_each`` and ``each_tensor``.
 Each runs the per-entry loop of ``compose`` or ``tensor_mor`` with the fixed
 side's graph, its padded translation table or its shifted rows, and the
-result's ends looked up once per call, and interns each result as
-``compose`` does. ``compose`` and ``tensor_mor`` stay the per-entry calls.
+result's ends looked up once per call. ``compose`` and ``tensor_mor`` stay
+the per-entry calls.
+
+Every morphism the kernel numbers, built by it or named by ``mor``, is
+interned by one rule, ``_ranked``: the key (src, dst, graph) maps to its
+``MorRef`` and the ``MorRef`` back to its graph, so a numbered morphism is
+never unranked while the memos hold it. A ``MorRef`` is a non-empty tuple, so
+each lookup reads ``mor_of.get(key) or ranked(key)``.
 
 There are two numberings. ``graph_rank``/``graph_unrank`` rank a graph in
 lexicographic order (first coordinate most significant) among all graphs of
@@ -27,8 +33,8 @@ its shape; they number every ``FinSetCat`` hom and every free ``StructCat``
 hom (one whose source imposes no constraint). A free hom contains every graph,
 so a graph's position in its lexicographic list *is* its ``graph_rank``. The
 other numbering, for constrained homs, is a position in
-``CartesianStructure.maps``. Lookups both ways, identity-shaped morphisms and
-``ev`` are memoised per base instance.
+``CartesianStructure.maps``. The interning memos and the memos of
+identity-shaped morphisms and ``ev`` belong to one base instance.
 
 ``FinSetCat`` object n is the set {0..n-1}; it is unbounded, and ``k`` only
 sets the checker window {0..k}.
@@ -147,20 +153,19 @@ class GraphBase(MonBase):
         return self._mor_of.get(key) or self._ranked(key)
 
     def _ranked(self, key: tuple) -> MorRef:
+        """The one interning rule: number the graph of key = (src, dst,
+        graph in the kernel's form) and remember it both ways, so the
+        morphism is not unranked while the memos hold it."""
         self._bound_memos()
         m = self._mor_of[key] = new_mor((key[0], key[1], self._rank(*key)))
+        self._graph_of[m] = key[2]
         return m
 
     def _built(self, src: int, dst: int, graph) -> MorRef:
         """The morphism of a graph the kernel built from valid graphs, in the
-        form of its target; its graph is remembered with it, so it is never
-        unranked."""
+        form of its target."""
         key = (src, dst, graph)
-        m = self._mor_of.get(key)
-        if m is None:
-            m = self._ranked(key)
-            self._graph_of[m] = graph
-        return m
+        return self._mor_of.get(key) or self._ranked(key)
 
     def _bound_memos(self) -> None:
         if len(self._mor_of) >= self.memo_limit or len(self._graph_of) >= self.memo_limit:
@@ -199,11 +204,7 @@ class GraphBase(MonBase):
         else:
             graph = bytes(map(gg.__getitem__, gf))
         key = (f.src, g.dst, graph)
-        m = self._mor_of.get(key)
-        if m is None:
-            m = self._ranked(key)
-            graph_of[m] = graph
-        return m
+        return self._mor_of.get(key) or self._ranked(key)
 
     # the batched calls (see the module docstring); a list that leaves its
     # hom raises StructuralError
@@ -225,11 +226,7 @@ class GraphBase(MonBase):
             else:
                 graph = bytes(map(gg.__getitem__, gf))
             key = (src, g.dst, graph)
-            m = mor_of.get(key)
-            if m is None:
-                m = ranked(key)
-                graph_of[m] = graph
-            out.append(m)
+            out.append(mor_of.get(key) or ranked(key))
         return out
 
     def each_compose(self, fs, g):
@@ -251,11 +248,7 @@ class GraphBase(MonBase):
             else:
                 graph = bytes(map(gg.__getitem__, gf))
             key = (f.src, dst, graph)
-            m = mor_of.get(key)
-            if m is None:
-                m = ranked(key)
-                graph_of[m] = graph
-            out.append(m)
+            out.append(mor_of.get(key) or ranked(key))
         return out
 
     # -- monoidal ------------------------------------------------------------
@@ -295,11 +288,7 @@ class GraphBase(MonBase):
             else:
                 graph = b""  # f's source is empty, so the tensor's is
             key = (src, dst, graph)
-            m = mor_of.get(key)
-            if m is None:
-                m = ranked(key)
-                graph_of[m] = graph
-            out.append(m)
+            out.append(mor_of.get(key) or ranked(key))
         return out
 
     def each_tensor(self, fs, g):
@@ -326,11 +315,7 @@ class GraphBase(MonBase):
                 gf = self._graph(f)
             graph = join(map(rows.__getitem__, gf))
             key = (src, dst, graph)
-            m = mor_of.get(key)
-            if m is None:
-                m = ranked(key)
-                graph_of[m] = graph
-            out.append(m)
+            out.append(mor_of.get(key) or ranked(key))
         return out
 
     def lunitor(self, x):

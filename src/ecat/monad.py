@@ -169,16 +169,13 @@ def check_kleisli_cocone(col: Collector, T: EnrichedMonad, q: KleisliCocone) -> 
 @dataclass(eq=False)
 class EilenbergMooreResult:
     """EM enrichment as the algebra-law full subcategory of the dialgebras of
-    (T, id); unpacks like (enrichment, forgetful)."""
+    (T, id)."""
 
     enrichment: Enrichment
     forgetful: EnrichedFunctor
     dialg: DialgebraResult
     inclusion: EnrichedFunctor
     algebras: list
-
-    def __iter__(self):
-        return iter((self.enrichment, self.forgetful))
 
     def dialg_index(self, em_index: int) -> int:
         return self.inclusion.ob(em_index)

@@ -13,7 +13,9 @@ internal hom object, are positions in that list and depend on that order. A
 free hom (``CartesianStructure.is_free``: a discrete poset source, or a
 trivial structure) holds every graph, so that position equals ``graph_rank``:
 free homs are ranked by arithmetic and never listed; constrained homs are
-listed once per base instance.
+listed once per base instance. A hom object takes its points from its hom's
+own listing (``StructCat.hom_graphs``), and ``hom_structure`` only puts the
+structure value on them, so forming it lists no map again.
 
 The materialized category quantifies checks over the canonical structures on
 carriers up to the size cap; products of window objects are registered lazily
@@ -74,8 +76,9 @@ class CartesianStructure:
         """Induced structure on a subset, or None when unavailable."""
         return None
 
-    def hom_structure(self, nx: int, sx, ny: int, sy):
-        """(lex-ordered preserving graphs, structure value) for the hom object."""
+    def hom_structure(self, nx: int, sx, ny: int, sy, graphs: list[tuple[int, ...]]):
+        """The structure value of the hom object whose points are ``graphs``,
+        the hom's preserving maps in its own order (as ``maps`` lists them)."""
         raise CapabilityError(f"{self.name} has no internal homs")
 
     def canonical(self, n: int, s):
@@ -118,8 +121,8 @@ class TrivialStructure(CartesianStructure):
     def sub(self, n, s, positions):
         return ()
 
-    def hom_structure(self, nx, sx, ny, sy):
-        return self.maps(nx, sx, ny, sy), ()
+    def hom_structure(self, nx, sx, ny, sy, graphs):
+        return ()
 
 
 def _is_poset(n: int, rel: frozenset) -> bool:
@@ -210,16 +213,14 @@ class PosetStructure(CartesianStructure):
             (pos[i], pos[j]) for (i, j) in s if i in pos and j in pos
         )
 
-    def hom_structure(self, nx, sx, ny, sy):
-        graphs = _monotone_maps(nx, sx, ny, sy)
+    def hom_structure(self, nx, sx, ny, sy, graphs):
         m = len(graphs)
-        rel = frozenset(
+        return frozenset(
             (a, b)
             for a in range(m)
             for b in range(m)
             if all((graphs[a][i], graphs[b][i]) in sy for i in range(nx))
         )
-        return graphs, rel
 
     def _key(self, s):
         return tuple(sorted(s))
@@ -270,9 +271,9 @@ class PointedPosetStructure(PosetStructure):
             return None
         return (rel, bottoms[0])
 
-    def hom_structure(self, nx, sx, ny, sy):
-        graphs, rel = super().hom_structure(nx, sx[0], ny, sy[0])
-        return graphs, (rel, graphs.index((sy[1],) * nx))
+    def hom_structure(self, nx, sx, ny, sy, graphs):
+        rel = super().hom_structure(nx, sx[0], ny, sy[0], graphs)
+        return (rel, graphs.index((sy[1],) * nx))
 
     def _key(self, s):
         return (tuple(sorted(s[0])), s[1])
@@ -437,9 +438,9 @@ class StructCat(GraphBase):
         if obj is None:
             if not self.closed:
                 raise CapabilityError(f"{self.name} has no closed structure")
-            self._numbering(y, z)
+            graphs = list(self.hom_graphs(y, z))
             ny, sy = self._objs[y]
             nz, sz = self._objs[z]
-            graphs, value = self.struct.hom_structure(ny, sy, nz, sz)
+            value = self.struct.hom_structure(ny, sy, nz, sz, graphs)
             obj = self._homobj[(y, z)] = self._register(len(graphs), value)
         return obj

@@ -514,7 +514,7 @@ class FinMonCat(MonBase):
         try:
             return closed.hom_obj_t[y, z]
         except KeyError:
-            return closed.hom_obj(y, z)  # raises with the table's message
+            raise StructuralError(f"missing hom_obj entry at ({y},{z})") from None
 
     def ev(self, y, z):
         closed = self.closed_data
@@ -523,7 +523,7 @@ class FinMonCat(MonBase):
         try:
             return closed.eval_t[y, z]
         except KeyError:
-            return closed.ev(y, z)  # raises with the table's message
+            raise StructuralError(f"missing eval entry at ({y},{z})") from None
 
     def lam(self, x, y, z, f):
         closed = self.closed_data
@@ -532,7 +532,7 @@ class FinMonCat(MonBase):
         try:
             return closed.lam_t[x, y, z, f]
         except KeyError:
-            return closed.lam(x, y, z, f)  # raises with the table's message
+            raise StructuralError(f"missing lam entry at ({x},{y},{z},{f})") from None
 
     # thin certificate -------------------------------------------------------
     @functools.cached_property
@@ -599,30 +599,13 @@ class ClosedData:
     """Closed structure tables: internal hom objects, evaluation, abstraction.
 
     ``lam_t`` is keyed by (x, y, z, f) because the tensor source of f does not
-    determine its factors.
+    determine its factors. ``FinMonCat.hom_obj``, ``ev`` and ``lam`` are
+    their one reader and name a missing entry.
     """
 
     hom_obj_t: dict
     eval_t: dict
     lam_t: dict
-
-    def hom_obj(self, y, z):
-        try:
-            return self.hom_obj_t[(y, z)]
-        except KeyError:
-            raise StructuralError(f"missing hom_obj entry at ({y},{z})") from None
-
-    def ev(self, y, z):
-        try:
-            return self.eval_t[(y, z)]
-        except KeyError:
-            raise StructuralError(f"missing eval entry at ({y},{z})") from None
-
-    def lam(self, x, y, z, f):
-        try:
-            return self.lam_t[(x, y, z, f)]
-        except KeyError:
-            raise StructuralError(f"missing lam entry at ({x},{y},{z},{f})") from None
 
 
 # ---------------------------------------------------------------------------

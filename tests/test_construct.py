@@ -344,6 +344,36 @@ def test_collapse_of_finset_refused(finset2):
     assert (2,) in bad
 
 
+def test_change_of_base_rechecks_a_functor_changed_after_its_check(finset2):
+    """A functor whose tables change after a passing check is refused, as a
+    fresh functor with the same tables is: change_of_base trusts no earlier
+    verdict."""
+    from ecat.vbase import FinCat
+
+    V = finset2
+    F = LaxMonoidalFunctor(
+        V, V,
+        {x: x for x in V.objects()},
+        {f: f for f in V.mors()},
+        V.id_of(V.unit),
+        {(x, y): V.id_of(V.tensor_obj(x, y)) for x in V.objects() for y in V.objects()},
+    )
+    assert check_preserves_underlying(F).ok
+    F.mor_map[MorRef(1, 2, 1)] = MorRef(1, 2, 0)  # the two points of 2 now agree
+    assert not check_preserves_underlying(F).ok
+    # two objects with two parallel arrows 0 -> 1
+    ident = {0: MorRef(0, 0, 0), 1: MorRef(1, 1, 0)}
+    then = {}
+    for f in [*ident.values(), MorRef(0, 1, 0), MorRef(0, 1, 1)]:
+        then[ident[f.src], f] = then[f, ident[f.dst]] = f
+    C = FinCat(2, {(0, 0): 1, (0, 1): 2, (1, 0): 0, (1, 1): 1}, ident, then)
+    E = canonical_set_enrichment(C, V)
+    fresh = LaxMonoidalFunctor(V, V, dict(F.ob_map), dict(F.mor_map), F.unit_cell, dict(F.mult_cell))
+    for G in (F, fresh):
+        with pytest.raises(CapabilityError, match=r"underlying categories not preserved at \(2,\)"):
+            change_of_base(G, E)
+
+
 # ---------------------------------------------------------------------------
 # set-enrichment canonicity
 # ---------------------------------------------------------------------------
@@ -462,8 +492,10 @@ def test_struct_maps_match_reference_filter_on_law_scans(struct, skips):
     """Every hom the four law scans number on a fresh base of cap 2, listed
     or ranked by arithmetic, equals the generate-and-test reference, list
     order included; so do the points of every hom object they form, which
-    are the hom's own numbering. Each scan skips the same number of
-    instances outside the window, as its report counts them."""
+    are the hom's own numbering. Each hom object has one element per point,
+    and its structure value is ``hom_structure`` on the reference listing.
+    Each scan skips the same number of instances outside the window, as its
+    report counts them."""
     seen = {}
     ranked = 0
     for family, check in base_law_checks(StructCat(struct, 2)):
@@ -478,10 +510,12 @@ def test_struct_maps_match_reference_filter_on_law_scans(struct, skips):
             else:
                 assert graphs == listed
             seen[V._objs[x], V._objs[y]] = graphs
-        for y, z in V._homobj:
+        for (y, z), h in V._homobj.items():
             (ny, sy), (nz, sz) = V._objs[y], V._objs[z]
-            points, _ = struct.hom_structure(ny, sy, nz, sz)
-            assert points == list(V.hom_graphs(y, z))
+            points = list(V.hom_graphs(y, z))
+            assert V.obj_size(h) == len(points)
+            reference = CartesianStructure.maps(struct, ny, sy, nz, sz)
+            assert V.obj_value(h) == struct.hom_structure(ny, sy, nz, sz, reference)
             seen[V._objs[y], V._objs[z]] = points
     assert not skips
     assert ranked > 0
@@ -528,11 +562,14 @@ def test_poset_maps_match_reference_filter_on_random_relations():
 
 
 def test_trivial_structure_matches_finset(finset2):
+    """Homs and hom objects have finset's sizes, and the closed laws hold."""
     V = StructCat(TrivialStructure(), 2)
     for x in V.objects():
         for y in V.objects():
             nx, ny = V.obj_size(x), V.obj_size(y)
             assert V.hom_size(x, y) == finset2.hom_size(nx, ny)
+            assert V._objs[V.hom_obj(x, y)] == (finset2.hom_obj(nx, ny), ())
+    assert check_closed(V).ok
 
 
 def test_poset_struct_products_componentwise():

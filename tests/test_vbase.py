@@ -10,7 +10,7 @@ import pytest
 
 from ecat.dsl import from_json, parse
 from ecat.report import CapabilityError, CheckReport, EcatError, Failure, StructuralError, WindowExceeded
-from ecat.structures import PointedPosetStructure, PosetStructure, check_structure
+from ecat.structures import PointedPosetStructure, PosetStructure, StructCat, check_structure
 from ecat.vbase import (
     BYTES_ROW,
     BatchedCompose,
@@ -1092,6 +1092,64 @@ def test_closed_scan_builds_no_eta_row_where_beta_holds():
         setattr(V, name, counted)
     assert check_closed(V).ok
     assert passed == {"each_compose": 479, "each_tensor": 78}
+
+
+class _Tight(StructCat):
+    """A poset base whose hom bound stops every law family but the category
+    scan short of some of its instances."""
+
+    mor_bound = 64
+
+
+def test_every_family_counts_its_window_skips_as_the_reference_does():
+    """Under a tight hom bound each scan on a fresh base stays ok, skips the
+    instances whose homs leave the bound in every law that can skip, and
+    reports exactly what the instance-at-a-time reference reports on a
+    fresh base. The unitor laws never skip: I (x) x has x's carrier, so a
+    window that numbers hom(x, x) numbers their homs too."""
+    pins = {
+        "category": (check_category, reference_check_category, {}),
+        "monoidal": (check_monoidal, reference_check_monoidal, {
+            "tensor-id": 4, "tensor-decomp": 377, "tensor-funct": 286, "associator-iso": 20,
+            "associator-natural": 232, "triangle": 4, "pentagon": 112}),
+        "symmetric": (check_symmetric, reference_check_symmetric,
+                      {"symmetry-inverse": 4, "symmetry-natural": 417, "hexagon": 28}),
+        "closed": (check_closed, reference_check_closed, {"lam-bijection": 12, "lam-natural": 32}),
+    }
+    for family, (scan, reference, skipped) in pins.items():
+        rep = scan(_Tight(PosetStructure(), 2))
+        assert rep.ok and rep.skipped == skipped, family
+        assert rep == reference(_Tight(PosetStructure(), 2)), family
+
+
+@pytest.mark.parametrize("name, params", [("finset", {"k": 3}), ("finposet_struct", {"max_size": 2})])
+def test_graph_kernel_interns_every_morphism_by_one_rule(name, params):
+    """A morphism numbered by ``mor`` keeps its graph, so reading it back or
+    composing with it never unranks it; and one graph reached through
+    ``mor``, ``compose``, ``compose_each`` and ``each_compose`` is one
+    object."""
+    V = builtin_base(name, **params)
+    unranked = []
+
+    def unrank(m, _unrank=V._unrank):
+        unranked.append(m)
+        return _unrank(m)
+
+    V._unrank = unrank
+    objs = list(V.objects())
+    listed = {(x, y): list(V.hom_graphs(x, y)) for x in objs for y in objs}
+    named = {key: [V.mor(*key, g) for g in graphs] for key, graphs in listed.items()}
+    for x, y, z in itertools.product(objs, repeat=3):
+        fs, gs = named[x, y], named[y, z]
+        for f in fs:
+            assert V.graph(f) == listed[x, y][f.k]
+            row = V.compose_each(f, gs)
+            for g, fg in zip(gs, row, strict=True):
+                assert V.compose(f, g) is fg
+                assert V.mor(x, z, V.graph(fg)) is fg
+        for g in gs:
+            assert all(a is b for a, b in zip(V.each_compose(fs, g), (V.compose(f, g) for f in fs), strict=True))
+    assert not unranked
 
 
 # ---------------------------------------------------------------------------
