@@ -1844,6 +1844,13 @@ def reference_check_symmetric(col: Collector, V: MonBase) -> None:
             col.skip("hexagon")
 
 
+def identity_sided(V, failure) -> bool:
+    """Whether a ``symmetry-natural`` failure lies at a pair (f, g) one of
+    whose sides is an identity of V, the pairs ``check_symmetric`` checks
+    naturality at; a failure of any other law always is."""
+    return failure.law != "symmetry-natural" or any(m == V.id_of(m.src) for m in failure.instance)
+
+
 @law_scan
 def reference_check_closed(col: Collector, V: MonBase) -> None:
     """lam bijectivity (both round trips) and naturality in the abstraction

@@ -374,6 +374,60 @@ def test_change_of_base_rechecks_a_functor_changed_after_its_check(finset2):
             change_of_base(G, E)
 
 
+class _Rule(dict):
+    """A functor table that answers every key it does not hold by ``rule``."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        return self.rule(key)
+
+
+def _identity_lax_functor(V) -> LaxMonoidalFunctor:
+    """The identity on V, with identity unit and multiplication cells, on
+    every object and morphism the scan reaches (tensors and coherence maps
+    leave the window)."""
+    return LaxMonoidalFunctor(V, V, _Rule(lambda x: x), _Rule(lambda f: f), V.id_of(V.unit),
+                              _Rule(lambda xy: V.id_of(V.tensor_obj(*xy))), name="id")
+
+
+@pytest.mark.parametrize("table, key, value, laws", [
+    # id_2 sent to the swap of 2
+    ("mor_map", MorRef(2, 2, 1), MorRef(2, 2, 2),
+     {"functor-identity", "functor-composition", "mult-natural", "lax-left-unit", "lax-right-unit",
+      "lax-associativity"}),
+    # the constant map 2 -> 2 at 1 sent to the constant at 0
+    ("mor_map", MorRef(2, 2, 3), MorRef(2, 2, 0), {"functor-composition", "mult-natural"}),
+    # the multiplication cell at (2, 2), an endomap of 4, made constant
+    ("mult_cell", (2, 2), MorRef(4, 4, 0), {"mult-natural", "lax-associativity"}),
+], ids=["identity", "constant", "mult"])
+def test_lax_monoidal_names_each_broken_law(finset2, table, key, value, laws):
+    """One entry of the identity lax functor on finset(2), a base whose homs
+    are not thin, replaced by another morphism of its hom: the report names
+    each law the change breaks, and no other."""
+    F = _identity_lax_functor(finset2)
+    assert check_lax_monoidal(F).ok
+    getattr(F, table)[key] = value
+    assert {f.law for f in check_lax_monoidal(F).failures} == laws
+
+
+@pytest.mark.parametrize("table, key, message", [
+    ("ob_map", 0, "lax functor undefined on object 0"),
+    ("mor_map", MorRef(0, 0, 0), r"lax functor undefined on morphism \(0,0,0\)"),
+    ("mult_cell", (0, 0), r"lax functor missing mult cell at \(0,0\)"),
+], ids=["ob_map", "mor_map", "mult_cell"])
+def test_lax_monoidal_refuses_a_missing_entry(finset2, table, key, message):
+    V = finset2
+    objs = list(V.objects())
+    F = LaxMonoidalFunctor(V, V, {x: x for x in objs}, {f: f for f in V.mors()}, V.id_of(V.unit),
+                           {(x, y): V.id_of(V.tensor_obj(x, y)) for x in objs for y in objs})
+    del getattr(F, table)[key]
+    with pytest.raises(StructuralError, match=message):
+        check_lax_monoidal(F)
+
+
 # ---------------------------------------------------------------------------
 # set-enrichment canonicity
 # ---------------------------------------------------------------------------
@@ -443,18 +497,81 @@ CHAIN2 = frozenset({(0, 0), (0, 1), (1, 1)})
 
 
 class _NoChainIdentity(PosetStructure):
-    """Monotone maps, less the identity of the 2-chain: identities break."""
+    """Monotone maps, less the identity of the 2-chain: ``maps`` leaves it
+    out though ``is_map`` accepts it, so a composite of listed maps (the
+    swap from the 2-chain to its opposite, then back) is not listed and
+    composition-closure breaks."""
 
     def maps(self, nx, sx, ny, sy):
         return [g for g in super().maps(nx, sx, ny, sy) if not (sx == sy == CHAIN2 and g == (0, 1))]
 
 
 class _DiscreteProduct(PosetStructure):
-    """Posets whose product carries the discrete order: the projections and
-    pairings break."""
+    """Posets whose product carries the discrete order: every map out of a
+    discrete poset is monotone, so the projections hold, but a pairing of
+    monotone maps is not, and pairing breaks."""
 
     def prod(self, nx, sx, ny, sy):
         return frozenset((i, i) for i in range(nx * ny))
+
+
+class _SelfMapRefused(PosetStructure):
+    """A structure value refuses the maps to itself, though an equal value
+    built apart (a product's) does not: identities break."""
+
+    def is_map(self, nx, sx, ny, sy, graph):
+        return sx is not sy and super().is_map(nx, sx, ny, sy, graph)
+
+
+class _IrreflexiveUnit(PosetStructure):
+    """The one-point poset with no pairs as the unit: the maps to it from a
+    non-empty poset, which relates each point to itself, break."""
+
+    def unit_structure(self):
+        return frozenset()
+
+
+class _EveryMapPreserves(PosetStructure):
+    """Posets where every graph counts as a map: two orders on one carrier
+    are isomorphic through the identity, and antisymmetry breaks."""
+
+    def is_map(self, nx, sx, ny, sy, graph):
+        return True
+
+
+class _FirstFactorIgnored(PosetStructure):
+    """Posets whose product relates two pairs whenever their second
+    coordinates are related: projection 1 breaks, and the projection 2 and
+    pairings, whose maps into it only grow, hold."""
+
+    def prod(self, nx, sx, ny, sy):
+        return frozenset((a * ny + b, c * ny + d) for a in range(nx) for c in range(nx) for b, d in sy)
+
+
+class _SecondFactorIgnored(PosetStructure):
+    """The mirror image of ``_FirstFactorIgnored``: projection 2 breaks."""
+
+    def prod(self, nx, sx, ny, sy):
+        return frozenset((a * ny + b, c * ny + d) for a, c in sx for b in range(ny) for d in range(ny))
+
+
+_BROKEN_STRUCTURES = [
+    (_NoChainIdentity(), "composition-closure", 1),
+    (_DiscreteProduct(), "pairing", 64),
+    (_SelfMapRefused(), "identity-preserving", 5),
+    (_IrreflexiveUnit(), "terminal-map", 4),
+    (_EveryMapPreserves(), "structure-antisymmetry", 6),
+    (_FirstFactorIgnored(), "projection-1", 12),
+    (_SecondFactorIgnored(), "projection-2", 12),
+]
+
+
+@pytest.mark.parametrize("struct, law, count", _BROKEN_STRUCTURES, ids=[law for _, law, _ in _BROKEN_STRUCTURES])
+def test_check_structure_names_the_one_broken_axiom(struct, law, count):
+    """Each broken structure fails exactly one axiom, at every carrier
+    instance (up to size 2) where it breaks."""
+    laws = [f.law for f in check_structure(struct, 2).failures]
+    assert laws == [law] * count
 
 
 def test_broken_structure_is_refused_where_it_is_used():

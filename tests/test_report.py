@@ -4,12 +4,14 @@ The pins in ``golden/reports/`` were written by ``report_cases.py`` before
 scans stopped inside the Collector; a full report must keep those bytes.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from ecat.report import CheckReport, Collector, StructuralError, law_scan
 
+from helpers import identity_sided, reference_check_symmetric
 from report_cases import OUT, cases, pinned_text
 
 CASES = cases()
@@ -28,6 +30,20 @@ def test_every_limit_taking_checker_has_a_pin():
 @pytest.mark.parametrize("name, check, args, description", CASES, ids=[c[0] for c in CASES])
 def test_full_report_matches_pin(name, check, args, description):
     assert pinned_text(name, check, args, description) == (OUT / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, failures", [("symmetric-cost3", (4, 2)), ("symmetric-finset2", (19, 12))])
+def test_symmetric_pins_are_the_reference_at_identity_sided_pairs(name, failures):
+    """check_symmetric checks naturality only at the pairs with an identity
+    side, so each symmetric pin is the instance-at-a-time reference's full
+    report on the same mutated base with its other naturality failures
+    left out: the reference's 4 and 19 failures, 2 and 12 of them kept."""
+    ((_, _, (M,), description),) = [case for case in CASES if case[0] == name]
+    reference = reference_check_symmetric(M)
+    kept = [f for f in reference.failures if identity_sided(M, f)]
+    assert (len(reference.failures), len(kept)) == failures
+    want = {"case": name, "input": description, "report": CheckReport.from_failures(kept).to_json()}
+    assert json.loads((OUT / f"{name}.json").read_text(encoding="utf-8")) == want
 
 
 @pytest.fixture()

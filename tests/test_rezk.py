@@ -27,14 +27,21 @@ from ecat.core import (
     cost_space_enrichment,
     enumerate_enriched_functors,
     enumerate_enriched_transformations,
+    find_inverse,
     id_functor,
+    id_transformation,
     invertible_2cell,
+    vcompose,
     whisker_left,
 )
 from ecat.factor import (
+    EsoWitness,
+    WeakEquivalence,
     image_factorization,
     is_essentially_surjective,
     is_fully_faithful,
+    iso_arrows,
+    underlying_hom_inverse,
     weak_equivalence,
     weak_equivalence_to_adjoint_equivalence,
 )
@@ -323,15 +330,26 @@ def test_rezk_on_set_enrichment_with_isos(finset3):
     assert rep.skeletal and not rep.gaunt  # Z/2 automorphisms survive
 
 
+def _s3_identity_last() -> FinCat:
+    """A one-object S3 whose hom lists the identity last."""
+    perms = sorted(itertools.permutations(range(3)), reverse=True)
+    index = {p: k for k, p in enumerate(perms)}
+    then = {(MorRef(0, 0, index[p]), MorRef(0, 0, index[q])): MorRef(0, 0, index[tuple(q[i] for i in p)])
+            for p in perms for q in perms}
+    return FinCat(1, {(0, 0): 6}, {0: MorRef(0, 0, 5)}, then)
+
+
+def _z2_identity_second() -> FinCat:
+    """A one-object Z/2 whose hom lists the identity second."""
+    then = {(MorRef(0, 0, a), MorRef(0, 0, b)): MorRef(0, 0, int(a == b)) for a in range(2) for b in range(2)}
+    return FinCat(1, {(0, 0): 2}, {0: MorRef(0, 0, 1)}, then)
+
+
 def test_rezk_unit_of_a_skeletal_group_is_the_identity_whatever_the_hom_order():
     """A one-object S3 over finset(6) whose hom lists the identity last is
     skeletal, so its Rezk unit is the identity functor, not conjugation by
     the automorphism listed first."""
-    perms = sorted(itertools.permutations(range(3)), reverse=True)  # the identity last
-    index = {p: k for k, p in enumerate(perms)}
-    then = {(MorRef(0, 0, index[p]), MorRef(0, 0, index[q])): MorRef(0, 0, index[tuple(q[i] for i in p)])
-            for p in perms for q in perms}
-    C = FinCat(1, {(0, 0): 6}, {0: MorRef(0, 0, 5)}, then)
+    C = _s3_identity_last()
     res = rezk_completion(canonical_set_enrichment(C, builtin_base("finset", k=6)))
     F = res.unit_functor
     assert F.ob_map == {0: 0}
@@ -342,11 +360,49 @@ def test_identity_functor_inverts_to_identities_whatever_the_hom_order(finset3):
     """On a one-object Z/2 whose hom lists the identity second, the identity
     functor's weak inverse is the identity, and its unit and counit are
     identities."""
-    then = {(MorRef(0, 0, a), MorRef(0, 0, b)): MorRef(0, 0, int(a == b)) for a in range(2) for b in range(2)}
-    E = canonical_set_enrichment(FinCat(1, {(0, 0): 2}, {0: MorRef(0, 0, 1)}, then), finset3)
+    E = canonical_set_enrichment(_z2_identity_second(), finset3)
     adj = weak_equivalence_to_adjoint_equivalence(id_functor(E))
     assert adj.unit.at(0) == adj.counit.at(0) == E.under.id_of(0) == MorRef(0, 0, 1)
     assert [adj.bwd.mor(f) for f in E.under.hom(0, 0)] == list(E.under.hom(0, 0))
+
+
+def _first_iso_witness(F) -> EsoWitness:
+    """F's eso witness by the rule that preferred no identity: for each y,
+    the least x with an iso F x -> y, and the first such iso in hom order."""
+    cod = F.cod.under
+    preimage = {y: next((x, isos[0]) for x in F.dom.objects() if (isos := iso_arrows(cod, F.ob(x), y)))
+                for y in F.cod.objects()}
+    return EsoWitness(True, preimage, [])
+
+
+@pytest.mark.parametrize("make, k, conjugates", [(_s3_identity_last, 6, True), (_z2_identity_second, 3, False)],
+                         ids=["S3", "Z2"])
+def test_weak_inverses_by_the_old_and_new_witness_rule_are_isomorphic(make, k, conjugates):
+    """The identity functor's weak inverse along the first iso in hom order
+    (the witness rule before identities were preferred) and along today's
+    witness differ by an invertible enriched 2-cell: at y, the F-preimage of
+    today's witness followed by the inverse of the old one. On S3 the two
+    weak inverses differ (the old one conjugates by the first
+    automorphism); Z/2 is abelian, so they agree and only the cell shows
+    the two witnesses differ."""
+    category = make()
+    F = id_functor(canonical_set_enrichment(category, builtin_base("finset", k=k)))
+    cod = F.cod.under
+    new = weak_equivalence(F)
+    old = WeakEquivalence(F, new.ff, _first_iso_witness(F))
+    cell = {}
+    for y in F.cod.objects():
+        (w, today), (v, first) = new.eso.preimage[y], old.eso.preimage[y]
+        cell[y] = underlying_hom_inverse(F, new.ff, cod.compose(today, find_inverse(cod, first)), w, v)
+    theta = EnrichedTransformation(new.L, old.L, cell)
+    assert check_nat_trans_enrichment(theta).ok
+    assert cell != id_transformation(new.L).component
+    hom = category.hom(0, 0)
+    assert ([new.L.mor(f) for f in hom] != [old.L.mor(f) for f in hom]) == conjugates
+    inverse = invertible_2cell(theta)
+    assert inverse is not None
+    assert vcompose(theta, inverse).component == id_transformation(new.L).component
+    assert vcompose(inverse, theta).component == id_transformation(old.L).component
 
 
 # ---------------------------------------------------------------------------
