@@ -869,16 +869,87 @@ def _check_iso_pair(V, col, law, instance, fwd, inv, src, dst):
         col.add(law, instance, V.compose(inv, fwd), V.id_of(dst))
 
 
+def window_generators(V, homs: dict) -> list[MorRef] | None:
+    """A generating set of the window category, in hom order: a window
+    morphism is chosen when it is not a composite of the morphisms chosen
+    before it, an identity counting as the empty composite. ``homs`` is
+    ``_window_homs``'s; None when one of them is not enumerated.
+
+    The composition closure of the choices is kept by the batched calls.
+    When f: a -> b is chosen, every morphism of the closure into a is
+    composed with f, and each composite new to the closure joins it and is
+    composed with every choice out of its target, until nothing new comes.
+    That reaches every word that holds f: the part before its first f lies
+    in the old closure, and a step that lands in the old closure either
+    stays there or appends f again. A composite joins only when it is a
+    window morphism, so a base whose composition leaves its homs still
+    ends."""
+    if any(fs is None for fs in homs.values()):
+        return None
+    objs = sorted({a for a, _ in homs})
+    listed = {m for fs in homs.values() for m in fs}
+    # closed[a][b]: the closure's morphisms a -> b; out[a][b]: the choices a -> b
+    closed = {a: {b: set() for b in objs} for a in objs}
+    for a in objs:
+        i = V.id_of(a)
+        if i in listed:
+            closed[a][a].add(i)
+    out = {a: {} for a in objs}
+    gens = []
+    for (a, b), fs in homs.items():
+        for f in fs:
+            if f in closed[a][b]:
+                continue
+            gens.append(f)
+            out[a].setdefault(b, []).append(f)
+            todo = []
+            for c in objs:
+                if closed[c][a]:
+                    todo += V.each_compose(list(closed[c][a]), f)
+            while todo:
+                h = todo.pop()
+                if h in listed and h not in closed[h.src][h.dst]:
+                    closed[h.src][h.dst].add(h)
+                    for gs in out[h.dst].values():
+                        todo += V.compose_each(h, gs)
+    return gens
+
+
 @law_scan
 def check_monoidal(col: Collector, V: MonBase) -> None:
     """Bifunctoriality of the tensor, unitor/associator invertibility and
-    naturality, triangle and pentagon, over every window instance.
+    naturality, triangle and pentagon, over the window.
 
-    Bifunctoriality is checked through its generating family (identity
-    preservation, both whisker decompositions, slotwise functoriality), which
-    is equivalent to full interchange and quadratically cheaper. A base
-    certified thin (``V.thin``) is not scanned: each diagram compares two
-    parallel, well-shaped morphisms in a hom with at most one element.
+    Bifunctoriality is checked through its generating family, which is
+    equivalent to full interchange and quadratically cheaper: identity
+    preservation (``tensor-id``), the whisker decompositions f (x) g =
+    (f (x) c);(b (x) g) and (a (x) g);(f (x) d) for f: a -> b, g: c -> d
+    (``tensor-left-decomp``, ``tensor-right-decomp``), and slotwise
+    functoriality (f;f2) (x) y = (f (x) y);(f2 (x) y) and its mirror
+    (``tensor-left-funct``, ``tensor-right-funct``). The last three laws are
+    checked on a generating set G of the window category
+    (``window_generators``): the left decomposition at every pair, since
+    each f (x) g is data of its own; the right one at the pairs in G x G;
+    slotwise functoriality at (f, f2, y) with f in G. These imply both laws
+    at every window pair (Mac Lane, CWM II.3 Prop. 1), by induction on a
+    factorization into generators: with f = g1;...;gk, (f;f2) (x) y unfolds
+    a generator at a time by associativity, and k = 0 is ``tensor-id`` with
+    the identity laws; interchange of the whiskers, (f (x) c);(b (x) g) =
+    (a (x) g);(f (x) d), composes along factorizations of f and of g, and
+    the left decomposition at every pair turns it into the right one. So
+    this verdict presupposes ``tensor-id`` and the identity and
+    associativity laws that ``check_category`` decides, as symmetry
+    naturality presupposes this family; ``ecat check`` runs both. On
+    ``finset(4)`` G holds 51 of the window's 499 morphisms, and the scan
+    checks 8,332 slotwise pairs instead of 133,799 and 2,601 right
+    decompositions instead of 249,001. When a window hom is not enumerated,
+    or a row of these three laws leaves the window, they are scanned at every
+    window morphism instead, so their skip counts stay exact: the scan at G
+    runs into a collector of its own, whose failures join the report, in its
+    scan order, only when it skipped nothing.
+
+    A base certified thin (``V.thin``) is not scanned: each diagram compares
+    two parallel, well-shaped morphisms in a hom with at most one element.
 
     The whisker decompositions, slotwise functoriality and unitor and
     associator naturality run a row at a time: one fixed morphism against a
@@ -888,12 +959,19 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
     unlimited report is sorted and does not depend on it. Every instance of
     a row has the same shape, so a row that leaves the window raises
     WindowExceeded for all of them and is skipped as a unit, and the
-    collector counts its instances.
+    collector counts its instances. ``tensor_obj``, the associator, its
+    inverse and the unitors are memoised per argument within the call
+    (``functools.cache``), through the base so that a mutated view is read.
     """
     if V.thin:
         return
     objs, homs = _window_homs(V)
     I = V.unit
+    tensor_obj = functools.cache(V.tensor_obj)
+    associator = functools.cache(V.associator)
+    associator_inv = functools.cache(V.associator_inv)
+    lunitor = functools.cache(V.lunitor)
+    runitor = functools.cache(V.runitor)
 
     # the whiskers of a whole window hom by one object recur in every law
     # family, as rows memoised within the call, each built by one batched
@@ -922,10 +1000,60 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         i = V.id_of(y)
         return V.each_tensor(ms, i) if on_right else V.tensor_each(i, ms)
 
+    def bifunctoriality(col: Collector, gens: set | None) -> None:
+        """Scan the left decomposition at every pair, the right one at the
+        pairs in gens x gens and slotwise functoriality at (f, f2, y) with f
+        in gens; gens None stands for every window morphism."""
+        # the indices of each window hom's morphisms in gens
+        at = {ab: range(len(fs)) if gens is None else [j for j, f in enumerate(fs) if f in gens]
+              for ab, fs in homs.items() if fs}
+
+        # whisker decompositions, a row per f over hom(c, d)
+        for (a, b), fs in homs.items():
+            if not fs:
+                continue
+            for i, f in enumerate(fs):
+                for (c, d), gs in homs.items():
+                    if not gs:
+                        continue
+                    try:
+                        fgs = V.tensor_each(f, gs)
+                        _require_row_shape(V, fgs, tensor_obj(a, c), tensor_obj(b, d))
+                        split = V.compose_each(right((a, b), c)[i], left(b, (c, d)))
+                        _add_row(col, "tensor-left-decomp", fgs, split, gs, (f,))
+                        js = at[c, d]
+                        if js and (gens is None or f in gens):
+                            whiskers = left(a, (c, d))
+                            split = V.each_compose([whiskers[j] for j in js], right((a, b), d)[i])
+                            _add_row(col, "tensor-right-decomp", [fgs[j] for j in js], split,
+                                     [gs[j] for j in js], (f,))
+                    except WindowExceeded:
+                        col.skip("tensor-decomp", len(gs))
+
+        # slotwise functoriality over composable pairs and window objects, a
+        # row per (f, y) over hom(b, c)
+        for a, b, c in itertools.product(objs, repeat=3):
+            fs, f2s = homs[a, b], homs[b, c]
+            if not fs or not f2s:
+                continue
+            for i in at[a, b]:
+                f = fs[i]
+                ff2s = V.compose_each(f, f2s)
+                for y in objs:
+                    try:
+                        lhs = whiskered(ff2s, y, True)
+                        rhs = V.compose_each(right((a, b), y)[i], right((b, c), y))
+                        _add_row(col, "tensor-left-funct", lhs, rhs, f2s, (f,), (y,))
+                        lhs = whiskered(ff2s, y, False)
+                        rhs = V.compose_each(left(y, (a, b))[i], left(y, (b, c)))
+                        _add_row(col, "tensor-right-funct", lhs, rhs, f2s, (f,), (y,))
+                    except WindowExceeded:
+                        col.skip("tensor-funct", len(f2s))
+
     # tensor preserves identities
     for x, y in itertools.product(objs, repeat=2):
         try:
-            xy = V.tensor_obj(x, y)
+            xy = tensor_obj(x, y)
             t = V.tensor_mor(V.id_of(x), V.id_of(y))
             require_mor_shape(V, t, xy, xy)
             if t != V.id_of(xy):
@@ -933,56 +1061,33 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         except WindowExceeded:
             col.skip("tensor-id")
 
-    # whisker decompositions over all window pairs, a row per f over hom(c, d)
-    for (a, b), fs in homs.items():
-        if not fs:
-            continue
-        for i, f in enumerate(fs):
-            for (c, d), gs in homs.items():
-                if not gs:
-                    continue
-                try:
-                    fgs = V.tensor_each(f, gs)
-                    _require_row_shape(V, fgs, V.tensor_obj(a, c), V.tensor_obj(b, d))
-                    split = V.compose_each(right((a, b), c)[i], left(b, (c, d)))
-                    _add_row(col, "tensor-left-decomp", fgs, split, gs, (f,))
-                    split = V.each_compose(left(a, (c, d)), right((a, b), d)[i])
-                    _add_row(col, "tensor-right-decomp", fgs, split, gs, (f,))
-                except WindowExceeded:
-                    col.skip("tensor-decomp", len(gs))
-
-    # slotwise functoriality over composable pairs and window objects, a row
-    # per (f, y) over hom(b, c)
-    for a, b, c in itertools.product(objs, repeat=3):
-        fs, f2s = homs[a, b], homs[b, c]
-        if not fs or not f2s:
-            continue
-        for i, f in enumerate(fs):
-            ff2s = V.compose_each(f, f2s)
-            for y in objs:
-                try:
-                    lhs = whiskered(ff2s, y, True)
-                    rhs = V.compose_each(right((a, b), y)[i], right((b, c), y))
-                    _add_row(col, "tensor-left-funct", lhs, rhs, f2s, (f,), (y,))
-                    lhs = whiskered(ff2s, y, False)
-                    rhs = V.compose_each(left(y, (a, b))[i], left(y, (b, c)))
-                    _add_row(col, "tensor-right-funct", lhs, rhs, f2s, (f,), (y,))
-                except WindowExceeded:
-                    col.skip("tensor-funct", len(f2s))
+    # the decompositions and slotwise functoriality at generators, or, when
+    # a hom is not enumerated or a row leaves the window, at every morphism
+    gens = window_generators(V, homs)
+    if gens is not None:
+        at_gens = Collector()
+        bifunctoriality(at_gens, set(gens))
+        if at_gens.skipped:
+            gens = None
+        else:
+            for f in at_gens.failures:
+                col.add(f.law, f.instance, f.lhs, f.rhs)
+    if gens is None:
+        bifunctoriality(col, None)
 
     # unitor and associator invertibility
     for x in objs:
         try:
-            _check_iso_pair(V, col, "lunitor-iso", (x,), V.lunitor(x), V.lunitor_inv(x), V.tensor_obj(I, x), x)
-            _check_iso_pair(V, col, "runitor-iso", (x,), V.runitor(x), V.runitor_inv(x), V.tensor_obj(x, I), x)
+            _check_iso_pair(V, col, "lunitor-iso", (x,), lunitor(x), V.lunitor_inv(x), tensor_obj(I, x), x)
+            _check_iso_pair(V, col, "runitor-iso", (x,), runitor(x), V.runitor_inv(x), tensor_obj(x, I), x)
         except WindowExceeded:
             col.skip("unitor-iso")
     for x, y, z in itertools.product(objs, repeat=3):
         try:
             _check_iso_pair(
                 V, col, "associator-iso", (x, y, z),
-                V.associator(x, y, z), V.associator_inv(x, y, z),
-                V.tensor_obj(V.tensor_obj(x, y), z), V.tensor_obj(x, V.tensor_obj(y, z)),
+                associator(x, y, z), associator_inv(x, y, z),
+                tensor_obj(tensor_obj(x, y), z), tensor_obj(x, tensor_obj(y, z)),
             )
         except WindowExceeded:
             col.skip("associator-iso")
@@ -992,11 +1097,11 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
         if not fs:
             continue
         try:
-            lhs = V.each_compose(left(I, (a, b)), V.lunitor(b))
-            rhs = V.compose_each(V.lunitor(a), fs)
+            lhs = V.each_compose(left(I, (a, b)), lunitor(b))
+            rhs = V.compose_each(lunitor(a), fs)
             _add_row(col, "lunitor-natural", lhs, rhs, fs)
-            lhs = V.each_compose(right((a, b), I), V.runitor(b))
-            rhs = V.compose_each(V.runitor(a), fs)
+            lhs = V.each_compose(right((a, b), I), runitor(b))
+            rhs = V.compose_each(runitor(a), fs)
             _add_row(col, "runitor-natural", lhs, rhs, fs)
         except WindowExceeded:
             col.skip("unitor-natural", len(fs))
@@ -1007,15 +1112,15 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
             continue
         for y, z in itertools.product(objs, repeat=2):
             try:
-                yz = V.tensor_obj(y, z)
-                lhs = V.each_compose(whiskered(right((a, b), y), z, True), V.associator(b, y, z))
-                rhs = V.compose_each(V.associator(a, y, z), right((a, b), yz))
+                yz = tensor_obj(y, z)
+                lhs = V.each_compose(whiskered(right((a, b), y), z, True), associator(b, y, z))
+                rhs = V.compose_each(associator(a, y, z), right((a, b), yz))
                 _add_row(col, "associator-natural-1", lhs, rhs, fs, (), (y, z))
-                lhs = V.each_compose(whiskered(left(y, (a, b)), z, True), V.associator(y, b, z))
-                rhs = V.compose_each(V.associator(y, a, z), whiskered(right((a, b), z), y, False))
+                lhs = V.each_compose(whiskered(left(y, (a, b)), z, True), associator(y, b, z))
+                rhs = V.compose_each(associator(y, a, z), whiskered(right((a, b), z), y, False))
                 _add_row(col, "associator-natural-2", lhs, rhs, fs, (y,), (z,))
-                lhs = V.each_compose(left(yz, (a, b)), V.associator(y, z, b))
-                rhs = V.compose_each(V.associator(y, z, a), whiskered(left(z, (a, b)), y, False))
+                lhs = V.each_compose(left(yz, (a, b)), associator(y, z, b))
+                rhs = V.compose_each(associator(y, z, a), whiskered(left(z, (a, b)), y, False))
                 _add_row(col, "associator-natural-3", lhs, rhs, fs, (y, z))
             except WindowExceeded:
                 col.skip("associator-natural", len(fs))
@@ -1023,8 +1128,8 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
     # triangle
     for x, y in itertools.product(objs, repeat=2):
         try:
-            lhs = V.compose(V.associator(x, I, y), V.tensor_mor(V.id_of(x), V.lunitor(y)))
-            rhs = V.tensor_mor(V.runitor(x), V.id_of(y))
+            lhs = V.compose(associator(x, I, y), V.tensor_mor(V.id_of(x), lunitor(y)))
+            rhs = V.tensor_mor(runitor(x), V.id_of(y))
             if lhs != rhs:
                 col.add("triangle", (x, y), lhs, rhs)
         except WindowExceeded:
@@ -1034,13 +1139,13 @@ def check_monoidal(col: Collector, V: MonBase) -> None:
     for w, x, y, z in itertools.product(objs, repeat=4):
         try:
             lhs = V.compose_all(
-                V.tensor_mor(V.associator(w, x, y), V.id_of(z)),
-                V.associator(w, V.tensor_obj(x, y), z),
-                V.tensor_mor(V.id_of(w), V.associator(x, y, z)),
+                V.tensor_mor(associator(w, x, y), V.id_of(z)),
+                associator(w, tensor_obj(x, y), z),
+                V.tensor_mor(V.id_of(w), associator(x, y, z)),
             )
             rhs = V.compose(
-                V.associator(V.tensor_obj(w, x), y, z),
-                V.associator(w, x, V.tensor_obj(y, z)),
+                associator(tensor_obj(w, x), y, z),
+                associator(w, x, tensor_obj(y, z)),
             )
             if lhs != rhs:
                 col.add("pentagon", (w, x, y, z), lhs, rhs)

@@ -61,6 +61,7 @@ from ecat.vbase import (
     label_refs,
     require_mor_shape,
     thin_category,
+    window_generators,
 )
 
 
@@ -1849,6 +1850,46 @@ def identity_sided(V, failure) -> bool:
     whose sides is an identity of V, the pairs ``check_symmetric`` checks
     naturality at; a failure of any other law always is."""
     return failure.law != "symmetry-natural" or any(m == V.id_of(m.src) for m in failure.instance)
+
+
+def generator_sided(G, failure) -> bool:
+    """Whether a failure lies at an instance ``check_monoidal`` checks when it
+    scans at the generating set G: a ``tensor-right-decomp`` failure at
+    (f, g) with f and g in G, a slotwise functoriality failure at (f, f2, y)
+    with f in G; a failure of any other law always does."""
+    if failure.law == "tensor-right-decomp":
+        return all(m in G for m in failure.instance)
+    if failure.law in ("tensor-left-funct", "tensor-right-funct"):
+        return failure.instance[0] in G
+    return True
+
+
+def reference_at_generators(V, report):
+    """``reference_check_monoidal``'s report on V as ``check_monoidal`` scans:
+    restricted to the failures at ``window_generators(V)``
+    (``generator_sided``), or whole where that scan falls back, because a
+    window hom is not enumerated or the reference skips an instance of the
+    decompositions or slotwise functoriality. StructuralError stays."""
+    if report is StructuralError or {"tensor-decomp", "tensor-funct"} & set(report.skipped):
+        return report
+    gens = window_generators(V, _window_homs(V)[1])
+    if gens is None:
+        return report
+    G = set(gens)
+    return CheckReport.from_failures([f for f in report.failures if generator_sided(G, f)], report.skipped)
+
+
+def reference_closure(V, ms) -> set:
+    """Every composite of the morphisms ms of V's window, identities
+    included: pairs are composed until no composite is new."""
+    closure = {V.id_of(x) for x in V.objects()} | set(ms)
+    new = set(closure)
+    while new:
+        found = {V.compose(f, g) for f in closure for g in new if f.dst == g.src}
+        found |= {V.compose(f, g) for f in new for g in closure if f.dst == g.src}
+        new = found - closure
+        closure |= new
+    return closure
 
 
 @law_scan

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from ecat.report import CheckReport, Collector, StructuralError, law_scan
+from ecat.vbase import check_category
 
-from helpers import identity_sided, reference_check_symmetric
+from helpers import identity_sided, reference_at_generators, reference_check_monoidal, reference_check_symmetric
 from report_cases import OUT, cases, pinned_text
 
 CASES = cases()
@@ -43,6 +44,28 @@ def test_symmetric_pins_are_the_reference_at_identity_sided_pairs(name, failures
     kept = [f for f in reference.failures if identity_sided(M, f)]
     assert (len(reference.failures), len(kept)) == failures
     want = {"case": name, "input": description, "report": CheckReport.from_failures(kept).to_json()}
+    assert json.loads((OUT / f"{name}.json").read_text(encoding="utf-8")) == want
+
+
+@pytest.mark.parametrize("name, failures", [("monoidal-cost3", (7, 6)), ("monoidal-finset2", (9, 6))])
+def test_monoidal_pins_are_the_reference_at_generators(name, failures):
+    """check_monoidal checks the right decomposition and slotwise
+    functoriality on a generating set of the window, so each monoidal pin
+    is the instance-at-a-time reference's full report on the same mutated
+    base restricted to those instances (``reference_at_generators``): the
+    reference's 7 and 9 failures, 6 and 6 of them kept. Both mutations
+    change a composite, which check_category refuses: the cost(3) one leaves
+    its hom and raises StructuralError, the finset(2) one fails."""
+    ((_, _, (M,), description),) = [case for case in CASES if case[0] == name]
+    reference = reference_check_monoidal(M)
+    kept = reference_at_generators(M, reference)
+    assert (len(reference.failures), len(kept.failures)) == failures
+    if name == "monoidal-cost3":
+        with pytest.raises(StructuralError):
+            check_category(M)
+    else:
+        assert not check_category(M).ok
+    want = {"case": name, "input": description, "report": kept.to_json()}
     assert json.loads((OUT / f"{name}.json").read_text(encoding="utf-8")) == want
 
 

@@ -8,16 +8,19 @@ from pathlib import Path
 
 import pytest
 
+from ecat import vbase
 from ecat.dsl import from_json, parse
 from ecat.report import CapabilityError, CheckReport, EcatError, Failure, StructuralError, WindowExceeded
 from ecat.structures import PointedPosetStructure, PosetStructure, StructCat, check_structure
 from ecat.vbase import (
     BYTES_ROW,
+    DEFAULT_HOM_CAP,
     BatchedCompose,
     ClosedData,
     FinCat,
     FinMonCat,
     MorRef,
+    _window_homs,
     base_law_checks,
     bool_base,
     builtin_base,
@@ -31,18 +34,22 @@ from ecat.vbase import (
     search_product,
     terminal_base,
     window_fincat,
+    window_generators,
 )
 
 from helpers import (
     Mutated,
     assoc_oracle,
+    generator_sided,
     identity_oracle,
     identity_sided,
     random_mutation,
+    reference_at_generators,
     reference_check_category,
     reference_check_closed,
     reference_check_monoidal,
     reference_check_symmetric,
+    reference_closure,
     reference_search_equalizer,
     reference_search_product,
 )
@@ -1059,18 +1066,35 @@ def _assert_symmetric_scan_matches_the_reference(M, label):
         assert _fails(_report_or_raise(check_symmetric, M, limit=1)), label
 
 
+def _assert_monoidal_scan_matches_the_reference(M, label):
+    """check_monoidal checks the right decomposition and slotwise
+    functoriality on a generating set of the window, which decides them at
+    every pair where check_category holds. So where check_category passes,
+    it reports the reference's report restricted to those instances
+    (``reference_at_generators``), with the reference's ok; where the
+    reports or the ok differ, check_category fails or raises; and under
+    limit=1 it fails wherever it fails unlimited."""
+    got, want = _report_or_raise(check_monoidal, M), _report_or_raise(reference_check_monoidal, M)
+    if got != reference_at_generators(M, want) or _fails(got) != _fails(want):
+        assert _fails(_report_or_raise(check_category, M)), label
+    if _fails(got):
+        assert _fails(_report_or_raise(check_monoidal, M, limit=1)), label
+
+
 def test_batched_scans_match_the_reference_on_criterion_1_mutations():
     """The same comparison on each of criterion 1's 500 seeded mutations:
     the same report, or StructuralError from both, and the same ok under
-    limit=1, for check_monoidal and check_closed; check_symmetric is
-    compared as ``_assert_symmetric_scan_matches_the_reference`` says."""
+    limit=1, for check_closed; check_monoidal and check_symmetric are
+    compared as ``_assert_monoidal_scan_matches_the_reference`` and
+    ``_assert_symmetric_scan_matches_the_reference`` say."""
     rng = random.Random(20240817)
     for V in (builtin_base("finset", k=2), bool_base(), cost_base(6),
               builtin_base("finposet_struct", max_size=2), builtin_base("finpointedposet_struct", max_size=2)):
         for i in range(100):
             M = random_mutation(rng, V)
             label = (V.name, i, M._table, M._key)
-            _assert_scans_match_the_reference(M, label, ("monoidal", "closed"))
+            _assert_monoidal_scan_matches_the_reference(M, label)
+            _assert_scans_match_the_reference(M, label, ("closed",))
             if V.symmetric:
                 _assert_symmetric_scan_matches_the_reference(M, label)
 
@@ -1133,7 +1157,13 @@ def test_every_family_counts_its_window_skips_as_the_reference_does():
     fresh base. The unitor laws never skip: I (x) x has x's carrier, so a
     window that numbers hom(x, x) numbers their homs too. Symmetry
     naturality is checked only at the pairs with an identity side: the
-    reference skips 417 pairs, 80 of them with an identity side."""
+    reference skips 417 pairs, 80 of them with an identity side. Every hom
+    of the window is enumerated, so check_monoidal chooses its generators,
+    but some of their decomposition and functoriality rows leave the bound:
+    it scans those laws at every morphism instead, and counts the
+    reference's skips."""
+    V = _Tight(PosetStructure(), 2)
+    assert len(window_generators(V, _window_homs(V)[1])) == 12
     pins = {
         "category": (check_category, reference_check_category, {}),
         "monoidal": (check_monoidal, reference_check_monoidal, {
@@ -1151,6 +1181,100 @@ def test_every_family_counts_its_window_skips_as_the_reference_does():
             assert want.skipped["symmetry-natural"] == 417
             want.skipped["symmetry-natural"] = 80
         assert rep == want, family
+
+
+#: each base's generating set size; the cost(6) view's hom order puts every
+#: a -> b before the cover a -> a-1 it factors through, so it chooses all 28
+#: non-identities
+_GENERATED = [
+    ("finset", {"k": 0}, 0), ("finset", {"k": 1}, 1), ("finset", {"k": 2}, 6), ("finset", {"k": 3}, 19),
+    ("finset", {"k": 4}, 51), ("finposet_struct", {"max_size": 2}, 12),
+    ("finpointedposet_struct", {"max_size": 2}, 3), ("cost", {"n": 6}, 28),
+]
+
+
+def _generated_base(name, params):
+    """A fresh base; cost(6) through a Mutated view that changes nothing, so
+    it is not certified thin."""
+    V = builtin_base(name, **params)
+    return Mutated(V, "lunitor", (0,), V.lunitor(0)) if name == "cost" else V
+
+
+@pytest.mark.parametrize("name, params, size", _GENERATED, ids=[f"{n}-{s}" for n, _, s in _GENERATED])
+def test_window_generators_generate_the_window(name, params, size):
+    """The composites of window_generators' choices, by a closure that
+    composes pairs until none is new, are every window morphism; a fresh
+    base and one that has run check_monoidal choose the same list. Below
+    finset(4), each morphism is chosen exactly when it is not a composite
+    of the choices before it in hom order. (check_category fills the
+    kernel's memos, as a scan does.)"""
+    V = _generated_base(name, params)
+    homs = _window_homs(V)[1]
+    gens = window_generators(V, homs)
+    assert len(gens) == size
+    assert reference_closure(V, gens) == set(V.mors())
+    assert check_category(V).ok
+    assert window_generators(V, homs) == gens == window_generators(_generated_base(name, params), homs)
+    if size == 51:
+        return
+    chosen = []
+    for m in (m for fs in homs.values() for m in fs):
+        if m not in reference_closure(V, chosen):
+            chosen.append(m)
+    assert chosen == gens
+
+
+def test_monoidal_scan_at_generators_counts_instances(monkeypatch):
+    """On finset(3) the scan compares the left decomposition at all 60 * 60
+    pairs, the right one at the 19 * 19 pairs of generators, and slotwise
+    functoriality at the 440 composable pairs (f, f2) with f chosen, of
+    1,678, by each of the 4 window objects: the lengths of the rows it
+    compares. On finset(4) the same rule gives 8,332 slotwise pairs of
+    133,799, and 51 * 51 = 2,601 right decompositions of 499 * 499."""
+    compared = collections.Counter()
+
+    def add_row(col, law, lhs, rhs, ms, before=(), after=(), _add_row=vbase._add_row):
+        compared[law] += len(ms)
+        _add_row(col, law, lhs, rhs, ms, before, after)
+
+    monkeypatch.setattr(vbase, "_add_row", add_row)
+    assert check_monoidal(builtin_base("finset", k=3)).ok
+    assert {law: n for law, n in compared.items() if law.startswith("tensor")} == {
+        "tensor-left-decomp": 3_600, "tensor-right-decomp": 361,
+        "tensor-left-funct": 4 * 440, "tensor-right-funct": 4 * 440}
+    for k, pairs, slotwise, n_gens, n_mors in ((3, 1_678, 440, 19, 60), (4, 133_799, 8_332, 51, 499)):
+        V = builtin_base("finset", k=k)
+        homs = _window_homs(V)[1]
+        G = set(window_generators(V, homs))
+        composable = [(fs, gs) for (a, b), fs in homs.items() for (c, d), gs in homs.items() if b == c]
+        assert sum(len(fs) * len(gs) for fs, gs in composable) == pairs
+        assert sum(sum(f in G for f in fs) * len(gs) for fs, gs in composable) == slotwise
+        assert (len(G), sum(map(len, homs.values()))) == (n_gens, n_mors)
+
+
+def test_monoidal_scan_falls_back_past_the_hom_cap(monkeypatch):
+    """With a window hom past DEFAULT_HOM_CAP no generating set is chosen,
+    and check_monoidal checks the decompositions and slotwise functoriality
+    at every window morphism. The view replaces (2,2,0) (x) id_1, and
+    (2,2,0) is not a generator of finset(3): under the cap the scan reports
+    the reference's 22 failures at generators, of its 55; with the cap at 26,
+    so that hom(3, 3)'s 27 morphisms are not enumerated, it reports all of
+    the reference's failures, 55 again."""
+    V = builtin_base("finset", k=3)
+    f, i = MorRef(2, 2, 0), V.id_of(1)
+    right = V.tensor_mor(f, i)
+    M = Mutated(V, "tensor_mor", (f, i), MorRef(right.src, right.dst, (right.k + 1) % V.hom_size(right.src, right.dst)))
+    G = set(window_generators(M, _window_homs(M)[1]))
+    assert f not in G and check_category(M).ok
+    want = reference_check_monoidal(M)
+    got = check_monoidal(M)
+    assert len(want.failures) == 55 and got == reference_at_generators(M, want)
+    assert got.failures == [x for x in want.failures if generator_sided(G, x)] and len(got.failures) == 22
+    assert DEFAULT_HOM_CAP >= 27
+    monkeypatch.setattr("ecat.vbase.DEFAULT_HOM_CAP", 26)
+    assert window_generators(M, _window_homs(M)[1]) is None
+    want = reference_check_monoidal(M)
+    assert len(want.failures) == 55 and check_monoidal(M) == want
 
 
 @pytest.mark.parametrize("name, params", [("finset", {"k": 3}), ("finposet_struct", {"max_size": 2})])
